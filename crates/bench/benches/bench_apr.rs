@@ -47,4 +47,5 @@ fn main() {
         sim.drive("CLK", false);
         black_box(sim.last_settle_steps())
     });
+    runner.finish();
 }

@@ -25,4 +25,5 @@ fn main() {
         let spec = Spectrum::from_samples(&samples, 750e6, Window::Hann);
         black_box(ToneAnalysis::of(&spec, Some(5e6)))
     });
+    runner.finish();
 }

@@ -58,4 +58,5 @@ fn main() {
         assert_eq!(batch.metrics.executed, 0, "warm cache executes nothing");
         black_box(batch.metrics.wall_ms)
     });
+    runner.finish();
 }

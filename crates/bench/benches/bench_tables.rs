@@ -35,4 +35,5 @@ fn main() {
             black_box(a.sndr_db)
         });
     }
+    runner.finish();
 }

@@ -11,15 +11,11 @@
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::window::Window;
+use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// FNV-1a over a byte stream (the same checksum the golden test uses).
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(&bytes.collect::<Vec<u8>>(), FNV1A64_BASIS)
 }
 
 fn main() {

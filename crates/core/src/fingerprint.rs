@@ -25,6 +25,7 @@ use crate::sim::AdcSimulator;
 use crate::spec::AdcSpec;
 use std::sync::OnceLock;
 use tdsigma_dsp::spectrum::SpectrumScratch;
+use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// Version of the on-disk artifact schema (cache artifacts, journal
 /// records, sweep/optimize JSON). Bump on any layout change so stamped
@@ -53,7 +54,7 @@ fn compute() -> String {
             return forced;
         }
     }
-    let mut hash = fnv1a64(env!("CARGO_PKG_VERSION").as_bytes(), FNV_BASIS);
+    let mut hash = fnv1a64(env!("CARGO_PKG_VERSION").as_bytes(), FNV1A64_BASIS);
     hash = fnv1a64(&ARTIFACT_SCHEMA_VERSION.to_le_bytes(), hash);
     match golden_digest() {
         Ok(digest) => hash = fnv1a64(&digest.to_le_bytes(), hash),
@@ -82,7 +83,7 @@ fn golden_digest() -> Result<u64, CoreError> {
     let analysis = capture.analyze_with(spec.bw_hz, &mut scratch);
     Ok(fnv1a64(
         &analysis.sndr_db.to_bits().to_le_bytes(),
-        FNV_BASIS,
+        FNV1A64_BASIS,
     ))
 }
 
@@ -90,17 +91,6 @@ fn golden_digest() -> Result<u64, CoreError> {
 /// the spectrum analysis has in-band bins, short enough that startup
 /// stays sub-millisecond territory.
 const GOLDEN_SAMPLES: usize = 1024;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a64(data: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,7 @@ use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_dsp::window::Window;
+use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// Output of `golden_probe` at the fixed-grid clock baseline.
 const GOLDEN: &str = "\
@@ -34,14 +35,9 @@ const GOLDEN: &str = "\
 180nm seed=42 output=3eaef3ad5c781cd3 codes=b8297ed579abdd67 spectrum=b7aaf9809b99aa65 vco=6556 clk=1024 dac=4792 d=4782 cmp=65536 energy=3e3134c29a0781df dur=3ed12e0be826d695
 ";
 
-/// FNV-1a over a byte stream — keep in sync with `golden_probe`.
+/// FNV-1a over a byte stream — the checksum `golden_probe` prints.
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(&bytes.collect::<Vec<u8>>(), FNV1A64_BASIS)
 }
 
 fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScratch) -> String {

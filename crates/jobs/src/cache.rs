@@ -30,7 +30,7 @@
 //! inventory and prune both tiers.
 
 use crate::error::JobError;
-use crate::faults::{fnv1a64, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::report::JobReport;
 use std::collections::HashMap;
 use std::fs;
@@ -38,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tdsigma_core::engine_fingerprint;
+use tdsigma_tech::fnv1a64;
 
 /// Basis for artifact checksums (distinct from the job-key bases so a
 /// key can never masquerade as its own checksum).

@@ -27,16 +27,11 @@
 //!    job is admitted — success re-closes the breaker, failure re-opens
 //!    it for another cooldown. This keeps a dead peer from taxing every
 //!    job with a connect timeout.
-//! 4. **Hedging** (optional, off by default). When a dispatched job has
-//!    produced nothing within `hedge_ms`, the same job is also sent to
-//!    the next admitted backend and the first answer wins. Safe because
-//!    jobs are deterministic and cached: a duplicate execution wastes
-//!    cycles, never correctness.
-//! 5. **Local fallback.** When every backend is down or skipped, the
+//! 4. **Local fallback.** When every backend is down or skipped, the
 //!    job runs in-process on the wrapped local runner. A sweep never
 //!    fails solely because the fleet did; the degradation is counted
 //!    (`dispatch.local_fallback`) and warned once on stderr.
-//! 6. **Result integrity** (optional, off by default). With
+//! 5. **Result integrity** (optional, off by default). With
 //!    [`DispatchConfig::verify_permille`] non-zero, a deterministic
 //!    sample of remote results — drawn by hashing the report key, so
 //!    the same keys verify on every run and on `--resume` — is
@@ -46,11 +41,10 @@
 //!    disagrees with the local recomputation is **integrity-quarantined**
 //!    (excluded for the rest of the run, never re-probed — unlike a
 //!    breaker, there is no recovering from lying) and the verified
-//!    bytes win. Hedged duplicates that both complete are cross-checked
-//!    the same way for free.
+//!    bytes win.
 //!
 //! Per-backend instrumentation lands in `tdsigma-obs` under
-//! `dispatch.<addr>.…`: `dispatched`/`failed`/`retried`/`hedged`/
+//! `dispatch.<addr>.…`: `dispatched`/`failed`/`retried`/
 //! `integrity_failures` counters, a `breaker` gauge (0 = closed,
 //! 1 = half-open, 2 = open) and an `rtt` histogram.
 //! [`Dispatcher::summary`] snapshots the same numbers for end-of-sweep
@@ -65,7 +59,6 @@ use crate::remote::{BackendHealth, RemoteClient, RemoteConfig, RemoteError};
 use crate::report::JobReport;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -216,11 +209,9 @@ pub struct DispatchConfig {
     pub remote: RemoteConfig,
     /// Per-backend breaker tuning.
     pub breaker: BreakerConfig,
-    /// Hedge delay, ms; 0 disables hedging.
-    pub hedge_ms: u64,
     /// Per-job wall-clock budget forwarded to backends as
-    /// `deadline_ms`; 0 disables deadline propagation. Each failover or
-    /// hedge attempt forwards only the *remaining* budget, so a backend
+    /// `deadline_ms`; 0 disables deadline propagation. Each failover
+    /// attempt forwards only the *remaining* budget, so a backend
     /// can refuse work the job has no time left for.
     pub deadline_ms: u64,
     /// Client id attached to every frame for per-client admission
@@ -393,7 +384,6 @@ pub struct Dispatcher {
     backends: Vec<Arc<Backend>>,
     local: Arc<Runner>,
     local_in_rotation: bool,
-    hedge_ms: u64,
     deadline_ms: u64,
     verify_permille: u16,
     /// Report keys already verified (this run, or replayed from the
@@ -435,7 +425,6 @@ impl Dispatcher {
             backends,
             local,
             local_in_rotation: config.local_in_rotation,
-            hedge_ms: config.hedge_ms,
             deadline_ms: config.deadline_ms,
             verify_permille: config.verify_permille,
             verified: Mutex::new(HashSet::new()),
@@ -499,7 +488,7 @@ impl Dispatcher {
     }
 
     /// Executes one job somewhere: rotation → failover → breaker →
-    /// hedge → local fallback, per the module docs.
+    /// local fallback, per the module docs.
     ///
     /// # Errors
     ///
@@ -560,8 +549,8 @@ impl Dispatcher {
         Some(self.deadline_ms.saturating_sub(elapsed_ms(started)).max(1))
     }
 
-    /// One pass over the rotation: rotation → failover → breaker →
-    /// hedge, classifying how the pass ended.
+    /// One pass over the rotation: rotation → failover → breaker,
+    /// classifying how the pass ended.
     fn dispatch_round(&self, job: &Job, started: Instant) -> RoundOutcome {
         let candidates = self.rotation(job);
         let mut local_tried = false;
@@ -613,21 +602,9 @@ impl Dispatcher {
                         continue;
                     }
                     let deadline = self.remaining_budget(started);
-                    let result = if self.hedge_ms > 0 {
-                        self.hedged_attempt(
-                            backend,
-                            self.next_admitted(&candidates[slot + 1..]),
-                            job,
-                            deadline,
-                        )
-                    } else {
-                        backend
-                            .attempt(job, deadline)
-                            .map(|report| (report, Arc::clone(backend)))
-                    };
-                    match result {
-                        Ok((report, origin)) => {
-                            let report = self.verify_sampled(&origin, report, job, deadline);
+                    match backend.attempt(job, deadline) {
+                        Ok(report) => {
+                            let report = self.verify_sampled(backend, report, job, deadline);
                             return RoundOutcome::Done(Box::new(Ok((
                                 report,
                                 StageTimes::default(),
@@ -666,103 +643,6 @@ impl Dispatcher {
         }
     }
 
-    /// Claims the first still-admissible backend among `rest` as a
-    /// hedge target.
-    fn next_admitted(&self, rest: &[Candidate]) -> Option<Arc<Backend>> {
-        for candidate in rest {
-            if let Candidate::Remote(i) = candidate {
-                let backend = &self.backends[*i];
-                // Skew and quarantine are checked before admit() so an
-                // untrusted backend never carries a hedge (its answer
-                // would not be interchangeable) and no breaker claim is
-                // left dangling.
-                if !backend.quarantined()
-                    && !backend.cooling()
-                    && !backend.skewed()
-                    && backend.breaker.admit()
-                {
-                    return Some(Arc::clone(backend));
-                }
-            }
-        }
-        None
-    }
-
-    /// Sends the job to `primary`; if no answer lands within `hedge_ms`
-    /// and a hedge target was claimed, sends it there too and takes the
-    /// first answer. Deterministic jobs make the duplicate execution
-    /// harmless. When *both* attempts happen to complete before the
-    /// loser would be discarded, the two payloads are cross-checked
-    /// byte-for-byte — a redundant verification that cost nothing extra
-    /// — and any disagreement goes through the same local arbitration
-    /// and integrity quarantine as sampled verification.
-    fn hedged_attempt(
-        &self,
-        primary: &Arc<Backend>,
-        hedge: Option<Arc<Backend>>,
-        job: &Job,
-        deadline_ms: Option<u64>,
-    ) -> Result<(JobReport, Arc<Backend>), RemoteError> {
-        type Answer = (Arc<Backend>, Result<JobReport, RemoteError>);
-        let (tx, rx) = mpsc::channel::<Answer>();
-        let spawn = |backend: Arc<Backend>, tx: mpsc::Sender<Answer>| {
-            let job = job.clone();
-            std::thread::spawn(move || {
-                // The receiver may have taken an earlier answer and gone
-                // away; the loser's send failing is expected.
-                let result = backend.attempt(&job, deadline_ms);
-                let _ = tx.send((backend, result));
-            });
-        };
-        spawn(Arc::clone(primary), tx.clone());
-        let mut in_flight = 1;
-        let (first_from, first) = match rx.recv_timeout(Duration::from_millis(self.hedge_ms)) {
-            Ok(answer) => answer,
-            Err(_) => {
-                if let Some(hedge) = hedge {
-                    tdsigma_obs::counter(&format!("dispatch.{}.hedged", hedge.client.addr())).inc();
-                    spawn(hedge, tx.clone());
-                    in_flight += 1;
-                }
-                drop(tx);
-                match rx.recv() {
-                    Ok(answer) => answer,
-                    Err(_) => return Err(RemoteError::Backend("hedge channel closed".into())),
-                }
-            }
-        };
-        // An admitted-but-unneeded hedge was never spawned, so `rx` has
-        // at most one more answer. Prefer any success over an error.
-        if let Ok(report) = first {
-            if in_flight > 1 {
-                // Opportunistic cross-check: if the losing attempt also
-                // finished, its answer is already in the channel.
-                if let Ok((other_from, Ok(other_report))) = rx.try_recv() {
-                    if other_report.to_text() != report.to_text() {
-                        tdsigma_obs::counter("dispatch.hedge_mismatch").inc();
-                        return Ok(self.arbitrate_pair(
-                            job,
-                            (first_from, report),
-                            (other_from, other_report),
-                        ));
-                    }
-                    // Two independent backends agreeing is a redundant
-                    // verification in its own right.
-                    self.note_verified(&report.key);
-                }
-            }
-            return Ok((report, first_from));
-        }
-        for _ in 1..in_flight {
-            if let Ok((from, result)) = rx.recv() {
-                if result.is_ok() || matches!(result, Err(RemoteError::Job(_))) {
-                    return result.map(|report| (report, from));
-                }
-            }
-        }
-        first.map(|report| (report, first_from))
-    }
-
     /// Two backends produced different bytes for the same job — one of
     /// them is lying. The local engine recomputes (reports are pure
     /// functions of their jobs, so the local bytes are ground truth) and
@@ -775,7 +655,7 @@ impl Dispatcher {
         job: &Job,
         primary: (Arc<Backend>, JobReport),
         other: (Arc<Backend>, JobReport),
-    ) -> (JobReport, Arc<Backend>) {
+    ) -> JobReport {
         match (self.local)(job) {
             Ok((truth, _)) => {
                 let text = truth.to_text();
@@ -789,17 +669,17 @@ impl Dispatcher {
                 }
                 self.note_verified(&truth.key);
                 if primary_honest {
-                    (primary.1, primary.0)
+                    primary.1
                 } else if other_honest {
-                    (other.1, other.0)
+                    other.1
                 } else {
                     // Both lied: the local recomputation is the result.
-                    (truth, primary.0)
+                    truth
                 }
             }
             Err(_) => {
                 tdsigma_obs::counter("dispatch.verify_aborted").inc();
-                (primary.1, primary.0)
+                primary.1
             }
         }
     }
@@ -822,7 +702,7 @@ impl Dispatcher {
             return report;
         }
         if self.verify_permille < 1000 {
-            let draw = crate::faults::fnv1a64(report.key.as_bytes(), VERIFY_BASIS) % 1000;
+            let draw = tdsigma_tech::fnv1a64(report.key.as_bytes(), VERIFY_BASIS) % 1000;
             if draw >= self.verify_permille as u64 {
                 return report;
             }
@@ -845,7 +725,6 @@ impl Dispatcher {
                 } else {
                     tdsigma_obs::counter("dispatch.verify_mismatch").inc();
                     self.arbitrate_pair(job, (Arc::clone(origin), report), (peer, peer_report))
-                        .0
                 }
             }
             // No usable peer (none trusted, or the peer itself failed):
@@ -938,7 +817,6 @@ impl Dispatcher {
                     dispatched: get("dispatched"),
                     failed: get("failed"),
                     retried: get("retried"),
-                    hedged: get("hedged"),
                     shed_deferred: get("shed_deferred"),
                     version_skew: get("version_skew"),
                     integrity_failures: get("integrity_failures"),
@@ -1473,7 +1351,7 @@ mod tests {
     }
 
     #[test]
-    fn hedge_cross_check_arbitrates_with_local_ground_truth() {
+    fn arbitration_quarantines_the_backend_that_disagrees_with_local_truth() {
         // Exercise the arbitration core directly: two backends returned
         // different bytes for the same job, and the local recomputation
         // decides which one lied. (No sockets needed — arbitration only
@@ -1489,16 +1367,12 @@ mod tests {
         let truth = ok_report(&job).0;
         let mut lie = truth.clone();
         lie.sndr_db += 3.0;
-        let (report, origin) = dispatcher.arbitrate_pair(
+        let report = dispatcher.arbitrate_pair(
             &job,
             (Arc::clone(&dispatcher.backends[0]), lie),
             (Arc::clone(&dispatcher.backends[1]), truth.clone()),
         );
         assert_eq!(report.to_text(), truth.to_text(), "the honest bytes win");
-        assert!(
-            Arc::ptr_eq(&origin, &dispatcher.backends[1]),
-            "the winning answer is attributed to the honest backend"
-        );
         assert!(
             dispatcher.backends[0].quarantined(),
             "the liar is integrity-quarantined"
@@ -1512,26 +1386,5 @@ mod tests {
             vec![job.key()],
             "arbitration doubles as verification of the key"
         );
-    }
-
-    #[test]
-    fn hedging_takes_the_first_answer() {
-        let (addr_a, handle_a) = spawn_backend();
-        let (addr_b, handle_b) = spawn_backend();
-        let config = DispatchConfig {
-            hedge_ms: 1, // hedge almost immediately
-            ..fast_config(vec![addr_a.to_string(), addr_b.to_string()])
-        };
-        let dispatcher = Dispatcher::new(&config, local_runner());
-        for seed in 0..4u64 {
-            let job = Job {
-                seed,
-                ..Job::sim(40.0, 750e6, 5e6)
-            };
-            let (report, _) = dispatcher.run_job(&job).expect("hedged job");
-            assert_eq!(report.key, job.key());
-        }
-        stop_backend(addr_a, handle_a);
-        stop_backend(addr_b, handle_b);
     }
 }

@@ -14,7 +14,7 @@
 //! places no matter how many workers raced for the jobs, which is what
 //! lets the chaos suite assert byte-identical recovery.
 
-use tdsigma_tech::Rng64;
+use tdsigma_tech::{fnv1a64, Rng64, FNV1A64_BASIS};
 
 /// Where a fault decision is being made. Each site hashes into an
 /// independent decision stream so that, e.g., raising the panic rate
@@ -351,7 +351,7 @@ impl FaultPlan {
 
     /// The dedicated RNG stream for one decision point.
     fn stream(&self, site: Site, key: &str, attempt: u32) -> Rng64 {
-        let mut h = fnv1a64(key.as_bytes(), 0xcbf2_9ce4_8422_2325 ^ self.seed);
+        let mut h = fnv1a64(key.as_bytes(), FNV1A64_BASIS ^ self.seed);
         h = h
             .wrapping_mul(31)
             .wrapping_add(site as u64)
@@ -372,17 +372,6 @@ pub(crate) const ATTEST_BASIS: u64 = 0x7a30_9d4f_1bc8_55e1;
 /// Keyed on the report key alone — no RNG state, no clock — so the same
 /// keys are verified on every run and on `--resume`.
 pub(crate) const VERIFY_BASIS: u64 = 0x2f63_b1a8_9e47_d025;
-
-/// FNV-1a over `data` from the given basis. Shared by the fault plan's
-/// decision streams and the cache's artifact checksums.
-pub(crate) fn fnv1a64(data: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 use crate::error::JobError;
 use crate::json::Json;
 use tdsigma_core::spec::AdcSpec;
-use tdsigma_tech::{NodeId, Technology};
+use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +144,8 @@ impl Job {
     /// in-memory map and the on-disk artifact store.
     pub fn key(&self) -> String {
         let canon = self.canonical();
-        let a = fnv1a(canon.as_bytes(), 0xcbf2_9ce4_8422_2325);
-        let b = fnv1a(canon.as_bytes(), 0x9ae1_6a3b_2f90_404f);
+        let a = fnv1a64(canon.as_bytes(), FNV1A64_BASIS);
+        let b = fnv1a64(canon.as_bytes(), 0x9ae1_6a3b_2f90_404f);
         format!("{a:016x}{b:016x}")
     }
 
@@ -249,15 +249,6 @@ impl Job {
             seed: int("seed")?,
         })
     }
-}
-
-fn fnv1a(data: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

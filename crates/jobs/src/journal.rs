@@ -31,13 +31,13 @@
 //! cache — not the journal — stays the ground truth for results.
 
 use crate::error::JobError;
-use crate::faults::fnv1a64;
 use crate::job::Job;
 use crate::json::Json;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use tdsigma_tech::fnv1a64;
 
 /// Basis for journal record checksums (distinct from both the job-key
 /// and cache-artifact bases, so no cross-protocol hash collisions).
@@ -81,7 +81,7 @@ pub enum JournalRecord {
         retryable: bool,
     },
     /// A job's remote result was verified against a redundant
-    /// recomputation (sampled verification or a hedge cross-check).
+    /// recomputation (sampled verification).
     /// A resume must not pay for re-verifying it.
     JobVerified {
         /// The job's content-addressed key.

@@ -187,8 +187,6 @@ pub struct BackendDispatchStats {
     pub failed: u64,
     /// Jobs that moved on to another candidate after failing here.
     pub retried: u64,
-    /// Hedge duplicates sent to this backend.
-    pub hedged: u64,
     /// Structured busy/shed rejections honored as cooldowns (never
     /// counted toward the breaker — the backend was alive, just full).
     pub shed_deferred: u64,
@@ -235,12 +233,11 @@ impl fmt::Display for DispatchSummary {
         for b in &self.backends {
             write!(
                 f,
-                "\n  {} — {} dispatched, {} failed, {} retried, {} hedged, breaker {}",
+                "\n  {} — {} dispatched, {} failed, {} retried, breaker {}",
                 b.addr,
                 b.dispatched,
                 b.failed,
                 b.retried,
-                b.hedged,
                 if b.breaker_open { "OPEN" } else { "closed" },
             )?;
             if b.shed_deferred > 0 {
@@ -360,7 +357,6 @@ mod tests {
                 dispatched: 12,
                 failed: 3,
                 retried: 3,
-                hedged: 1,
                 shed_deferred: 2,
                 version_skew: 0,
                 integrity_failures: 0,
@@ -391,7 +387,6 @@ mod tests {
                     dispatched: 12,
                     failed: 0,
                     retried: 0,
-                    hedged: 0,
                     shed_deferred: 0,
                     version_skew: 0,
                     integrity_failures: 0,
@@ -402,7 +397,6 @@ mod tests {
                     dispatched: 0,
                     failed: 3,
                     retried: 0,
-                    hedged: 0,
                     shed_deferred: 0,
                     version_skew: 3,
                     integrity_failures: 0,
@@ -432,7 +426,6 @@ mod tests {
                     dispatched: 12,
                     failed: 0,
                     retried: 0,
-                    hedged: 0,
                     shed_deferred: 0,
                     version_skew: 0,
                     integrity_failures: 0,
@@ -443,7 +436,6 @@ mod tests {
                     dispatched: 5,
                     failed: 0,
                     retried: 0,
-                    hedged: 0,
                     shed_deferred: 0,
                     version_skew: 0,
                     integrity_failures: 2,

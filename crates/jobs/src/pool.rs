@@ -25,7 +25,7 @@
 //!   the empty plan reduces to integer compares.
 
 use crate::error::JobError;
-use crate::faults::{fnv1a64, AttemptFault, FaultPlan};
+use crate::faults::{AttemptFault, FaultPlan};
 use crate::job::Job;
 use crate::metrics::StageTimes;
 use crate::report::JobReport;
@@ -35,7 +35,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tdsigma_obs as obs;
-use tdsigma_tech::Rng64;
+use tdsigma_tech::{fnv1a64, Rng64};
 
 /// A job runner: everything the pool knows about executing work. The
 /// engine installs [`crate::execute::execute`]; tests inject hostile

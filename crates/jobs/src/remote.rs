@@ -192,8 +192,8 @@ impl RemoteClient {
     /// [`RemoteClient::run_job`] with the remaining time budget for this
     /// job attached as `deadline_ms`. The backend refuses work it
     /// provably cannot finish inside the budget and cuts off admitted
-    /// work that overruns it — so a hedged duplicate whose caller has
-    /// moved on stops burning a remote worker. The deadline is a sibling
+    /// work that overruns it — so a job whose caller has given up on it
+    /// stops burning a remote worker. The deadline is a sibling
     /// of the job in the frame: cache keys and report bytes are
     /// unaffected.
     ///
@@ -244,7 +244,7 @@ impl RemoteClient {
             Some(claimed) => {
                 let ours = format!(
                     "{:016x}",
-                    crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
+                    tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
                 );
                 if claimed != ours {
                     return Err(RemoteError::Backend(format!(
@@ -876,7 +876,7 @@ mod tests {
         };
         let attest = format!(
             "{:016x}",
-            crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
+            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
         );
         let line = report_response_line(&job, 64.0, Some(&attest));
         let (addr, handle) = hostile_backend(move |mut stream| {

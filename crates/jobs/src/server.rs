@@ -443,6 +443,7 @@ impl Server {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
+            reap_finished(&mut handles);
             // Connection cap: reject loudly instead of queueing silently,
             // so a flooded client knows to back off (and the cap cannot
             // be mistaken for a hang).
@@ -484,6 +485,19 @@ impl Server {
             let _ = h.join();
         }
         Ok(())
+    }
+}
+
+/// Joins the connection threads that have already returned, so a
+/// long-lived server holds one handle per *live* connection instead of
+/// one per connection ever accepted. Live handles stay for the drain.
+fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
+    let (done, live) = std::mem::take(handles)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *handles = live;
+    for h in done {
+        let _ = h.join();
     }
 }
 
@@ -684,7 +698,7 @@ fn admitted_run(
                 report.sndr_db += delta;
                 tdsigma_obs::counter("serve.lying_backend_injected").inc();
             }
-            let attest = crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS);
+            let attest = tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS);
             ok_response(vec![
                 ("report".into(), report.to_json()),
                 ("attest".into(), Json::Str(format!("{attest:016x}"))),
@@ -1039,6 +1053,29 @@ fn job_from_request(v: &Json) -> Result<Job, JobError> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+
+    #[test]
+    fn reap_drops_finished_connection_threads_and_keeps_live_ones() {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let mut handles = vec![
+            thread::spawn(|| {}),
+            thread::spawn(move || {
+                let _ = parked.recv();
+            }),
+        ];
+        while !handles[0].is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "the finished thread is joined");
+        assert!(!handles[0].is_finished(), "the live one is kept");
+        release.send(()).unwrap();
+        while !handles[0].is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
+    }
     use crate::faults::FaultPlan;
     use crate::metrics::StageTimes;
     use crate::pool::{PoolConfig, Runner};
@@ -1826,7 +1863,7 @@ mod tests {
         let report = JobReport::from_json(report_json).expect("parsable report");
         let expected = format!(
             "{:016x}",
-            crate::faults::fnv1a64(report.to_text().as_bytes(), crate::faults::ATTEST_BASIS)
+            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), crate::faults::ATTEST_BASIS)
         );
         assert_eq!(
             r.get("attest").and_then(Json::as_str),

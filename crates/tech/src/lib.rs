@@ -57,5 +57,5 @@ pub use corner::Corner;
 pub use error::TechError;
 pub use migrate::{migrate_cell, MigrationReport};
 pub use node::{NodeId, Technology};
-pub use rng::Rng64;
+pub use rng::{fnv1a64, Rng64, FNV1A64_BASIS};
 pub use scaling::{ScalingTrend, TrendPoint};

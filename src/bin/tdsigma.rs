@@ -5,7 +5,7 @@
 //!                [--samples 16384] [--out results]
 //! tdsigma sweep  [--nodes 40,180] [--slices 4,8] [--fs-mhz 750] [--amps 0.79]
 //!                [--bw-mhz 5] [--kind sim] [--samples 8192] [--seed 2017]
-//!                [--workers N | host:port,host:port[,local]] [--hedge-ms MS]
+//!                [--workers N | host:port,host:port[,local]]
 //!                [--retries 1] [--cache-dir results/cache]
 //!                [--no-cache] [--trace results/trace/sweep.jsonl] [--out results]
 //!                [--run-id ID] [--journal-dir results/journal] [--no-journal]
@@ -47,10 +47,9 @@
 //! `sweep --workers` also accepts a comma-separated backend list
 //! (`host:port,host:port[,local]`): jobs then dispatch over the serve
 //! protocol to those `tdsigma serve` peers with per-backend circuit
-//! breakers, failover, optional hedging (`--hedge-ms`) and a guaranteed
-//! local fallback — results land in the same content-addressed cache,
-//! so distributed and local runs are byte-interchangeable and equally
-//! `--resume`-able.
+//! breakers, failover and a guaranteed local fallback — results land
+//! in the same content-addressed cache, so distributed and local runs
+//! are byte-interchangeable and equally `--resume`-able.
 //!
 //! `optimize` runs a closed-loop design-space search (CMA-ES-like
 //! evolution or successive-halving racing, see `crates/opt`) over slice
@@ -100,31 +99,38 @@
 //! breakdown at the end, with or without `--trace` (the span histograms
 //! are always on — they cost only atomic adds).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use tdsigma::core::{flow::DesignFlow, spec::AdcSpec};
 use tdsigma::jobs::{
-    default_workers, execute, gc_finished, install_stop_handler, validate_run_id, DispatchConfig,
-    Dispatcher, Engine, EngineConfig, FaultPlan, Fleet, FleetConfig, Job, JobKind, Journal,
-    JournalRecord, Json, PlanPreview, PoolConfig, ResultCache, Runner, Server, ServerConfig,
+    default_workers, execute, gc_finished, install_stop_handler, validate_run_id, BatchReport,
+    DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Fleet, FleetConfig, Job, JobError,
+    JobKind, Journal, JournalRecord, JournalReplay, Json, PlanPreview, PoolConfig, ResultCache,
+    Runner, Server, ServerConfig,
 };
 use tdsigma::layout::physlib::PhysicalLibrary;
 use tdsigma::layout::{gds, lef, render};
 use tdsigma::opt::{initial_jobs, optimize, OptConfig, SearchSpace, Strategy};
 use tdsigma::tech::{NodeId, Technology};
 
+/// What a command returns: how many of its jobs failed (any failure
+/// exits 1, as does a fatal error).
+type Outcome = Result<usize, Box<dyn std::error::Error>>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dispatch = |args: &[String], known: &[&str], run: fn(&Flags) -> ExitCode| match parse_flags(
-        args, known,
-    ) {
-        Ok(flags) => run(&flags),
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    let dispatch = |args: &[String], known: &[&str], run: fn(&Flags) -> Outcome| {
+        let flags = parse_flags(args, known).map_err(Into::into);
+        match flags.and_then(|flags| run(&flags)) {
+            Ok(0) => ExitCode::SUCCESS,
+            Ok(_) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
         }
     };
     match args.first().map(String::as_str) {
@@ -167,7 +173,7 @@ fn print_help() {
     println!("  tdsigma sweep  [--nodes 40,180] [--slices 4,8] [--fs-mhz 750]");
     println!("                 [--amps 0.79] [--bw-mhz B] [--kind sim|flow]");
     println!("                 [--samples K] [--seed S] [--retries R]");
-    println!("                 [--workers N | host:port,host:port[,local]] [--hedge-ms MS]");
+    println!("                 [--workers N | host:port,host:port[,local]]");
     println!("                 [--cache-dir DIR] [--no-cache] [--trace FILE] [--out DIR]");
     println!("                 [--run-id ID] [--journal-dir DIR] [--no-journal]");
     println!("                 [--resume ID] [--resume-force] [--dry-run]");
@@ -204,8 +210,8 @@ fn print_help() {
     println!("  jobs and writes a bit-identical sweep.json.");
     println!("DISTRIBUTED SWEEPS: `--workers host:port,host:port[,local]` dispatches jobs");
     println!("  to `tdsigma serve` backends with per-backend circuit breakers, failover");
-    println!("  and a guaranteed local fallback; results are byte-identical to a local");
-    println!("  run. `--hedge-ms MS` duplicates a slow job onto a second backend.");
+    println!("  and a guaranteed local fallback; results are byte-identical to a");
+    println!("  local run.");
     println!("EXIT CODES (sweep): 0 = every job succeeded; 1 = degraded (some jobs");
     println!("  failed — sweep.json carries their structured failure records) or a");
     println!("  fatal setup/journal error.");
@@ -278,9 +284,8 @@ const SWEEP_FLAGS: &[&str] = &[
     "resume-force",
     "no-journal",
     // Distributed dispatch: only meaningful with a backend list in
-    // --workers.
-    "hedge-ms",
-    // Per-job wall-clock budget forwarded to backends as deadline_ms.
+    // --workers. Per-job wall-clock budget forwarded to backends as
+    // deadline_ms.
     "deadline-ms",
     // Result integrity: sampled redundant verification of remote
     // results (a fraction 0..=1, or --verify-all for every result).
@@ -323,7 +328,6 @@ const OPTIMIZE_FLAGS: &[&str] = &[
     "resume",
     "resume-force",
     "no-journal",
-    "hedge-ms",
     "deadline-ms",
     "verify-sample",
     "verify-all",
@@ -442,17 +446,7 @@ impl Flags {
     }
 }
 
-fn run_design(flags: &Flags) -> ExitCode {
-    match try_run_design(flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_run_design(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+fn run_design(flags: &Flags) -> Outcome {
     let node_nm = flags.f64("node", 40.0)?;
     let fs_hz = flags.f64("fs-mhz", 750.0)? * 1e6;
     let bw_hz = flags.f64("bw-mhz", 5.0)? * 1e6;
@@ -521,7 +515,7 @@ fn try_run_design(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         "wrote adc_top.{{v,fp,def,gds.txt}}, library.lef, layout.svg, spectrum.csv, report.json → {}",
         out.display()
     );
-    Ok(())
+    Ok(0)
 }
 
 /// `tdsigma cache stats|scrub`: inventory or prune the on-disk result
@@ -683,7 +677,7 @@ fn verify_permille(flags: &Flags) -> Result<u16, String> {
     Ok((fraction * 1000.0).round() as u16)
 }
 
-fn engine_config(flags: &Flags, workers: usize) -> Result<EngineConfig, String> {
+fn engine_config(flags: &Flags, workers: usize, faults: FaultPlan) -> Result<EngineConfig, String> {
     let retries = flags.usize("retries", 1)? as u32;
     let cache_dir = if flags.switch("no-cache") {
         None
@@ -697,7 +691,7 @@ fn engine_config(flags: &Flags, workers: usize) -> Result<EngineConfig, String> 
             ..PoolConfig::default()
         },
         cache_dir,
-        faults: fault_plan(flags)?,
+        faults,
     })
 }
 
@@ -709,19 +703,20 @@ fn engine_config(flags: &Flags, workers: usize) -> Result<EngineConfig, String> 
 type EngineSetup = (Engine, Option<Arc<Dispatcher>>);
 
 fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::Error>> {
-    match parse_workers(flags)? {
+    let workers = parse_workers(flags)?;
+    let faults = fault_plan(flags)?;
+    match workers {
         WorkerSpec::Local(workers) => {
-            let engine = Engine::new(engine_config(flags, workers)?)?;
+            let engine = Engine::new(engine_config(flags, workers, faults)?)?;
             Ok((engine, None))
         }
         WorkerSpec::Fleet { backends, local } => {
             let config = DispatchConfig {
                 backends,
                 local_in_rotation: local,
-                hedge_ms: flags.usize("hedge-ms", 0)? as u64,
                 deadline_ms: flags.usize("deadline-ms", 0)? as u64,
                 verify_permille: verify_permille(flags)?,
-                faults: fault_plan(flags)?,
+                faults,
                 ..DispatchConfig::default()
             };
             let local_runner: Arc<Runner> = Arc::new(execute);
@@ -756,7 +751,7 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
                 remote_workers
             };
             let engine = Engine::with_runner(
-                engine_config(flags, workers.clamp(1, 64))?,
+                engine_config(flags, workers.clamp(1, 64), faults)?,
                 dispatcher.into_runner(),
             )?;
             Ok((engine, Some(dispatcher)))
@@ -812,17 +807,6 @@ fn print_stage_breakdown() {
     }
 }
 
-fn run_sweep(flags: &Flags) -> ExitCode {
-    match try_run_sweep(flags) {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// A fresh run id: unique enough for a journal filename, and valid under
 /// the journal's run-id rules.
 fn generate_run_id(prefix: &str) -> String {
@@ -852,7 +836,165 @@ fn print_dry_run(flags: &Flags, jobs: &[Job]) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
+fn journal_dir(flags: &Flags) -> String {
+    flags.str("journal-dir", "results/journal")
+}
+
+/// What `sweep` and `optimize` share: the run id and its journal, the
+/// engine `--workers` asked for (with its dispatcher for a fleet), the
+/// trace sink and the artifact write. Each command adds only its own
+/// plan, header line and report.
+struct RunContext {
+    id: String,
+    journal: Option<Journal>,
+    engine: Engine,
+    dispatcher: Option<Arc<Dispatcher>>,
+    trace: Option<String>,
+    out: String,
+}
+
+impl RunContext {
+    /// The first step of every run: turns on `--trace`, then replays the
+    /// journal `--resume ID` names (`None` for a fresh run). Reads only,
+    /// so a dry run may stop after it.
+    fn begin(flags: &Flags) -> Result<Option<JournalReplay>, Box<dyn std::error::Error>> {
+        enable_trace(flags)?;
+        let Some(run_id) = flags.values.get("resume") else {
+            return Ok(None);
+        };
+        validate_run_id(run_id)?;
+        let replay = Journal::replay(journal_dir(flags), run_id)?;
+        if replay.torn_tail {
+            eprintln!(
+                "warning: journal for {run_id} ends in a torn record \
+                 (crash mid-append) — replaying the intact prefix"
+            );
+        }
+        Ok(Some(replay))
+    }
+
+    /// A fresh run: `--run-id` or a new id with `prefix`, and a new
+    /// journal unless `--no-journal`.
+    fn fresh(flags: &Flags, prefix: &str) -> Result<Self, Box<dyn std::error::Error>> {
+        let id = flags.str("run-id", &generate_run_id(prefix));
+        validate_run_id(&id)?;
+        let journal = if flags.switch("no-journal") {
+            None
+        } else {
+            Some(Journal::create(journal_dir(flags), &id)?)
+        };
+        Self::start(flags, id, journal, Default::default())
+    }
+
+    /// Continues a replayed run in its own journal. `completed` is what
+    /// the command counts as journaled complete; `work` names what
+    /// re-executes when `--no-cache` makes those claims unusable.
+    fn resume(
+        flags: &Flags,
+        replay: JournalReplay,
+        completed: usize,
+        work: &str,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        verify_resume_fingerprint(
+            &replay.run_id,
+            &replay.fingerprint,
+            flags.switch("resume-force"),
+        )?;
+        // With --no-cache there is nothing to reconcile completion
+        // against: the journal's "finished" claims point at cache
+        // artifacts we will not read, so everything re-executes.
+        let no_cache = flags.switch("no-cache");
+        if no_cache {
+            println!("cache disabled: re-executing {work}");
+        }
+        let mut journal = Journal::open_existing(journal_dir(flags), &replay.run_id)?;
+        journal.append(&JournalRecord::Resumed {
+            completed: if no_cache { 0 } else { completed as u64 },
+        })?;
+        Self::start(flags, replay.run_id, Some(journal), replay.verified)
+    }
+
+    fn start(
+        flags: &Flags,
+        id: String,
+        journal: Option<Journal>,
+        verified: HashSet<String>,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let (engine, dispatcher) = engine_from_flags(flags)?;
+        if let Some(dispatcher) = &dispatcher {
+            // Journaled verification outcomes survive a crash: a resumed
+            // run never re-verifies what an earlier attempt already proved.
+            dispatcher.seed_verified(verified);
+        }
+        Ok(RunContext {
+            id,
+            journal,
+            engine,
+            dispatcher,
+            trace: flags.values.get("trace").cloned(),
+            out: flags.str("out", "results"),
+        })
+    }
+
+    /// The journal path for a command's header line, or `off`.
+    fn journal_label(&self) -> String {
+        self.journal
+            .as_ref()
+            .map_or("off".to_string(), |j| j.path().display().to_string())
+    }
+
+    /// Runs one journaled batch, then journals the keys the dispatcher
+    /// verified during it.
+    fn run_batch(&mut self, jobs: &[Job]) -> Result<BatchReport, JobError> {
+        let batch = self
+            .engine
+            .run_batch_with_journal(jobs, self.journal.as_mut())?;
+        if let (Some(dispatcher), Some(journal)) = (&self.dispatcher, self.journal.as_mut()) {
+            for key in dispatcher.drain_verified() {
+                journal.append(&JournalRecord::JobVerified { key })?;
+            }
+        }
+        Ok(batch)
+    }
+
+    /// Ends the run: dispatch summary, stage breakdown, trace; then
+    /// writes `artifact`, with the run id as its first field, to
+    /// `<out>/<name>` and returns that path.
+    fn finish(&self, name: &str, artifact: Json) -> Result<PathBuf, Box<dyn std::error::Error>> {
+        if let Some(dispatcher) = &self.dispatcher {
+            let summary = dispatcher.summary();
+            println!("{summary}");
+            if summary.degraded() {
+                eprintln!(
+                    "degraded: {} job(s) ran via local fallback because every backend was unavailable",
+                    summary.local_fallbacks
+                );
+            }
+        }
+        print_stage_breakdown();
+        if let Some(path) = &self.trace {
+            tdsigma::obs::disable_tracing();
+            println!("wrote trace → {path}");
+        }
+
+        // The artifact is a pure function of (run id, per-job results),
+        // so a resumed run writes bytes identical to an uninterrupted one.
+        let artifact = match artifact {
+            Json::Obj(mut fields) => {
+                fields.insert(0, ("run_id".into(), Json::Str(self.id.clone())));
+                Json::Obj(fields)
+            }
+            other => other,
+        };
+        let out = Path::new(&self.out);
+        fs::create_dir_all(out)?;
+        let path = out.join(name);
+        fs::write(&path, artifact.to_text() + "\n")?;
+        Ok(path)
+    }
+}
+
+fn run_sweep(flags: &Flags) -> Outcome {
     let nodes = flags.f64_list("nodes", &[40.0, 180.0])?;
     let slices = flags.f64_list("slices", &[4.0, 8.0])?;
     let fs_list = flags.f64_list("fs-mhz", &[750.0])?;
@@ -865,115 +1007,75 @@ fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     };
     let samples = flags.usize("samples", 8_192)?;
     let seed = flags.usize("seed", 2017)? as u64;
-    let out = flags.str("out", "results");
-    let journal_dir = flags.str("journal-dir", "results/journal");
-    let trace = enable_trace(flags)?;
 
     // Resume replaces the grid with the journaled plan; a fresh run
-    // builds the grid and (unless --no-journal) opens a new journal.
-    // A dry run never touches the journal — it previews the exact job
-    // list the real invocation would submit, resumed or fresh.
+    // builds the grid. A dry run never touches the journal — it
+    // previews the exact job list the real invocation would submit.
     let dry_run = flags.switch("dry-run");
-    let resume_id = flags.values.get("resume").cloned();
-    let (jobs, run_id, mut journal, already_verified) = if let Some(run_id) = resume_id {
-        validate_run_id(&run_id)?;
-        let replay = Journal::replay(&journal_dir, &run_id)?;
-        if replay.torn_tail {
-            eprintln!(
-                "warning: journal for {run_id} ends in a torn record \
-                 (crash mid-append) — replaying the intact prefix"
-            );
-        }
-        if replay.jobs.is_empty() {
-            return Err(
-                format!("journal for {run_id} holds no batch plan — nothing to resume").into(),
-            );
-        }
-        let complete = replay
-            .jobs
-            .iter()
-            .filter(|j| replay.finished.contains(&j.key()))
-            .count();
-        println!(
-            "resuming run {run_id}: {complete} of {} jobs journaled complete, \
-             {} degraded, resume #{}",
-            replay.jobs.len(),
-            replay.degraded.len(),
-            replay.resumes + 1
-        );
-        if dry_run {
-            print_dry_run(flags, &replay.jobs)?;
-            return Ok(0);
-        }
-        verify_resume_fingerprint(&run_id, &replay.fingerprint, flags.switch("resume-force"))?;
-        // With --no-cache there is nothing to reconcile completion
-        // against: the journal's "finished" claims point at cache
-        // artifacts we will not read, so every job re-executes.
-        let no_cache = flags.switch("no-cache");
-        if no_cache {
+    let (jobs, mut run) = match RunContext::begin(flags)? {
+        Some(mut replay) => {
+            let run_id = &replay.run_id;
+            if replay.jobs.is_empty() {
+                return Err(format!(
+                    "journal for {run_id} holds no batch plan — nothing to resume"
+                )
+                .into());
+            }
+            let complete = replay
+                .jobs
+                .iter()
+                .filter(|j| replay.finished.contains(&j.key()))
+                .count();
             println!(
-                "cache disabled: re-executing all {} jobs",
-                replay.jobs.len()
+                "resuming run {run_id}: {complete} of {} jobs journaled complete, \
+                 {} degraded, resume #{}",
+                replay.jobs.len(),
+                replay.degraded.len(),
+                replay.resumes + 1
             );
+            if dry_run {
+                print_dry_run(flags, &replay.jobs)?;
+                return Ok(0);
+            }
+            let jobs = std::mem::take(&mut replay.jobs);
+            let work = format!("all {} jobs", jobs.len());
+            (jobs, RunContext::resume(flags, replay, complete, &work)?)
         }
-        let mut journal = Journal::open_existing(&journal_dir, &run_id)?;
-        journal.append(&JournalRecord::Resumed {
-            completed: if no_cache { 0 } else { complete as u64 },
-        })?;
-        (replay.jobs, run_id, Some(journal), replay.verified)
-    } else {
-        let mut jobs = Vec::new();
-        for &node in &nodes {
-            for &n_slices in &slices {
-                for &fs_mhz in &fs_list {
-                    for &amp in &amps {
-                        let mut job = match kind {
-                            JobKind::SimTone => Job::sim(node, fs_mhz * 1e6, bw_mhz * 1e6),
-                            JobKind::FullFlow => Job::flow(node, fs_mhz * 1e6, bw_mhz * 1e6),
-                        };
-                        job.slices = n_slices as usize;
-                        job.amplitude_rel = amp;
-                        job.samples = samples;
-                        job.seed = seed;
-                        jobs.push(job);
+        None => {
+            let mut jobs = Vec::new();
+            for &node in &nodes {
+                for &n_slices in &slices {
+                    for &fs_mhz in &fs_list {
+                        for &amp in &amps {
+                            let mut job = match kind {
+                                JobKind::SimTone => Job::sim(node, fs_mhz * 1e6, bw_mhz * 1e6),
+                                JobKind::FullFlow => Job::flow(node, fs_mhz * 1e6, bw_mhz * 1e6),
+                            };
+                            job.slices = n_slices as usize;
+                            job.amplitude_rel = amp;
+                            job.samples = samples;
+                            job.seed = seed;
+                            jobs.push(job);
+                        }
                     }
                 }
             }
+            if dry_run {
+                print_dry_run(flags, &jobs)?;
+                return Ok(0);
+            }
+            (jobs, RunContext::fresh(flags, "sweep")?)
         }
-        if dry_run {
-            print_dry_run(flags, &jobs)?;
-            return Ok(0);
-        }
-        let run_id = flags.str("run-id", &generate_run_id("sweep"));
-        validate_run_id(&run_id)?;
-        let journal = if flags.switch("no-journal") {
-            None
-        } else {
-            Some(Journal::create(&journal_dir, &run_id)?)
-        };
-        (jobs, run_id, journal, Default::default())
     };
 
-    let (engine, dispatcher) = engine_from_flags(flags)?;
-    if let Some(dispatcher) = &dispatcher {
-        // Journaled verification outcomes survive a crash: a resumed
-        // run never re-verifies what an earlier attempt already proved.
-        dispatcher.seed_verified(already_verified);
-    }
     println!(
-        "sweep {run_id}: {} jobs on {} workers (journal: {})",
+        "sweep {}: {} jobs on {} workers (journal: {})",
+        run.id,
         jobs.len(),
-        engine.workers(),
-        journal
-            .as_ref()
-            .map_or("off".to_string(), |j| j.path().display().to_string()),
+        run.engine.workers(),
+        run.journal_label(),
     );
-    let batch = engine.run_batch_with_journal(&jobs, journal.as_mut())?;
-    if let (Some(dispatcher), Some(journal)) = (&dispatcher, journal.as_mut()) {
-        for key in dispatcher.drain_verified() {
-            journal.append(&JournalRecord::JobVerified { key })?;
-        }
-    }
+    let batch = run.run_batch(&jobs)?;
 
     println!("{}", tdsigma::jobs::JobReport::table_header());
     let mut failed = 0usize;
@@ -1002,45 +1104,27 @@ fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
         }
     }
     println!("{}", batch.metrics);
-    if let Some(dispatcher) = &dispatcher {
-        let summary = dispatcher.summary();
-        println!("{summary}");
-        if summary.degraded() {
-            eprintln!(
-                "degraded: {} job(s) ran via local fallback because every backend was unavailable",
-                summary.local_fallbacks
-            );
-        }
-    }
-    print_stage_breakdown();
-    if let Some(path) = trace {
-        tdsigma::obs::disable_tracing();
-        println!("wrote trace → {path}");
-    }
-
-    // The artifact is a pure function of (run id, per-job results), so a
-    // resumed run writes bytes identical to an uninterrupted one.
-    let artifact = Json::Obj(vec![
-        ("run_id".into(), Json::Str(run_id.clone())),
-        ("jobs".into(), Json::Num(jobs.len() as f64)),
-        ("failed".into(), Json::Num(failed as f64)),
-        ("reports".into(), Json::Arr(reports)),
-        ("failures".into(), Json::Arr(failures)),
-    ]);
-    let out = Path::new(&out);
-    fs::create_dir_all(out)?;
-    let path = out.join("sweep.json");
-    fs::write(&path, artifact.to_text() + "\n")?;
+    let path = run.finish(
+        "sweep.json",
+        Json::Obj(vec![
+            ("jobs".into(), Json::Num(jobs.len() as f64)),
+            ("failed".into(), Json::Num(failed as f64)),
+            ("reports".into(), Json::Arr(reports)),
+            ("failures".into(), Json::Arr(failures)),
+        ]),
+    )?;
     println!(
         "wrote {} reports → {}",
         batch.results.len() - failed,
         path.display()
     );
+    let journal_dir = journal_dir(flags);
     if failed > 0 {
         eprintln!(
             "degraded: {failed} of {} jobs failed — resume with: \
-             tdsigma sweep --resume {run_id} --journal-dir {journal_dir}",
-            jobs.len()
+             tdsigma sweep --resume {} --journal-dir {journal_dir}",
+            jobs.len(),
+            run.id
         );
     }
 
@@ -1055,7 +1139,7 @@ fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     let auto_gc = failed == 0 && !flags.switch("no-cache");
     if !flags.switch("no-journal") && (gc_requested || auto_gc) {
         let keep = if gc_requested { 0 } else { 32 };
-        match gc_finished(Path::new(&journal_dir), keep, &[run_id.as_str()]) {
+        match gc_finished(Path::new(&journal_dir), keep, &[run.id.as_str()]) {
             Ok(gc) if !gc.pruned.is_empty() => println!(
                 "journal gc: pruned {} finished journal(s), {} kept",
                 gc.pruned.len(),
@@ -1070,16 +1154,6 @@ fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
         }
     }
     Ok(failed)
-}
-
-fn run_optimize(flags: &Flags) -> ExitCode {
-    match try_run_optimize(flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Builds the optimizer config from `--space FILE` (if given) plus the
@@ -1165,99 +1239,71 @@ fn opt_config_path(journal_dir: &str, run_id: &str) -> std::path::PathBuf {
     Path::new(journal_dir).join(format!("{run_id}.opt.json"))
 }
 
-fn try_run_optimize(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
-    let out = flags.str("out", "results");
-    let journal_dir = flags.str("journal-dir", "results/journal");
-    let trace = enable_trace(flags)?;
-
+fn run_optimize(flags: &Flags) -> Outcome {
     // Resume re-runs the persisted config; determinism + the result
     // cache make the re-run skip everything that already finished. A
-    // fresh run builds the config from flags and persists it first.
-    let resume_id = flags.values.get("resume").cloned();
-    let (config, run_id, mut journal, already_verified) = if let Some(run_id) = resume_id {
-        validate_run_id(&run_id)?;
-        let path = opt_config_path(&journal_dir, &run_id);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("no optimize config for {run_id} at {}: {e}", path.display()))?;
-        let config = OptConfig::from_json(&Json::parse(&text)?)?;
-        if flags.switch("dry-run") {
-            print_dry_run(flags, &initial_jobs(&config)?)?;
-            return Ok(());
-        }
-        let replay = Journal::replay(&journal_dir, &run_id)?;
-        verify_resume_fingerprint(&run_id, &replay.fingerprint, flags.switch("resume-force"))?;
-        println!(
-            "resuming optimize {run_id}: {} evaluation(s) journaled complete, resume #{}",
-            replay.finished.len(),
-            replay.resumes + 1
-        );
-        let no_cache = flags.switch("no-cache");
-        if no_cache {
-            println!("cache disabled: re-executing every evaluation");
-        }
-        let mut journal = Journal::open_existing(&journal_dir, &run_id)?;
-        journal.append(&JournalRecord::Resumed {
-            completed: if no_cache {
-                0
-            } else {
-                replay.finished.len() as u64
-            },
-        })?;
-        (config, run_id, Some(journal), replay.verified)
-    } else {
-        let config = optimize_config(flags)?;
-        if flags.switch("dry-run") {
-            let first = initial_jobs(&config)?;
+    // fresh run builds the config from flags and persists it.
+    let dry_run = flags.switch("dry-run");
+    let (config, mut run) = match RunContext::begin(flags)? {
+        Some(replay) => {
+            let run_id = &replay.run_id;
+            let path = opt_config_path(&journal_dir(flags), run_id);
+            let text = fs::read_to_string(&path).map_err(|e| {
+                format!("no optimize config for {run_id} at {}: {e}", path.display())
+            })?;
+            let config = OptConfig::from_json(&Json::parse(&text)?)?;
+            if dry_run {
+                print_dry_run(flags, &initial_jobs(&config)?)?;
+                return Ok(0);
+            }
+            let completed = replay.finished.len();
             println!(
-                "optimize plan: strategy {}, budget {} evaluation(s); generation 0 below \
-                 (later generations adapt to results)",
-                config.strategy.as_str(),
-                config.budget
+                "resuming optimize {run_id}: {completed} evaluation(s) journaled complete, \
+                 resume #{}",
+                replay.resumes + 1
             );
-            print_dry_run(flags, &first)?;
-            return Ok(());
+            let run = RunContext::resume(flags, replay, completed, "every evaluation")?;
+            (config, run)
         }
-        let run_id = flags.str("run-id", &generate_run_id("opt"));
-        validate_run_id(&run_id)?;
-        let journal = if flags.switch("no-journal") {
-            None
-        } else {
-            fs::create_dir_all(&journal_dir)?;
-            fs::write(
-                opt_config_path(&journal_dir, &run_id),
-                config.to_json().to_text() + "\n",
-            )?;
-            Some(Journal::create(&journal_dir, &run_id)?)
-        };
-        (config, run_id, journal, Default::default())
+        None => {
+            let config = optimize_config(flags)?;
+            if dry_run {
+                let first = initial_jobs(&config)?;
+                println!(
+                    "optimize plan: strategy {}, budget {} evaluation(s); generation 0 below \
+                     (later generations adapt to results)",
+                    config.strategy.as_str(),
+                    config.budget
+                );
+                print_dry_run(flags, &first)?;
+                return Ok(0);
+            }
+            let run = RunContext::fresh(flags, "opt")?;
+            if run.journal.is_some() {
+                fs::write(
+                    opt_config_path(&journal_dir(flags), &run.id),
+                    config.to_json().to_text() + "\n",
+                )?;
+            }
+            (config, run)
+        }
     };
 
-    let (engine, dispatcher) = engine_from_flags(flags)?;
-    if let Some(dispatcher) = &dispatcher {
-        dispatcher.seed_verified(already_verified);
-    }
     println!(
-        "optimize {run_id}: strategy {}, kind {}, budget {} on {} workers (journal: {})",
+        "optimize {}: strategy {}, kind {}, budget {} on {} workers (journal: {})",
+        run.id,
         config.strategy.as_str(),
         config.kind.as_str(),
         config.budget,
-        engine.workers(),
-        journal
-            .as_ref()
-            .map_or("off".to_string(), |j| j.path().display().to_string()),
+        run.engine.workers(),
+        run.journal_label(),
     );
 
     // The evaluation closure IS the jobs engine: every generation is an
     // ordinary journaled batch, so caching, dedup, fleet dispatch and
     // crash recovery apply to optimizer traffic unchanged.
-    let verify_dispatcher = dispatcher.clone();
-    let mut eval = |jobs: &[Job]| {
-        let batch = engine.run_batch_with_journal(jobs, journal.as_mut())?;
-        if let (Some(dispatcher), Some(journal)) = (&verify_dispatcher, journal.as_mut()) {
-            for key in dispatcher.drain_verified() {
-                journal.append(&JournalRecord::JobVerified { key })?;
-            }
-        }
+    let report = optimize(&config, &mut |jobs: &[Job]| {
+        let batch = run.run_batch(jobs)?;
         tdsigma::obs::counter("opt.cache_hits").add(batch.metrics.cache_hits as u64);
         println!(
             "  generation: {} job(s), {} cache hit(s), {} executed, {} failed",
@@ -1267,8 +1313,7 @@ fn try_run_optimize(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
             batch.metrics.failed
         );
         Ok(batch.results)
-    };
-    let report = optimize(&config, &mut eval)?;
+    })?;
 
     let best = &report.best;
     println!(
@@ -1285,47 +1330,12 @@ fn try_run_optimize(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", tdsigma::jobs::JobReport::table_header());
     println!("{}", best.report.table_row());
-    if let Some(dispatcher) = &dispatcher {
-        println!("{}", dispatcher.summary());
-    }
-    print_stage_breakdown();
-    if let Some(path) = trace {
-        tdsigma::obs::disable_tracing();
-        println!("wrote trace → {path}");
-    }
-
-    // Like sweep.json, the artifact is a pure function of (run id,
-    // config, results): a resumed run writes bytes identical to an
-    // uninterrupted one.
-    let artifact = match report.to_json() {
-        Json::Obj(mut fields) => {
-            fields.insert(0, ("run_id".into(), Json::Str(run_id.clone())));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
-    let out = Path::new(&out);
-    fs::create_dir_all(out)?;
-    let path = out.join("optimize.json");
-    fs::write(&path, artifact.to_text() + "\n")?;
+    let path = run.finish("optimize.json", report.to_json())?;
     println!("wrote optimization history → {}", path.display());
-    Ok(())
+    Ok(0)
 }
 
-fn run_serve(flags: &Flags) -> ExitCode {
-    match try_run_serve(flags) {
-        // Exit code reflects degradation: a serve session that saw job
-        // failures exits non-zero even though it drained gracefully.
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
+fn run_serve(flags: &Flags) -> Outcome {
     let addr = flags.str("addr", "127.0.0.1:4017");
     let trace = enable_trace(flags)?;
     let (engine, dispatcher) = engine_from_flags(flags)?;
@@ -1334,7 +1344,7 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     }
     let engine = Arc::new(engine);
     let defaults = ServerConfig::default();
-    let server_config = ServerConfig {
+    let config = ServerConfig {
         max_connections: flags.usize("max-connections", defaults.max_connections)?,
         allow_remote_shutdown: flags.switch("allow-remote-shutdown"),
         quota_burst: flags.usize("quota-burst", defaults.quota_burst as usize)? as u32,
@@ -1342,12 +1352,7 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
         max_queue_per_worker: flags.usize("max-queue", defaults.max_queue_per_worker)?,
         ..ServerConfig::default()
     };
-    let max_connections = server_config.max_connections;
-    let allow_remote_shutdown = server_config.allow_remote_shutdown;
-    let quota_burst = server_config.quota_burst;
-    let quota_refill_per_sec = server_config.quota_refill_per_sec;
-    let max_queue_per_worker = server_config.max_queue_per_worker;
-    let server = Server::bind_with(addr.as_str(), Arc::clone(&engine), server_config)?;
+    let server = Server::bind_with(addr.as_str(), Arc::clone(&engine), config.clone())?;
     println!(
         "tdsigma serve: listening on {} ({} workers, cache: {}, max {} connections)",
         server.local_addr()?,
@@ -1356,19 +1361,19 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
             .cache()
             .disk_dir()
             .map_or("memory only".to_string(), |d| d.display().to_string()),
-        max_connections,
+        config.max_connections,
     );
     println!("protocol: one JSON job request per line, one JSON report per line back");
     println!(r#"example: {{"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}}"#);
     println!(r#"supervision: {{"cmd":"health"}} and {{"cmd":"ready"}} report liveness"#);
-    match (quota_burst, max_queue_per_worker) {
+    match (config.quota_burst, config.max_queue_per_worker) {
         (0, 0) => println!("admission: open (no per-client quota, no queue cap)"),
         (burst, cap) => println!(
             "admission: quota {} (burst {burst}), queue cap {}",
             if burst == 0 {
                 "off".to_string()
             } else {
-                format!("{quota_refill_per_sec:.1}/s per client")
+                format!("{:.1}/s per client", config.quota_refill_per_sec)
             },
             if cap == 0 {
                 "off".to_string()
@@ -1377,7 +1382,7 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
             },
         ),
     }
-    if allow_remote_shutdown {
+    if config.allow_remote_shutdown {
         println!("remote shutdown: ENABLED (any client can stop this server)");
     } else {
         println!("remote shutdown: disabled (start with --allow-remote-shutdown to enable)");
@@ -1399,21 +1404,10 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     Ok(totals.failed)
 }
 
-fn run_fleet(flags: &Flags) -> ExitCode {
-    match try_run_fleet(flags) {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Spawns and supervises N `tdsigma serve` children, restarting crashed
 /// or stalled ones with deterministic-jitter backoff. Blocks until
 /// SIGTERM/SIGINT, then drains the fleet gracefully.
-fn try_run_fleet(flags: &Flags) -> Result<i32, Box<dyn std::error::Error>> {
+fn run_fleet(flags: &Flags) -> Outcome {
     let children = flags.usize("children", 2)?;
     if children == 0 {
         return Err("--children must be at least 1".into());
@@ -1484,7 +1478,7 @@ fn try_run_fleet(flags: &Flags) -> Result<i32, Box<dyn std::error::Error>> {
     );
     println!("fleet: send SIGTERM (or Ctrl-C) for a graceful rolling drain");
     let stop = install_stop_handler();
-    Ok(fleet.run(stop))
+    Ok(usize::from(fleet.run(stop) != 0))
 }
 
 /// Hand-rolled JSON (flat object, numeric fields) — no serialization

@@ -87,6 +87,35 @@ fn sweep_runs_grid_and_writes_artifact() {
 }
 
 #[test]
+fn chaos_warning_prints_once_for_a_fleet_sweep() {
+    // The fault plan is shared by the engine and the dispatcher; it must
+    // be built (and announced) once, not once per consumer.
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_chaos_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args([
+            "sweep",
+            "--workers",
+            "127.0.0.1:1",
+            "--chaos-seed",
+            "1",
+            "--nodes",
+            "40",
+            "--slices",
+            "1",
+            "--samples",
+            "2048",
+        ])
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.matches("chaos mode on").count(), 1, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flag_is_rejected_with_the_supported_list() {
     for (cmd, flag) in [
         ("sweep", "--nodez"),

@@ -11,7 +11,7 @@
 //!      cache scrub` prunes them;
 //!   2. `--resume` of a journal planned by a different engine fails
 //!      loudly, and `--resume-force` downgrades that to a warning that
-//!      re-executes everything;
+//!      re-executes everything — for `sweep` and `optimize` alike;
 //!   3. `--resume --no-cache` re-executes every job instead of
 //!      reconciling against cache artifacts it will not read (the
 //!      warm-cache stale-replay regression);
@@ -28,8 +28,8 @@ use std::time::Duration;
 
 mod common;
 use common::{
-    bin, journal_path, metric, spawn_serve, spawn_serve_with_env, sweep_args, wait_for_ready,
-    FAST_SAMPLES,
+    bin, journal_path, metric, optimize_args, spawn_serve, spawn_serve_with_env, sweep_args,
+    wait_for_ready, FAST_SAMPLES,
 };
 
 /// A syntactically plausible but impossible fingerprint: the real one is
@@ -37,10 +37,10 @@ use common::{
 /// fixed vanity constant.
 const FOREIGN_FP: &str = "aaaaaaaaaaaaaaaa";
 
-/// Resume invocation rooted at `base` — the grid comes from the
-/// journal, so only engine/state flags are passed.
-fn resume_args(base: &std::path::Path, run_id: &str, extra: &[&str]) -> Vec<String> {
-    ["sweep", "--resume", run_id, "--workers", "2"]
+/// Resume invocation of `command` rooted at `base` — the plan comes from
+/// the journal, so only engine/state flags are passed.
+fn resume_args(command: &str, base: &std::path::Path, run_id: &str, extra: &[&str]) -> Vec<String> {
+    [command, "--resume", run_id, "--workers", "2"]
         .iter()
         .map(ToString::to_string)
         .chain(extra.iter().map(ToString::to_string))
@@ -173,63 +173,87 @@ fn foreign_engine_warm_cache_is_demoted_never_replayed_and_scrubbable() {
 
 #[test]
 fn resume_across_an_engine_change_fails_loudly_unless_forced() {
-    let run_id = "vskew-resume-force-it";
-    let root = std::env::temp_dir().join(format!("tdsigma_vskew_force_{}", std::process::id()));
+    for command in ["sweep", "optimize"] {
+        resume_across_an_engine_change(command);
+    }
+}
+
+/// Plans and finishes a `command` run as a foreign engine, then resumes
+/// it under the real one: refused without `--resume-force`, re-executed
+/// from scratch with it.
+fn resume_across_an_engine_change(command: &str) {
+    let run_id = format!("vskew-resume-force-{command}");
+    let root = std::env::temp_dir().join(format!(
+        "tdsigma_vskew_force_{command}_{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&root);
     let base = root.join("run");
     std::fs::create_dir_all(&base).expect("mkdir base");
+    // How the command's first stdout lines count the jobs it submits.
+    let (plan, jobs_marker) = match command {
+        "sweep" => (sweep_args(&base, "2", &run_id, FAST_SAMPLES), "jobs"),
+        _ => (optimize_args(&base, &run_id, "2048"), "job(s)"),
+    };
 
     // Plan and finish the run as a foreign engine: journal and cache
     // both carry the override fingerprint.
     let out = Command::new(bin())
-        .args(sweep_args(&base, "2", run_id, FAST_SAMPLES))
+        .args(&plan)
         .env("TDSIGMA_FINGERPRINT", FOREIGN_FP)
         .output()
         .expect("foreign run spawns");
-    assert!(out.status.success(), "foreign run failed");
+    assert!(out.status.success(), "{command}: foreign run failed");
     assert!(
-        journal_path(&base, run_id).exists(),
-        "a clean sweep keeps a recent journal window for --resume"
+        journal_path(&base, &run_id).exists(),
+        "{command}: a clean run keeps its journal for --resume"
     );
 
     // The real engine refuses the resume: the journal's completion
     // claims point at artifacts it will demote, not replay.
     let out = Command::new(bin())
-        .args(resume_args(&base, run_id, &[]))
+        .args(resume_args(command, &base, &run_id, &[]))
         .output()
         .expect("refused resume spawns");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !out.status.success(),
-        "resume across an engine change must fail without --resume-force"
+        "{command}: resume across an engine change must fail without --resume-force"
     );
     assert!(
         stderr.contains(&format!("planned by engine {FOREIGN_FP}")),
-        "the error must name the planning engine: {stderr}"
+        "{command}: the error must name the planning engine: {stderr}"
     );
     assert!(
         stderr.contains("--resume-force"),
-        "the error must point at the escape hatch: {stderr}"
+        "{command}: the error must point at the escape hatch: {stderr}"
     );
 
     // --resume-force re-executes everything under the current engine.
     let out = Command::new(bin())
-        .args(resume_args(&base, run_id, &["--resume-force"]))
+        .args(resume_args(command, &base, &run_id, &["--resume-force"]))
         .output()
         .expect("forced resume spawns");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "forced resume failed: {stderr}");
+    assert!(
+        out.status.success(),
+        "{command}: forced resume failed: {stderr}"
+    );
     assert!(
         stderr.contains("across an engine change"),
-        "the force path must still warn: {stderr}"
+        "{command}: the force path must still warn: {stderr}"
     );
     assert_eq!(
         metric(&stdout, "cache"),
         0,
-        "no foreign artifact may be replayed: {stdout}"
+        "{command}: no foreign artifact may be replayed: {stdout}"
     );
-    assert_eq!(metric(&stdout, "executed"), 4, "{stdout}");
+    assert_eq!(
+        metric(&stdout, "executed"),
+        metric(&stdout, jobs_marker),
+        "{command}: every submitted job re-executes: {stdout}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -253,7 +277,7 @@ fn resume_with_no_cache_re_executes_instead_of_reconciling_the_journal() {
     // Resuming with --no-cache must not count journaled completions as
     // done — their evidence is cache artifacts this run will not read.
     let out = Command::new(bin())
-        .args(resume_args(&base, run_id, &["--no-cache"]))
+        .args(resume_args("sweep", &base, run_id, &["--no-cache"]))
         .output()
         .expect("no-cache resume spawns");
     let stdout = String::from_utf8_lossy(&out.stdout);
