@@ -1,10 +1,11 @@
 //! Micro-bench: layout-synthesis throughput — netlist generation,
-//! floorplan + place + route of the full ADC, and signoff.
+//! floorplan + place + route of the full ADC (PD-aware and naive), and
+//! signoff.
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
 use tdsigma_core::{netgen, spec::AdcSpec};
-use tdsigma_layout::{analyze_timing, synthesize, AprOptions};
+use tdsigma_layout::{analyze_timing, synthesize, synthesize_naive, AprOptions};
 use tdsigma_netlist::{GateSimulator, PowerPlan};
 
 fn main() {
@@ -30,7 +31,13 @@ fn main() {
         });
     }
 
+    // The naive single-domain flow (`reproduce_all`'s largest call): one
+    // region, so any two cells may swap and most swaps cross rows.
     let flat = netgen::generate(&spec).expect("netlist").flatten();
+    runner.bench("apr_synthesize_naive_40nm", || {
+        black_box(synthesize_naive(&flat, &spec.tech, &AprOptions::default()).expect("naive APR"))
+    });
+
     let plan = PowerPlan::infer(&flat).expect("plan");
     let layout = synthesize(&flat, &plan, &spec.tech, &AprOptions::default()).expect("APR");
 

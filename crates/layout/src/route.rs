@@ -179,6 +179,7 @@ pub fn route(
     });
 
     let mut routed = Vec::with_capacity(order.len());
+    let mut search = Search::new(cols * rows);
     let mut max_cong = 0.0f64;
     for (name, pins) in order {
         let pin_count = pins.len();
@@ -208,7 +209,7 @@ pub fn route(
                 }
                 let (i, j, _) = best.expect("tree incomplete implies outside pins exist");
                 in_tree[j] = true;
-                let (len, over, path) = astar_route(&mut grid, pins[i], pins[j]);
+                let (len, over, path) = astar_route(&mut grid, &mut search, pins[i], pins[j]);
                 wire_gcells += len;
                 overflow_edges += over;
                 let centre = |gc: usize| {
@@ -233,8 +234,7 @@ pub fn route(
             segments,
         });
     }
-    for (idx, &u) in grid.h_use.iter().enumerate() {
-        let _ = idx;
+    for &u in &grid.h_use {
         max_cong = max_cong.max(u as f64 / grid.capacity as f64);
     }
     for &u in &grid.v_use {
@@ -260,57 +260,85 @@ fn bbox_half_perimeter(pins: &[(usize, usize)]) -> i64 {
         + (ys.iter().max().unwrap() - ys.iter().min().unwrap())
 }
 
+/// Reusable A* state for one `route` call: `dist`/`prev` stay sized to the
+/// grid, and only the nodes the previous search reached are reset.
+struct Search {
+    dist: Vec<f64>,
+    prev: Vec<usize>,
+    heap: BinaryHeap<(Reverse<u64>, usize)>,
+    /// Nodes whose `dist` the last search set.
+    reached: Vec<usize>,
+}
+
+impl Search {
+    fn new(nodes: usize) -> Self {
+        Search {
+            dist: vec![f64::INFINITY; nodes],
+            prev: vec![usize::MAX; nodes],
+            heap: BinaryHeap::new(),
+            reached: Vec::new(),
+        }
+    }
+}
+
 /// A* route between two gcells; commits usage; returns (edges, overflows,
 /// node path from source to sink).
 fn astar_route(
     grid: &mut Grid,
+    search: &mut Search,
     from: (usize, usize),
     to: (usize, usize),
 ) -> (i64, usize, Vec<usize>) {
     if from == to {
         return (0, 0, Vec::new());
     }
-    let n = grid.cols * grid.rows;
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<usize> = vec![usize::MAX; n];
+    let Search {
+        dist,
+        prev,
+        heap,
+        reached,
+    } = search;
+    for &v in reached.iter() {
+        dist[v] = f64::INFINITY;
+        prev[v] = usize::MAX;
+    }
+    reached.clear();
+    heap.clear();
     let start = grid.node(from.0, from.1);
     let goal = grid.node(to.0, to.1);
     dist[start] = 0.0;
+    reached.push(start);
     // BinaryHeap over ordered f64 via bit trick (all costs non-negative).
     let key = |c: f64| Reverse(c.to_bits());
-    let mut heap = BinaryHeap::new();
     heap.push((key(manhattan(grid, start, goal)), start));
+    let g = &*grid;
     while let Some((_, u)) = heap.pop() {
         if u == goal {
             break;
         }
-        let (uc, ur) = (u % grid.cols, u / grid.cols);
-        let mut neighbours: Vec<(usize, f64)> = Vec::with_capacity(4);
-        if uc + 1 < grid.cols {
-            neighbours.push((u + 1, grid.edge_cost(grid.h_use[grid.h_idx(uc, ur)])));
-        }
-        if uc > 0 {
-            neighbours.push((u - 1, grid.edge_cost(grid.h_use[grid.h_idx(uc - 1, ur)])));
-        }
-        if ur + 1 < grid.rows {
-            neighbours.push((
-                u + grid.cols,
-                grid.edge_cost(grid.v_use[grid.v_idx(uc, ur)]),
-            ));
-        }
-        if ur > 0 {
-            neighbours.push((
-                u - grid.cols,
-                grid.edge_cost(grid.v_use[grid.v_idx(uc, ur - 1)]),
-            ));
-        }
-        for (v, cost) in neighbours {
-            let nd = dist[u] + cost;
+        let (uc, ur) = (u % g.cols, u / g.cols);
+        let mut relax = |v: usize, usage: u32| {
+            let nd = dist[u] + g.edge_cost(usage);
             if nd < dist[v] {
+                if dist[v] == f64::INFINITY {
+                    reached.push(v);
+                }
                 dist[v] = nd;
                 prev[v] = u;
-                heap.push((key(nd + manhattan(grid, v, goal)), v));
+                heap.push((key(nd + manhattan(g, v, goal)), v));
             }
+        };
+        if uc + 1 < g.cols {
+            relax(u + 1, g.h_use[g.h_idx(uc, ur)]);
+        }
+        if uc > 0 {
+            relax(u - 1, g.h_use[g.h_idx(uc - 1, ur)]);
+        }
+        if ur + 1 < g.rows {
+            relax(u + g.cols, g.v_use[g.v_idx(uc, ur)]);
+        }
+        if ur > 0 {
+            relax(u - g.cols, g.v_use[g.v_idx(uc, ur - 1)]);
         }
     }
     // Walk back, committing usage and recording the path.
