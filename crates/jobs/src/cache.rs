@@ -7,27 +7,29 @@
 //! `results/cache/`) survives process restarts, which is what makes
 //! re-running a whole sweep near-free.
 //!
-//! **Corruption is a defined state, not undefined behavior.** Every
-//! artifact carries a `crc64:` trailer (FNV-1a over the report line); an
-//! artifact that is unreadable, unparsable, checksum-mismatched, or filed
-//! under the wrong key is **quarantined** — renamed to
-//! `<key>.json.quarantine`, counted (see [`ResultCache::quarantined`]),
-//! and treated as a miss so the job recomputes. Quarantined files are
-//! never read back: lookups only ever open `<key>.json`.
-//!
-//! **Version skew is a defined state too.** The trailer also stamps the
+//! **An artifact this engine will not replay is rejected, never
+//! trusted.** Every artifact ends in a `crc64:<hex> fp:<fingerprint>`
+//! trailer: an FNV-1a checksum over the report line plus the
 //! [engine fingerprint](tdsigma_core::fingerprint) of the binary that
-//! computed the result. A key collides across engine versions by design
-//! (it hashes job parameters only), so without the stamp a warm cache
-//! silently replays numbers from an older engine. An artifact whose
-//! stamp does not match this process is **demoted** to the `stale/`
-//! tier — moved to `<dir>/stale/<key>.json`, counted (see
-//! [`ResultCache::stale`]), reported as a miss, and never replayed.
-//! Unstamped artifacts from the pre-checksum era are quarantined
-//! outright (counted separately, see [`ResultCache::legacy_rejected`]):
-//! with no checksum there is nothing to trust. `tdsigma cache
-//! stats|scrub` ([`ResultCache::inspect`], [`ResultCache::scrub`])
-//! inventory and prune both tiers.
+//! computed it. A key collides across engine versions by design (it
+//! hashes job parameters only), so the stamp is what keeps a warm cache
+//! from silently replaying another engine's numbers. There are two
+//! reasons to refuse an artifact:
+//!
+//! * **corrupt** — unreadable, unparsable, missing or failing its
+//!   checksum trailer (the pre-checksum single-line format included), or
+//!   filed under the wrong key;
+//! * **foreign** — the checksum verifies but the stamp is not this
+//!   engine's (the unstamped interim format included).
+//!
+//! Either way the artifact moves to `<dir>/rejected/<key>.<reason>.json`,
+//! is counted (see [`ResultCache::rejected`] and the
+//! `jobs.cache_rejected.<reason>` counters), and the lookup reports a
+//! miss, so damage and skew degrade to recomputation — never to a wrong
+//! answer or an aborted batch. Lookups never read `rejected/`; it keeps
+//! the newest 32 files for post-mortem or rollback and is pruned on
+//! open. `tdsigma cache stats|scrub` ([`ResultCache::inspect`],
+//! [`ResultCache::scrub`]) inventory and prune a cache directory.
 
 use crate::error::JobError;
 use crate::faults::FaultPlan;
@@ -35,7 +37,7 @@ use crate::report::JobReport;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tdsigma_core::engine_fingerprint;
 use tdsigma_tech::fnv1a64;
@@ -44,21 +46,43 @@ use tdsigma_tech::fnv1a64;
 /// key can never masquerade as its own checksum).
 const CRC_BASIS: u64 = 0x6c62_272e_07bb_0142;
 
-/// Subdirectory where artifacts stamped by a different engine
-/// fingerprint are demoted. Kept (not deleted) so an operator can roll
-/// the binary back and `mv` them home; `tdsigma cache scrub` prunes.
-const STALE_DIR: &str = "stale";
+/// Subdirectory refused artifacts move to. Kept (not deleted) so an
+/// operator can inspect a corrupt artifact or roll the binary back and
+/// `mv` foreign ones home; `tdsigma cache scrub` empties it.
+const REJECTED_DIR: &str = "rejected";
 
-/// How many quarantined artifacts to retain for post-mortem inspection.
-/// Anything older is pruned when a disk cache is opened, so a long-lived
-/// cache directory with recurring corruption cannot grow without bound.
-const QUARANTINE_RETAIN: usize = 32;
+/// How many files `rejected/` keeps. Anything older is pruned when a
+/// disk cache is opened, so recurring corruption or a fleet that rolls
+/// its binary repeatedly cannot grow the directory without bound.
+const REJECT_RETAIN: usize = 32;
 
-/// How many demoted `stale/` artifacts to retain for rollback recovery.
-/// Like the quarantine tier, anything older is pruned on open: a fleet
-/// that rolls its binary repeatedly would otherwise re-demote the whole
-/// cache on every version flip and grow `stale/` without bound.
-const STALE_RETAIN: usize = 32;
+/// Sequence number for per-writer temp files: with the pid it makes
+/// every in-flight write's temp path unique, so concurrent writers of
+/// one key (threads, processes sharing a `--cache-dir`) never collide.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Why an artifact was refused; the tag names its file in `rejected/`.
+#[derive(Debug, Clone, Copy)]
+enum Reject {
+    /// Unreadable, unparsable, no or a mismatched checksum trailer, or
+    /// filed under the wrong key.
+    Corrupt,
+    /// Intact (checksum verified) but stamped by a different engine
+    /// fingerprint, or by none.
+    Foreign,
+}
+
+/// What a lookup would do with one artifact: replay it, or reject it.
+type Verdict = Result<(), Reject>;
+
+impl Reject {
+    fn tag(self) -> &'static str {
+        match self {
+            Reject::Corrupt => "corrupt",
+            Reject::Foreign => "foreign",
+        }
+    }
+}
 
 /// A two-tier (memory + optional disk) result cache. All methods take
 /// `&self`; the cache is safe to share across worker and server threads.
@@ -66,11 +90,7 @@ const STALE_RETAIN: usize = 32;
 pub struct ResultCache {
     mem: Mutex<HashMap<String, JobReport>>,
     dir: Option<PathBuf>,
-    quarantined: AtomicUsize,
-    stale: AtomicUsize,
-    legacy_rejected: AtomicUsize,
-    quarantine_pruned: usize,
-    stale_pruned: usize,
+    rejected: AtomicUsize,
     faults: FaultPlan,
     fingerprint: String,
 }
@@ -81,11 +101,7 @@ impl ResultCache {
         ResultCache {
             mem: Mutex::new(HashMap::new()),
             dir: None,
-            quarantined: AtomicUsize::new(0),
-            stale: AtomicUsize::new(0),
-            legacy_rejected: AtomicUsize::new(0),
-            quarantine_pruned: 0,
-            stale_pruned: 0,
+            rejected: AtomicUsize::new(0),
             faults: FaultPlan::none(),
             fingerprint: engine_fingerprint().to_string(),
         }
@@ -93,10 +109,8 @@ impl ResultCache {
 
     /// A cache backed by a directory of `<key>.json` artifacts; the
     /// directory is created if missing. Opening the cache also prunes
-    /// accumulated `.quarantine` files down to the newest
-    /// `QUARANTINE_RETAIN` and demoted `stale/` artifacts down to the
-    /// newest `STALE_RETAIN` (pruning is best-effort and never fails
-    /// the open).
+    /// `rejected/` down to the newest `REJECT_RETAIN` files (pruning is
+    /// best-effort and never fails the open).
     ///
     /// # Errors
     ///
@@ -104,23 +118,15 @@ impl ResultCache {
     pub fn with_disk(dir: impl Into<PathBuf>) -> Result<Self, JobError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| JobError::io_at(&dir, &e))?;
-        let quarantine_pruned = prune_quarantine(&dir, QUARANTINE_RETAIN);
-        let stale_pruned = prune_stale(&dir.join(STALE_DIR), STALE_RETAIN);
+        prune_oldest(&dir.join(REJECTED_DIR), REJECT_RETAIN);
         Ok(ResultCache {
-            mem: Mutex::new(HashMap::new()),
             dir: Some(dir),
-            quarantined: AtomicUsize::new(0),
-            stale: AtomicUsize::new(0),
-            legacy_rejected: AtomicUsize::new(0),
-            quarantine_pruned,
-            stale_pruned,
-            faults: FaultPlan::none(),
-            fingerprint: engine_fingerprint().to_string(),
+            ..ResultCache::in_memory()
         })
     }
 
     /// Installs a fault plan that may corrupt artifacts as they are
-    /// written (exercises the quarantine path end to end).
+    /// written (exercises the reject path end to end).
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -142,88 +148,47 @@ impl ResultCache {
         self.dir.as_deref()
     }
 
-    /// Artifacts found corrupt and quarantined over this cache's
-    /// lifetime.
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::SeqCst)
-    }
-
-    /// Artifacts stamped by a different engine fingerprint and demoted
-    /// to the `stale/` tier over this cache's lifetime.
-    pub fn stale(&self) -> usize {
-        self.stale.load(Ordering::SeqCst)
-    }
-
-    /// Pre-checksum (unstamped, unchecksummed) artifacts rejected and
-    /// quarantined over this cache's lifetime.
-    pub fn legacy_rejected(&self) -> usize {
-        self.legacy_rejected.load(Ordering::SeqCst)
-    }
-
-    /// Stale `.quarantine` files removed when this cache was opened.
-    pub fn quarantine_pruned(&self) -> usize {
-        self.quarantine_pruned
-    }
-
-    /// Demoted `stale/` artifacts removed when this cache was opened.
-    pub fn stale_pruned(&self) -> usize {
-        self.stale_pruned
+    /// Artifacts refused (corrupt or foreign) and moved to `rejected/`
+    /// over this cache's lifetime.
+    pub fn rejected(&self) -> usize {
+        self.rejected.load(Ordering::SeqCst)
     }
 
     /// Looks up a result by job key: memory first, then disk (a disk hit
-    /// is promoted into memory). A corrupt disk artifact is quarantined,
-    /// a pre-checksum one is rejected into quarantine, and one stamped by
-    /// a different engine fingerprint is demoted to `stale/` — all three
-    /// report as a miss, so damage and skew degrade to recomputation,
-    /// never to a wrong answer or an aborted batch.
+    /// is promoted into memory). A disk artifact this engine will not
+    /// replay is rejected and reported as a miss.
     pub fn get(&self, key: &str) -> Option<JobReport> {
         if let Some(hit) = self.mem.lock().expect("cache lock").get(key) {
             return Some(hit.clone());
         }
         let path = self.artifact_path(key)?;
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let parsed = match fs::read_to_string(&path) {
+            Ok(text) => parse_artifact(&text, key, &self.fingerprint),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                // Exists but unreadable: same treatment as corrupt.
-                self.quarantine(&path);
-                return None;
-            }
+            Err(_) => Err(Reject::Corrupt),
         };
-        let report = match parse_artifact(&text, key, &self.fingerprint) {
-            Ok(report) => report,
-            Err(ArtifactIssue::Corrupt(reason)) => {
-                if tdsigma_obs::tracing_enabled() {
-                    tdsigma_obs::event("cache.corrupt", &[("reason", reason.to_string())]);
-                }
-                self.quarantine(&path);
-                return None;
+        match parsed {
+            Ok(report) => {
+                self.mem
+                    .lock()
+                    .expect("cache lock")
+                    .insert(key.to_string(), report.clone());
+                Some(report)
             }
-            Err(ArtifactIssue::Legacy) => {
-                self.quarantine(&path);
-                self.legacy_rejected.fetch_add(1, Ordering::SeqCst);
-                tdsigma_obs::counter("jobs.cache_legacy_rejected").inc();
-                return None;
+            Err(reason) => {
+                self.reject(&path, reason);
+                None
             }
-            Err(ArtifactIssue::Stale { stamped }) => {
-                self.demote_stale(&path, &stamped);
-                return None;
-            }
-        };
-        self.mem
-            .lock()
-            .expect("cache lock")
-            .insert(key.to_string(), report.clone());
-        Some(report)
+        }
     }
 
     /// Cheap presence probe: true if `key` is in the memory tier or an
     /// artifact file exists on disk. Unlike [`ResultCache::get`] this
-    /// never reads, parses, quarantines or promotes — it is the
+    /// never reads, parses, rejects or promotes — it is the
     /// dry-run/planning primitive, so a preview of a 10k-job sweep costs
     /// 10k `stat` calls, not 10k artifact parses. A corrupt artifact
-    /// therefore counts as present here and will only be quarantined
-    /// (and re-executed) by the real run.
+    /// therefore counts as present here and will only be rejected (and
+    /// re-executed) by the real run.
     pub fn contains(&self, key: &str) -> bool {
         if self.mem.lock().expect("cache lock").contains_key(key) {
             return true;
@@ -232,8 +197,9 @@ impl ResultCache {
     }
 
     /// Stores a result under its own key, in memory and (if configured)
-    /// on disk. The disk write is atomic (temp file + rename) so a
-    /// concurrent reader never observes a torn artifact.
+    /// on disk. The disk write is atomic (a per-writer temp file +
+    /// rename) so a concurrent reader never observes a torn artifact and
+    /// concurrent writers of one key never trip over each other.
     ///
     /// # Errors
     ///
@@ -250,59 +216,41 @@ impl ResultCache {
                 .faults
                 .corrupt_artifact(&report.key, &intact)
                 .unwrap_or(intact);
-            let tmp = path.with_extension("json.tmp");
+            let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+            let tmp = path.with_extension(format!("json.{}.{seq}.tmp", std::process::id()));
             fs::write(&tmp, bytes).map_err(|e| JobError::io_at(&tmp, &e))?;
-            fs::rename(&tmp, &path).map_err(|e| JobError::io_at(&path, &e))?;
+            if let Err(e) = fs::rename(&tmp, &path) {
+                let _ = fs::remove_file(&tmp);
+                return Err(JobError::io_at(&path, &e));
+            }
         }
         Ok(())
     }
 
-    /// Moves a damaged artifact aside as `<name>.quarantine` (never
-    /// consulted by lookups) and counts it. Best-effort: if the rename
+    /// Moves a refused artifact to `rejected/<key>.<reason>.json` (never
+    /// consulted by lookups) and counts it. Best-effort: if the move
     /// fails the file is removed so it cannot be re-read either way.
-    fn quarantine(&self, path: &Path) {
-        let mut target = path.as_os_str().to_owned();
-        target.push(".quarantine");
-        if fs::rename(path, PathBuf::from(target)).is_err() {
-            let _ = fs::remove_file(path);
-        }
-        self.quarantined.fetch_add(1, Ordering::SeqCst);
-        tdsigma_obs::counter("jobs.cache_quarantined").inc();
-        if tdsigma_obs::tracing_enabled() {
-            tdsigma_obs::event(
-                "cache.quarantine",
-                &[("artifact", path.display().to_string())],
-            );
-        }
-    }
-
-    /// Moves an artifact stamped by a different engine into the
-    /// `stale/` tier and counts it. The bytes are intact (checksum
-    /// verified) — just from the wrong binary — so they are preserved
-    /// rather than quarantined; lookups never descend into `stale/`.
-    /// Best-effort: if the move fails the file is removed so it cannot
-    /// be replayed either way.
-    fn demote_stale(&self, path: &Path, stamped: &str) {
-        let moved = path
-            .parent()
-            .and_then(|parent| {
-                let tier = parent.join(STALE_DIR);
-                fs::create_dir_all(&tier).ok()?;
-                let name = path.file_name()?;
-                fs::rename(path, tier.join(name)).ok()
-            })
-            .is_some();
+    fn reject(&self, path: &Path, reason: Reject) {
+        let moved = match (path.parent(), path.file_stem()) {
+            (Some(dir), Some(key)) => {
+                let rejected = dir.join(REJECTED_DIR);
+                let name = format!("{}.{}.json", key.to_string_lossy(), reason.tag());
+                fs::create_dir_all(&rejected).is_ok()
+                    && fs::rename(path, rejected.join(name)).is_ok()
+            }
+            _ => false,
+        };
         if !moved {
             let _ = fs::remove_file(path);
         }
-        self.stale.fetch_add(1, Ordering::SeqCst);
-        tdsigma_obs::counter("jobs.cache_stale").inc();
+        self.rejected.fetch_add(1, Ordering::SeqCst);
+        tdsigma_obs::counter(&format!("jobs.cache_rejected.{}", reason.tag())).inc();
         if tdsigma_obs::tracing_enabled() {
             tdsigma_obs::event(
-                "cache.stale",
+                "cache.reject",
                 &[
                     ("artifact", path.display().to_string()),
-                    ("stamped", stamped.to_string()),
+                    ("reason", reason.tag().to_string()),
                     ("engine", self.fingerprint.clone()),
                 ],
             );
@@ -330,56 +278,54 @@ impl ResultCache {
 
     /// Inventories a cache directory against `fingerprint` without
     /// mutating anything: every root artifact is read and classified,
-    /// and the demoted/quarantined tiers are counted. This is the
-    /// `tdsigma cache stats` primitive.
+    /// and `rejected/` is counted. This is the `tdsigma cache stats`
+    /// primitive.
     ///
     /// # Errors
     ///
     /// Returns [`JobError::Io`] if the directory cannot be read.
     pub fn inspect(dir: &Path, fingerprint: &str) -> Result<CacheStats, JobError> {
         let mut stats = CacheStats::default();
-        for (path, name) in root_artifacts(dir)? {
-            let key = name.trim_end_matches(".json");
-            match classify_artifact(&path, key, fingerprint) {
-                ArtifactClass::Fresh => stats.fresh += 1,
-                ArtifactClass::Mismatched => stats.mismatched += 1,
-                ArtifactClass::Suspect => stats.suspect += 1,
+        for (_, verdict) in survey(dir, fingerprint)? {
+            match verdict {
+                Ok(()) => stats.fresh += 1,
+                Err(Reject::Foreign) => stats.foreign += 1,
+                Err(Reject::Corrupt) => stats.corrupt += 1,
             }
         }
-        stats.stale = count_files(&dir.join(STALE_DIR), |n| n.ends_with(".json"));
-        stats.quarantined = count_files(dir, |n| n.ends_with(".quarantine"));
+        stats.rejected = files_in(&dir.join(REJECTED_DIR)).map_or(0, |f| f.len());
         Ok(stats)
     }
 
     /// Prunes a cache directory down to artifacts this engine can
-    /// trust: root artifacts stamped by a foreign fingerprint, suspect
-    /// (corrupt or pre-checksum) artifacts, the demoted `stale/` tier
-    /// and accumulated `.quarantine` files are all removed; fresh
-    /// artifacts are kept. This is the `tdsigma cache scrub` primitive.
+    /// trust: foreign and corrupt root artifacts (leftover `*.tmp` files
+    /// of killed writers included) and everything in `rejected/` are
+    /// removed; fresh artifacts are kept. This is the `tdsigma cache
+    /// scrub` primitive; run it while no writer is using the directory.
     ///
     /// # Errors
     ///
     /// Returns [`JobError::Io`] if the directory cannot be read.
     pub fn scrub(dir: &Path, fingerprint: &str) -> Result<CacheScrub, JobError> {
         let mut scrub = CacheScrub::default();
-        for (path, name) in root_artifacts(dir)? {
-            let key = name.trim_end_matches(".json");
-            match classify_artifact(&path, key, fingerprint) {
-                ArtifactClass::Fresh => scrub.fresh_kept += 1,
-                ArtifactClass::Mismatched => {
-                    if fs::remove_file(&path).is_ok() {
-                        scrub.removed_mismatched += 1;
-                    }
+        for (path, verdict) in survey(dir, fingerprint)? {
+            let removed = match verdict {
+                Ok(()) => {
+                    scrub.fresh_kept += 1;
+                    continue;
                 }
-                ArtifactClass::Suspect => {
-                    if fs::remove_file(&path).is_ok() {
-                        scrub.removed_suspect += 1;
-                    }
-                }
+                Err(Reject::Foreign) => &mut scrub.removed_foreign,
+                Err(Reject::Corrupt) => &mut scrub.removed_corrupt,
+            };
+            if fs::remove_file(&path).is_ok() {
+                *removed += 1;
             }
         }
-        scrub.removed_stale = remove_files(&dir.join(STALE_DIR), |n| n.ends_with(".json"));
-        scrub.removed_quarantine = remove_files(dir, |n| n.ends_with(".quarantine"));
+        for (path, _) in files_in(&dir.join(REJECTED_DIR)).unwrap_or_default() {
+            if fs::remove_file(&path).is_ok() {
+                scrub.removed_rejected += 1;
+            }
+        }
         if scrub.removed() > 0 {
             tdsigma_obs::counter("jobs.cache_scrubbed").add(scrub.removed() as u64);
         }
@@ -392,25 +338,22 @@ impl ResultCache {
 pub struct CacheStats {
     /// Root artifacts that verify and match the given fingerprint.
     pub fresh: usize,
-    /// Root artifacts that verify but carry a different fingerprint
-    /// (would be demoted to `stale/` on lookup).
-    pub mismatched: usize,
-    /// Root artifacts that are corrupt, unstamped (pre-checksum), or
-    /// filed under the wrong key (would be quarantined on lookup).
-    pub suspect: usize,
-    /// Artifacts already demoted into the `stale/` tier.
-    pub stale: usize,
-    /// `.quarantine` files awaiting post-mortem or pruning.
-    pub quarantined: usize,
+    /// Root artifacts that verify but carry a different fingerprint, or
+    /// none (a lookup would reject them as foreign).
+    pub foreign: usize,
+    /// Root artifacts that are corrupt, checksum-less or misfiled, plus
+    /// leftover `*.tmp` files (a lookup would reject them as corrupt).
+    pub corrupt: usize,
+    /// Files already moved to `rejected/`.
+    pub rejected: usize,
 }
 
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "fresh:       {:>6}", self.fresh)?;
-        writeln!(f, "mismatched:  {:>6}", self.mismatched)?;
-        writeln!(f, "suspect:     {:>6}", self.suspect)?;
-        writeln!(f, "stale tier:  {:>6}", self.stale)?;
-        write!(f, "quarantined: {:>6}", self.quarantined)
+        writeln!(f, "fresh:    {:>6}", self.fresh)?;
+        writeln!(f, "foreign:  {:>6}", self.foreign)?;
+        writeln!(f, "corrupt:  {:>6}", self.corrupt)?;
+        write!(f, "rejected: {:>6}", self.rejected)
     }
 }
 
@@ -420,22 +363,17 @@ pub struct CacheScrub {
     /// Verifying artifacts with the right fingerprint, left in place.
     pub fresh_kept: usize,
     /// Root artifacts removed for carrying a foreign fingerprint.
-    pub removed_mismatched: usize,
-    /// Root artifacts removed as corrupt/unstamped/misfiled.
-    pub removed_suspect: usize,
-    /// Files removed from the demoted `stale/` tier.
-    pub removed_stale: usize,
-    /// `.quarantine` files removed.
-    pub removed_quarantine: usize,
+    pub removed_foreign: usize,
+    /// Root artifacts removed as corrupt, plus leftover `*.tmp` files.
+    pub removed_corrupt: usize,
+    /// Files removed from `rejected/`.
+    pub removed_rejected: usize,
 }
 
 impl CacheScrub {
-    /// Total files removed across all tiers.
+    /// Total files removed.
     pub fn removed(&self) -> usize {
-        self.removed_mismatched
-            + self.removed_suspect
-            + self.removed_stale
-            + self.removed_quarantine
+        self.removed_foreign + self.removed_corrupt + self.removed_rejected
     }
 }
 
@@ -443,198 +381,83 @@ impl std::fmt::Display for CacheScrub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "removed {} ({} mismatched, {} suspect, {} stale, {} quarantined); kept {} fresh",
+            "removed {} ({} foreign, {} corrupt, {} rejected); kept {} fresh",
             self.removed(),
-            self.removed_mismatched,
-            self.removed_suspect,
-            self.removed_stale,
-            self.removed_quarantine,
+            self.removed_foreign,
+            self.removed_corrupt,
+            self.removed_rejected,
             self.fresh_kept
         )
     }
 }
 
-/// How a root artifact reads against a given engine fingerprint.
-enum ArtifactClass {
-    Fresh,
-    Mismatched,
-    Suspect,
-}
-
-fn classify_artifact(path: &Path, key: &str, fingerprint: &str) -> ArtifactClass {
-    let Ok(text) = fs::read_to_string(path) else {
-        return ArtifactClass::Suspect;
-    };
-    match parse_artifact(&text, key, fingerprint) {
-        Ok(_) => ArtifactClass::Fresh,
-        Err(ArtifactIssue::Stale { .. }) => ArtifactClass::Mismatched,
-        Err(ArtifactIssue::Corrupt(_) | ArtifactIssue::Legacy) => ArtifactClass::Suspect,
-    }
-}
-
-/// Root-level `<hex-key>.json` artifacts of a cache directory, as
-/// (path, file name) pairs.
+/// Every root `<hex-key>.json` artifact and leftover `*.tmp` file of a
+/// cache directory, with the verdict a lookup would reach on it.
 ///
 /// # Errors
 ///
 /// Returns [`JobError::Io`] if the directory cannot be read.
-fn root_artifacts(dir: &Path) -> Result<Vec<(PathBuf, String)>, JobError> {
-    let entries = fs::read_dir(dir).map_err(|e| JobError::io_at(dir, &e))?;
-    let mut found = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if !path.is_file() {
-            continue;
-        }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if stem.is_empty() || !stem.chars().all(|c| c.is_ascii_hexdigit()) {
-            continue;
-        }
-        found.push((path.clone(), name.to_string()));
-    }
+fn survey(dir: &Path, fingerprint: &str) -> Result<Vec<(PathBuf, Verdict)>, JobError> {
+    let files = files_in(dir).map_err(|e| JobError::io_at(dir, &e))?;
+    Ok(files
+        .into_iter()
+        .filter_map(|(path, name)| {
+            if name.ends_with(".tmp") {
+                return Some((path, Err(Reject::Corrupt)));
+            }
+            let key = name.strip_suffix(".json")?;
+            if key.is_empty() || !key.chars().all(|c| c.is_ascii_hexdigit()) {
+                return None;
+            }
+            let verdict = match fs::read_to_string(&path) {
+                Ok(text) => parse_artifact(&text, key, fingerprint).map(drop),
+                Err(_) => Err(Reject::Corrupt),
+            };
+            Some((path, verdict))
+        })
+        .collect())
+}
+
+/// Regular files directly in `dir` with UTF-8 names, as sorted
+/// (path, name) pairs.
+fn files_in(dir: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut found: Vec<(PathBuf, String)> = fs::read_dir(dir)?
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.is_file())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_string();
+            Some((path, name))
+        })
+        .collect();
     found.sort();
     Ok(found)
 }
 
-fn count_files(dir: &Path, matches: impl Fn(&str) -> bool) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| {
-            e.path().is_file()
-                && e.path()
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(&matches)
-        })
-        .count()
-}
-
-fn remove_files(dir: &Path, matches: impl Fn(&str) -> bool) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut removed = 0usize;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let hit = path.is_file()
-            && path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(&matches);
-        if hit && fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Removes all but the newest `retain` quarantined artifacts from `dir`.
-fn prune_quarantine(dir: &Path, retain: usize) -> usize {
-    prune_oldest(
-        dir,
-        retain,
-        ".quarantine",
-        "jobs.cache_quarantine_pruned",
-        "cache.quarantine_prune",
-    )
-}
-
-/// Removes all but the newest `retain` demoted artifacts from the
-/// `stale/` tier at `dir`.
-fn prune_stale(dir: &Path, retain: usize) -> usize {
-    prune_oldest(
-        dir,
-        retain,
-        ".json",
-        "jobs.cache_stale_pruned",
-        "cache.stale_prune",
-    )
-}
-
-/// Removes all but the newest `retain` files ending in `suffix` from
-/// `dir`, bumping `counter` and emitting `event` when anything goes.
-/// Ordering is by (mtime, name) so files with identical timestamps still
-/// prune deterministically. Best-effort: an unreadable directory or a
-/// failed removal just prunes less.
-fn prune_oldest(dir: &Path, retain: usize, suffix: &str, counter: &str, event: &str) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut stale: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            let matches = path.is_file()
-                && path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(suffix));
-            if !matches {
-                return None;
-            }
-            let mtime = entry
-                .metadata()
+/// Removes all but the newest `retain` files from `dir`. Ordering is by
+/// (mtime, path) so files with identical timestamps still prune
+/// deterministically. Best-effort: an unreadable directory or a failed
+/// removal just prunes less.
+fn prune_oldest(dir: &Path, retain: usize) {
+    let mut files: Vec<(std::time::SystemTime, PathBuf)> = files_in(dir)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(path, _)| {
+            let mtime = fs::metadata(&path)
                 .and_then(|m| m.modified())
                 .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            Some((mtime, path))
+            (mtime, path)
         })
         .collect();
-    if stale.len() <= retain {
-        return 0;
-    }
-    stale.sort(); // oldest first; (mtime, path) breaks timestamp ties
-    let doomed = stale.len() - retain;
-    let mut pruned = 0usize;
-    for (_, path) in stale.into_iter().take(doomed) {
-        if fs::remove_file(&path).is_ok() {
-            pruned += 1;
-        }
-    }
+    files.sort(); // oldest first
+    let doomed = files.len().saturating_sub(retain);
+    let pruned = files
+        .into_iter()
+        .take(doomed)
+        .filter(|(_, path)| fs::remove_file(path).is_ok())
+        .count();
     if pruned > 0 {
-        tdsigma_obs::counter(counter).add(pruned as u64);
-        if tdsigma_obs::tracing_enabled() {
-            tdsigma_obs::event(
-                event,
-                &[
-                    ("dir", dir.display().to_string()),
-                    ("pruned", pruned.to_string()),
-                ],
-            );
-        }
-    }
-    pruned
-}
-
-/// Why an artifact was refused, and therefore where it goes: corrupt
-/// and legacy artifacts are quarantined, stale ones are demoted.
-#[derive(Debug)]
-enum ArtifactIssue {
-    /// Unparsable, checksum-mismatched, or filed under the wrong key.
-    Corrupt(JobError),
-    /// Pre-checksum single-line format: parses, but nothing vouches for
-    /// the bytes or the engine that wrote them.
-    Legacy,
-    /// Intact (checksum verified) but stamped by a different engine
-    /// fingerprint — or by none, for the checksummed-but-unstamped
-    /// interim format.
-    Stale {
-        /// The fingerprint the artifact carries (`"unknown"` if the
-        /// trailer predates stamping).
-        stamped: String,
-    },
-}
-
-impl From<JobError> for ArtifactIssue {
-    fn from(e: JobError) -> Self {
-        ArtifactIssue::Corrupt(e)
+        tdsigma_obs::counter("jobs.cache_rejected_pruned").add(pruned as u64);
     }
 }
 
@@ -646,65 +469,32 @@ fn artifact_text(report: &JobReport, fingerprint: &str) -> String {
     format!("{line}\ncrc64:{crc:016x} fp:{fingerprint}\n")
 }
 
-/// Parses and verifies one artifact against `fingerprint`,
-/// distinguishing the three refusal states (see [`ArtifactIssue`]).
-/// Note the checksum is verified *before* the fingerprint: a stale
-/// classification is a statement about intact bytes.
-fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport, ArtifactIssue> {
+/// Parses and verifies one artifact against `fingerprint`. The checksum
+/// is verified *before* the stamp: a foreign verdict is a statement
+/// about intact bytes.
+fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport, Reject> {
     let mut lines = text.lines();
-    let line = lines
-        .next()
-        .ok_or_else(|| JobError::Invalid("empty artifact".into()))?;
-    let Some(trailer) = lines.next() else {
-        // Single-line pre-checksum format. It must still parse and
-        // carry the right key to count as legacy rather than corrupt.
-        let report = JobReport::from_text(line)?;
-        if report.key != key {
-            return Err(misfiled(key, &report.key).into());
-        }
-        return Err(ArtifactIssue::Legacy);
+    let (Some(line), Some(trailer)) = (lines.next(), lines.next()) else {
+        return Err(Reject::Corrupt); // empty, or no checksum trailer
     };
-    let body = trailer
-        .strip_prefix("crc64:")
-        .ok_or_else(|| JobError::Invalid(format!("malformed checksum trailer {trailer:?}")))?;
-    let (stated, stamped) = match body.split_once(' ') {
-        Some((crc, rest)) => {
-            let fp = rest.strip_prefix("fp:").ok_or_else(|| {
-                JobError::Invalid(format!("malformed fingerprint stamp {rest:?}"))
-            })?;
-            (crc, Some(fp))
-        }
-        // Checksummed-but-unstamped interim format (PRs 3–8).
-        None => (body, None),
+    let body = trailer.strip_prefix("crc64:").ok_or(Reject::Corrupt)?;
+    let (stated, stamp) = match body.split_once(' ') {
+        Some((crc, rest)) => (crc, Some(rest.strip_prefix("fp:").ok_or(Reject::Corrupt)?)),
+        None => (body, None), // checksummed but unstamped
     };
-    let actual = format!("{:016x}", fnv1a64(line.as_bytes(), CRC_BASIS));
-    if stated != actual {
-        return Err(JobError::Invalid(format!(
-            "checksum mismatch: artifact says {stated}, content hashes to {actual}"
-        ))
-        .into());
+    if stated != format!("{:016x}", fnv1a64(line.as_bytes(), CRC_BASIS)) {
+        return Err(Reject::Corrupt);
     }
-    let report = JobReport::from_text(line)?;
+    let report = JobReport::from_text(line).map_err(|_| Reject::Corrupt)?;
     // Never serve an artifact filed under the wrong key (e.g. a
     // hand-renamed file): the report embeds its own address.
     if report.key != key {
-        return Err(misfiled(key, &report.key).into());
+        return Err(Reject::Corrupt);
     }
-    match stamped {
-        Some(fp) if fp == fingerprint => Ok(report),
-        Some(fp) => Err(ArtifactIssue::Stale {
-            stamped: fp.to_string(),
-        }),
-        None => Err(ArtifactIssue::Stale {
-            stamped: "unknown".to_string(),
-        }),
+    if stamp != Some(fingerprint) {
+        return Err(Reject::Foreign);
     }
-}
-
-fn misfiled(key: &str, reported: &str) -> JobError {
-    JobError::Invalid(format!(
-        "artifact filed under {key} but reports key {reported}"
-    ))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -761,154 +551,96 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_artifact_is_ignored() {
-        let dir = temp_dir("mismatch");
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        let job = Job::sim(40.0, 750e6, 5e6);
-        cache.put(&report_for(&job)).unwrap();
-        // File the artifact under a different (valid-hex) key.
-        let other_key = "deadbeef".repeat(4);
-        fs::copy(
-            dir.join(format!("{}.json", job.key())),
-            dir.join(format!("{other_key}.json")),
-        )
-        .unwrap();
-        let fresh = ResultCache::with_disk(&dir).unwrap();
-        assert!(fresh.get(&other_key).is_none(), "key mismatch must miss");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_artifact_is_quarantined_and_counted() {
-        let dir = temp_dir("quarantine");
+    fn every_unreplayable_artifact_is_rejected_with_its_reason() {
         let job = Job::sim(40.0, 750e6, 5e6);
         let key = job.key();
-        {
-            let cache = ResultCache::with_disk(&dir).unwrap();
-            cache.put(&report_for(&job)).unwrap();
-        }
-        // Truncate the artifact mid-record.
-        let path = dir.join(format!("{key}.json"));
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &text[..text.len() / 3]).unwrap();
-
-        let fresh = ResultCache::with_disk(&dir).unwrap();
-        assert!(fresh.get(&key).is_none(), "corrupt artifact must miss");
-        assert_eq!(fresh.quarantined(), 1);
-        assert!(!path.exists(), "damaged file must be moved aside");
-        assert!(
-            dir.join(format!("{key}.json.quarantine")).exists(),
-            "quarantine file must carry the .quarantine suffix"
-        );
-        // The quarantined bytes are never consulted again: a re-put then
-        // a fresh lookup serves the new, intact artifact.
-        fresh.put(&report_for(&job)).unwrap();
-        let again = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(again.get(&key).unwrap().sndr_db, 68.5);
-        assert_eq!(again.quarantined(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checksum_detects_silent_bit_damage() {
-        let dir = temp_dir("bitrot");
-        let job = Job::sim(40.0, 750e6, 5e6);
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        cache.put(&report_for(&job)).unwrap();
-        // Flip one digit inside the JSON so it still parses and still
-        // carries the right key — only the checksum can catch this.
-        let path = dir.join(format!("{}.json", job.key()));
-        let text = fs::read_to_string(&path).unwrap();
-        let damaged = text.replacen("68.5", "68.6", 1);
-        assert_ne!(text, damaged, "test must actually flip a value");
-        fs::write(&path, damaged).unwrap();
-
-        let fresh = ResultCache::with_disk(&dir).unwrap();
-        assert!(fresh.get(&job.key()).is_none(), "bit damage must miss");
-        assert_eq!(fresh.quarantined(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_checksum_less_artifacts_are_rejected() {
-        let dir = temp_dir("legacy");
-        let job = Job::sim(40.0, 750e6, 5e6);
         let report = report_for(&job);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.json", job.key()));
-        fs::write(&path, report.to_text() + "\n").unwrap();
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        // PR 2's single-line format has no checksum and no fingerprint:
-        // nothing vouches for the bytes, so it is quarantined — and
-        // counted on its own counter, distinct from corruption.
-        assert!(
-            cache.get(&job.key()).is_none(),
-            "unchecksummed artifact must not be trusted"
-        );
-        assert_eq!(cache.legacy_rejected(), 1);
-        assert_eq!(cache.quarantined(), 1, "rejection lands in quarantine");
-        assert_eq!(cache.stale(), 0);
-        assert!(!path.exists(), "rejected file must be moved aside");
-        assert!(path.with_extension("json.quarantine").exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_fingerprint_artifact_is_demoted_not_replayed() {
-        let dir = temp_dir("skew");
-        let job = Job::sim(40.0, 750e6, 5e6);
-        let key = job.key();
-        {
-            // Stage a cache "written by a different binary".
-            let old = ResultCache::with_disk(&dir)
-                .unwrap()
-                .with_fingerprint("aaaaaaaaaaaaaaaa");
-            old.put(&report_for(&job)).unwrap();
-        }
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        assert!(
-            cache.get(&key).is_none(),
-            "foreign-fingerprint artifact must never replay"
-        );
-        assert_eq!(cache.stale(), 1);
-        assert_eq!(cache.quarantined(), 0, "intact bytes are not quarantined");
-        assert!(!dir.join(format!("{key}.json")).exists());
-        assert!(
-            dir.join(STALE_DIR).join(format!("{key}.json")).exists(),
-            "demoted artifact must land in the stale/ tier"
-        );
-        // The demoted file stays out of the lookup path permanently.
-        assert!(!cache.contains(&key));
-        assert!(cache.get(&key).is_none());
-        assert_eq!(cache.stale(), 1, "already-demoted artifact counts once");
-        // Re-putting with this engine's fingerprint makes the key fresh.
-        cache.put(&report_for(&job)).unwrap();
-        let again = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(again.get(&key).unwrap().sndr_db, 68.5);
-        assert_eq!(again.stale(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checksummed_but_unstamped_artifact_is_demoted() {
-        // The interim format (crc trailer, no fp stamp) verifies but
-        // cannot prove which engine wrote it: demote, don't quarantine.
-        let dir = temp_dir("interim");
-        let job = Job::sim(40.0, 750e6, 5e6);
-        let report = report_for(&job);
-        fs::create_dir_all(&dir).unwrap();
+        let ours = engine_fingerprint();
+        let intact = artifact_text(&report, ours);
         let line = report.to_text();
         let crc = fnv1a64(line.as_bytes(), CRC_BASIS);
-        fs::write(
-            dir.join(format!("{}.json", job.key())),
-            format!("{line}\ncrc64:{crc:016x}\n"),
-        )
-        .unwrap();
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        assert!(cache.get(&job.key()).is_none());
-        assert_eq!(cache.stale(), 1);
-        assert_eq!(cache.quarantined(), 0);
-        let _ = fs::remove_dir_all(&dir);
+        let cases: [(&str, String, Reject); 6] = [
+            (
+                "truncated mid-record",
+                intact[..intact.len() / 3].to_string(),
+                Reject::Corrupt,
+            ),
+            (
+                // Still parses and carries the right key: only the
+                // checksum can catch this.
+                "one digit flipped",
+                intact.replacen("68.5", "68.6", 1),
+                Reject::Corrupt,
+            ),
+            (
+                // Nothing vouches for the bytes or the engine.
+                "pre-checksum single line",
+                format!("{line}\n"),
+                Reject::Corrupt,
+            ),
+            (
+                "filed under the wrong key",
+                artifact_text(&report_for(&Job::sim(40.0, 750e6, 4e6)), ours),
+                Reject::Corrupt,
+            ),
+            (
+                "stamped by another engine",
+                artifact_text(&report, "aaaaaaaaaaaaaaaa"),
+                Reject::Foreign,
+            ),
+            (
+                // Verifies, but cannot prove which engine wrote it.
+                "checksummed but unstamped",
+                format!("{line}\ncrc64:{crc:016x}\n"),
+                Reject::Foreign,
+            ),
+        ];
+        for (i, (what, bytes, reason)) in cases.into_iter().enumerate() {
+            assert_ne!(
+                bytes, intact,
+                "{what}: case must actually damage the artifact"
+            );
+            let dir = temp_dir(&format!("reject_{i}"));
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("{key}.json"));
+            fs::write(&path, &bytes).unwrap();
+            let stats = ResultCache::inspect(&dir, ours).unwrap();
+            let expected_stats = match reason {
+                Reject::Corrupt => (0, 1),
+                Reject::Foreign => (1, 0),
+            };
+            assert_eq!((stats.foreign, stats.corrupt), expected_stats, "{what}");
+
+            let counter = format!("jobs.cache_rejected.{}", reason.tag());
+            let counted_before = tdsigma_obs::counter(&counter).get();
+            let cache = ResultCache::with_disk(&dir).unwrap();
+            assert!(cache.get(&key).is_none(), "{what}: must miss");
+            assert_eq!(cache.rejected(), 1, "{what}");
+            assert!(
+                tdsigma_obs::counter(&counter).get() > counted_before,
+                "{what}: {counter}"
+            );
+            assert!(!path.exists(), "{what}: artifact must be moved aside");
+            let parked = dir
+                .join(REJECTED_DIR)
+                .join(format!("{key}.{}.json", reason.tag()));
+            assert_eq!(
+                fs::read_to_string(&parked).ok().as_deref(),
+                Some(bytes.as_str()),
+                "{what}: bytes must land intact at {}",
+                parked.display()
+            );
+            // The rejected file stays out of the lookup path for good:
+            // it is counted once, and only a recompute makes the key hit.
+            assert!(!cache.contains(&key), "{what}");
+            assert!(cache.get(&key).is_none(), "{what}");
+            assert_eq!(cache.rejected(), 1, "{what}: counted once");
+            cache.put(&report).unwrap();
+            let again = ResultCache::with_disk(&dir).unwrap();
+            assert_eq!(again.get(&key).as_ref(), Some(&report), "{what}");
+            assert_eq!(again.rejected(), 0, "{what}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -916,7 +648,7 @@ mod tests {
         let dir = temp_dir("scrub");
         let fresh_job = Job::sim(40.0, 750e6, 5e6);
         let foreign_job = Job::sim(40.0, 750e6, 4e6);
-        let legacy_job = Job::sim(40.0, 750e6, 3e6);
+        let corrupt_job = Job::sim(40.0, 750e6, 3e6);
         let cache = ResultCache::with_disk(&dir).unwrap();
         cache.put(&report_for(&fresh_job)).unwrap();
         ResultCache::with_disk(&dir)
@@ -925,13 +657,15 @@ mod tests {
             .put(&report_for(&foreign_job))
             .unwrap();
         fs::write(
-            dir.join(format!("{}.json", legacy_job.key())),
-            report_for(&legacy_job).to_text() + "\n",
+            dir.join(format!("{}.json", corrupt_job.key())),
+            report_for(&corrupt_job).to_text() + "\n",
         )
         .unwrap();
-        fs::create_dir_all(dir.join(STALE_DIR)).unwrap();
-        fs::write(dir.join(STALE_DIR).join("00ab.json"), "parked").unwrap();
-        fs::write(dir.join("00cd.json.quarantine"), "junk").unwrap();
+        // A killed writer's leftover temp file counts as corrupt.
+        fs::write(dir.join("00ef.json.1.2.tmp"), "torn").unwrap();
+        fs::create_dir_all(dir.join(REJECTED_DIR)).unwrap();
+        fs::write(dir.join(REJECTED_DIR).join("00ab.foreign.json"), "parked").unwrap();
+        fs::write(dir.join(REJECTED_DIR).join("00cd.corrupt.json"), "junk").unwrap();
 
         let fp = engine_fingerprint();
         let stats = ResultCache::inspect(&dir, fp).unwrap();
@@ -939,28 +673,41 @@ mod tests {
             stats,
             CacheStats {
                 fresh: 1,
-                mismatched: 1,
-                suspect: 1,
-                stale: 1,
-                quarantined: 1,
+                foreign: 1,
+                corrupt: 2,
+                rejected: 2,
             }
+        );
+        assert_eq!(
+            stats.to_string(),
+            "fresh:         1\nforeign:       1\ncorrupt:       2\nrejected:      2"
         );
         // Inspect never mutates: a second pass sees the same picture.
         assert_eq!(ResultCache::inspect(&dir, fp).unwrap(), stats);
 
         let scrub = ResultCache::scrub(&dir, fp).unwrap();
-        assert_eq!(scrub.fresh_kept, 1);
-        assert_eq!(scrub.removed_mismatched, 1);
-        assert_eq!(scrub.removed_suspect, 1);
-        assert_eq!(scrub.removed_stale, 1);
-        assert_eq!(scrub.removed_quarantine, 1);
-        assert_eq!(scrub.removed(), 4);
+        assert_eq!(
+            scrub,
+            CacheScrub {
+                fresh_kept: 1,
+                removed_foreign: 1,
+                removed_corrupt: 2,
+                removed_rejected: 2,
+            }
+        );
+        assert_eq!(
+            scrub.to_string(),
+            "removed 5 (1 foreign, 2 corrupt, 2 rejected); kept 1 fresh"
+        );
 
         let after = ResultCache::inspect(&dir, fp).unwrap();
-        assert_eq!(after.fresh, 1, "fresh artifact survives the scrub");
         assert_eq!(
-            after.mismatched + after.suspect + after.stale + after.quarantined,
-            0
+            after,
+            CacheStats {
+                fresh: 1,
+                ..CacheStats::default()
+            },
+            "only the fresh artifact survives the scrub"
         );
         // The surviving artifact still hits.
         let reopened = ResultCache::with_disk(&dir).unwrap();
@@ -969,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_write_corruption_round_trips_through_quarantine() {
+    fn injected_write_corruption_round_trips_through_rejection() {
         let dir = temp_dir("faulty_writes");
         let always_corrupt = FaultPlan {
             seed: 5,
@@ -990,82 +737,121 @@ mod tests {
             fresh.get(&job.key()).is_none(),
             "corrupted write must not come back as a hit"
         );
-        assert_eq!(fresh.quarantined(), 1);
+        assert_eq!(fresh.rejected(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn quarantine_backlog_is_pruned_to_retention_on_open() {
+    fn rejected_backlog_is_pruned_to_the_newest_on_open() {
         let dir = temp_dir("prune");
-        fs::create_dir_all(&dir).unwrap();
-        let total = QUARANTINE_RETAIN + 5;
+        let rejected = dir.join(REJECTED_DIR);
+        fs::create_dir_all(&rejected).unwrap();
+        let total = REJECT_RETAIN + 5;
+        let epoch = std::time::SystemTime::UNIX_EPOCH;
         for i in 0..total {
-            fs::write(dir.join(format!("{i:032x}.json.quarantine")), "junk").unwrap();
+            let tag = if i % 2 == 0 { "corrupt" } else { "foreign" };
+            // Name order runs opposite to age, so only mtime ordering
+            // picks the right survivors.
+            let path = rejected.join(format!("{:032x}.{tag}.json", total - i));
+            fs::write(&path, "junk").unwrap();
+            let age = std::time::Duration::from_secs(1_000_000 + i as u64);
+            fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(epoch + age)
+                .unwrap();
         }
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(cache.quarantine_pruned(), 5);
-        let remaining = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().to_string_lossy().ends_with(".quarantine"))
-            .count();
-        assert_eq!(remaining, QUARANTINE_RETAIN);
-        // A second open has nothing left to prune.
-        let again = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(again.quarantine_pruned(), 0);
+        let survivors = |dir: &Path| -> Vec<String> {
+            files_in(dir)
+                .unwrap()
+                .into_iter()
+                .map(|(_, name)| name)
+                .collect()
+        };
+        ResultCache::with_disk(&dir).unwrap();
+        let kept = survivors(&rejected);
+        assert_eq!(kept.len(), REJECT_RETAIN);
+        for pruned in 0..5 {
+            let name_prefix = format!("{:032x}.", total - pruned);
+            assert!(
+                !kept.iter().any(|n| n.starts_with(&name_prefix)),
+                "the oldest files go first: {name_prefix} survived"
+            );
+        }
+        // A second open has nothing left to prune, and a cache opened on
+        // a directory with no rejected/ at all opens cleanly.
+        ResultCache::with_disk(&dir).unwrap();
+        assert_eq!(survivors(&rejected), kept);
+        let empty = temp_dir("prune_empty");
+        ResultCache::with_disk(&empty).unwrap();
+        assert!(!empty.join(REJECTED_DIR).exists());
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&empty);
     }
 
     #[test]
-    fn stale_tier_backlog_is_pruned_to_retention_on_open() {
-        let dir = temp_dir("stale_prune");
-        let stale_dir = dir.join(STALE_DIR);
-        fs::create_dir_all(&stale_dir).unwrap();
-        let total = STALE_RETAIN + 7;
-        for i in 0..total {
-            fs::write(stale_dir.join(format!("{i:032x}.json")), "old-version junk").unwrap();
+    fn concurrent_puts_of_one_key_all_succeed_and_hit() {
+        // Fleet children share one cache dir and two serve connections
+        // can run the same job: writers of one key must not share a temp
+        // path, or the first rename wins and the rest fail.
+        let dir = temp_dir("concurrent_put");
+        let report = report_for(&Job::sim(40.0, 750e6, 5e6));
+        let writers: Vec<ResultCache> = (0..8)
+            .map(|_| ResultCache::with_disk(&dir).unwrap())
+            .collect();
+        let mut failed = 0;
+        for _ in 0..200 {
+            let start = std::sync::Barrier::new(writers.len());
+            failed += std::thread::scope(|s| {
+                let handles: Vec<_> = writers
+                    .iter()
+                    .map(|cache| {
+                        s.spawn(|| {
+                            start.wait();
+                            cache.put(&report).is_err()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| usize::from(h.join().unwrap()))
+                    .sum::<usize>()
+            });
+            let reader = ResultCache::with_disk(&dir).unwrap();
+            assert_eq!(reader.get(&report.key).as_ref(), Some(&report));
+            assert_eq!(reader.rejected(), 0);
         }
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(cache.stale_pruned(), 7);
-        let remaining = fs::read_dir(&stale_dir)
+        assert_eq!(failed, 0, "concurrent puts of one key failed");
+        let leftovers = files_in(&dir)
             .unwrap()
-            .flatten()
-            .filter(|e| e.path().to_string_lossy().ends_with(".json"))
+            .into_iter()
+            .filter(|(_, name)| name.ends_with(".tmp"))
             .count();
-        assert_eq!(remaining, STALE_RETAIN);
-        // A second open has nothing left to prune, and a cache opened on
-        // a directory with no stale/ tier at all reports zero.
-        let again = ResultCache::with_disk(&dir).unwrap();
-        assert_eq!(again.stale_pruned(), 0);
-        let fresh = temp_dir("stale_prune_fresh");
-        let empty = ResultCache::with_disk(&fresh).unwrap();
-        assert_eq!(empty.stale_pruned(), 0);
+        assert_eq!(leftovers, 0, "every temp file was renamed into place");
         let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&fresh);
     }
 
     #[test]
     fn store_failure_from_tmp_write_is_structured_not_a_panic() {
-        let dir = temp_dir("tmp_collision");
+        let dir = temp_dir("tmp_write");
         let cache = ResultCache::with_disk(&dir).unwrap();
         let job = Job::sim(40.0, 750e6, 5e6);
-        // Occupy the tmp-file path with a directory: fs::write on it
-        // fails with a real OS error regardless of privileges (even as
-        // root, unlike a chmod-based read-only test).
-        let tmp = dir.join(format!("{}.json.tmp", job.key()));
-        fs::create_dir_all(&tmp).unwrap();
+        // Pull the directory out from under the open cache: the temp
+        // write fails with a real OS error regardless of privileges
+        // (even as root, unlike a chmod-based read-only test).
+        fs::remove_dir_all(&dir).unwrap();
         let err = cache.put(&report_for(&job)).expect_err("write must fail");
         match &err {
             JobError::Io { path, .. } => {
                 let p = path.as_deref().expect("error names the failing path");
-                assert!(p.ends_with(".json.tmp"), "unexpected path {p}");
+                assert!(p.ends_with(".tmp"), "unexpected path {p}");
             }
             other => panic!("expected structured Io error, got {other:?}"),
         }
         // The memory tier was updated before the disk write: the result
         // is merely uncached, not lost.
         assert_eq!(cache.get(&job.key()).unwrap().sndr_db, 68.5);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1086,6 +872,11 @@ mod tests {
             other => panic!("expected structured Io error, got {other:?}"),
         }
         assert_eq!(cache.get(&job.key()).unwrap().sndr_db, 68.5);
+        let stray = files_in(&dir).unwrap();
+        assert!(
+            stray.is_empty(),
+            "a failed rename leaves no temp file: {stray:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -184,8 +184,7 @@ impl Engine {
             .attr("jobs", jobs.len())
             .attr("journaled", journal.is_some());
         let started = Instant::now();
-        let quarantined_before = self.cache.quarantined();
-        let stale_before = self.cache.stale();
+        let rejected_before = self.cache.rejected();
         let mut metrics = BatchMetrics {
             jobs: jobs.len(),
             ..BatchMetrics::default()
@@ -334,8 +333,7 @@ impl Engine {
             }
         }
 
-        metrics.cache_quarantined = self.cache.quarantined() - quarantined_before;
-        metrics.cache_stale = self.cache.stale() - stale_before;
+        metrics.cache_rejected = self.cache.rejected() - rejected_before;
         metrics.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let results: Vec<_> = slots
             .into_iter()

@@ -126,8 +126,9 @@ pub struct FaultPlan {
     pub wrong_fingerprint_permille: u16,
     /// Chance a serve backend perturbs a report's *values* after compute
     /// while keeping the report key intact — a lying backend. This is
-    /// exactly the corruption class that frame crc64 and engine
-    /// fingerprints cannot catch: only redundant recomputation can.
+    /// exactly the corruption class that wire attestation and engine
+    /// fingerprints cannot catch (the liar attests its own wrong bytes):
+    /// only redundant recomputation can.
     /// Not part of [`FaultPlan::chaos`]: silently changing result values
     /// breaks the byte-identity invariant every other class preserves,
     /// so it must stay opt-in for the integrity suite.

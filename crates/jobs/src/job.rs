@@ -314,10 +314,10 @@ mod tests {
         assert_eq!(spec.rdac_ohm, 11_000.0);
         assert!((spec.full_scale_v() - 2.0 * base_fs).abs() < 1e-12);
         // Pre-v2 JSON without the field parses to the spec default.
-        let legacy = r#"{"kind":"sim","node_nm":40,"slices":8,"fs_hz":750000000,
+        let pre_v2 = r#"{"kind":"sim","node_nm":40,"slices":8,"fs_hz":750000000,
             "bw_hz":5000000,"samples":8192,"amplitude_rel":0.79,"fin_hz":null,
             "steps_per_cycle":0,"loop_gain":1,"vco_stages":0,"seed":2017}"#;
-        let back = Job::from_json(&Json::parse(legacy).unwrap()).unwrap();
+        let back = Job::from_json(&Json::parse(pre_v2).unwrap()).unwrap();
         assert_eq!(back.rdac_ohm, 0.0);
         assert_eq!(back.key(), base_key);
     }

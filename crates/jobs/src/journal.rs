@@ -502,12 +502,12 @@ pub struct JournalGc {
 }
 
 /// Prunes journals of *finished* runs from `dir`, keeping the journal
-/// directory bounded the way the cache's quarantine prune bounds the
+/// directory bounded the way the prune of `rejected/` bounds the
 /// cache. A run counts as finished only when its replay proves it:
 /// a batch plan exists, every planned job has a `job_finished` record,
 /// and the tail is not torn. Anything else — unfinished, corrupt,
 /// unreadable, foreign files — is kept; deleting evidence is worse than
-/// keeping a stale journal.
+/// keeping an obsolete journal.
 ///
 /// The newest `keep_newest` finished journals (by modification time)
 /// survive for post-mortems, as does any run id listed in `protect`

@@ -14,16 +14,17 @@
 //!   map + on-disk JSON artifacts, conventionally under `results/cache/`)
 //!   so repeated sweeps are answered without re-running flows. Artifacts
 //!   are checksummed and stamped with the engine fingerprint
-//!   ([`tdsigma_core::engine_fingerprint`]); a stamp from a different
-//!   engine demotes the artifact to a `stale/` tier instead of replaying
-//!   it, and unchecksummed artifacts are quarantined outright.
+//!   ([`tdsigma_core::engine_fingerprint`]); an artifact that is corrupt
+//!   or stamped by a different engine is moved to the cache's
+//!   `rejected/` directory, tagged with that reason, and recomputed —
+//!   never replayed.
 //! * **[`Engine`]** — pool + cache + [`BatchMetrics`] accounting behind
 //!   one API: [`Engine::run_batch`] for sweeps, [`Engine::submit_one`]
 //!   for the [`Server`] line protocol.
 //! * **[`FaultPlan`]** — seeded, deterministic fault injection (worker
 //!   panics, transient errors, latency, artifact corruption, hostile
 //!   frames) that exercises the resilience layer: exponential backoff
-//!   with deterministic jitter, soft deadlines, cache quarantine, socket
+//!   with deterministic jitter, soft deadlines, cache rejection, socket
 //!   timeouts and graceful drain. The chaos suite
 //!   (`tests/chaos.rs`) asserts the headline invariant: under any fault
 //!   seed a batch either reproduces the fault-free bytes or fails loudly

@@ -51,15 +51,12 @@ pub struct BatchMetrics {
     pub retried: usize,
     /// Jobs abandoned by cancellation.
     pub canceled: usize,
-    /// Cache artifacts found corrupt during this batch, renamed to
-    /// `*.quarantine` and recomputed. Non-zero means the result store
-    /// took damage — silent before, visible now.
-    pub cache_quarantined: usize,
-    /// Cache artifacts stamped by a different engine fingerprint,
-    /// demoted to the `stale/` tier and recomputed. Non-zero means the
-    /// warm cache was written by another binary — version skew that
-    /// used to replay silently.
-    pub cache_stale: usize,
+    /// Cache artifacts this engine would not replay — corrupt, or
+    /// stamped by a different engine fingerprint — moved to the cache's
+    /// `rejected/` directory and recomputed during this batch. Non-zero
+    /// means the result store took damage or was written by another
+    /// binary (the per-reason split is on `jobs.cache_rejected.*`).
+    pub cache_rejected: usize,
     /// Faults injected by the active fault plan (0 without `--chaos-seed`).
     pub faults_injected: usize,
     /// Completed jobs whose report could not be persisted to the disk
@@ -113,8 +110,8 @@ impl BatchMetrics {
     ///
     /// Only the fields that nothing else counts at the source are added
     /// here: retries, timeouts, panics, injected faults, backoff sleeps
-    /// and quarantines are recorded by the pool/cache as they happen, so
-    /// re-adding them would double-count.
+    /// and cache rejections are recorded by the pool/cache as they
+    /// happen, so re-adding them would double-count.
     pub fn publish(&self) {
         use tdsigma_obs as obs;
         obs::counter("jobs.cache_hits").add(self.cache_hits as u64);
@@ -153,18 +150,16 @@ impl fmt::Display for BatchMetrics {
             self.stages.execute_ms,
             self.stages.analyze_ms,
         )?;
-        if self.cache_quarantined > 0
-            || self.cache_stale > 0
+        if self.cache_rejected > 0
             || self.faults_injected > 0
             || self.backoff_ms_total > 0.0
             || self.cache_store_failures > 0
         {
             write!(
                 f,
-                "\nresilience: {} cache artifacts quarantined, {} stale, {} faults injected, \
+                "\nresilience: {} cache artifacts rejected, {} faults injected, \
                  {:.0} ms retry backoff, {} cache store failures",
-                self.cache_quarantined,
-                self.cache_stale,
+                self.cache_rejected,
                 self.faults_injected,
                 self.backoff_ms_total,
                 self.cache_store_failures,
@@ -459,13 +454,13 @@ mod tests {
     fn display_surfaces_degradation() {
         let m = BatchMetrics {
             jobs: 3,
-            cache_quarantined: 2,
+            cache_rejected: 2,
             faults_injected: 5,
             backoff_ms_total: 40.0,
             ..BatchMetrics::default()
         };
         let text = m.to_string();
-        assert!(text.contains("2 cache artifacts quarantined"), "{text}");
+        assert!(text.contains("2 cache artifacts rejected"), "{text}");
         assert!(text.contains("5 faults injected"), "{text}");
     }
 }

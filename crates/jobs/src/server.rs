@@ -119,7 +119,7 @@ impl Default for ServerConfig {
 }
 
 /// Hard bound on distinct client buckets held in memory: beyond it,
-/// stale buckets are pruned, and if every bucket is live the request is
+/// idle buckets are pruned, and if every bucket is live the request is
 /// rejected — an adversary inventing client ids cannot grow the map
 /// without bound.
 const MAX_CLIENT_BUCKETS: usize = 1024;
@@ -815,8 +815,8 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
             ("jobs".into(), Json::Num(totals.jobs as f64)),
             ("failed".into(), Json::Num(totals.failed as f64)),
             (
-                "cache_quarantined".into(),
-                Json::Num(engine.cache().quarantined() as f64),
+                "cache_rejected".into(),
+                Json::Num(engine.cache().rejected() as f64),
             ),
             (
                 "uptime_ms".into(),
@@ -906,16 +906,8 @@ fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
                 Json::Num(engine.cache().len() as f64),
             ),
             (
-                "cache_quarantined".into(),
-                Json::Num(engine.cache().quarantined() as f64),
-            ),
-            (
-                "cache_stale".into(),
-                Json::Num(engine.cache().stale() as f64),
-            ),
-            (
-                "cache_legacy_rejected".into(),
-                Json::Num(engine.cache().legacy_rejected() as f64),
+                "cache_rejected".into(),
+                Json::Num(engine.cache().rejected() as f64),
             ),
             ("obs".into(), obs_snapshot_json()),
         ]),
@@ -1681,13 +1673,7 @@ mod tests {
         );
         assert_eq!(
             r.get("stats")
-                .and_then(|s| s.get("cache_stale"))
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            r.get("stats")
-                .and_then(|s| s.get("cache_legacy_rejected"))
+                .and_then(|s| s.get("cache_rejected"))
                 .and_then(Json::as_f64),
             Some(0.0)
         );

@@ -9,7 +9,7 @@
 //!
 //! and in both cases it does so **within a wall-clock bound**: it never
 //! hangs, never silently drops a job, and never poisons the cache (a
-//! corrupted artifact is quarantined and recomputed, not served and not
+//! corrupted artifact is rejected and recomputed, not served and not
 //! fatal).
 //!
 //! Every test body runs under [`with_deadline`] so a regression that
@@ -184,9 +184,9 @@ fn chaos_is_deterministic_per_seed() {
 }
 
 #[test]
-fn corrupted_disk_cache_quarantines_recomputes_and_stays_bit_identical() {
-    with_deadline("cache quarantine", 60, || {
-        let dir = temp_dir("quarantine");
+fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
+    with_deadline("cache rejection", 60, || {
+        let dir = temp_dir("reject");
         let jobs = grid();
         let baseline: Vec<String> = engine(FaultPlan::none(), 0, Some(dir.clone()))
             .run_batch(&jobs)
@@ -214,24 +214,27 @@ fn corrupted_disk_cache_quarantines_recomputes_and_stays_bit_identical() {
             .map(|r| r.as_ref().expect("recomputation succeeds").to_text())
             .collect();
         assert_eq!(texts, baseline, "corruption must never change answers");
-        assert_eq!(batch.metrics.cache_quarantined, 3, "{:?}", batch.metrics);
+        assert_eq!(batch.metrics.cache_rejected, 3, "{:?}", batch.metrics);
         assert_eq!(batch.metrics.executed, 3, "exactly the damaged jobs rerun");
         assert_eq!(batch.metrics.cache_hits, jobs.len() - 3);
-        for path in &damaged {
-            let mut quarantine = path.as_os_str().to_owned();
-            quarantine.push(".quarantine");
+        for (job, path) in jobs.iter().zip(&damaged) {
+            let parked = dir
+                .join("rejected")
+                .join(format!("{}.corrupt.json", job.key()));
             assert!(
-                PathBuf::from(quarantine).exists(),
-                "damaged artifact must be moved aside, not deleted silently"
+                parked.exists(),
+                "damaged artifact must be moved aside tagged corrupt, not deleted silently"
             );
             assert!(path.exists(), "recomputed artifact must be re-filed");
         }
+        let rejected = std::fs::read_dir(dir.join("rejected")).unwrap().count();
+        assert_eq!(rejected, 3, "exactly the damaged artifacts are rejected");
 
-        // A third engine sees a fully healed store: zero quarantines,
-        // zero executions — the quarantine files are never read back.
+        // A third engine sees a fully healed store: zero rejections,
+        // zero executions — the rejected files are never read back.
         let healed = engine(FaultPlan::none(), 0, Some(dir.clone()));
         let replay = healed.run_batch(&jobs);
-        assert_eq!(replay.metrics.cache_quarantined, 0);
+        assert_eq!(replay.metrics.cache_rejected, 0);
         assert_eq!(replay.metrics.executed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     });
@@ -258,7 +261,7 @@ fn injected_write_corruption_cannot_poison_a_later_run() {
         engine(corruptor, 0, Some(dir.clone())).run_batch(&jobs);
 
         // A clean engine on the same store must reproduce the baseline:
-        // corrupt artifacts quarantine + recompute, intact ones hit.
+        // corrupt artifacts are rejected + recomputed, intact ones hit.
         let clean = engine(FaultPlan::none(), 0, Some(dir.clone()));
         let batch = clean.run_batch(&jobs);
         let texts: Vec<String> = batch
@@ -268,13 +271,13 @@ fn injected_write_corruption_cannot_poison_a_later_run() {
             .collect();
         assert_eq!(texts, baseline, "a poisoned store must never alter results");
         assert!(
-            batch.metrics.cache_quarantined > 0,
+            batch.metrics.cache_rejected > 0,
             "a 40% corruption rate over 12 artifacts should hit at least one"
         );
         assert_eq!(
-            batch.metrics.cache_quarantined + batch.metrics.cache_hits,
+            batch.metrics.cache_rejected + batch.metrics.cache_hits,
             jobs.len(),
-            "every job is either a hit or a quarantine+recompute"
+            "every job is either a hit or a rejection+recompute"
         );
         let _ = std::fs::remove_dir_all(&dir);
     });

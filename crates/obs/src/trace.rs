@@ -6,8 +6,8 @@
 //! ```text
 //! {"kind":"span","name":"flow.netgen","ts_us":12,"dur_us":345,
 //!  "thread":"tdsigma-job-worker-0","attrs":{"job":"ab12…","attempt":"1"}}
-//! {"kind":"event","name":"cache.quarantine","ts_us":99,
-//!  "thread":"main","attrs":{"key":"ab12…"}}
+//! {"kind":"event","name":"cache.reject","ts_us":99,
+//!  "thread":"main","attrs":{"reason":"corrupt"}}
 //! ```
 //!
 //! `ts_us` is microseconds since the sink was installed (monotonic clock,

@@ -78,20 +78,21 @@
 //! the fleet gracefully, one child at a time, on SIGTERM/SIGINT.
 //!
 //! `sweep --journal-gc` prunes journals of provably-finished runs (a
-//! bounded `results/journal/`, like the cache quarantine prune);
+//! bounded `results/journal/`, like the cache's `rejected/` prune);
 //! successful sweeps also auto-prune, keeping the newest 32.
 //!
 //! Every cache artifact is checksummed and stamped with the **engine
-//! fingerprint** (see `tdsigma_core::engine_fingerprint`): a warm cache
-//! written by a different binary is demoted to a `stale/` tier instead
+//! fingerprint** (see `tdsigma_core::engine_fingerprint`): an artifact
+//! that is corrupt or written by a different binary is moved to the
+//! cache's `rejected/` directory, tagged `corrupt` or `foreign`, instead
 //! of replayed, `--resume` refuses a journal planned by a different
 //! engine unless `--resume-force` re-executes everything, serve
 //! advertises the fingerprint in `health`/`ready`/`stats`, sweeps
 //! exclude mismatched-fingerprint backends from dispatch (degrading to
 //! matching backends plus local fallback), and `fleet` refuses to
 //! adopt a restarted child whose fingerprint changed under it.
-//! `tdsigma cache stats` inspects the tiers; `tdsigma cache scrub`
-//! prunes everything the current engine would not replay.
+//! `tdsigma cache stats` counts fresh, foreign, corrupt and rejected
+//! artifacts; `tdsigma cache scrub` removes all but the fresh ones.
 //!
 //! `--trace FILE` (sweep and serve) turns on the observability layer's
 //! JSON-lines trace sink: one line per flow stage span, job attempt and
@@ -235,10 +236,11 @@ fn print_help() {
     println!("  with redundant recomputation is integrity-quarantined for the run and");
     println!("  the verified bytes win, so sweep.json matches a local run exactly.");
     println!("CACHE INTEGRITY: artifacts are checksummed and stamped with the engine");
-    println!("  fingerprint; a warm cache written by a different binary is demoted to");
-    println!("  stale/, never replayed, and `--resume` refuses a journal planned by a");
-    println!("  different engine unless --resume-force re-executes everything.");
-    println!("  `tdsigma cache stats` inspects the tiers; `cache scrub` prunes them.");
+    println!("  fingerprint; a corrupt artifact or one written by a different binary");
+    println!("  moves to <cache-dir>/rejected/ (tagged corrupt or foreign), is never");
+    println!("  replayed, and `--resume` refuses a journal planned by a different");
+    println!("  engine unless --resume-force re-executes everything. `tdsigma cache");
+    println!("  stats` counts fresh/foreign/corrupt/rejected; `cache scrub` keeps fresh.");
 }
 
 /// Parsed command line: `--key value` pairs plus bare `--switch` flags.
@@ -521,8 +523,8 @@ fn run_design(flags: &Flags) -> Outcome {
 /// `tdsigma cache stats|scrub`: inventory or prune the on-disk result
 /// cache against the current engine fingerprint. `stats` only reads;
 /// `scrub` removes every artifact the current engine would not replay
-/// (foreign fingerprints, unstamped/corrupt suspects, the demoted
-/// `stale/` tier and `.quarantine` files) and keeps the fresh ones.
+/// (foreign and corrupt root artifacts, leftover temp files, and
+/// everything in `rejected/`) and keeps the fresh ones.
 fn run_cache(args: &[String]) -> ExitCode {
     let Some(action) = args.first().map(String::as_str) else {
         eprintln!("usage: tdsigma cache <stats|scrub> [--cache-dir DIR]");
@@ -824,7 +826,7 @@ fn print_dry_run(flags: &Flags, jobs: &[Job]) -> Result<(), Box<dyn std::error::
         None
     } else {
         // Opening the cache read-classifies only; `contains` never
-        // parses or quarantines artifacts.
+        // parses or rejects artifacts.
         Some(ResultCache::with_disk(
             flags.str("cache-dir", "results/cache"),
         )?)

@@ -4,17 +4,18 @@
 //! produced by one engine build are never silently mixed with another's.
 //!
 //!   1. a warm cache written by a *different* engine fingerprint yields
-//!      zero replayed reports — every foreign artifact is demoted to the
-//!      `stale/` tier (counted on the resilience line), the grid
-//!      re-executes, and the final `sweep.json` is byte-identical to a
-//!      fresh run; `tdsigma cache stats` shows the tiers and `tdsigma
-//!      cache scrub` prunes them;
+//!      zero replayed reports — every foreign artifact is moved to
+//!      `rejected/` tagged `foreign` (counted on the resilience line),
+//!      the grid re-executes, and the final `sweep.json` is
+//!      byte-identical to a fresh run; `tdsigma cache stats` counts the
+//!      foreign and rejected artifacts and `tdsigma cache scrub` prunes
+//!      them;
 //!   2. `--resume` of a journal planned by a different engine fails
 //!      loudly, and `--resume-force` downgrades that to a warning that
 //!      re-executes everything — for `sweep` and `optimize` alike;
 //!   3. `--resume --no-cache` re-executes every job instead of
 //!      reconciling against cache artifacts it will not read (the
-//!      warm-cache stale-replay regression);
+//!      warm-cache foreign-replay regression);
 //!   4. a sweep over a fleet with one mismatched-fingerprint backend
 //!      excludes it (`DEGRADED: version_skew`), completes on the
 //!      matching backend, and still matches local bytes.
@@ -93,6 +94,20 @@ fn foreign_engine_warm_cache_is_demoted_never_replayed_and_scrubbable() {
         4,
         "warming run executes the whole grid"
     );
+    let cache_dir = dist.join("cache").to_string_lossy().into_owned();
+    let cache_cmd = |action: &str| {
+        let out = Command::new(bin())
+            .args(["cache", action, "--cache-dir", &cache_dir])
+            .output()
+            .expect("cache command spawns");
+        assert!(out.status.success(), "cache {action} failed");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // The real engine sees every warm artifact as foreign before it
+    // touches any of them.
+    let stdout = cache_cmd("stats");
+    assert_eq!(stats_row(&stdout, "foreign:"), 4, "{stdout}");
+    assert_eq!(stats_row(&stdout, "fresh:"), 0, "{stdout}");
 
     // Control: the same grid with a cold cache under the real engine.
     let run_id = "vskew-cache-it";
@@ -104,7 +119,7 @@ fn foreign_engine_warm_cache_is_demoted_never_replayed_and_scrubbable() {
     let expected = std::fs::read(control.join("sweep.json")).expect("control artifact");
 
     // The real engine over the foreign warm cache: zero replayed
-    // reports, every foreign artifact demoted and counted as stale.
+    // reports, every foreign artifact rejected and counted.
     let out = Command::new(bin())
         .args(sweep_args(&dist, "2", run_id, FAST_SAMPLES))
         .output()
@@ -121,11 +136,21 @@ fn foreign_engine_warm_cache_is_demoted_never_replayed_and_scrubbable() {
         "a foreign warm cache must never produce a hit: {stdout}"
     );
     assert_eq!(metric(&stdout, "executed"), 4, "all jobs re-execute");
-    assert_eq!(
-        metric(&stdout, "stale"),
-        4,
-        "each demoted artifact is counted on the resilience line: {stdout}"
+    assert!(
+        stdout.contains("resilience: 4 cache artifacts rejected,"),
+        "each rejected artifact is counted on the resilience line: {stdout}"
     );
+    let mut parked: Vec<String> = std::fs::read_dir(dist.join("cache").join("rejected"))
+        .expect("rejected/ exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    parked.retain(|name| name.ends_with(".foreign.json"));
+    assert_eq!(parked.len(), 4, "rejections are tagged foreign: {parked:?}");
     let produced = std::fs::read(dist.join("sweep.json")).expect("skewed-cache artifact");
     assert_eq!(
         produced,
@@ -134,39 +159,25 @@ fn foreign_engine_warm_cache_is_demoted_never_replayed_and_scrubbable() {
         String::from_utf8_lossy(&produced)
     );
 
-    // `cache stats` sees 4 fresh re-executed artifacts over 4 demoted
-    // stale ones; `cache scrub` prunes the stale tier and keeps fresh.
-    let cache_dir = dist.join("cache").to_string_lossy().into_owned();
-    let out = Command::new(bin())
-        .args(["cache", "stats", "--cache-dir", &cache_dir])
-        .output()
-        .expect("cache stats spawns");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "cache stats failed");
+    // `cache stats` sees 4 fresh re-executed artifacts over 4 rejected
+    // foreign ones; `cache scrub` empties rejected/ and keeps fresh.
+    let stdout = cache_cmd("stats");
     assert_eq!(stats_row(&stdout, "fresh:"), 4, "{stdout}");
-    assert_eq!(stats_row(&stdout, "stale tier:"), 4, "{stdout}");
+    assert_eq!(stats_row(&stdout, "foreign:"), 0, "{stdout}");
+    assert_eq!(stats_row(&stdout, "rejected:"), 4, "{stdout}");
 
-    let out = Command::new(bin())
-        .args(["cache", "scrub", "--cache-dir", &cache_dir])
-        .output()
-        .expect("cache scrub spawns");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "cache scrub failed");
+    let stdout = cache_cmd("scrub");
     assert!(
-        stdout.contains("4 stale") && stdout.contains("kept 4 fresh"),
+        stdout.contains("4 rejected") && stdout.contains("kept 4 fresh"),
         "scrub must report what it pruned and kept: {stdout}"
     );
 
-    let out = Command::new(bin())
-        .args(["cache", "stats", "--cache-dir", &cache_dir])
-        .output()
-        .expect("cache stats spawns");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = cache_cmd("stats");
     assert_eq!(stats_row(&stdout, "fresh:"), 4, "{stdout}");
     assert_eq!(
-        stats_row(&stdout, "stale tier:"),
+        stats_row(&stdout, "rejected:"),
         0,
-        "scrub must empty the stale tier: {stdout}"
+        "scrub must empty rejected/: {stdout}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -210,7 +221,7 @@ fn resume_across_an_engine_change(command: &str) {
     );
 
     // The real engine refuses the resume: the journal's completion
-    // claims point at artifacts it will demote, not replay.
+    // claims point at artifacts it will reject, not replay.
     let out = Command::new(bin())
         .args(resume_args(command, &base, &run_id, &[]))
         .output()
