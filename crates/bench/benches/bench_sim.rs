@@ -1,7 +1,7 @@
 //! Micro-bench: behavioral ADC simulation throughput at both paper
-//! nodes, its sensitivity to the substep count, and the single-run
-//! transient + spectrum path a design-space evaluation pays per
-//! candidate.
+//! nodes, its sensitivity to the substep count and to each noise
+//! source, the raw normal sampler, and the single-run transient +
+//! spectrum path a design-space evaluation pays per candidate.
 //!
 //! `cargo bench --bench bench_sim -- --save ../../BENCH_sim.json`
 //! refreshes the checked-in baseline and `-- --compare
@@ -11,6 +11,7 @@
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
+use tdsigma_circuit::noise::SimRng;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::spectrum::SpectrumScratch;
@@ -28,6 +29,38 @@ fn main() {
             black_box(sim.run_tone(1e6, 0.1, cycles))
         });
     }
+
+    // The noise sources toggled off one at a time at the 40 nm point,
+    // against `adc_sim_run_tone_40nm_2048cyc` (every source on): what
+    // each costs per step, and the noise-free arithmetic floor.
+    let mut no_thermal = AdcSpec::paper_40nm().expect("spec");
+    no_thermal.thermal_noise = false;
+    let mut no_phase_noise = AdcSpec::paper_40nm().expect("spec");
+    no_phase_noise.phase_noise_per_sqrt_hz = 0.0;
+    let mut no_noise = no_thermal.clone();
+    no_noise.phase_noise_per_sqrt_hz = 0.0;
+    no_noise.clock_jitter_rms_s = 0.0;
+    no_noise.comparator_noise_v = 0.0;
+    for (label, spec) in [
+        ("no_thermal", no_thermal),
+        ("no_phase_noise", no_phase_noise),
+        ("no_noise", no_noise),
+    ] {
+        runner.bench(&format!("adc_sim_{label}_40nm_{cycles}cyc"), || {
+            let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
+            black_box(sim.run_tone(1e6, 0.1, cycles))
+        });
+    }
+
+    // The raw normal sampler the transient draws every noise value from.
+    let mut rng = SimRng::new(1);
+    runner.bench("sim_standard_normal_1m", || {
+        let mut acc = 0.0;
+        for _ in 0..1_000_000 {
+            acc += rng.standard_normal();
+        }
+        black_box(acc)
+    });
 
     for steps in [8usize, 16, 32] {
         let mut spec = AdcSpec::paper_40nm().expect("spec");

@@ -2,15 +2,54 @@
 //! band-limited samplers the behavioral models need.
 
 use std::fmt;
+use std::sync::OnceLock;
 use tdsigma_tech::rng::Rng64;
 
 /// The simulation RNG. A thin wrapper over a seeded [`Rng64`]
-/// (xoshiro256\*\*) that adds Gaussian sampling (Box–Muller with caching)
-/// so simulations are exactly reproducible from a `u64` seed.
+/// (xoshiro256\*\*) that adds Gaussian sampling (a 256-layer
+/// Marsaglia–Tsang ziggurat) so simulations are exactly reproducible
+/// from a `u64` seed.
 pub struct SimRng {
     inner: Rng64,
-    cached_gaussian: Option<f64>,
     seed: u64,
+}
+
+/// Number of ziggurat layers: the low 8 bits of a draw pick one.
+const ZIG_LAYERS: usize = 256;
+/// Start of the normal tail for 256 layers (Marsaglia & Tsang, 2000).
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Area of every layer, tail included, under the unnormalised density
+/// `exp(-x²/2)`.
+const ZIG_V: f64 = 0.004_928_673_233_99;
+
+/// Layer edges of the ziggurat. `x[i]` is the right edge of layer `i`
+/// (`x[0] = v/f(r)` is the virtual width of the base strip, `x[1] = r`,
+/// decreasing to `x[256] = 0`) and `f[i] = exp(-x[i]²/2)`.
+struct Ziggurat {
+    x: [f64; ZIG_LAYERS + 1],
+    f: [f64; ZIG_LAYERS + 1],
+}
+
+/// The tables, built once per process by the standard recurrence: each
+/// layer `i ≥ 1` spans `f[i]..f[i+1]` vertically and has area `v`, so
+/// `f[i+1] = f[i] + v/x[i]`.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let pdf = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; ZIG_LAYERS + 1];
+        let mut f = [0.0; ZIG_LAYERS + 1];
+        x[0] = ZIG_V / pdf(ZIG_R);
+        x[1] = ZIG_R;
+        for i in 1..ZIG_LAYERS - 1 {
+            x[i + 1] = (-2.0 * (ZIG_V / x[i] + pdf(x[i])).ln()).sqrt();
+        }
+        for i in 0..ZIG_LAYERS {
+            f[i] = pdf(x[i]);
+        }
+        f[ZIG_LAYERS] = 1.0;
+        Ziggurat { x, f }
+    })
 }
 
 impl SimRng {
@@ -19,7 +58,6 @@ impl SimRng {
     pub fn new(seed: u64) -> Self {
         SimRng {
             inner: Rng64::seed_from_u64(seed),
-            cached_gaussian: None,
             seed,
         }
     }
@@ -34,23 +72,49 @@ impl SimRng {
         self.inner.gen_f64()
     }
 
-    /// Standard-normal sample (mean 0, σ 1) via Box–Muller.
+    /// Standard-normal sample (mean 0, σ 1) from a 256-layer ziggurat.
+    ///
+    /// Stream consumption, which the simulator's draw-order contract
+    /// relies on: each attempt takes one `next_u64`, whose low 8 bits
+    /// pick the layer and whose high 53 bits give a signed uniform in
+    /// `[-1, 1)`. About 98.5 % of attempts return right there. An attempt
+    /// in a layer's wedge takes one more uniform and an `exp`, and starts
+    /// a fresh attempt if it is rejected; one in the base layer beyond
+    /// `r` draws uniform pairs from the exponential tail until one is
+    /// accepted.
     pub fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.cached_gaussian.take() {
-            return z;
-        }
-        // Box–Muller: two uniforms → two independent normals.
-        let u1: f64 = loop {
-            let u = self.inner.gen_f64();
-            if u > f64::MIN_POSITIVE {
-                break u;
+        let zig = ziggurat();
+        loop {
+            let bits = self.inner.next_u64();
+            let layer = (bits & 0xff) as usize;
+            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+            let x = u * zig.x[layer];
+            if x.abs() < zig.x[layer + 1] {
+                return x;
             }
-        };
-        let u2: f64 = self.inner.gen_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached_gaussian = Some(r * theta.sin());
-        r * theta.cos()
+            if layer == 0 {
+                return self.normal_tail(u < 0.0);
+            }
+            // Wedge: a uniform height measured down from the layer's top
+            // edge `f[layer + 1]`, accepted under the density.
+            let y = zig.f[layer + 1] + (zig.f[layer] - zig.f[layer + 1]) * self.inner.gen_f64();
+            if y < (-0.5 * x * x).exp() {
+                return x;
+            }
+        }
+    }
+
+    /// A normal conditioned on `|x| > r`, by Marsaglia's exponential
+    /// pair: `x = -ln(u₁)/r`, `y = -ln(u₂)`, accepted when `2y > x²`.
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // `1 - u` lies in (0, 1], so both logarithms are finite.
+            let x = -(1.0 - self.inner.gen_f64()).ln() / ZIG_R;
+            let y = -(1.0 - self.inner.gen_f64()).ln();
+            if 2.0 * y > x * x {
+                return if negative { -(ZIG_R + x) } else { ZIG_R + x };
+            }
+        }
     }
 
     /// Gaussian sample with explicit standard deviation.
@@ -58,48 +122,12 @@ impl SimRng {
         self.standard_normal() * sigma
     }
 
-    /// Fills `out` with standard normals, consuming the generator stream
-    /// *exactly* as `out.len()` repeated [`Self::standard_normal`] calls
-    /// would — same uniforms, same cached-half bookkeeping, bit-identical
-    /// values. The transcendental work (`ln`, `sqrt`, `sin`, `cos`) runs
-    /// in array passes over small batches so independent evaluations
-    /// pipeline, which is what the simulator hot loop wants.
+    /// Fills `out` with standard normals: exactly the values, and the
+    /// stream consumption, of `out.len()` repeated
+    /// [`Self::standard_normal`] calls.
     pub fn fill_standard_normals(&mut self, out: &mut [f64]) {
-        const PAIRS: usize = 32;
-        let mut i = 0;
-        if !out.is_empty() {
-            if let Some(z) = self.cached_gaussian.take() {
-                out[0] = z;
-                i = 1;
-            }
-        }
-        let mut u1 = [0.0f64; PAIRS];
-        let mut theta = [0.0f64; PAIRS];
-        while i < out.len() {
-            let k = (out.len() - i).div_ceil(2).min(PAIRS);
-            for p in 0..k {
-                u1[p] = loop {
-                    let u = self.inner.gen_f64();
-                    if u > f64::MIN_POSITIVE {
-                        break u;
-                    }
-                };
-                theta[p] = 2.0 * std::f64::consts::PI * self.inner.gen_f64();
-            }
-            for u in u1.iter_mut().take(k) {
-                *u = (-2.0 * u.ln()).sqrt();
-            }
-            for p in 0..k {
-                let z0 = u1[p] * theta[p].cos();
-                let z1 = u1[p] * theta[p].sin();
-                out[i + 2 * p] = z0;
-                if let Some(slot) = out.get_mut(i + 2 * p + 1) {
-                    *slot = z1;
-                } else {
-                    self.cached_gaussian = Some(z1);
-                }
-            }
-            i += 2 * k;
+        for z in out {
+            *z = self.standard_normal();
         }
     }
 
@@ -119,6 +147,7 @@ impl fmt::Debug for SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::{PI, SQRT_2};
 
     #[test]
     fn same_seed_same_stream() {
@@ -140,8 +169,8 @@ mod tests {
 
     #[test]
     fn fill_matches_scalar_draws_exactly() {
-        // The batched path must consume the stream identically to scalar
-        // calls — including odd lengths and a pre-existing cached half.
+        // The fill must consume the stream identically to scalar calls
+        // at every length.
         for len in [0usize, 1, 2, 3, 7, 16, 63, 64, 65, 200] {
             let mut scalar = SimRng::new(1234 + len as u64);
             let mut batched = SimRng::new(1234 + len as u64);
@@ -151,16 +180,17 @@ mod tests {
             for (e, g) in expect.iter().zip(&got) {
                 assert_eq!(e.to_bits(), g.to_bits(), "len {len}");
             }
-            // Both RNGs must agree on every subsequent draw (cache state
-            // and uniform stream fully in sync).
+            // Both RNGs must agree on every subsequent draw (uniform
+            // stream fully in sync).
             for _ in 0..5 {
                 assert_eq!(
                     scalar.standard_normal().to_bits(),
                     batched.standard_normal().to_bits()
                 );
+                assert_eq!(scalar.uniform().to_bits(), batched.uniform().to_bits());
             }
         }
-        // Odd length leaves a cached half; a following fill must use it.
+        // Back-to-back fills continue one stream.
         let mut scalar = SimRng::new(77);
         let mut batched = SimRng::new(77);
         let expect: Vec<f64> = (0..8).map(|_| scalar.standard_normal()).collect();
@@ -174,15 +204,119 @@ mod tests {
         }
     }
 
+    /// Complementary error function (the Numerical Recipes Chebyshev
+    /// fit, fractional error below 1.2e-7 everywhere).
+    fn erfc(x: f64) -> f64 {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let c = [
+            -1.265_512_23,
+            1.000_023_68,
+            0.374_091_96,
+            0.096_784_18,
+            -0.186_288_06,
+            0.278_868_07,
+            -1.135_203_98,
+            1.488_515_87,
+            -0.822_152_23,
+            0.170_872_77,
+        ];
+        let poly = c.iter().rev().fold(0.0, |acc, &ci| acc * t + ci);
+        let r = t * (-z * z + poly).exp();
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    /// Standard normal CDF Φ.
+    fn phi(x: f64) -> f64 {
+        0.5 * erfc(-x / SQRT_2)
+    }
+
     #[test]
-    fn gaussian_moments() {
-        let mut rng = SimRng::new(99);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "variance {var}");
+    fn ziggurat_tables_close_the_recurrence() {
+        let zig = ziggurat();
+        assert!(zig.x.windows(2).all(|w| w[0] > w[1]), "edges decrease");
+        assert_eq!(zig.x[ZIG_LAYERS], 0.0);
+        // The recurrence fixes layers 1..=254; the top layer's area
+        // falls out of it and must still be `v`.
+        let top = zig.x[ZIG_LAYERS - 1] * (1.0 - zig.f[ZIG_LAYERS - 1]);
+        assert!((top / ZIG_V - 1.0).abs() < 1e-6, "top layer area {top}");
+        // Base strip: the rectangle up to r plus the tail beyond it,
+        // ∫_r^∞ exp(-x²/2) dx = √(π/2)·erfc(r/√2).
+        let base = ZIG_R * zig.f[1] + (PI / 2.0).sqrt() * erfc(ZIG_R / SQRT_2);
+        assert!((base / ZIG_V - 1.0).abs() < 1e-6, "base strip area {base}");
+    }
+
+    #[test]
+    fn normal_moments_ks_and_lag1_autocorrelation() {
+        // 2²⁰ draws from a fixed seed. Each moment's tolerance is about
+        // five standard errors of its estimator under a true N(0, 1):
+        // √(1/n) for the mean, √(2/n) the variance, √(6/n) the skewness
+        // and √(24/n) the excess kurtosis.
+        let n = 1usize << 20;
+        let nf = n as f64;
+        let mut rng = SimRng::new(2017);
+        let mut z: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
+        let mean = z.iter().sum::<f64>() / nf;
+        let central = |k: i32| z.iter().map(|x| (x - mean).powi(k)).sum::<f64>() / nf;
+        let var = central(2);
+        let skew = central(3) / var.powf(1.5);
+        let kurt = central(4) / (var * var) - 3.0;
+        assert!(mean.abs() < 0.005, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.007, "variance {var}");
+        assert!(skew.abs() < 0.012, "skewness {skew}");
+        assert!(kurt.abs() < 0.025, "excess kurtosis {kurt}");
+
+        // Lag-1 autocorrelation of independent draws is ≈ N(0, 1/n).
+        let lag1 = z
+            .windows(2)
+            .map(|w| (w[0] - mean) * (w[1] - mean))
+            .sum::<f64>()
+            / ((nf - 1.0) * var);
+        assert!(lag1.abs() < 3.0 / nf.sqrt(), "lag-1 autocorrelation {lag1}");
+
+        // Kolmogorov–Smirnov against Φ, below the asymptotic 1 %
+        // critical value 1.628/√n.
+        z.sort_by(f64::total_cmp);
+        let d = z
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let cdf = phi(x);
+                (cdf - i as f64 / nf).max((i + 1) as f64 / nf - cdf)
+            })
+            .fold(0.0, f64::max);
+        assert!(d < 1.628 / nf.sqrt(), "KS statistic {d}");
+    }
+
+    #[test]
+    fn tail_beyond_r_has_the_normal_mass() {
+        // 4·10⁶ draws expect ≈ 1032 beyond |x| > r with σ ≈ 32, so the
+        // 10 % band is ≈ 3σ wide, and a dead tail path would leave the
+        // count near zero.
+        let n = 4_000_000u32;
+        let mut rng = SimRng::new(42);
+        let (mut beyond, mut positive) = (0u32, 0u32);
+        for _ in 0..n {
+            let x = rng.standard_normal();
+            if x.abs() > ZIG_R {
+                beyond += 1;
+                positive += u32::from(x > 0.0);
+            }
+        }
+        // 2·(1 − Φ(r)) = erfc(r/√2).
+        let expect = f64::from(n) * erfc(ZIG_R / SQRT_2);
+        let ratio = f64::from(beyond) / expect;
+        assert!(
+            (ratio - 1.0).abs() < 0.10,
+            "{beyond} draws beyond r, expected {expect:.0}"
+        );
+        // Both signs of the tail are reachable, in like measure.
+        let share = f64::from(positive) / f64::from(beyond);
+        assert!((0.4..0.6).contains(&share), "positive tail share {share}");
     }
 
     #[test]

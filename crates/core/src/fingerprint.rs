@@ -28,9 +28,10 @@ use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// Version of the on-disk artifact schema (cache artifacts, journal
-/// records, sweep/optimize JSON). Bump on any layout change so stamped
-/// artifacts from the old layout stop matching.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
+/// records, sweep/optimize JSON). Bump on any layout change, and on any
+/// deliberate change of the numerics (2: the ziggurat normal sampler),
+/// so stamped artifacts from before it stop matching.
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 2;
 
 /// Environment variable that overrides the computed fingerprint for the
 /// whole process (tests and CI simulate a mismatched binary with it).

@@ -9,8 +9,8 @@
 //! words, the per-slice codes, and the spectrum bins, plus every activity
 //! counter and the bit patterns of the float accumulators.
 //!
-//! If an *intentional* numerical change lands (like the fixed-grid clock
-//! bugfix that created these values), regenerate with:
+//! If an *intentional* numerical change lands (like the ziggurat normal
+//! sampler that created these values), regenerate with:
 //!
 //! ```text
 //! cargo run --release -p tdsigma-bench --bin golden_probe
@@ -25,14 +25,14 @@ use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_dsp::window::Window;
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
-/// Output of `golden_probe` at the fixed-grid clock baseline.
+/// Output of `golden_probe` at the ziggurat normal-sampler baseline.
 const GOLDEN: &str = "\
-40nm seed=2017 output=cc76301122254c4b codes=3dfd03a8f0b3e77a spectrum=492bfe724e77b596 vco=6567 clk=1024 dac=4741 d=4736 cmp=65536 energy=3e011908a8d5eece dur=3eb6e80fe033c8c6
-40nm seed=1 output=5c07688c02ec726d codes=b167f62eb4d81de8 spectrum=ee30fa8f0832115f vco=6564 clk=1024 dac=4812 d=4804 cmp=65536 energy=3e012067d781cb25 dur=3eb6e80fe033c8c6
-40nm seed=42 output=7a05f9749123ae8b codes=961d67c8af409682 spectrum=adc4cb71d53002cc vco=6558 clk=1024 dac=4771 d=4766 cmp=65536 energy=3e011f8f78fa9940 dur=3eb6e80fe033c8c6
-180nm seed=2017 output=d5ff91101bc77dbf codes=ff2865efd06db2da spectrum=30dbe65a56964c4e vco=6559 clk=1024 dac=4699 d=4695 cmp=65536 energy=3e3125bfe3f6ebfb dur=3ed12e0be826d695
-180nm seed=1 output=f901ff416ca76c7d codes=83a3d26f61e9e319 spectrum=1616adf82772d995 vco=6559 clk=1024 dac=4716 d=4711 cmp=65536 energy=3e3126c742c68aa3 dur=3ed12e0be826d695
-180nm seed=42 output=3eaef3ad5c781cd3 codes=b8297ed579abdd67 spectrum=b7aaf9809b99aa65 vco=6556 clk=1024 dac=4792 d=4782 cmp=65536 energy=3e3134c29a0781df dur=3ed12e0be826d695
+40nm seed=2017 output=dbce5b99669aabd8 codes=1cc940a55cd8b8a6 spectrum=1b442bf66223366c vco=6558 clk=1024 dac=4698 d=4691 cmp=65536 energy=3e011ac8fc0df2d4 dur=3eb6e80fe033c8c6
+40nm seed=1 output=e13d92af997472a1 codes=1680194c920dd459 spectrum=fbac778bc712985e vco=6554 clk=1024 dac=4769 d=4765 cmp=65536 energy=3e011a1ec059981d dur=3eb6e80fe033c8c6
+40nm seed=42 output=4529f10078f0f2f7 codes=b6635c0290826397 spectrum=1c35a0624fcdc0d3 vco=6537 clk=1024 dac=4808 d=4803 cmp=65536 energy=3e011f9c62c2970d dur=3eb6e80fe033c8c6
+180nm seed=2017 output=c0c7455f070571c6 codes=a3e37a411de99c6e spectrum=fdc1b9b038955d8f vco=6554 clk=1024 dac=4767 d=4762 cmp=65536 energy=3e312efbc36a004d dur=3ed12e0be826d695
+180nm seed=1 output=bd8165c2673ae722 codes=25d0e3eec081e55f spectrum=aa9796b634e4a20d vco=6552 clk=1024 dac=4809 d=4800 cmp=65536 energy=3e312b850c07cd74 dur=3ed12e0be826d695
+180nm seed=42 output=0ee0d308b2912c4e codes=15fd6cfe917b2aff spectrum=98ff72da5ac87845 vco=6546 clk=1024 dac=4811 d=4804 cmp=65536 energy=3e312cd80d96f720 dur=3ed12e0be826d695
 ";
 
 /// FNV-1a over a byte stream — the checksum `golden_probe` prints.
