@@ -208,11 +208,6 @@ impl AdcSpec {
         self.vco_stages as f64 * self.vrefp_v * self.rin_ohm / self.rdac_ohm
     }
 
-    /// Effective number of quantizer levels (slices + 1).
-    pub fn quantizer_levels(&self) -> usize {
-        self.n_slices + 1
-    }
-
     /// Returns a copy with a different slice count (the paper's "simply
     /// add more slices" knob).
     ///
@@ -277,7 +272,6 @@ mod tests {
         assert_eq!(s40.bw_hz, 5e6);
         assert!((s40.oversampling_ratio() - 75.0).abs() < 1e-9);
         assert_eq!(s40.n_slices, 8);
-        assert_eq!(s40.quantizer_levels(), 9);
 
         let s180 = AdcSpec::paper_180nm().unwrap();
         assert_eq!(s180.fs_hz, 250e6);
@@ -295,7 +289,7 @@ mod tests {
     fn knobs_rescale() {
         let s = AdcSpec::paper_40nm().unwrap();
         let more = s.clone().with_slices(16).unwrap();
-        assert_eq!(more.quantizer_levels(), 17);
+        assert_eq!(more.n_slices, 16);
         let faster = s.clone().with_clock(1.5e9, 10e6).unwrap();
         assert_eq!(faster.vco_f0_hz, s.vco_f0_hz * 2.0);
         let base = s.kvco_hz_per_v;

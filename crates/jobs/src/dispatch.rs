@@ -62,11 +62,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Whole milliseconds elapsed since `start` (saturating u64 cast).
-fn elapsed_ms(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
@@ -209,14 +204,6 @@ pub struct DispatchConfig {
     pub remote: RemoteConfig,
     /// Per-backend breaker tuning.
     pub breaker: BreakerConfig,
-    /// Per-job wall-clock budget forwarded to backends as
-    /// `deadline_ms`; 0 disables deadline propagation. Each failover
-    /// attempt forwards only the *remaining* budget, so a backend
-    /// can refuse work the job has no time left for.
-    pub deadline_ms: u64,
-    /// Client id attached to every frame for per-client admission
-    /// quotas; empty uses a pid-derived default.
-    pub client_id: String,
     /// Deterministic network-fault injection for chaos runs.
     pub faults: FaultPlan,
     /// Sampled redundant verification rate, permille (0 disables — the
@@ -331,11 +318,11 @@ impl Backend {
     }
 
     /// One full attempt: counters, RTT, breaker bookkeeping.
-    fn attempt(&self, job: &Job, deadline_ms: Option<u64>) -> Result<JobReport, RemoteError> {
+    fn attempt(&self, job: &Job) -> Result<JobReport, RemoteError> {
         let addr = self.client.addr();
         tdsigma_obs::counter(&format!("dispatch.{addr}.dispatched")).inc();
         let start = Instant::now();
-        let result = self.client.run_job_with_deadline(job, deadline_ms);
+        let result = self.client.run_job(job);
         tdsigma_obs::histogram(&format!("dispatch.{addr}.rtt")).record(start.elapsed());
         match &result {
             // A job-class rejection means the backend held up its end of
@@ -384,7 +371,6 @@ pub struct Dispatcher {
     backends: Vec<Arc<Backend>>,
     local: Arc<Runner>,
     local_in_rotation: bool,
-    deadline_ms: u64,
     verify_permille: u16,
     /// Report keys already verified (this run, or replayed from the
     /// journal on `--resume`): never re-verified.
@@ -401,18 +387,12 @@ impl Dispatcher {
     /// Builds a dispatcher over `config.backends`, with `local` as the
     /// in-process runner (rotation member or last-resort fallback).
     pub fn new(config: &DispatchConfig, local: Arc<Runner>) -> Arc<Self> {
-        let client_id = if config.client_id.is_empty() {
-            format!("dispatch-{}", std::process::id())
-        } else {
-            config.client_id.clone()
-        };
         let backends = config
             .backends
             .iter()
             .map(|addr| {
                 Arc::new(Backend {
                     client: RemoteClient::with_config(addr.clone(), config.remote.clone())
-                        .with_client_id(client_id.clone())
                         .with_faults(config.faults),
                     breaker: CircuitBreaker::new(config.breaker.clone()),
                     cooldown_until: Mutex::new(None),
@@ -425,7 +405,6 @@ impl Dispatcher {
             backends,
             local,
             local_in_rotation: config.local_in_rotation,
-            deadline_ms: config.deadline_ms,
             verify_permille: config.verify_permille,
             verified: Mutex::new(HashSet::new()),
             fresh_verified: Mutex::new(Vec::new()),
@@ -496,25 +475,21 @@ impl Dispatcher {
     /// local runner's own failure after every backend was exhausted) —
     /// never "a backend was down".
     pub fn run_job(&self, job: &Job) -> Result<(JobReport, StageTimes), JobError> {
-        let started = Instant::now();
         // An all-busy fleet is temporary by definition: honor the
         // smallest advertised retry_after (bounded) for a couple of
         // rounds before degrading to local execution.
         const BUSY_ROUNDS: u32 = 3;
         let mut round = 0;
         loop {
-            match self.dispatch_round(job, started) {
+            match self.dispatch_round(job) {
                 RoundOutcome::Done(result) => return *result,
                 RoundOutcome::Busy {
                     wait_ms,
                     local_tried,
                 } => {
                     round += 1;
-                    let wait_ms = wait_ms.clamp(10, 2_000);
-                    let within_budget =
-                        self.deadline_ms == 0 || elapsed_ms(started) + wait_ms < self.deadline_ms;
-                    if round < BUSY_ROUNDS && within_budget {
-                        std::thread::sleep(Duration::from_millis(wait_ms));
+                    if round < BUSY_ROUNDS {
+                        std::thread::sleep(Duration::from_millis(wait_ms.clamp(10, 2_000)));
                         continue;
                     }
                     if local_tried {
@@ -538,20 +513,9 @@ impl Dispatcher {
         }
     }
 
-    /// The remaining deadline budget to forward with an attempt, if
-    /// deadline propagation is on. Never reaches zero: a provably-late
-    /// job is the *server's* call to reject (structured, retryable),
-    /// not something to silently strip back to "no deadline".
-    fn remaining_budget(&self, started: Instant) -> Option<u64> {
-        if self.deadline_ms == 0 {
-            return None;
-        }
-        Some(self.deadline_ms.saturating_sub(elapsed_ms(started)).max(1))
-    }
-
     /// One pass over the rotation: rotation → failover → breaker,
     /// classifying how the pass ended.
-    fn dispatch_round(&self, job: &Job, started: Instant) -> RoundOutcome {
+    fn dispatch_round(&self, job: &Job) -> RoundOutcome {
         let candidates = self.rotation(job);
         let mut local_tried = false;
         let mut busy_wait: Option<u64> = None;
@@ -601,10 +565,9 @@ impl Dispatcher {
                         backend.gauge();
                         continue;
                     }
-                    let deadline = self.remaining_budget(started);
-                    match backend.attempt(job, deadline) {
+                    match backend.attempt(job) {
                         Ok(report) => {
-                            let report = self.verify_sampled(backend, report, job, deadline);
+                            let report = self.verify_sampled(backend, report, job);
                             return RoundOutcome::Done(Box::new(Ok((
                                 report,
                                 StageTimes::default(),
@@ -691,13 +654,7 @@ impl Dispatcher {
     /// On a mismatch the local engine arbitrates, the lying backend is
     /// integrity-quarantined, and the verified bytes are returned — so
     /// the sweep output stays byte-identical to a local run.
-    fn verify_sampled(
-        &self,
-        origin: &Arc<Backend>,
-        report: JobReport,
-        job: &Job,
-        deadline_ms: Option<u64>,
-    ) -> JobReport {
+    fn verify_sampled(&self, origin: &Arc<Backend>, report: JobReport, job: &Job) -> JobReport {
         if self.verify_permille == 0 {
             return report;
         }
@@ -716,7 +673,7 @@ impl Dispatcher {
         // otherwise the local engine referees directly.
         let second = self
             .verify_peer(origin)
-            .map(|peer| (peer.attempt(job, deadline_ms), peer));
+            .map(|peer| (peer.attempt(job), peer));
         match second {
             Some((Ok(peer_report), peer)) => {
                 if peer_report.to_text() == report.to_text() {
@@ -828,7 +785,6 @@ impl Dispatcher {
             backends,
             local_fallbacks: self.local_fallbacks.load(Ordering::Relaxed) as u64,
             local_in_rotation: self.local_in_rotation,
-            unattested: tdsigma_obs::counter("dispatch.unattested").get(),
         }
     }
 }

@@ -25,7 +25,7 @@ use tdsigma_obs as obs;
 /// Engine construction options.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Worker threads, retry budget, backoff and deadline policy.
+    /// Worker threads, retry budget and backoff policy.
     pub pool: PoolConfig,
     /// On-disk artifact store for the result cache; `None` → memory only.
     pub cache_dir: Option<PathBuf>,
@@ -361,22 +361,6 @@ impl Engine {
     ///
     /// Propagates the job's execution error.
     pub fn submit_one(&self, job: &Job) -> Result<JobReport, JobError> {
-        self.submit_one_with_deadline(job, 0)
-    }
-
-    /// [`Engine::submit_one`] with a per-job soft deadline in ms
-    /// (0 = pool policy). The deadline bounds attempt wall time only; it
-    /// never reaches the job key or the report, so a deadline-carrying
-    /// request that completes produces the same bytes as one without.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the job's execution error.
-    pub fn submit_one_with_deadline(
-        &self,
-        job: &Job,
-        deadline_ms: u64,
-    ) -> Result<JobReport, JobError> {
         let key = job.key();
         if let Some(hit) = self.cache.get(&key) {
             let mut totals = crate::pool::lock_unpoisoned(&self.totals);
@@ -388,7 +372,7 @@ impl Engine {
         obs::counter("jobs.cache_misses").inc();
         let outcome = self
             .pool
-            .submit_with_deadline(job.clone(), deadline_ms)
+            .submit(job.clone())
             .recv()
             .map_err(|_| JobError::PoolClosed)?;
         let mut totals = crate::pool::lock_unpoisoned(&self.totals);

@@ -20,12 +20,6 @@ pub enum JobError {
     /// A transient infrastructure failure (injected by a fault plan or
     /// surfaced by a flaky resource). Retryable by definition.
     Transient(String),
-    /// One attempt overran its soft deadline; the attempt's result was
-    /// discarded. Retryable — the overrun may have been environmental.
-    Timeout {
-        /// The soft deadline that was exceeded, ms.
-        soft_deadline_ms: u64,
-    },
     /// The batch was cancelled before this job ran.
     Canceled,
     /// The worker pool is shut down.
@@ -59,10 +53,7 @@ impl JobError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            JobError::Failed { .. }
-                | JobError::Io { .. }
-                | JobError::Transient(_)
-                | JobError::Timeout { .. }
+            JobError::Failed { .. } | JobError::Io { .. } | JobError::Transient(_)
         )
     }
 }
@@ -75,9 +66,6 @@ impl fmt::Display for JobError {
                 write!(f, "job failed after {attempts} attempt(s): {message}")
             }
             JobError::Transient(m) => write!(f, "transient failure: {m}"),
-            JobError::Timeout { soft_deadline_ms } => {
-                write!(f, "attempt exceeded soft deadline of {soft_deadline_ms} ms")
-            }
             JobError::Canceled => f.write_str("job canceled"),
             JobError::PoolClosed => f.write_str("worker pool is closed"),
             JobError::Io {

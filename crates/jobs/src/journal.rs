@@ -52,10 +52,9 @@ pub enum JournalRecord {
         /// The run this journal belongs to.
         run_id: String,
         /// The engine fingerprint of the process that planned the batch
-        /// (see [`tdsigma_core::engine_fingerprint`]). Empty on records
-        /// written before fingerprinting existed; resume treats empty as
-        /// "unknown, warn but proceed" and any other mismatch as a hard
-        /// error.
+        /// (see [`tdsigma_core::engine_fingerprint`]). Empty when the
+        /// record carries none; resume treats any mismatch, empty
+        /// included, as a hard error unless forced.
         fingerprint: String,
         /// Every job in the batch, in original order.
         jobs: Vec<Job>,
@@ -450,8 +449,8 @@ impl Journal {
 pub struct JournalReplay {
     /// The run id replayed.
     pub run_id: String,
-    /// Engine fingerprint recorded by the planning process (empty for
-    /// journals that predate fingerprinting).
+    /// Engine fingerprint recorded by the planning process (empty when
+    /// the plan record carries none).
     pub fingerprint: String,
     /// The planned batch, in original submission order.
     pub jobs: Vec<Job>,

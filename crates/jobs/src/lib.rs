@@ -24,8 +24,8 @@
 //! * **[`FaultPlan`]** — seeded, deterministic fault injection (worker
 //!   panics, transient errors, latency, artifact corruption, hostile
 //!   frames) that exercises the resilience layer: exponential backoff
-//!   with deterministic jitter, soft deadlines, cache rejection, socket
-//!   timeouts and graceful drain. The chaos suite
+//!   with deterministic jitter, cache rejection, socket timeouts and
+//!   graceful drain. The chaos suite
 //!   (`tests/chaos.rs`) asserts the headline invariant: under any fault
 //!   seed a batch either reproduces the fault-free bytes or fails loudly
 //!   with a structured error — it never hangs, never drops a job

@@ -209,10 +209,6 @@ pub struct DispatchSummary {
     /// Whether `local` was an intentional fleet member (its executions
     /// are then load sharing, not degradation).
     pub local_in_rotation: bool,
-    /// Remote results accepted without a wire attestation (backends
-    /// predating the attestation sibling). Non-zero means part of the
-    /// fleet's payloads were protected only by the frame crc.
-    pub unattested: u64,
 }
 
 impl DispatchSummary {
@@ -247,13 +243,6 @@ impl fmt::Display for DispatchSummary {
         }
         if self.local_in_rotation {
             write!(f, "\n  local — rotation member")?;
-        }
-        if self.unattested > 0 {
-            write!(
-                f,
-                "\n  {} result(s) accepted unattested (pre-attestation backend)",
-                self.unattested
-            )?;
         }
         let skewed = self.backends.iter().filter(|b| b.version_skew > 0).count();
         if skewed > 0 {
@@ -359,7 +348,6 @@ mod tests {
             }],
             local_fallbacks: 2,
             local_in_rotation: false,
-            unattested: 0,
         };
         assert!(s.degraded());
         let text = s.to_string();
@@ -400,7 +388,6 @@ mod tests {
             ],
             local_fallbacks: 0,
             local_in_rotation: false,
-            unattested: 0,
         };
         let text = s.to_string();
         assert!(text.contains("version skew ×3"), "{text}");
@@ -409,7 +396,6 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains("integrity"), "{text}");
-        assert!(!text.contains("unattested"), "{text}");
     }
 
     #[test]
@@ -439,7 +425,6 @@ mod tests {
             ],
             local_fallbacks: 0,
             local_in_rotation: false,
-            unattested: 3,
         };
         let text = s.to_string();
         assert!(text.contains("integrity ×2"), "{text}");
@@ -447,7 +432,6 @@ mod tests {
             text.contains("DEGRADED: integrity — 1 backend(s) quarantined"),
             "{text}"
         );
-        assert!(text.contains("3 result(s) accepted unattested"), "{text}");
     }
 
     #[test]

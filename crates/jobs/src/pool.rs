@@ -15,8 +15,6 @@
 //!   with exponential backoff and deterministic per-(job, attempt)
 //!   jitter ([`backoff_delay_ms`]); validation errors are never retried
 //!   (same input, same failure).
-//! * A soft per-job deadline ([`PoolConfig::soft_deadline_ms`]) marks
-//!   attempts that overrun as retryable [`JobError::Timeout`]s.
 //! * Cancellation is cooperative: a shared flag checked before each
 //!   attempt and during backoff sleeps. In-flight flows finish; queued
 //!   jobs drain as `Canceled`. [`WorkerPool::drain`] is the graceful
@@ -42,7 +40,7 @@ use tdsigma_tech::{fnv1a64, Rng64};
 /// runners (panicking, flaky, slow) to exercise the scheduler itself.
 pub type Runner = dyn Fn(&Job) -> Result<(JobReport, StageTimes), JobError> + Send + Sync;
 
-/// Pool sizing, retry and deadline policy.
+/// Pool sizing and retry policy.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads. Clamped to at least 1.
@@ -54,9 +52,6 @@ pub struct PoolConfig {
     pub backoff_base_ms: u64,
     /// Hard cap on any single backoff sleep, ms.
     pub backoff_max_ms: u64,
-    /// Soft per-attempt deadline, ms: an attempt that runs longer is
-    /// discarded as a retryable [`JobError::Timeout`]. 0 = unbounded.
-    pub soft_deadline_ms: u64,
 }
 
 impl Default for PoolConfig {
@@ -66,7 +61,6 @@ impl Default for PoolConfig {
             retries: 1,
             backoff_base_ms: 25,
             backoff_max_ms: 1_000,
-            soft_deadline_ms: 0,
         }
     }
 }
@@ -145,12 +139,6 @@ struct Task {
     /// When the task entered the queue — dequeue-time minus this is the
     /// queue latency the `jobs.queue_wait` histogram records.
     submitted: Instant,
-    /// Per-job soft deadline override, ms. 0 falls back to
-    /// [`PoolConfig::soft_deadline_ms`]. This is how a propagated client
-    /// deadline (see `server.rs`) reaches the retry machinery: an attempt
-    /// that overruns the remaining budget dies as a retryable
-    /// [`JobError::Timeout`] instead of burning a worker on dead work.
-    deadline_ms: u64,
 }
 
 /// Liveness state one worker publishes for the watchdog: the time of its
@@ -278,14 +266,6 @@ impl WorkerPool {
     /// Submits a job; the returned receiver yields exactly one
     /// [`JobOutcome`] (immediately, if the pool is already closed).
     pub fn submit(&self, job: Job) -> mpsc::Receiver<JobOutcome> {
-        self.submit_with_deadline(job, 0)
-    }
-
-    /// Like [`WorkerPool::submit`], but with a per-job soft deadline in
-    /// ms that overrides [`PoolConfig::soft_deadline_ms`] when non-zero.
-    /// The deadline never enters the job itself (the content address and
-    /// the report are deadline-blind); it only bounds attempt wall time.
-    pub fn submit_with_deadline(&self, job: Job, deadline_ms: u64) -> mpsc::Receiver<JobOutcome> {
         let (reply, rx) = mpsc::channel();
         obs::counter("jobs.submitted").inc();
         match &*lock_unpoisoned(&self.tx) {
@@ -294,7 +274,6 @@ impl WorkerPool {
                     job,
                     reply,
                     submitted: Instant::now(),
-                    deadline_ms,
                 };
                 if let Err(mpsc::SendError(task)) = tx.send(task) {
                     let _ = task
@@ -383,7 +362,6 @@ fn worker_loop(
     let queue_wait = obs::histogram("jobs.queue_wait");
     let backoff_hist = obs::histogram("jobs.backoff");
     let retries_ctr = obs::counter("jobs.retries");
-    let timeouts_ctr = obs::counter("jobs.timeouts");
     let panics_ctr = obs::counter("jobs.panics");
     let faults_ctr = obs::counter("jobs.faults_injected");
     loop {
@@ -403,13 +381,6 @@ fn worker_loop(
             continue;
         }
         let key = task.job.key();
-        // The effective soft deadline: a per-task override (propagated
-        // client budget) beats the pool-wide policy.
-        let soft_deadline_ms = if task.deadline_ms > 0 {
-            task.deadline_ms
-        } else {
-            config.soft_deadline_ms
-        };
         let started = Instant::now();
         let mut attempts = 0u32;
         let mut backoff_ms = 0.0f64;
@@ -431,7 +402,6 @@ fn worker_loop(
             // One beat per attempt: retries of a live job keep the
             // watchdog quiet; an attempt that hangs stops beating.
             status.beat(epoch);
-            let attempt_started = Instant::now();
             let injected = faults.attempt_fault(&key, attempts);
             let latency_ms = faults.attempt_latency_ms(&key, attempts);
             if injected.is_some() || latency_ms > 0 {
@@ -452,21 +422,6 @@ fn worker_loop(
                     )),
                     None => runner(&task.job),
                 }))
-            };
-            // Soft deadline: a successful attempt that overran is
-            // discarded as a retryable timeout (the report of a job that
-            // blew its budget is suspect — often it only finished because
-            // injected latency or a stalled resource released late).
-            let attempt = match attempt {
-                Ok(Ok(ok))
-                    if soft_deadline_ms > 0
-                        && attempt_started.elapsed().as_millis() as u64 > soft_deadline_ms =>
-                {
-                    drop(ok);
-                    timeouts_ctr.inc();
-                    Ok(Err(JobError::Timeout { soft_deadline_ms }))
-                }
-                other => other,
             };
             let may_retry = attempts <= config.retries && !cancel.load(Ordering::SeqCst);
             let retry_backoff = |backoff_ms: &mut f64| {
@@ -504,9 +459,6 @@ fn worker_loop(
                 Ok(Err(e)) => {
                     let result = match e {
                         JobError::Invalid(m) => Err(JobError::Invalid(m)),
-                        JobError::Timeout { soft_deadline_ms } => {
-                            Err(JobError::Timeout { soft_deadline_ms })
-                        }
                         JobError::Failed { message, .. } => {
                             Err(JobError::Failed { attempts, message })
                         }
@@ -780,7 +732,6 @@ mod tests {
                 retries: 2,
                 backoff_base_ms: 20,
                 backoff_max_ms: 100,
-                ..PoolConfig::default()
             },
             Arc::new(move |job: &Job| {
                 if f.fetch_add(1, Ordering::SeqCst) < 2 {
@@ -833,62 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_deadline_marks_overruns_as_timeouts() {
-        let pool = WorkerPool::new(
-            PoolConfig {
-                workers: 1,
-                retries: 0,
-                soft_deadline_ms: 10,
-                ..PoolConfig::default()
-            },
-            Arc::new(|job: &Job| {
-                std::thread::sleep(Duration::from_millis(40));
-                Ok((dummy_report(job), StageTimes::default()))
-            }),
-        );
-        let outcome = pool.submit(job_with_seed(1)).recv().unwrap();
-        match outcome.result {
-            Err(JobError::Timeout { soft_deadline_ms }) => assert_eq!(soft_deadline_ms, 10),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        assert!(JobError::Timeout {
-            soft_deadline_ms: 10
-        }
-        .is_retryable());
-    }
-
-    #[test]
-    fn per_job_deadline_overrides_pool_soft_deadline() {
-        // Pool policy is unbounded; the submitted deadline is not.
-        let pool = WorkerPool::new(
-            PoolConfig {
-                workers: 1,
-                retries: 0,
-                soft_deadline_ms: 0,
-                ..PoolConfig::default()
-            },
-            Arc::new(|job: &Job| {
-                std::thread::sleep(Duration::from_millis(40));
-                Ok((dummy_report(job), StageTimes::default()))
-            }),
-        );
-        let outcome = pool
-            .submit_with_deadline(job_with_seed(1), 10)
-            .recv()
-            .unwrap();
-        match outcome.result {
-            Err(JobError::Timeout { soft_deadline_ms }) => assert_eq!(soft_deadline_ms, 10),
-            other => panic!("expected Timeout from the per-job deadline, got {other:?}"),
-        }
-        // A generous per-job deadline leaves the job alone.
-        let outcome = pool
-            .submit_with_deadline(job_with_seed(2), 60_000)
-            .recv()
-            .unwrap();
-        assert!(outcome.result.is_ok());
-    }
-
-    #[test]
     fn injected_faults_are_deterministic_and_survivable() {
         let run = || -> Vec<(bool, u32)> {
             let pool = WorkerPool::with_faults(
@@ -897,7 +792,6 @@ mod tests {
                     retries: 4,
                     backoff_base_ms: 1,
                     backoff_max_ms: 4,
-                    ..PoolConfig::default()
                 },
                 Arc::new(|job: &Job| Ok((dummy_report(job), StageTimes::default()))),
                 FaultPlan {

@@ -70,12 +70,13 @@ pub enum RemoteError {
     /// The job is untainted — retry it on another backend or locally.
     Backend(String),
     /// The backend is healthy but full: it answered a structured
-    /// overload rejection (`busy`/`shed`/quota) with a computed
+    /// overload rejection (`busy`, from shedding or the connection cap)
+    /// with a computed
     /// `retry_after_ms`. Not a failure — the peer executed the protocol
     /// perfectly — so this must cool the backend down for the hinted
     /// interval rather than count toward its circuit breaker.
     Busy {
-        /// The rejection message (`shedding load: …`, `quota exceeded…`).
+        /// The rejection message (`shedding load: …`, `server busy: …`).
         message: String,
         /// The backend's own estimate of when to come back, ms.
         retry_after_ms: u64,
@@ -120,10 +121,9 @@ pub struct BackendHealth {
     /// fresh restart from a long-lived backend at a glance.
     pub served_jobs: u64,
     /// The backend's engine fingerprint (see
-    /// [`tdsigma_core::engine_fingerprint`]). Empty when the backend
-    /// predates fingerprinting; anything different from the local value
-    /// means its reports are not interchangeable with locally computed
-    /// ones.
+    /// [`tdsigma_core::engine_fingerprint`]). Empty when the response
+    /// carries none; anything different from the local value means its
+    /// reports are not interchangeable with locally computed ones.
     pub fingerprint: String,
 }
 
@@ -135,9 +135,6 @@ pub struct RemoteClient {
     addr: String,
     config: RemoteConfig,
     faults: FaultPlan,
-    /// Client id sent with every `run` frame, feeding the backend's
-    /// per-client quota buckets. `None` → the shared anonymous bucket.
-    client_id: Option<String>,
 }
 
 impl RemoteClient {
@@ -152,7 +149,6 @@ impl RemoteClient {
             addr: addr.into(),
             config,
             faults: FaultPlan::none(),
-            client_id: None,
         }
     }
 
@@ -160,14 +156,6 @@ impl RemoteClient {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Names this client toward the backend's admission control. The id
-    /// rides as a `"client"` sibling of the job — never inside it.
-    #[must_use]
-    pub fn with_client_id(mut self, id: impl Into<String>) -> Self {
-        self.client_id = Some(id.into());
         self
     }
 
@@ -186,37 +174,11 @@ impl RemoteClient {
     /// backend rejected the job itself (deterministic — do not fail
     /// over).
     pub fn run_job(&self, job: &Job) -> Result<JobReport, RemoteError> {
-        self.run_job_with_deadline(job, None)
-    }
-
-    /// [`RemoteClient::run_job`] with the remaining time budget for this
-    /// job attached as `deadline_ms`. The backend refuses work it
-    /// provably cannot finish inside the budget and cuts off admitted
-    /// work that overruns it — so a job whose caller has given up on it
-    /// stops burning a remote worker. The deadline is a sibling
-    /// of the job in the frame: cache keys and report bytes are
-    /// unaffected.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteClient::run_job`].
-    pub fn run_job_with_deadline(
-        &self,
-        job: &Job,
-        deadline_ms: Option<u64>,
-    ) -> Result<JobReport, RemoteError> {
         let key = job.key();
-        let mut fields = vec![
+        let request = Json::Obj(vec![
             ("cmd".into(), Json::Str("run".into())),
             ("job".into(), job.to_json()),
-        ];
-        if let Some(id) = &self.client_id {
-            fields.push(("client".into(), Json::Str(id.clone())));
-        }
-        if let Some(d) = deadline_ms {
-            fields.push(("deadline_ms".into(), Json::Num(d as f64)));
-        }
-        let request = Json::Obj(fields);
+        ]);
         let response = self.exchange(&request.to_text(), &format!("{}|{key}", self.addr))?;
         if response.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(classify_protocol_error(&response));
@@ -237,24 +199,21 @@ impl RemoteClient {
         }
         // Wire attestation: the backend hashed the canonical report text
         // it sent; recomputing over the parsed report proves the payload
-        // survived transit *and* re-serialization byte-for-byte. A
-        // missing sibling is an old backend — accepted, but counted, so
-        // an operator can see how much of the fleet predates attestation.
+        // survived transit *and* re-serialization byte-for-byte. Every
+        // admitted backend attests (the fingerprint excludes any binary
+        // that predates it), so a missing attestation is as corrupt as a
+        // wrong one.
+        let ours = format!(
+            "{:016x}",
+            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
+        );
         match response.get("attest").and_then(Json::as_str) {
-            Some(claimed) => {
-                let ours = format!(
-                    "{:016x}",
-                    tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
-                );
-                if claimed != ours {
-                    return Err(RemoteError::Backend(format!(
-                        "report attestation {claimed} does not match recomputed {ours}"
-                    )));
-                }
-            }
-            None => tdsigma_obs::counter("dispatch.unattested").inc(),
+            Some(claimed) if claimed == ours => Ok(report),
+            Some(claimed) => Err(RemoteError::Backend(format!(
+                "report attestation {claimed} does not match recomputed {ours}"
+            ))),
+            None => Err(RemoteError::Backend("response missing \"attest\"".into())),
         }
-        Ok(report)
     }
 
     /// Health-checks the backend via the `health` op.
@@ -302,14 +261,9 @@ impl RemoteClient {
         let health = self.health()?;
         let ours = tdsigma_core::engine_fingerprint();
         if health.fingerprint != ours {
-            let theirs = if health.fingerprint.is_empty() {
-                "unknown (pre-fingerprint binary)"
-            } else {
-                health.fingerprint.as_str()
-            };
             return Err(RemoteError::Backend(format!(
                 "{} engine fingerprint {} does not match local {}",
-                self.addr, theirs, ours
+                self.addr, health.fingerprint, ours
             )));
         }
         Ok(health)
@@ -472,12 +426,6 @@ fn classify_protocol_error(response: &Json) -> RemoteError {
                 .and_then(Json::as_u64)
                 .unwrap_or(250),
         };
-    }
-    if response.get("deadline_exceeded").and_then(Json::as_bool) == Some(true) {
-        // The backend refused the remaining budget. Job-class and
-        // retryable: the retry re-dispatches (rotation may land on an
-        // idler backend) without counting against this peer's breaker.
-        return RemoteError::Job(JobError::Transient(message));
     }
     if message.starts_with("invalid job:") {
         return RemoteError::Job(JobError::Invalid(
@@ -737,50 +685,9 @@ mod tests {
         handle.join().unwrap();
     }
 
-    #[test]
-    fn frame_split_across_many_writes_still_assembles() {
-        // The converse case: a slow-but-live peer dribbling one valid
-        // frame in many small writes must still be understood.
-        let report_line = {
-            let job = Job::sim(40.0, 750e6, 5e6);
-            let report = JobReport {
-                key: job.key(),
-                job: job.clone(),
-                fin_hz: job.input_frequency_hz(),
-                sndr_db: 61.0,
-                enob: 9.7,
-                power_mw: None,
-                digital_fraction: None,
-                area_mm2: None,
-                fom_fj: None,
-                timing_slack_ps: None,
-            };
-            let mut obj = Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("report".into(), report.to_json()),
-            ])
-            .to_text();
-            obj.push('\n');
-            obj
-        };
-        let (addr, handle) = hostile_backend(move |mut stream| {
-            for chunk in report_line.as_bytes().chunks(7) {
-                let _ = stream.write_all(chunk);
-                let _ = stream.flush();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        let report = fast_client(addr)
-            .run_job(&Job::sim(40.0, 750e6, 5e6))
-            .expect("dribbled frame must assemble");
-        assert_eq!(report.sndr_db, 61.0);
-        handle.join().unwrap();
-    }
-
-    /// One valid `{"ok":true,"report":...}` response line for `job`,
-    /// with an optional attestation sibling.
-    fn report_response_line(job: &Job, sndr_db: f64, attest: Option<&str>) -> String {
-        let report = JobReport {
+    /// The report the hostile backends below claim to have computed.
+    fn test_report(job: &Job, sndr_db: f64) -> JobReport {
+        JobReport {
             key: job.key(),
             job: job.clone(),
             fin_hz: job.input_frequency_hz(),
@@ -791,10 +698,23 @@ mod tests {
             area_mm2: None,
             fom_fj: None,
             timing_slack_ps: None,
-        };
+        }
+    }
+
+    /// The attestation serve computes for `report`.
+    fn attestation(report: &JobReport) -> String {
+        format!(
+            "{:016x}",
+            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
+        )
+    }
+
+    /// One valid `{"ok":true,"report":...}` response line for `job`,
+    /// with an optional attestation sibling.
+    fn report_response_line(job: &Job, sndr_db: f64, attest: Option<&str>) -> String {
         let mut fields = vec![
             ("ok".to_string(), Json::Bool(true)),
-            ("report".to_string(), report.to_json()),
+            ("report".to_string(), test_report(job, sndr_db).to_json()),
         ];
         if let Some(attest) = attest {
             fields.push(("attest".to_string(), Json::Str(attest.to_string())));
@@ -805,52 +725,62 @@ mod tests {
     }
 
     #[test]
-    fn pre_attestation_backend_is_accepted_and_counted() {
-        // A backend from before the attestation protocol omits the
-        // sibling entirely. Its reports must still be accepted — the
-        // fleet upgrades one node at a time — but each acceptance is
-        // counted so the operator can see the unattested fraction.
-        let job = Job {
-            seed: 4,
-            ..Job::sim(40.0, 750e6, 5e6)
-        };
-        let line = report_response_line(&job, 64.0, None);
-        let before = tdsigma_obs::counter("dispatch.unattested").get();
+    fn frame_split_across_many_writes_still_assembles() {
+        // The converse case: a slow-but-live peer dribbling one valid
+        // frame in many small writes must still be understood.
+        let job = Job::sim(40.0, 750e6, 5e6);
+        let attest = attestation(&test_report(&job, 61.0));
+        let report_line = report_response_line(&job, 61.0, Some(&attest));
         let (addr, handle) = hostile_backend(move |mut stream| {
-            let _ = stream.write_all(line.as_bytes());
+            for chunk in report_line.as_bytes().chunks(7) {
+                let _ = stream.write_all(chunk);
+                let _ = stream.flush();
+                std::thread::sleep(Duration::from_millis(5));
+            }
         });
         let report = fast_client(addr)
             .run_job(&job)
-            .expect("pre-attestation backend must stay usable");
-        assert_eq!(report.sndr_db, 64.0);
-        assert!(
-            tdsigma_obs::counter("dispatch.unattested").get() > before,
-            "the unattested acceptance must be counted"
-        );
+            .expect("dribbled frame must assemble");
+        assert_eq!(report.sndr_db, 61.0);
         handle.join().unwrap();
     }
 
     #[test]
     fn mismatched_attestation_is_a_backend_error() {
-        // The sibling is present but does not match the report bytes:
-        // the payload was corrupted after the backend summed it (or the
-        // backend is broken). Backend-class, so failover takes over.
+        // A wrong sibling means the payload was corrupted after the
+        // backend summed it (or the backend is broken). An absent one —
+        // or one whose key a bit flip garbled — proves nothing, and every
+        // admitted backend attests. All are backend-class, so failover
+        // takes over instead of caching an unchecked report.
         let job = Job {
             seed: 4,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let line = report_response_line(&job, 64.0, Some("deadbeefdeadbeef"));
-        let (addr, handle) = hostile_backend(move |mut stream| {
-            let _ = stream.write_all(line.as_bytes());
-        });
-        match fast_client(addr).run_job(&job) {
-            Err(RemoteError::Backend(m)) => {
-                assert!(m.contains("attestation"), "{m}");
-                assert!(m.contains("deadbeefdeadbeef"), "{m}");
+        let good = attestation(&test_report(&job, 64.0));
+        let cases = [
+            (
+                report_response_line(&job, 64.0, Some("deadbeefdeadbeef")),
+                "deadbeefdeadbeef",
+            ),
+            (report_response_line(&job, 64.0, None), "missing"),
+            (
+                report_response_line(&job, 64.0, Some(&good)).replace("\"attest\"", "\"attesu\""),
+                "missing",
+            ),
+        ];
+        for (line, needle) in cases {
+            let (addr, handle) = hostile_backend(move |mut stream| {
+                let _ = stream.write_all(line.as_bytes());
+            });
+            match fast_client(addr).run_job(&job) {
+                Err(RemoteError::Backend(m)) => {
+                    assert!(m.contains("attest"), "{m}");
+                    assert!(m.contains(needle), "{m}");
+                }
+                other => panic!("expected an attestation failure, got {other:?}"),
             }
-            other => panic!("expected attestation mismatch, got {other:?}"),
+            handle.join().unwrap();
         }
-        handle.join().unwrap();
     }
 
     #[test]
@@ -862,22 +792,7 @@ mod tests {
             seed: 4,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let report = JobReport {
-            key: job.key(),
-            job: job.clone(),
-            fin_hz: job.input_frequency_hz(),
-            sndr_db: 64.0,
-            enob: 9.7,
-            power_mw: None,
-            digital_fraction: None,
-            area_mm2: None,
-            fom_fj: None,
-            timing_slack_ps: None,
-        };
-        let attest = format!(
-            "{:016x}",
-            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
-        );
+        let attest = attestation(&test_report(&job, 64.0));
         let line = report_response_line(&job, 64.0, Some(&attest));
         let (addr, handle) = hostile_backend(move |mut stream| {
             let _ = stream.write_all(line.as_bytes());
@@ -909,24 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_rejection_classifies_as_retryable_job_error() {
-        let (addr, handle) = hostile_backend(|mut stream| {
-            let _ = stream.write_all(
-                b"{\"ok\":false,\"error\":\"deadline of 1 ms cannot be met \
-                  (estimated queue wait 40 ms)\",\"deadline_exceeded\":true}\n",
-            );
-        });
-        match fast_client(addr).run_job(&Job::sim(40.0, 750e6, 5e6)) {
-            Err(RemoteError::Job(e)) => {
-                assert!(e.is_retryable(), "deadline rejection must be retryable");
-                assert!(e.to_string().contains("deadline"), "{e}");
-            }
-            other => panic!("expected Job error, got {other:?}"),
-        }
-        handle.join().unwrap();
-    }
-
-    #[test]
     fn verify_fingerprint_rejects_a_mismatched_backend() {
         // A live, protocol-correct peer built from a different binary:
         // health answers fine, but the fingerprint gives it away.
@@ -948,7 +845,7 @@ mod tests {
         }
         handle.join().unwrap();
 
-        // A pre-fingerprint backend (no field at all) is equally
+        // A backend advertising no fingerprint at all is equally
         // untrusted — absence of evidence is not a match.
         let (addr, handle) = hostile_backend(|mut stream| {
             let _ = stream.write_all(
@@ -958,35 +855,10 @@ mod tests {
         });
         match fast_client(addr).verify_fingerprint() {
             Err(RemoteError::Backend(m)) => {
-                assert!(m.contains("pre-fingerprint"), "{m}");
+                assert!(m.contains("does not match"), "{m}");
             }
             other => panic!("expected mismatch for absent fingerprint, got {other:?}"),
         }
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn client_id_and_deadline_ride_outside_the_job() {
-        // Against a real server: the identified, deadline-carrying
-        // request must produce byte-identical report JSON to a bare one.
-        let (addr, handle) = test_server();
-        let job = Job {
-            seed: 6,
-            ..Job::sim(40.0, 750e6, 5e6)
-        };
-        let bare = RemoteClient::new(addr.to_string())
-            .run_job(&job)
-            .expect("bare run");
-        let dressed = RemoteClient::new(addr.to_string())
-            .with_client_id("sweep-42")
-            .run_job_with_deadline(&job, Some(120_000))
-            .expect("identified run");
-        assert_eq!(
-            bare.to_json().to_text(),
-            dressed.to_json().to_text(),
-            "admission metadata must never reach the report"
-        );
-        shutdown(addr);
         handle.join().unwrap();
     }
 }

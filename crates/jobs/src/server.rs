@@ -35,32 +35,24 @@
 //! `{"ok":false,"error":"shutdown disabled"}` and the server keeps
 //! serving.
 //!
-//! **Admission control.** Every job request passes a three-stage gate
-//! before touching the engine: a per-client token-bucket quota (clients
-//! name themselves with a `"client"` field; [`ServerConfig::quota_burst`]),
-//! queue-depth/stalled-worker–aware load shedding
-//! ([`ServerConfig::max_queue_per_worker`]), and a deadline feasibility
-//! check (`"deadline_ms"`, the client's remaining budget). Overload
-//! rejections are structured — `{"ok":false,"busy":true,
-//! "retry_after_ms":N,…}` with `quota` or `shed` markers — so a client
-//! can distinguish "you are over quota" from "everyone must back off"
-//! and knows exactly when to come back. An admitted deadline becomes the
-//! job's soft deadline in the pool, so work whose client has given up is
-//! cut off instead of burning a worker. `client` and `deadline_ms` never
-//! enter the job itself: cache keys and reports are byte-identical with
-//! or without them.
+//! **Admission control.** Two gates, one per resource. The connection
+//! cap ([`ServerConfig::max_connections`]) bounds threads: an excess
+//! connect gets one `busy` line and is closed. Queue-depth shedding
+//! ([`ServerConfig::max_queue_per_worker`]) bounds the work backlog: a
+//! job request arriving while the in-flight count is at the cap — or
+//! while every worker is stalled — is answered with
+//! `{"ok":false,"busy":true,"shed":true,"retry_after_ms":N,…}`, where
+//! `N` is a backlog-drain estimate the dispatcher honours as a cooldown.
 
 use crate::engine::Engine;
 use crate::error::JobError;
 use crate::faults::ATTEST_BASIS;
 use crate::job::{Job, JobKind};
 use crate::json::Json;
-use crate::pool::lock_unpoisoned;
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -88,13 +80,6 @@ pub struct ServerConfig {
     /// backend must not be killable by one of them. When off, the
     /// command answers `{"ok":false,"error":"shutdown disabled"}`.
     pub allow_remote_shutdown: bool,
-    /// Per-client token-bucket quota: burst capacity in requests. A job
-    /// request names its client with a `"client"` field (anonymous
-    /// requests share the `"anon"` bucket). 0 disables quotas.
-    pub quota_burst: u32,
-    /// Token-bucket refill rate, requests per second per client. Only
-    /// meaningful when `quota_burst > 0`.
-    pub quota_refill_per_sec: f64,
     /// Load shedding: maximum job requests in flight (queued or
     /// executing) per *live* worker before new work is shed with a
     /// structured `retry_after_ms` rejection. Stalled workers do not
@@ -111,71 +96,25 @@ impl Default for ServerConfig {
             max_connections: 64,
             stall_threshold_ms: 30_000,
             allow_remote_shutdown: false,
-            quota_burst: 0,
-            quota_refill_per_sec: 8.0,
             max_queue_per_worker: 16,
         }
     }
 }
 
-/// Hard bound on distinct client buckets held in memory: beyond it,
-/// idle buckets are pruned, and if every bucket is live the request is
-/// rejected — an adversary inventing client ids cannot grow the map
-/// without bound.
-const MAX_CLIENT_BUCKETS: usize = 1024;
-
-/// A classic token bucket: capacity `burst`, refilled continuously at
-/// `refill_per_sec`.
-#[derive(Debug)]
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn full(burst: u32) -> Self {
-        TokenBucket {
-            tokens: burst as f64,
-            last: Instant::now(),
-        }
-    }
-
-    /// Takes one token if available; otherwise says how long until the
-    /// next token exists, ms.
-    fn take(&mut self, burst: u32, refill_per_sec: f64) -> Result<(), u64> {
-        let now = Instant::now();
-        let refill = now.duration_since(self.last).as_secs_f64() * refill_per_sec;
-        self.tokens = (self.tokens + refill).min(burst as f64);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            Ok(())
-        } else {
-            let wait_s = (1.0 - self.tokens) / refill_per_sec.max(1e-9);
-            Err((wait_s * 1e3).ceil() as u64)
-        }
-    }
-}
-
-/// Shared admission state: who is asking for how much, how deep the
-/// work queue is, and how long a job has been taking lately. One
-/// instance per server, visible to every connection thread.
+/// Shared admission state: how deep the work queue is and how long a
+/// job has been taking lately. One instance per server, visible to
+/// every connection thread.
 #[derive(Debug)]
 pub(crate) struct Admission {
-    quota_burst: u32,
-    quota_refill_per_sec: f64,
     max_queue_per_worker: usize,
     /// Job requests accepted and not yet answered (queued + executing).
     inflight: AtomicUsize,
     /// EWMA of recent job service time, µs (0 = no sample yet). Feeds
-    /// the `retry_after_ms` hints and the deadline feasibility check.
+    /// the `retry_after_ms` hints.
     avg_service_us: AtomicU64,
-    buckets: Mutex<HashMap<String, TokenBucket>>,
-    /// Lifetime rejection counts, mirrored onto the obs registry and
-    /// reported by `health`.
+    /// Lifetime shed count, mirrored onto the obs registry and reported
+    /// by `health`.
     shed: AtomicU64,
-    quota_rejected: AtomicU64,
-    deadline_rejected: AtomicU64,
 }
 
 /// RAII claim on one admission slot: holds the in-flight count up while
@@ -198,15 +137,10 @@ impl Drop for AdmissionTicket<'_> {
 impl Admission {
     fn new(config: &ServerConfig) -> Self {
         Admission {
-            quota_burst: config.quota_burst,
-            quota_refill_per_sec: config.quota_refill_per_sec,
             max_queue_per_worker: config.max_queue_per_worker,
             inflight: AtomicUsize::new(0),
             avg_service_us: AtomicU64::new(0),
-            buckets: Mutex::new(HashMap::new()),
             shed: AtomicU64::new(0),
-            quota_rejected: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
         }
     }
 
@@ -240,31 +174,12 @@ impl Admission {
         (per_job * (depth + 1) / live_workers.max(1) as u64).clamp(50, 30_000)
     }
 
-    /// Admission decision for one job request. `Err` carries the
-    /// complete structured rejection to send back.
-    fn admit(
-        &self,
-        client: &str,
-        deadline_ms: Option<u64>,
-        workers: usize,
-        stalled: usize,
-    ) -> Result<AdmissionTicket<'_>, Json> {
+    /// Admission decision for one job request: bound the backlog by live
+    /// workers, so a stalled pool sheds earlier and a dead pool sheds
+    /// everything. `Err` carries the complete structured rejection to
+    /// send back.
+    fn admit(&self, workers: usize, stalled: usize) -> Result<AdmissionTicket<'_>, Json> {
         let live_workers = workers.saturating_sub(stalled);
-        // 1. Quota: a client out of tokens is rejected regardless of how
-        // idle the server is — the bucket is the contract.
-        if self.quota_burst > 0 {
-            if let Err(wait_ms) = self.take_token(client) {
-                self.quota_rejected.fetch_add(1, Ordering::Relaxed);
-                tdsigma_obs::counter("serve.quota_rejected").inc();
-                return Err(busy_response(
-                    &format!("quota exceeded for client {client:?}"),
-                    wait_ms.max(1),
-                    &[("quota", Json::Bool(true))],
-                ));
-            }
-        }
-        // 2. Load shedding: bound the backlog by live workers, so a
-        // stalled pool sheds earlier and a dead pool sheds everything.
         let depth = self.queue_depth();
         let cap = self.max_queue_per_worker * live_workers;
         if self.max_queue_per_worker > 0 && (live_workers == 0 || depth >= cap) {
@@ -281,51 +196,12 @@ impl Admission {
                 &[("shed", Json::Bool(true))],
             ));
         }
-        // 3. Deadline feasibility: reject work whose remaining budget
-        // cannot cover even the estimated queue wait — running it would
-        // only produce a report nobody is still waiting for.
-        if let Some(deadline) = deadline_ms {
-            let est_wait_ms = self.avg_service_ms() * (depth as u64) / live_workers.max(1) as u64;
-            if deadline == 0 || deadline <= est_wait_ms {
-                self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-                tdsigma_obs::counter("serve.deadline_rejected").inc();
-                return Err(Json::Obj(vec![
-                    ("ok".into(), Json::Bool(false)),
-                    (
-                        "error".into(),
-                        Json::Str(format!(
-                            "deadline of {deadline} ms cannot be met \
-                             (estimated queue wait {est_wait_ms} ms)"
-                        )),
-                    ),
-                    ("deadline_exceeded".into(), Json::Bool(true)),
-                ]));
-            }
-        }
         let n = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         tdsigma_obs::gauge("serve.admission_queue_depth").set(n as f64);
         Ok(AdmissionTicket {
             admission: self,
             started: Instant::now(),
         })
-    }
-
-    fn take_token(&self, client: &str) -> Result<(), u64> {
-        let mut buckets = lock_unpoisoned(&self.buckets);
-        if !buckets.contains_key(client) && buckets.len() >= MAX_CLIENT_BUCKETS {
-            // Prune buckets idle long enough to have fully refilled —
-            // forgetting one of those loses no state.
-            let refill_s =
-                (self.quota_burst as f64 / self.quota_refill_per_sec.max(1e-9)).min(60.0);
-            buckets.retain(|_, b| b.last.elapsed().as_secs_f64() < refill_s);
-            if buckets.len() >= MAX_CLIENT_BUCKETS {
-                return Err(1_000); // every bucket live: back off, not OOM
-            }
-        }
-        buckets
-            .entry(client.to_string())
-            .or_insert_with(|| TokenBucket::full(self.quota_burst))
-            .take(self.quota_burst, self.quota_refill_per_sec)
     }
 }
 
@@ -630,28 +506,17 @@ fn handle_line(line: &str, engine: &Engine, supervision: &Supervision) -> (Json,
             ),
         };
     }
-    // Friendly-units job request: `client`/`deadline_ms` are admission
-    // metadata, not job parameters — peel them off before the strict
-    // field check so they never reach the job (or its cache key).
-    let (client, deadline_ms, request) = match admission_fields(request) {
-        Ok(x) => x,
-        Err(e) => return (error_response(&e.to_string()), false),
-    };
     let job = match job_from_request(&request) {
         Ok(job) => job,
         Err(e) => return (error_response(&e.to_string()), false),
     };
-    (
-        admitted_run(engine, supervision, &client, deadline_ms, &job),
-        false,
-    )
+    (admitted_run(engine, supervision, &job), false)
 }
 
 /// Executes a `{"cmd":"run","job":{…}}` request: the job arrives in its
 /// canonical Hz-units JSON form ([`Job::to_json`]), so no unit
 /// conversion happens between a dispatcher and this backend — the cache
 /// key computed here is identical to the one the dispatcher computed.
-/// `client` and `deadline_ms` ride as siblings of `job`, never inside it.
 fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> Json {
     let Some(job_json) = request.get("job") else {
         return error_response("run request needs a \"job\" object");
@@ -660,32 +525,18 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
         Ok(job) => job,
         Err(e) => return error_response(&e.to_string()),
     };
-    let (client, deadline_ms) = match (client_field(request), deadline_field(request)) {
-        (Ok(c), Ok(d)) => (c, d),
-        (Err(e), _) | (_, Err(e)) => return error_response(&e.to_string()),
-    };
-    admitted_run(engine, supervision, &client, deadline_ms, &job)
+    admitted_run(engine, supervision, &job)
 }
 
-/// The admission gate plus the actual execution: quota → shed → deadline
-/// checks, then the job runs with any remaining budget mapped onto the
-/// pool's soft-deadline machinery.
-fn admitted_run(
-    engine: &Engine,
-    supervision: &Supervision,
-    client: &str,
-    deadline_ms: Option<u64>,
-    job: &Job,
-) -> Json {
+/// The admission gate plus the actual execution: shed on queue depth,
+/// then run the job.
+fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
-    let ticket = match supervision
-        .admission
-        .admit(client, deadline_ms, engine.workers(), stalled)
-    {
+    let ticket = match supervision.admission.admit(engine.workers(), stalled) {
         Ok(ticket) => ticket,
         Err(rejection) => return rejection,
     };
-    let result = engine.submit_one_with_deadline(job, deadline_ms.unwrap_or(0));
+    let result = engine.submit_one(job);
     drop(ticket);
     match result {
         Ok(mut report) => {
@@ -706,45 +557,6 @@ fn admitted_run(
         }
         Err(e) => error_response(&e.to_string()),
     }
-}
-
-/// Extracts and validates the optional `client` field (default `anon`).
-fn client_field(request: &Json) -> Result<String, JobError> {
-    match request.get("client") {
-        None | Some(Json::Null) => Ok("anon".into()),
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(JobError::Invalid(
-            "field \"client\" must be a string".into(),
-        )),
-    }
-}
-
-/// Extracts and validates the optional `deadline_ms` field: the client's
-/// remaining budget for this request, in ms.
-fn deadline_field(request: &Json) -> Result<Option<u64>, JobError> {
-    match request.get("deadline_ms") {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
-            JobError::Invalid("field \"deadline_ms\" must be a non-negative integer".into())
-        }),
-    }
-}
-
-/// Splits the admission metadata off a friendly-units request, returning
-/// `(client, deadline_ms, request-without-those-fields)`.
-fn admission_fields(request: Json) -> Result<(String, Option<u64>, Json), JobError> {
-    let client = client_field(&request)?;
-    let deadline_ms = deadline_field(&request)?;
-    let stripped = match request {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "client" && k != "deadline_ms")
-                .collect(),
-        ),
-        other => other,
-    };
-    Ok((client, deadline_ms, stripped))
 }
 
 fn ok_response(mut fields: Vec<(String, Json)>) -> Json {
@@ -830,19 +642,6 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
             (
                 "shed".into(),
                 Json::Num(supervision.admission.shed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "quota_rejected".into(),
-                Json::Num(supervision.admission.quota_rejected.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "deadline_rejected".into(),
-                Json::Num(
-                    supervision
-                        .admission
-                        .deadline_rejected
-                        .load(Ordering::Relaxed) as f64,
-                ),
             ),
         ]),
     )])
@@ -1370,48 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn quota_rejections_are_structured_and_recover_after_refill() {
-        let engine = test_engine();
-        let sup = Supervision {
-            admission: Arc::new(Admission::new(&ServerConfig {
-                quota_burst: 2,
-                quota_refill_per_sec: 50.0,
-                ..ServerConfig::default()
-            })),
-            ..test_supervision()
-        };
-        let ask = |seed: u64| {
-            handle_line(
-                &format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":{seed},"client":"alice"}}"#),
-                &engine,
-                &sup,
-            )
-            .0
-        };
-        assert_eq!(ask(1).get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(ask(2).get("ok").and_then(Json::as_bool), Some(true));
-        let rejected = ask(3);
-        assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(rejected.get("busy").and_then(Json::as_bool), Some(true));
-        assert_eq!(rejected.get("quota").and_then(Json::as_bool), Some(true));
-        let retry = rejected
-            .get("retry_after_ms")
-            .and_then(Json::as_u64)
-            .expect("quota rejection must carry retry_after_ms");
-        assert!(retry >= 1, "retry hint must be positive, got {retry}");
-        // A different client has its own bucket.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":9,"client":"bob"}"#,
-            &engine,
-            &sup,
-        );
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-        // After the refill interval the original client is served again.
-        std::thread::sleep(Duration::from_millis(retry + 50));
-        assert_eq!(ask(4).get("ok").and_then(Json::as_bool), Some(true));
-    }
-
-    #[test]
     fn shedding_trips_on_queue_depth_and_reports_retry_after() {
         let engine = test_engine();
         let sup = Supervision {
@@ -1422,18 +1179,25 @@ mod tests {
             ..test_supervision()
         };
         // Fill the admission window by hand: 2 workers × 1 = 2 slots.
-        let t1 = sup.admission.admit("anon", None, 2, 0).unwrap();
-        let _t2 = sup.admission.admit("anon", None, 2, 0).unwrap();
-        let shed = match sup.admission.admit("anon", None, 2, 0) {
+        let t1 = sup.admission.admit(2, 0).unwrap();
+        let _t2 = sup.admission.admit(2, 0).unwrap();
+        let shed = match sup.admission.admit(2, 0) {
             Err(r) => r,
             Ok(_) => panic!("third request must be shed"),
         };
         assert_eq!(shed.get("busy").and_then(Json::as_bool), Some(true));
         assert_eq!(shed.get("shed").and_then(Json::as_bool), Some(true));
-        assert!(shed.get("retry_after_ms").and_then(Json::as_u64).is_some());
+        // With no service samples yet the drain estimate (25 ms × 3 in
+        // line ÷ 2 workers) clamps to the 50 ms floor.
+        assert_eq!(
+            shed.get("retry_after_ms").and_then(Json::as_u64),
+            Some(50),
+            "no samples: the floor of the clamp"
+        );
+        assert_eq!(sup.admission.shed.load(Ordering::Relaxed), 1);
         // With every worker stalled, even an empty queue sheds.
         drop(t1);
-        let stalled = sup.admission.admit("anon", None, 2, 2);
+        let stalled = sup.admission.admit(2, 2);
         assert!(stalled.is_err(), "a fully stalled pool must shed");
         // Through the wire-level path the rejection reaches the client.
         let (r, _) = handle_line(
@@ -1450,99 +1214,35 @@ mod tests {
     }
 
     #[test]
-    fn hopeless_deadlines_are_rejected_and_feasible_ones_run() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        // deadline_ms: 0 is provably unmeetable.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1,"deadline_ms":0}"#,
-            &engine,
-            &sup,
-        );
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            r.get("deadline_exceeded").and_then(Json::as_bool),
-            Some(true)
-        );
-        // A generous deadline runs normally, and the report is identical
-        // to a deadline-free request (the field never reaches the job).
-        let (with, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":5,"deadline_ms":60000}"#,
-            &engine,
-            &sup,
-        );
-        let (without, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":5}"#,
-            &engine,
-            &sup,
-        );
-        assert_eq!(with.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            with.get("report").map(Json::to_text),
-            without.get("report").map(Json::to_text),
-            "deadline metadata must not change the report bytes"
-        );
-        // Malformed deadline is a validation error, not a crash.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"deadline_ms":"soon"}"#,
-            &engine,
-            &sup,
-        );
-        assert!(r
-            .get("error")
-            .and_then(Json::as_str)
-            .is_some_and(|m| m.contains("deadline_ms")));
-    }
-
-    #[test]
-    fn run_command_accepts_sibling_deadline_and_client_fields() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        let job = Job {
-            seed: 8,
-            ..Job::sim(40.0, 750e6, 5e6)
-        };
-        let request = Json::Obj(vec![
-            ("cmd".into(), Json::Str("run".into())),
-            ("job".into(), job.to_json()),
-            ("client".into(), Json::Str("sweeper-1".into())),
-            ("deadline_ms".into(), Json::Num(60_000.0)),
-        ]);
-        let (r, _) = handle_line(&request.to_text(), &engine, &sup);
-        assert_eq!(
-            r.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{}",
-            r.to_text()
-        );
-        assert_eq!(
-            r.get("report")
-                .and_then(|x| x.get("key"))
-                .and_then(Json::as_str),
-            Some(job.key().as_str()),
-            "admission metadata must not perturb the cache key"
-        );
-    }
-
-    #[test]
     fn health_reports_admission_counters() {
         let engine = test_engine();
         let sup = test_supervision();
+        // A fully stalled pool sheds even an empty queue.
         sup.admission
-            .admit("anon", Some(0), engine.workers(), 0)
+            .admit(engine.workers(), engine.workers())
             .unwrap_err();
         let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
         let health = r.get("health").expect("health object");
         assert_eq!(health.get("queue_depth").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(health.get("shed").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(
-            health.get("deadline_rejected").and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            health.get("quota_rejected").and_then(Json::as_f64),
-            Some(0.0)
-        );
+        assert_eq!(health.get("shed").and_then(Json::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn client_and_deadline_fields_are_unknown_request_fields() {
+        let engine = test_engine();
+        let sup = test_supervision();
+        for extra in [r#""client":"alice""#, r#""deadline_ms":60000"#] {
+            let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{extra}}}"#);
+            let (r, _) = handle_line(&line, &engine, &sup);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+            assert!(
+                r.get("error")
+                    .and_then(Json::as_str)
+                    .is_some_and(|m| m.contains("unknown request field")),
+                "{extra} must be refused, not ignored: {}",
+                r.to_text()
+            );
+        }
     }
 
     #[test]
@@ -1722,93 +1422,6 @@ mod tests {
         assert_eq!(adm.retry_after_ms(2), 2_000);
         // Zero live workers is treated as one, not a divide-by-zero.
         assert_eq!(adm.retry_after_ms(0), 4_000);
-    }
-
-    #[test]
-    fn token_bucket_long_idle_refill_clamps_at_burst() {
-        let mut bucket = TokenBucket::full(3);
-        for _ in 0..3 {
-            assert!(bucket.take(3, 1.0).is_ok(), "a full bucket serves burst");
-        }
-        let wait = bucket.take(3, 1.0).expect_err("drained bucket rejects");
-        assert!(
-            (1..=1_000).contains(&wait),
-            "the hint is at most one refill interval: {wait}"
-        );
-        // A client silent for a day does not bank a day of tokens: the
-        // continuous refill clamps at burst, so the comeback burst is
-        // exactly `burst` requests and not one per idle second.
-        bucket.last = Instant::now() - Duration::from_secs(86_400);
-        for _ in 0..3 {
-            assert!(bucket.take(3, 1.0).is_ok(), "idle refills to burst");
-        }
-        assert!(
-            bucket.take(3, 1.0).is_err(),
-            "token 4 must not exist after any idle, however long"
-        );
-        assert!(
-            bucket.tokens.is_finite() && bucket.tokens >= 0.0,
-            "clamped arithmetic keeps the level sane: {}",
-            bucket.tokens
-        );
-    }
-
-    #[test]
-    fn token_bucket_zero_refill_rate_stays_finite() {
-        // A pathological configuration (burst without refill) must not
-        // divide by zero or go NaN — the wait hint is huge but finite.
-        let mut bucket = TokenBucket::full(1);
-        assert!(bucket.take(1, 0.0).is_ok());
-        let wait = bucket.take(1, 0.0).expect_err("never refills");
-        assert!(wait > 0, "a finite wait, not a panic");
-        assert!(bucket.tokens.is_finite());
-    }
-
-    #[test]
-    fn quota_and_shed_hints_use_their_own_clamps() {
-        let adm = Admission::new(&ServerConfig {
-            quota_burst: 1,
-            quota_refill_per_sec: 2.0,
-            max_queue_per_worker: 1,
-            ..ServerConfig::default()
-        });
-        let ticket = adm.admit("c", None, 1, 0).expect("first token admits");
-        // The same client again, bucket empty: the rejection carries the
-        // bucket's own refill wait (≈500 ms at 2 tokens/s) — not the
-        // queue-drain estimate with its 50 ms floor.
-        let rejection = adm.admit("c", None, 1, 0).expect_err("quota rejects");
-        assert_eq!(rejection.get("quota").and_then(Json::as_bool), Some(true));
-        let wait = rejection
-            .get("retry_after_ms")
-            .and_then(Json::as_f64)
-            .expect("structured hint") as u64;
-        assert!(
-            (1..=500).contains(&wait),
-            "quota hint tracks the refill interval: {wait}"
-        );
-        // A fresh client has tokens, but the in-flight ticket fills the
-        // one-per-worker queue cap: the shed path answers, and with no
-        // service samples yet its drain estimate clamps to the 50 ms
-        // floor (interaction: quota was checked — and passed — first).
-        let shed = adm.admit("other", None, 1, 0).expect_err("shed rejects");
-        assert_eq!(shed.get("shed").and_then(Json::as_bool), Some(true));
-        let wait = shed
-            .get("retry_after_ms")
-            .and_then(Json::as_f64)
-            .expect("structured hint") as u64;
-        assert_eq!(wait, 50, "no samples: the floor of the clamp");
-        assert_eq!(adm.quota_rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(adm.shed.load(Ordering::Relaxed), 1);
-        // Releasing the ticket reopens the queue — but the shed attempt
-        // above already burned "other"'s only token (quota is checked
-        // first), so its next call is quota-rejected, while a brand-new
-        // client sails through.
-        drop(ticket);
-        let rejection = adm
-            .admit("other", None, 1, 0)
-            .expect_err("token spent on shed");
-        assert_eq!(rejection.get("quota").and_then(Json::as_bool), Some(true));
-        assert!(adm.admit("third", None, 1, 0).is_ok());
     }
 
     #[test]

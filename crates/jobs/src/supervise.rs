@@ -343,14 +343,10 @@ impl Fleet {
             self.slots[i].verified = true;
             return;
         }
-        let theirs = if health.fingerprint.is_empty() {
-            "unknown (pre-fingerprint binary)".to_string()
-        } else {
-            health.fingerprint
-        };
         tdsigma_obs::counter("fleet.version_skew").inc();
         eprintln!(
-            "fleet: child {i} engine fingerprint {theirs} != supervisor {ours}; refusing to adopt"
+            "fleet: child {i} engine fingerprint {} != supervisor {ours}; refusing to adopt",
+            health.fingerprint
         );
         if let Some(mut child) = self.slots[i].child.take() {
             let _ = child.kill();

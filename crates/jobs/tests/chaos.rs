@@ -87,7 +87,6 @@ fn engine(faults: FaultPlan, retries: u32, cache_dir: Option<PathBuf>) -> Engine
                 retries,
                 backoff_base_ms: 1,
                 backoff_max_ms: 8,
-                ..PoolConfig::default()
             },
             cache_dir,
             faults,
@@ -111,7 +110,6 @@ fn is_structured(e: &JobError) -> bool {
         JobError::Invalid(_)
             | JobError::Failed { .. }
             | JobError::Transient(_)
-            | JobError::Timeout { .. }
             | JobError::Canceled
             | JobError::PoolClosed
             | JobError::Io { .. }

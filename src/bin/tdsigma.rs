@@ -22,7 +22,7 @@
 //! tdsigma serve  [--addr 127.0.0.1:4017] [--workers N] [--retries 1]
 //!                [--cache-dir results/cache] [--no-cache] [--trace FILE]
 //!                [--max-connections 64] [--allow-remote-shutdown]
-//!                [--quota-burst N] [--quota-rps R] [--max-queue Q]
+//!                [--max-queue Q]
 //! tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]
 //!                [--max-connections N] [--restart-max 5]
 //!                [--health-interval-ms 500]
@@ -64,12 +64,10 @@
 //! line in, one JSON report per line out (see `crates/jobs/src/server.rs`
 //! or README for the protocol). The protocol `shutdown` command is
 //! refused unless the server was started with `--allow-remote-shutdown`.
-//! Admission control is built in: `--quota-burst`/`--quota-rps` cap each
-//! client id with a token bucket, `--max-queue` sheds work when the
-//! queue outgrows the live workers, and every rejection is structured
-//! with a computed `retry_after_ms`. Sweep clients can attach a per-job
-//! wall-clock budget with `--deadline-ms`: the remaining budget rides
-//! each frame and a backend refuses work it provably cannot finish.
+//! Admission control is two gates: `--max-connections` bounds threads,
+//! and `--max-queue` sheds job requests once the in-flight backlog
+//! outgrows the live workers, with a structured rejection carrying a
+//! computed `retry_after_ms` that sweep clients honour as a cooldown.
 //!
 //! `fleet` runs a self-healing fleet of serve children: it spawns
 //! `--children` servers on auto-picked ports (printed at startup),
@@ -191,7 +189,7 @@ fn print_help() {
     println!("  tdsigma serve  [--addr HOST:PORT] [--workers W] [--retries R]");
     println!("                 [--cache-dir DIR] [--no-cache] [--trace FILE]");
     println!("                 [--max-connections N] [--allow-remote-shutdown]");
-    println!("                 [--quota-burst N] [--quota-rps R] [--max-queue Q]");
+    println!("                 [--max-queue Q]");
     println!("                                                JSON-lines job server");
     println!("  tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]");
     println!("                 [--max-connections N] [--restart-max 5]");
@@ -222,16 +220,17 @@ fn print_help() {
     println!("  finished by `tdsigma optimize --resume ID` through the result cache.");
     println!("DRY RUN: `--dry-run` (sweep and optimize) prints the planned jobs and");
     println!("  predicted cache hits vs misses, then exits without executing anything.");
-    println!("OVERLOAD: serve sheds work it cannot take (`--quota-burst`/`--quota-rps`");
-    println!("  per-client quotas, `--max-queue` depth cap) with structured busy");
-    println!("  rejections carrying retry_after_ms; sweep `--deadline-ms MS` attaches a");
-    println!("  per-job wall-clock budget that backends enforce. `tdsigma fleet` keeps");
-    println!("  N serve children alive (crash/stall restart with backoff and a storm");
-    println!("  cap) and drains them gracefully on SIGTERM. `sweep --journal-gc`");
-    println!("  prunes journals of finished runs; successful sweeps keep the newest 32.");
+    println!("OVERLOAD: serve caps connections (`--max-connections`) and sheds job");
+    println!("  requests beyond `--max-queue` per live worker with structured busy");
+    println!("  rejections carrying retry_after_ms, which sweep clients honour as a");
+    println!("  per-backend cooldown. `tdsigma fleet` keeps N serve children alive");
+    println!("  (crash/stall restart with backoff and a storm cap) and drains them");
+    println!("  gracefully on SIGTERM. `sweep --journal-gc` prunes journals of");
+    println!("  finished runs; successful sweeps keep the newest 32.");
     println!("RESULT INTEGRITY: serve attests each report with a checksum the client");
-    println!("  re-verifies; `--verify-sample P` re-runs a deterministic fraction P of");
-    println!("  remote results on a second backend or locally and byte-compares them");
+    println!("  re-verifies (a missing or wrong one fails over to another backend);");
+    println!("  `--verify-sample P` re-runs a deterministic fraction P of remote");
+    println!("  results on a second backend or locally and byte-compares them");
     println!("  (`--verify-all` checks every result). A backend whose bytes disagree");
     println!("  with redundant recomputation is integrity-quarantined for the run and");
     println!("  the verified bytes win, so sweep.json matches a local run exactly.");
@@ -285,10 +284,6 @@ const SWEEP_FLAGS: &[&str] = &[
     // failing on the journal's fingerprint mismatch.
     "resume-force",
     "no-journal",
-    // Distributed dispatch: only meaningful with a backend list in
-    // --workers. Per-job wall-clock budget forwarded to backends as
-    // deadline_ms.
-    "deadline-ms",
     // Result integrity: sampled redundant verification of remote
     // results (a fraction 0..=1, or --verify-all for every result).
     "verify-sample",
@@ -330,7 +325,6 @@ const OPTIMIZE_FLAGS: &[&str] = &[
     "resume",
     "resume-force",
     "no-journal",
-    "deadline-ms",
     "verify-sample",
     "verify-all",
     "dry-run",
@@ -346,9 +340,7 @@ const SERVE_FLAGS: &[&str] = &[
     "trace",
     "max-connections",
     "allow-remote-shutdown",
-    // Admission control: per-client token buckets and queue-depth shedding.
-    "quota-burst",
-    "quota-rps",
+    // Admission control: queue-depth shedding.
     "max-queue",
     "chaos-seed",
 ];
@@ -364,9 +356,7 @@ const FLEET_FLAGS: &[&str] = &[
     "restart-max",
     "restart-window-ms",
     "health-interval-ms",
-    // Admission knobs forwarded to each serve child.
-    "quota-burst",
-    "quota-rps",
+    // Admission knob forwarded to each serve child.
     "max-queue",
     // Hidden: deterministic fault injection (enables child kills).
     "chaos-seed",
@@ -569,13 +559,6 @@ fn run_cache(args: &[String]) -> ExitCode {
 /// re-executes every job under the current engine.
 fn verify_resume_fingerprint(run_id: &str, planned: &str, force: bool) -> Result<(), String> {
     let ours = tdsigma::core::engine_fingerprint();
-    if planned.is_empty() {
-        eprintln!(
-            "warning: journal for {run_id} predates engine fingerprinting; \
-             foreign cache artifacts will be demoted, not replayed"
-        );
-        return Ok(());
-    }
     if planned == ours {
         return Ok(());
     }
@@ -716,7 +699,6 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
             let config = DispatchConfig {
                 backends,
                 local_in_rotation: local,
-                deadline_ms: flags.usize("deadline-ms", 0)? as u64,
                 verify_permille: verify_permille(flags)?,
                 faults,
                 ..DispatchConfig::default()
@@ -1349,8 +1331,6 @@ fn run_serve(flags: &Flags) -> Outcome {
     let config = ServerConfig {
         max_connections: flags.usize("max-connections", defaults.max_connections)?,
         allow_remote_shutdown: flags.switch("allow-remote-shutdown"),
-        quota_burst: flags.usize("quota-burst", defaults.quota_burst as usize)? as u32,
-        quota_refill_per_sec: flags.f64("quota-rps", defaults.quota_refill_per_sec)?,
         max_queue_per_worker: flags.usize("max-queue", defaults.max_queue_per_worker)?,
         ..ServerConfig::default()
     };
@@ -1368,21 +1348,9 @@ fn run_serve(flags: &Flags) -> Outcome {
     println!("protocol: one JSON job request per line, one JSON report per line back");
     println!(r#"example: {{"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}}"#);
     println!(r#"supervision: {{"cmd":"health"}} and {{"cmd":"ready"}} report liveness"#);
-    match (config.quota_burst, config.max_queue_per_worker) {
-        (0, 0) => println!("admission: open (no per-client quota, no queue cap)"),
-        (burst, cap) => println!(
-            "admission: quota {} (burst {burst}), queue cap {}",
-            if burst == 0 {
-                "off".to_string()
-            } else {
-                format!("{:.1}/s per client", config.quota_refill_per_sec)
-            },
-            if cap == 0 {
-                "off".to_string()
-            } else {
-                format!("{cap} per worker")
-            },
-        ),
+    match config.max_queue_per_worker {
+        0 => println!("admission: open (no queue cap)"),
+        cap => println!("admission: queue cap {cap} per worker"),
     }
     if config.allow_remote_shutdown {
         println!("remote shutdown: ENABLED (any client can stop this server)");
@@ -1437,13 +1405,7 @@ fn run_fleet(flags: &Flags) -> Outcome {
         child_args.push("--cache-dir".to_string());
         child_args.push(dir.clone());
     }
-    for key in [
-        "retries",
-        "max-connections",
-        "quota-burst",
-        "quota-rps",
-        "max-queue",
-    ] {
+    for key in ["retries", "max-connections", "max-queue"] {
         if let Some(value) = flags.values.get(key) {
             child_args.push(format!("--{key}"));
             child_args.push(value.clone());

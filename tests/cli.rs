@@ -121,6 +121,12 @@ fn unknown_flag_is_rejected_with_the_supported_list() {
         ("sweep", "--nodez"),
         ("design", "--mode"),
         ("serve", "--port"),
+        // Removed with per-client quotas and deadline propagation.
+        ("serve", "--quota-burst"),
+        ("serve", "--quota-rps"),
+        ("sweep", "--deadline-ms"),
+        ("optimize", "--deadline-ms"),
+        ("fleet", "--quota-rps"),
     ] {
         let out = Command::new(bin())
             .args([cmd, flag, "40"])
