@@ -12,8 +12,8 @@
 //! the artifact-schema version. Two binaries agree on the fingerprint
 //! exactly when they would agree on every simulation result.
 //!
-//! Consumers (the jobs crate's cache, journal, serve protocol and fleet
-//! supervisor) treat the fingerprint as an opaque token: equality means
+//! Consumers (the jobs crate's cache, journal, serve protocol and
+//! dispatcher) treat the fingerprint as an opaque token: equality means
 //! "results are interchangeable", anything else means version skew.
 //!
 //! For testing and CI, `TDSIGMA_FINGERPRINT` overrides the computed

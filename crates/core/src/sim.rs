@@ -123,6 +123,9 @@ impl fmt::Display for ComparatorFlavor {
 
 const TWO_PI: f64 = 2.0 * PI;
 
+/// The window every single-tone analysis of a capture uses.
+pub const ANALYSIS_WINDOW: Window = Window::Hann;
+
 /// Incremental tracker for the VCO tap-0 level predicate
 /// `phase.rem_euclid(2π) < π` — bit-identical to calling `rem_euclid`,
 /// but ~10× cheaper on the hot path.
@@ -264,7 +267,7 @@ impl SimCapture {
     /// [`Self::analyze`] with caller-owned DSP scratch buffers (see
     /// [`Self::spectrum_with`]). Bit-identical to [`Self::analyze`].
     pub fn analyze_with(&self, bw_hz: f64, scratch: &mut SpectrumScratch) -> ToneAnalysis {
-        let spectrum = self.spectrum_with(Window::Hann, scratch);
+        let spectrum = self.spectrum_with(ANALYSIS_WINDOW, scratch);
         let _span = obs::span("flow.tone_metrics");
         ToneAnalysis::of(&spectrum, Some(bw_hz))
     }

@@ -2,6 +2,7 @@
 //! merit the paper's Tables 3 and 4 report.
 
 use crate::spectrum::{power_to_db, Spectrum};
+use crate::window::Window;
 use std::fmt;
 
 /// Result of analysing a single-tone capture.
@@ -32,6 +33,20 @@ pub struct ToneAnalysis {
 }
 
 impl ToneAnalysis {
+    /// The shortest power-of-two capture, in samples at
+    /// `sample_rate_hz`, that leaves [`ToneAnalysis::of`] enough bins
+    /// below `bandwidth_hz` under `window` — that method's precondition,
+    /// checkable before anything is simulated. `None` when no capture
+    /// length resolves the band (a non-positive bandwidth or rate).
+    pub fn min_samples(sample_rate_hz: f64, bandwidth_hz: f64, window: Window) -> Option<usize> {
+        let lo_bin = window.leakage_bins() + 1;
+        let bw = bandwidth_hz.min(sample_rate_hz / 2.0);
+        (1..usize::BITS - 1).map(|k| 1usize << k).find(|&n| {
+            let hi_bin = ((bw / (sample_rate_hz / n as f64)).round() as usize).min(n / 2);
+            hi_bin > lo_bin + 2
+        })
+    }
+
     /// Analyses `spectrum`, integrating noise up to `bandwidth_hz`
     /// (defaults to Nyquist when `None`).
     ///
@@ -240,7 +255,6 @@ pub fn schreier_fom_db(power_w: f64, sndr_db: f64, bandwidth_hz: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::Window;
     use std::f64::consts::PI;
 
     fn capture(n: usize, tone_bin: f64, amp: f64, noise_rms: f64, seed: u64) -> Vec<f64> {
@@ -258,6 +272,20 @@ mod tests {
                 amp * (2.0 * PI * tone_bin * t).sin() + noise_rms * 3.46 * rng()
             })
             .collect()
+    }
+
+    #[test]
+    fn min_samples_is_the_analysis_precondition() {
+        // 750 MHz / 5 MHz under Hann: the band edge must land past bin 6.
+        let min = ToneAnalysis::min_samples(750e6, 5e6, Window::Hann).unwrap();
+        assert_eq!(min, 1024);
+        let s = Spectrum::from_samples(&capture(min, 5.0, 1.0, 1e-3, 3), 750e6, Window::Hann);
+        let _ = ToneAnalysis::of(&s, Some(5e6));
+        let short =
+            Spectrum::from_samples(&capture(min / 2, 2.0, 1.0, 1e-3, 3), 750e6, Window::Hann);
+        let caught = std::panic::catch_unwind(|| ToneAnalysis::of(&short, Some(5e6)));
+        assert!(caught.is_err(), "half the minimum must be too short");
+        assert_eq!(ToneAnalysis::min_samples(750e6, 0.0, Window::Hann), None);
     }
 
     #[test]

@@ -792,9 +792,9 @@ mod tests {
 
     #[test]
     fn concurrent_puts_of_one_key_all_succeed_and_hit() {
-        // Fleet children share one cache dir and two serve connections
-        // can run the same job: writers of one key must not share a temp
-        // path, or the first rename wins and the rest fail.
+        // Several serve processes can share one cache dir and two serve
+        // connections can run the same job: writers of one key must not
+        // share a temp path, or the first rename wins and the rest fail.
         let dir = temp_dir("concurrent_put");
         let report = report_for(&Job::sim(40.0, 750e6, 5e6));
         let writers: Vec<ResultCache> = (0..8)

@@ -871,6 +871,15 @@ mod tests {
     /// A backend that answers every request with a structured shed
     /// rejection — alive, polite, and permanently full.
     fn spawn_busy_backend(retry_after_ms: u64) -> std::net::SocketAddr {
+        spawn_canned_backend(format!(
+            "{{\"ok\":false,\"error\":\"server is at capacity\",\
+             \"busy\":true,\"shed\":true,\"retry_after_ms\":{retry_after_ms}}}\n"
+        ))
+    }
+
+    /// A backend that answers every request line with the same `reply`
+    /// frame, whatever was asked.
+    fn spawn_canned_backend(reply: String) -> std::net::SocketAddr {
         use std::io::{BufRead, BufReader, Write};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -883,13 +892,7 @@ mod tests {
                     continue;
                 }
                 let mut stream = stream;
-                let _ = stream.write_all(
-                    format!(
-                        "{{\"ok\":false,\"error\":\"server is at capacity\",\
-                         \"busy\":true,\"shed\":true,\"retry_after_ms\":{retry_after_ms}}}\n"
-                    )
-                    .as_bytes(),
-                );
+                let _ = stream.write_all(reply.as_bytes());
             }
         });
         addr
@@ -1148,6 +1151,39 @@ mod tests {
             "the summary must flag the degradation: {rendered}"
         );
         stop_backend(skewed, handle);
+    }
+
+    #[test]
+    fn backend_advertising_no_fingerprint_is_untrusted() {
+        // A live peer whose health frame carries no `fingerprint` field
+        // at all: absence of evidence is not a match.
+        let unstamped = spawn_canned_backend(
+            "{\"ok\":true,\"health\":{\"status\":\"ok\",\"workers\":2,\
+             \"uptime_ms\":5,\"served_jobs\":0}}\n"
+                .to_string(),
+        );
+        let dispatcher = Dispatcher::new(&fast_config(vec![unstamped.to_string()]), local_runner());
+        assert!(dispatcher.probe()[0].1.is_some(), "the probe reaches it");
+        assert!(
+            dispatcher.backends[0].skewed(),
+            "a missing fingerprint must mark the backend skewed"
+        );
+        for seed in 0..3u64 {
+            let job = Job {
+                seed,
+                ..Job::sim(40.0, 750e6, 5e6)
+            };
+            dispatcher.run_job(&job).expect("local absorbs the work");
+        }
+        let summary = dispatcher.summary();
+        assert_eq!(
+            summary.backends[0].dispatched, 0,
+            "an unstamped backend must never receive a job: {summary}"
+        );
+        assert!(
+            summary.to_string().contains("DEGRADED: version_skew"),
+            "the summary must flag the degradation: {summary}"
+        );
     }
 
     #[test]

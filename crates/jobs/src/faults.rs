@@ -18,7 +18,9 @@ use tdsigma_tech::{fnv1a64, Rng64, FNV1A64_BASIS};
 
 /// Where a fault decision is being made. Each site hashes into an
 /// independent decision stream so that, e.g., raising the panic rate
-/// does not reshuffle which attempts get latency.
+/// does not reshuffle which attempts get latency. The discriminants
+/// seed those streams, so they are fixed: a retired site's number
+/// (11) is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
     Panic = 1,
@@ -31,7 +33,6 @@ enum Site {
     Response = 8,
     SlowClient = 9,
     Flood = 10,
-    ChildKill = 11,
     WrongFingerprint = 12,
     LyingBackend = 13,
 }
@@ -113,16 +114,11 @@ pub struct FaultPlan {
     pub flood_permille: u16,
     /// How many extra duplicate requests one flood decision fires.
     pub flood_burst: u32,
-    /// Chance the fleet supervisor's chaos hook kills a serve child
-    /// after a health poll (exercises crash + restart + re-dispatch).
-    /// Not part of [`FaultPlan::chaos`]: killing real processes is the
-    /// fleet's own opt-in.
-    pub child_kill_permille: u16,
     /// Chance a server advertises a deliberately wrong engine
     /// fingerprint in one supervision frame (health/ready/stats).
-    /// Exercises the dispatcher's and fleet's version-skew exclusion.
+    /// Exercises the dispatcher's version-skew exclusion.
     /// Not part of [`FaultPlan::chaos`]: faking version skew changes
-    /// fleet membership, which is its own opt-in like child kills.
+    /// which backends a sweep may use, so it must stay opt-in.
     pub wrong_fingerprint_permille: u16,
     /// Chance a serve backend perturbs a report's *values* after compute
     /// while keeping the report key intact — a lying backend. This is
@@ -160,7 +156,6 @@ impl FaultPlan {
             slow_client_ms: 2,
             flood_permille: 100,
             flood_burst: 3,
-            child_kill_permille: 0,
             wrong_fingerprint_permille: 0,
             lying_backend_permille: 0,
         }
@@ -180,7 +175,6 @@ impl FaultPlan {
             && self.slow_client_permille == 0
             && self.slow_client_ms == 0
             && self.flood_permille == 0
-            && self.child_kill_permille == 0
             && self.wrong_fingerprint_permille == 0
             && self.lying_backend_permille == 0
     }
@@ -301,13 +295,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the fleet supervisor's chaos hook should kill child
-    /// `child` after health poll number `poll`.
-    pub fn child_kill(&self, child: usize, poll: u32) -> bool {
-        let key = format!("child-{child}");
-        self.hit(Site::ChildKill, &key, poll, self.child_kill_permille)
-    }
-
     /// Whether a server should advertise a deliberately wrong engine
     /// fingerprint in its `index`-th supervision frame. A skew-aware
     /// client must exclude the backend, never accept its results.
@@ -391,7 +378,6 @@ mod tests {
         assert_eq!(plan.net_fault("peer|abc123", 1), None);
         assert_eq!(plan.slow_client_stall(7), None);
         assert_eq!(plan.flood_at(7), 0);
-        assert!(!plan.child_kill(0, 1));
         assert!(!plan.wrong_fingerprint(1));
         assert_eq!(plan.lying_report_delta("abc123"), None);
     }
@@ -437,6 +423,7 @@ mod tests {
     #[test]
     fn chaos_plan_actually_fires_every_class() {
         let plan = FaultPlan::chaos(2017);
+        assert!(!plan.is_empty(), "chaos plan is never empty");
         let mut panics = 0;
         let mut transients = 0;
         let mut latencies = 0;
@@ -487,35 +474,8 @@ mod tests {
         assert!(slow > 20, "slow-client class silent: {slow}");
         assert!(floods > 10, "flood class silent: {floods}");
         assert_eq!(
-            plan.child_kill_permille, 0,
-            "process killing must stay opt-in, not part of default chaos"
-        );
-        assert_eq!(
             plan.lying_backend_permille, 0,
             "value corruption must stay opt-in, not part of default chaos"
-        );
-    }
-
-    #[test]
-    fn child_kill_fires_deterministically_when_enabled() {
-        let plan = FaultPlan {
-            seed: 31,
-            child_kill_permille: 400,
-            ..FaultPlan::default()
-        };
-        let hits: Vec<(usize, u32)> = (0..4)
-            .flat_map(|c| (0..50).map(move |p| (c, p)))
-            .filter(|&(c, p)| plan.child_kill(c, p))
-            .collect();
-        assert!(!hits.is_empty(), "enabled child-kill must fire");
-        let again: Vec<(usize, u32)> = (0..4)
-            .flat_map(|c| (0..50).map(move |p| (c, p)))
-            .filter(|&(c, p)| plan.child_kill(c, p))
-            .collect();
-        assert_eq!(hits, again, "decisions must be pure");
-        assert!(
-            !FaultPlan::chaos(31).is_empty(),
-            "chaos plan is never empty"
         );
     }
 
@@ -534,7 +494,7 @@ mod tests {
         assert_eq!(
             FaultPlan::chaos(67).wrong_fingerprint_permille,
             0,
-            "faking version skew changes fleet membership; it must stay opt-in"
+            "faking version skew changes which backends run; it must stay opt-in"
         );
     }
 

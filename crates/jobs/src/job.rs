@@ -10,7 +10,9 @@
 
 use crate::error::JobError;
 use crate::json::Json;
+use tdsigma_core::sim::ANALYSIS_WINDOW;
 use tdsigma_core::spec::AdcSpec;
+use tdsigma_dsp::metrics::ToneAnalysis;
 use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 
 /// What the job computes.
@@ -181,6 +183,31 @@ impl Job {
         spec.validated().map_err(|e| invalid(&e))
     }
 
+    /// Rejects a capture length the spectrum analysis cannot use: the
+    /// FFT needs a power of two, and the tone analysis needs the band
+    /// edge clear of the window's DC skirt
+    /// ([`ToneAnalysis::min_samples`]). CLI planning, serve (ahead of
+    /// admission) and [`crate::execute()`] share this check, so a bad
+    /// `samples` fails as [`JobError::Invalid`] instead of panicking
+    /// inside a job.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] naming the minimum sample count for the band.
+    pub fn check_samples(&self) -> Result<(), JobError> {
+        let band = format!("fs {} MHz / bw {} MHz", self.fs_hz / 1e6, self.bw_hz / 1e6);
+        match ToneAnalysis::min_samples(self.fs_hz, self.bw_hz, ANALYSIS_WINDOW) {
+            Some(min) if self.samples >= min && self.samples.is_power_of_two() => Ok(()),
+            Some(min) => Err(JobError::Invalid(format!(
+                "samples {} cannot be analyzed at {band}: need a power of two ≥ {min}",
+                self.samples
+            ))),
+            None => Err(JobError::Invalid(format!(
+                "no capture length resolves the band at {band}"
+            ))),
+        }
+    }
+
     /// The coherent input frequency the job will actually simulate: the
     /// target (or BW/5) snapped to a non-zero FFT bin of the capture —
     /// the same snap rule as `DesignFlow::input_frequency_hz`.
@@ -328,6 +355,22 @@ mod tests {
         match job.to_spec() {
             Err(JobError::Invalid(_)) => {}
             other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_samples_names_the_minimum_for_the_band() {
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        for ok in [1024, 2048, 8192] {
+            job.samples = ok;
+            assert_eq!(job.check_samples(), Ok(()), "{ok}");
+        }
+        for bad in [512, 3000] {
+            job.samples = bad;
+            match job.check_samples() {
+                Err(JobError::Invalid(m)) => assert!(m.contains("≥ 1024"), "{m}"),
+                other => panic!("expected Invalid for {bad}, got {other:?}"),
+            }
         }
     }
 

@@ -42,6 +42,8 @@
 //! channels from `std::sync::mpsc`, sockets from `std::net`, JSON from
 //! the in-crate [`json`] writer/parser.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod dispatch;
 pub mod engine;
@@ -57,7 +59,6 @@ pub mod pool;
 pub mod remote;
 pub mod report;
 pub mod server;
-pub mod supervise;
 
 pub use cache::{CacheScrub, CacheStats, ResultCache};
 pub use dispatch::{BreakerConfig, BreakerState, CircuitBreaker, DispatchConfig, Dispatcher};
@@ -76,4 +77,3 @@ pub use pool::{
 pub use remote::{BackendHealth, RemoteClient, RemoteConfig, RemoteError};
 pub use report::JobReport;
 pub use server::{Server, ServerConfig};
-pub use supervise::{install_stop_handler, Fleet, FleetConfig};

@@ -528,9 +528,12 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
     admitted_run(engine, supervision, &job)
 }
 
-/// The admission gate plus the actual execution: shed on queue depth,
-/// then run the job.
+/// The admission gate plus the actual execution: reject a capture the
+/// analysis cannot use, shed on queue depth, then run the job.
 fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
+    if let Err(e) = job.check_samples() {
+        return error_response(&e.to_string());
+    }
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
     let ticket = match supervision.admission.admit(engine.workers(), stalled) {
         Ok(ticket) => ticket,
@@ -981,6 +984,20 @@ mod tests {
         let (r, _) = handle_line("this is not json", &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert!(r.get("error").and_then(Json::as_str).is_some());
+
+        // A capture the analysis cannot use is refused before it runs.
+        let line = r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"samples":512}"#;
+        let (r, _) = handle_line(line, &engine, &sup);
+        let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            err.starts_with("invalid job:") && err.contains("≥ 1024"),
+            "{err}"
+        );
+        assert_eq!(
+            engine.totals().jobs,
+            1,
+            "only the good job reached the engine"
+        );
 
         let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));

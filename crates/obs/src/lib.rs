@@ -33,6 +33,7 @@
 //! assert!(snap.counters["jobs.cache_hits"] >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod registry;

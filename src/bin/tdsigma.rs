@@ -23,9 +23,6 @@
 //!                [--cache-dir results/cache] [--no-cache] [--trace FILE]
 //!                [--max-connections 64] [--allow-remote-shutdown]
 //!                [--max-queue Q]
-//! tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]
-//!                [--max-connections N] [--restart-max 5]
-//!                [--health-interval-ms 500]
 //! tdsigma cache  stats|scrub [--cache-dir results/cache]
 //! tdsigma nodes
 //! tdsigma help
@@ -69,12 +66,6 @@
 //! outgrows the live workers, with a structured rejection carrying a
 //! computed `retry_after_ms` that sweep clients honour as a cooldown.
 //!
-//! `fleet` runs a self-healing fleet of serve children: it spawns
-//! `--children` servers on auto-picked ports (printed at startup),
-//! restarts any child that crashes or stops answering `ready` (with
-//! deterministic-jitter backoff and a restart-storm cap), and drains
-//! the fleet gracefully, one child at a time, on SIGTERM/SIGINT.
-//!
 //! `sweep --journal-gc` prunes journals of provably-finished runs (a
 //! bounded `results/journal/`, like the cache's `rejected/` prune);
 //! successful sweeps also auto-prune, keeping the newest 32.
@@ -87,8 +78,7 @@
 //! engine unless `--resume-force` re-executes everything, serve
 //! advertises the fingerprint in `health`/`ready`/`stats`, sweeps
 //! exclude mismatched-fingerprint backends from dispatch (degrading to
-//! matching backends plus local fallback), and `fleet` refuses to
-//! adopt a restarted child whose fingerprint changed under it.
+//! matching backends plus local fallback).
 //! `tdsigma cache stats` counts fresh, foreign, corrupt and rejected
 //! artifacts; `tdsigma cache scrub` removes all but the fresh ones.
 //!
@@ -105,10 +95,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use tdsigma::core::{flow::DesignFlow, spec::AdcSpec};
 use tdsigma::jobs::{
-    default_workers, execute, gc_finished, install_stop_handler, validate_run_id, BatchReport,
-    DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Fleet, FleetConfig, Job, JobError,
-    JobKind, Journal, JournalRecord, JournalReplay, Json, PlanPreview, PoolConfig, ResultCache,
-    Runner, Server, ServerConfig,
+    default_workers, execute, gc_finished, validate_run_id, BatchReport, DispatchConfig,
+    Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobError, JobKind, Journal, JournalRecord,
+    JournalReplay, Json, PlanPreview, PoolConfig, ResultCache, Runner, Server, ServerConfig,
 };
 use tdsigma::layout::physlib::PhysicalLibrary;
 use tdsigma::layout::{gds, lef, render};
@@ -137,7 +126,6 @@ fn main() -> ExitCode {
         Some("sweep") => dispatch(&args[1..], SWEEP_FLAGS, run_sweep),
         Some("optimize") => dispatch(&args[1..], OPTIMIZE_FLAGS, run_optimize),
         Some("serve") => dispatch(&args[1..], SERVE_FLAGS, run_serve),
-        Some("fleet") => dispatch(&args[1..], FLEET_FLAGS, run_fleet),
         Some("cache") => run_cache(&args[1..]),
         Some("nodes") => {
             println!("supported technology nodes:");
@@ -191,10 +179,6 @@ fn print_help() {
     println!("                 [--max-connections N] [--allow-remote-shutdown]");
     println!("                 [--max-queue Q]");
     println!("                                                JSON-lines job server");
-    println!("  tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]");
-    println!("                 [--max-connections N] [--restart-max 5]");
-    println!("                 [--health-interval-ms 500] [serve admission flags]");
-    println!("                                                self-healing serve fleet");
     println!("  tdsigma cache  stats|scrub [--cache-dir DIR]  inspect / prune the cache");
     println!("  tdsigma nodes                                 list technology nodes");
     println!("  tdsigma help | --help | -h                    this message");
@@ -223,9 +207,7 @@ fn print_help() {
     println!("OVERLOAD: serve caps connections (`--max-connections`) and sheds job");
     println!("  requests beyond `--max-queue` per live worker with structured busy");
     println!("  rejections carrying retry_after_ms, which sweep clients honour as a");
-    println!("  per-backend cooldown. `tdsigma fleet` keeps N serve children alive");
-    println!("  (crash/stall restart with backoff and a storm cap) and drains them");
-    println!("  gracefully on SIGTERM. `sweep --journal-gc` prunes journals of");
+    println!("  per-backend cooldown. `sweep --journal-gc` prunes journals of");
     println!("  finished runs; successful sweeps keep the newest 32.");
     println!("RESULT INTEGRITY: serve attests each report with a checksum the client");
     println!("  re-verifies (a missing or wrong one fails over to another backend);");
@@ -344,23 +326,6 @@ const SERVE_FLAGS: &[&str] = &[
     "max-queue",
     "chaos-seed",
 ];
-const FLEET_FLAGS: &[&str] = &[
-    // Fleet shape.
-    "children",
-    "workers",
-    "retries",
-    "cache-dir",
-    "no-cache",
-    "max-connections",
-    // Supervision knobs.
-    "restart-max",
-    "restart-window-ms",
-    "health-interval-ms",
-    // Admission knob forwarded to each serve child.
-    "max-queue",
-    // Hidden: deterministic fault injection (enables child kills).
-    "chaos-seed",
-];
 
 fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     let mut flags = Flags {
@@ -444,6 +409,11 @@ fn run_design(flags: &Flags) -> Outcome {
     let bw_hz = flags.f64("bw-mhz", 5.0)? * 1e6;
     let slices = flags.usize("slices", 8)?;
     let samples = flags.usize("samples", 16_384)?;
+    Job {
+        samples,
+        ..Job::flow(node_nm, fs_hz, bw_hz)
+    }
+    .check_samples()?;
     let out = flags.str("out", "results");
     let out = Path::new(&out);
     fs::create_dir_all(out)?;
@@ -628,7 +598,7 @@ fn fault_plan(flags: &Flags) -> Result<FaultPlan, String> {
     // lying-backend fault site from the environment. The site only
     // fires in a serve process (it perturbs report values after
     // compute), and it stays out of `chaos` because it silently breaks
-    // byte-identity — integration tests arm it on one fleet child to
+    // byte-identity — integration tests arm it on one serve backend to
     // prove sampled verification catches the liar.
     if let Ok(text) = std::env::var("TDSIGMA_LYING_PERMILLE") {
         let permille = text
@@ -1039,6 +1009,7 @@ fn run_sweep(flags: &Flags) -> Outcome {
                             job.amplitude_rel = amp;
                             job.samples = samples;
                             job.seed = seed;
+                            job.check_samples()?;
                             jobs.push(job);
                         }
                     }
@@ -1104,12 +1075,14 @@ fn run_sweep(flags: &Flags) -> Outcome {
     );
     let journal_dir = journal_dir(flags);
     if failed > 0 {
-        eprintln!(
-            "degraded: {failed} of {} jobs failed — resume with: \
-             tdsigma sweep --resume {} --journal-dir {journal_dir}",
-            jobs.len(),
-            run.id
-        );
+        let next = match run.journal {
+            Some(_) => format!(
+                "resume with: tdsigma sweep --resume {} --journal-dir {journal_dir}",
+                run.id
+            ),
+            None => "no journal was written (--no-journal); rerun the sweep".to_string(),
+        };
+        eprintln!("degraded: {failed} of {} jobs failed — {next}", jobs.len());
     }
 
     // Journal GC: an explicit --journal-gc prunes every provably-finished
@@ -1372,77 +1345,6 @@ fn run_serve(flags: &Flags) -> Outcome {
         println!("wrote trace → {path}");
     }
     Ok(totals.failed)
-}
-
-/// Spawns and supervises N `tdsigma serve` children, restarting crashed
-/// or stalled ones with deterministic-jitter backoff. Blocks until
-/// SIGTERM/SIGINT, then drains the fleet gracefully.
-fn run_fleet(flags: &Flags) -> Outcome {
-    let children = flags.usize("children", 2)?;
-    if children == 0 {
-        return Err("--children must be at least 1".into());
-    }
-    let workers = flags.usize("workers", default_workers().min(4))?;
-    let program = std::env::current_exe()?
-        .to_str()
-        .ok_or("fleet: executable path is not valid UTF-8")?
-        .to_string();
-
-    // Each child is a full serve process on its own pre-picked address;
-    // {addr} is substituted by the supervisor. Remote shutdown is on so
-    // the supervisor's rolling drain can stop children over the wire.
-    let mut child_args = vec![
-        "serve".to_string(),
-        "--addr".to_string(),
-        "{addr}".to_string(),
-        "--workers".to_string(),
-        workers.to_string(),
-        "--allow-remote-shutdown".to_string(),
-    ];
-    if flags.switch("no-cache") {
-        child_args.push("--no-cache".to_string());
-    } else if let Some(dir) = flags.values.get("cache-dir") {
-        child_args.push("--cache-dir".to_string());
-        child_args.push(dir.clone());
-    }
-    for key in ["retries", "max-connections", "max-queue"] {
-        if let Some(value) = flags.values.get(key) {
-            child_args.push(format!("--{key}"));
-            child_args.push(value.clone());
-        }
-    }
-
-    // Chaos: the shared plan leaves child kills off (killing processes
-    // is the supervisor's business, not the engine's); a fleet run with
-    // a chaos seed opts in so restarts actually get exercised.
-    let mut faults = fault_plan(flags)?;
-    if !faults.is_empty() {
-        faults.child_kill_permille = 150;
-    }
-
-    let defaults = FleetConfig::default();
-    let config = FleetConfig {
-        program,
-        child_args,
-        children,
-        max_restarts: flags.usize("restart-max", defaults.max_restarts as usize)? as u32,
-        restart_window_ms: flags.usize("restart-window-ms", defaults.restart_window_ms as usize)?
-            as u64,
-        health_interval_ms: flags
-            .usize("health-interval-ms", defaults.health_interval_ms as usize)?
-            as u64,
-        faults,
-        ..FleetConfig::default()
-    };
-    let mut fleet = Fleet::spawn(config)?;
-    println!(
-        "tdsigma fleet: {} child(ren) serving on {}",
-        children,
-        fleet.addrs().join(","),
-    );
-    println!("fleet: send SIGTERM (or Ctrl-C) for a graceful rolling drain");
-    let stop = install_stop_handler();
-    Ok(usize::from(fleet.run(stop) != 0))
 }
 
 /// Hand-rolled JSON (flat object, numeric fields) — no serialization

@@ -126,7 +126,6 @@ fn unknown_flag_is_rejected_with_the_supported_list() {
         ("serve", "--quota-rps"),
         ("sweep", "--deadline-ms"),
         ("optimize", "--deadline-ms"),
-        ("fleet", "--quota-rps"),
     ] {
         let out = Command::new(bin())
             .args([cmd, flag, "40"])
@@ -137,6 +136,85 @@ fn unknown_flag_is_rejected_with_the_supported_list() {
         assert!(err.contains("unknown flag"), "{cmd} {flag}: {err}");
         assert!(err.contains(flag), "{cmd} {flag}: {err}");
     }
+    // The fleet supervisor is gone along with its subcommand.
+    let out = Command::new(bin())
+        .args(["fleet", "--children", "2"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success(), "fleet must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command"), "fleet: {err}");
+}
+
+#[test]
+fn degraded_sweep_without_a_journal_prints_no_resume_hint() {
+    // Chaos seed 2 fails two of these six jobs with retries off; with
+    // --no-journal there is nothing a --resume could replay.
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_nojournal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args([
+            "sweep",
+            "--nodes",
+            "40,180",
+            "--slices",
+            "1,2,4",
+            "--samples",
+            "2048",
+            "--retries",
+            "0",
+            "--chaos-seed",
+            "2",
+            "--no-cache",
+            "--no-journal",
+        ])
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "failed jobs exit 1: {err}");
+    assert!(err.contains("degraded"), "{err}");
+    assert!(
+        !err.contains("--resume"),
+        "no journal, no resume hint: {err}"
+    );
+    assert!(!dir.join("results/journal").exists(), "no journal written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn too_few_samples_are_rejected_before_any_job_runs() {
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_samples_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for args in [
+        &["design", "--samples", "512"][..],
+        &[
+            "sweep",
+            "--nodes",
+            "40",
+            "--slices",
+            "1",
+            "--samples",
+            "512",
+        ][..],
+    ] {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("≥ 1024"), "names the minimum: {err}");
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected input writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
