@@ -91,6 +91,7 @@ impl ClockedComparator {
     /// window, the comparator has no regenerative gain: the decision
     /// becomes a pure coin flip (this is how the NAND3 comparator of \[16\]
     /// fails at the 0.25 V buffer common mode, motivating the NOR3 design).
+    #[inline]
     pub fn sample(&mut self, vp_v: f64, vn_v: f64, rng: &mut SimRng) -> bool {
         self.decisions += 1;
         let vcm = 0.5 * (vp_v + vn_v);

@@ -33,6 +33,7 @@ struct Ziggurat {
 /// The tables, built once per process by the standard recurrence: each
 /// layer `i ≥ 1` spans `f[i]..f[i+1]` vertically and has area `v`, so
 /// `f[i+1] = f[i] + v/x[i]`.
+#[inline]
 fn ziggurat() -> &'static Ziggurat {
     static TABLES: OnceLock<Ziggurat> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -68,6 +69,7 @@ impl SimRng {
     }
 
     /// Uniform sample in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         self.inner.gen_f64()
     }
@@ -82,16 +84,35 @@ impl SimRng {
     /// a fresh attempt if it is rejected; one in the base layer beyond
     /// `r` draws uniform pairs from the exponential tail until one is
     /// accepted.
+    ///
+    /// The first attempt's rectangle test is inlined into the caller;
+    /// everything after it lives in the cold `normal_slow`, which
+    /// finishes that same attempt, so the split consumes the stream
+    /// exactly as one loop would.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         let zig = ziggurat();
+        let (layer, u, x) = self.zig_attempt(zig);
+        if x.abs() < zig.x[layer + 1] {
+            return x;
+        }
+        self.normal_slow(zig, layer, u, x)
+    }
+
+    /// One ziggurat attempt's draw: `(layer, u, x = u·x[layer])`.
+    #[inline]
+    fn zig_attempt(&mut self, zig: &Ziggurat) -> (usize, f64, f64) {
+        let bits = self.inner.next_u64();
+        let layer = (bits & 0xff) as usize;
+        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+        (layer, u, u * zig.x[layer])
+    }
+
+    /// The rest of an attempt whose rectangle test failed (tail or
+    /// wedge), then fresh attempts until one is accepted.
+    #[cold]
+    fn normal_slow(&mut self, zig: &Ziggurat, mut layer: usize, mut u: f64, mut x: f64) -> f64 {
         loop {
-            let bits = self.inner.next_u64();
-            let layer = (bits & 0xff) as usize;
-            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
-            let x = u * zig.x[layer];
-            if x.abs() < zig.x[layer + 1] {
-                return x;
-            }
             if layer == 0 {
                 return self.normal_tail(u < 0.0);
             }
@@ -99,6 +120,10 @@ impl SimRng {
             // edge `f[layer + 1]`, accepted under the density.
             let y = zig.f[layer + 1] + (zig.f[layer] - zig.f[layer + 1]) * self.inner.gen_f64();
             if y < (-0.5 * x * x).exp() {
+                return x;
+            }
+            (layer, u, x) = self.zig_attempt(zig);
+            if x.abs() < zig.x[layer + 1] {
                 return x;
             }
         }
@@ -118,6 +143,7 @@ impl SimRng {
     }
 
     /// Gaussian sample with explicit standard deviation.
+    #[inline]
     pub fn gaussian(&mut self, sigma: f64) -> f64 {
         self.standard_normal() * sigma
     }
@@ -125,6 +151,7 @@ impl SimRng {
     /// Fills `out` with standard normals: exactly the values, and the
     /// stream consumption, of `out.len()` repeated
     /// [`Self::standard_normal`] calls.
+    #[inline]
     pub fn fill_standard_normals(&mut self, out: &mut [f64]) {
         for z in out {
             *z = self.standard_normal();
@@ -201,6 +228,61 @@ mod tests {
         let got: Vec<f64> = a.into_iter().chain(b).collect();
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e.to_bits(), g.to_bits());
+        }
+    }
+
+    /// The sampler as one loop, frozen from before the inlined fast
+    /// path was split off. `paths` counts returns from the rectangle,
+    /// the wedge and the tail.
+    fn standard_normal_one_loop(rng: &mut SimRng, paths: &mut [u64; 3]) -> f64 {
+        let zig = ziggurat();
+        loop {
+            let bits = rng.inner.next_u64();
+            let layer = (bits & 0xff) as usize;
+            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+            let x = u * zig.x[layer];
+            if x.abs() < zig.x[layer + 1] {
+                paths[0] += 1;
+                return x;
+            }
+            if layer == 0 {
+                paths[2] += 1;
+                loop {
+                    let t = -(1.0 - rng.inner.gen_f64()).ln() / ZIG_R;
+                    let y = -(1.0 - rng.inner.gen_f64()).ln();
+                    if 2.0 * y > t * t {
+                        return if u < 0.0 { -(ZIG_R + t) } else { ZIG_R + t };
+                    }
+                }
+            }
+            let y = zig.f[layer + 1] + (zig.f[layer] - zig.f[layer + 1]) * rng.inner.gen_f64();
+            if y < (-0.5 * x * x).exp() {
+                paths[1] += 1;
+                return x;
+            }
+        }
+    }
+
+    #[test]
+    fn split_sampler_matches_the_one_loop_sampler_bit_for_bit() {
+        for seed in [1u64, 2, 3, 2017, 0x5eed_cafe] {
+            let mut split = SimRng::new(seed);
+            let mut frozen = SimRng::new(seed);
+            let mut paths = [0u64; 3];
+            for k in 0..1_000_000 {
+                let want = standard_normal_one_loop(&mut frozen, &mut paths);
+                let got = split.standard_normal();
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} draw {k}");
+            }
+            // Both slow paths ran: ≈1.5 % wedge attempts and ≈250 tail
+            // draws per 10⁶ are expected.
+            assert!(paths[1] > 1000, "seed {seed}: wedge hit {} times", paths[1]);
+            assert!(paths[2] > 100, "seed {seed}: tail hit {} times", paths[2]);
+            assert_eq!(
+                split.inner.next_u64(),
+                frozen.inner.next_u64(),
+                "seed {seed}"
+            );
         }
     }
 

@@ -146,6 +146,7 @@ impl Clock {
     /// ignored: the phase advances by exactly one grid step. In generic
     /// mode, `dt_s` must be smaller than half a period for edges not to
     /// be skipped; the ADC simulator steps 8–64× per clock period.
+    #[inline]
     pub fn advance(&mut self, dt_s: f64) -> EdgeKind {
         let new_level = if let Some(n) = self.steps_per_period {
             self.steps += 1;

@@ -9,6 +9,11 @@
 use crate::error::CoreError;
 use tdsigma_tech::{NodeId, Technology};
 
+/// Most simulation substeps per clock period a spec may ask for. The
+/// paper specs use 16 and the experiments 8–64; the transient's cost is
+/// linear in this, so the bound keeps one run's work finite.
+pub const MAX_STEPS_PER_CYCLE: usize = 1024;
+
 /// Full specification of one ADC instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdcSpec {
@@ -184,6 +189,11 @@ impl AdcSpec {
         if self.steps_per_cycle < 4 {
             return fail("need at least 4 simulation substeps per cycle");
         }
+        if self.steps_per_cycle > MAX_STEPS_PER_CYCLE {
+            return fail(&format!(
+                "need at most {MAX_STEPS_PER_CYCLE} simulation substeps per cycle"
+            ));
+        }
         if self.clock_jitter_rms_s < 0.0 || self.clock_jitter_rms_s > 0.1 / self.fs_hz {
             return fail("clock jitter must be non-negative and well below the period");
         }
@@ -324,6 +334,24 @@ mod tests {
         match s.validated() {
             Err(CoreError::InvalidSpec { reason }) => assert!(reason.contains("VREFP")),
             other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn substep_count_is_bounded_on_both_sides() {
+        let mut s = AdcSpec::paper_40nm().unwrap();
+        for ok in [4, 64, MAX_STEPS_PER_CYCLE] {
+            s.steps_per_cycle = ok;
+            assert!(s.clone().validated().is_ok(), "{ok}");
+        }
+        for (bad, says) in [(3, "at least 4"), (MAX_STEPS_PER_CYCLE + 1, "at most 1024")] {
+            s.steps_per_cycle = bad;
+            match s.clone().validated() {
+                Err(CoreError::InvalidSpec { reason }) => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                other => panic!("expected InvalidSpec for {bad}, got {other:?}"),
+            }
         }
     }
 

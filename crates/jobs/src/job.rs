@@ -11,9 +11,15 @@
 use crate::error::JobError;
 use crate::json::Json;
 use tdsigma_core::sim::ANALYSIS_WINDOW;
-use tdsigma_core::spec::AdcSpec;
+use tdsigma_core::spec::{AdcSpec, MAX_STEPS_PER_CYCLE};
 use tdsigma_dsp::metrics::ToneAnalysis;
 use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
+
+/// The longest capture one job may ask for: 2²⁰ samples, 64× the
+/// largest workload (16384). The capture is allocated up front and the
+/// transient runs `samples × steps_per_cycle` steps, so an unbounded
+/// request from a peer would abort the process or pin a worker.
+pub const MAX_SAMPLES: usize = 1 << 20;
 
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,18 +189,33 @@ impl Job {
         spec.validated().map_err(|e| invalid(&e))
     }
 
-    /// Rejects a capture length the spectrum analysis cannot use: the
-    /// FFT needs a power of two, and the tone analysis needs the band
-    /// edge clear of the window's DC skirt
-    /// ([`ToneAnalysis::min_samples`]). CLI planning, serve (ahead of
-    /// admission) and [`crate::execute()`] share this check, so a bad
-    /// `samples` fails as [`JobError::Invalid`] instead of panicking
-    /// inside a job.
+    /// Bounds the size of one job before it runs. The capture length
+    /// must be one the spectrum analysis can use (the FFT needs a power
+    /// of two, and the tone analysis needs the band edge clear of the
+    /// window's DC skirt, [`ToneAnalysis::min_samples`]) and at most
+    /// [`MAX_SAMPLES`]; the substep count at most
+    /// [`MAX_STEPS_PER_CYCLE`]. CLI planning, serve (ahead of admission)
+    /// and [`crate::execute()`] share this check, so an oversized or
+    /// unusable job fails as [`JobError::Invalid`] instead of aborting
+    /// or panicking inside a job.
     ///
     /// # Errors
     ///
-    /// [`JobError::Invalid`] naming the minimum sample count for the band.
-    pub fn check_samples(&self) -> Result<(), JobError> {
+    /// [`JobError::Invalid`] naming the bound that was exceeded, or the
+    /// minimum sample count for the band.
+    pub fn check_size(&self) -> Result<(), JobError> {
+        if self.samples > MAX_SAMPLES {
+            return Err(JobError::Invalid(format!(
+                "samples {} exceeds the maximum {MAX_SAMPLES}",
+                self.samples
+            )));
+        }
+        if self.steps_per_cycle > MAX_STEPS_PER_CYCLE {
+            return Err(JobError::Invalid(format!(
+                "steps_per_cycle {} exceeds the maximum {MAX_STEPS_PER_CYCLE}",
+                self.steps_per_cycle
+            )));
+        }
         let band = format!("fs {} MHz / bw {} MHz", self.fs_hz / 1e6, self.bw_hz / 1e6);
         match ToneAnalysis::min_samples(self.fs_hz, self.bw_hz, ANALYSIS_WINDOW) {
             Some(min) if self.samples >= min && self.samples.is_power_of_two() => Ok(()),
@@ -363,14 +384,39 @@ mod tests {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for ok in [1024, 2048, 8192] {
             job.samples = ok;
-            assert_eq!(job.check_samples(), Ok(()), "{ok}");
+            assert_eq!(job.check_size(), Ok(()), "{ok}");
         }
         for bad in [512, 3000] {
             job.samples = bad;
-            match job.check_samples() {
+            match job.check_size() {
                 Err(JobError::Invalid(m)) => assert!(m.contains("≥ 1024"), "{m}"),
                 other => panic!("expected Invalid for {bad}, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn check_size_bounds_samples_and_steps_from_above() {
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        job.samples = MAX_SAMPLES;
+        job.steps_per_cycle = MAX_STEPS_PER_CYCLE;
+        assert_eq!(job.check_size(), Ok(()));
+        // Powers of two above the minimum, so only the upper bound can
+        // refuse them.
+        for huge in [MAX_SAMPLES * 2, 1 << 40] {
+            job.samples = huge;
+            match job.check_size() {
+                Err(JobError::Invalid(m)) => {
+                    assert_eq!(m, format!("samples {huge} exceeds the maximum 1048576"));
+                }
+                other => panic!("expected Invalid for {huge}, got {other:?}"),
+            }
+        }
+        job.samples = 2048;
+        job.steps_per_cycle = MAX_STEPS_PER_CYCLE + 1;
+        match job.check_size() {
+            Err(JobError::Invalid(m)) => assert!(m.contains("exceeds the maximum 1024"), "{m}"),
+            other => panic!("expected Invalid, got {other:?}"),
         }
     }
 

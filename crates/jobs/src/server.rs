@@ -531,7 +531,7 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
 /// The admission gate plus the actual execution: reject a capture the
 /// analysis cannot use, shed on queue depth, then run the job.
 fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
-    if let Err(e) = job.check_samples() {
+    if let Err(e) = job.check_size() {
         return error_response(&e.to_string());
     }
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
@@ -993,6 +993,27 @@ mod tests {
             err.starts_with("invalid job:") && err.contains("≥ 1024"),
             "{err}"
         );
+        // So is a job too large to run: 2⁴⁰ samples would abort the
+        // process on allocation, and a huge substep count would pin a
+        // worker. The server answers and keeps serving.
+        for (line, says) in [
+            (
+                r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"samples":1099511627776}"#,
+                "samples 1099511627776 exceeds the maximum 1048576",
+            ),
+            (
+                r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"steps":1000000000}"#,
+                "steps_per_cycle 1000000000 exceeds the maximum 1024",
+            ),
+        ] {
+            let (r, stop) = handle_line(line, &engine, &sup);
+            assert!(!stop);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+            let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert_eq!(err, format!("invalid job: {says}"));
+        }
+        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             engine.totals().jobs,
             1,

@@ -35,6 +35,7 @@ impl Rng64 {
     }
 
     /// The next raw 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -69,6 +70,7 @@ impl Rng64 {
     }
 
     /// Uniform `f64` in `[0, 1)` with the full 53 bits of mantissa.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

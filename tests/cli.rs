@@ -218,6 +218,51 @@ fn too_few_samples_are_rejected_before_any_job_runs() {
 }
 
 #[test]
+fn oversized_samples_are_rejected_not_aborted() {
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_oversize_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // Powers of two above the band minimum: before the upper bound the
+    // sweep passed planning and died allocating 8 TB (exit 134).
+    for args in [
+        &["design", "--samples", "2097152"][..],
+        &[
+            "sweep",
+            "--kind",
+            "sim",
+            "--nodes",
+            "40",
+            "--slices",
+            "4",
+            "--amps",
+            "0.5",
+            "--samples",
+            "1099511627776",
+            "--no-cache",
+            "--no-journal",
+        ][..],
+    ] {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.contains("exceeds the maximum 1048576"),
+            "names the bound: {err}"
+        );
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected input writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn nodes_lists_all_supported() {
     let out = Command::new(bin()).arg("nodes").output().expect("runs");
     assert!(out.status.success());
