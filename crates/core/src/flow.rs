@@ -169,34 +169,25 @@ impl DesignFlow {
             let _span = obs::span("flow.timing");
             analyze_timing(&flat, &layout.parasitics, &self.spec.tech, self.spec.fs_hz)?
         };
+        // The leakage sum is the last reader of the flat netlist, which is
+        // the largest allocation of the flow (a few `String`s and a map per
+        // cell, ≈10× the hierarchical design); dropping it here keeps it out
+        // of the transient's heap.
+        let leakage_nw: f64 = {
+            let _span = obs::span("flow.power_report");
+            let catalog = self.spec.tech.catalog();
+            flat.cells
+                .iter()
+                .map(|c| catalog.cell(&c.cell).map(|s| s.leakage_nw()).unwrap_or(0.0))
+                .sum()
+        };
+        drop(flat);
 
-        // 4. Post-layout simulation (the transient itself is spanned as
-        // `flow.transient` inside the simulator, spectrum + tone metrics
-        // inside the capture analysis).
-        let mut sim = AdcSimulator::with_parasitics(self.spec.clone(), &layout.parasitics)?;
-        let fin = self.input_frequency_hz();
-        let amplitude = self.amplitude_rel * self.spec.full_scale_v();
-        let capture = sim.run_tone(fin, amplitude, self.sim_samples);
-        // Sweep/optimizer loops run many flows per worker thread; the
-        // thread-local scratch makes every analysis after the first
-        // allocation-free (bit-identical — see `SpectrumScratch`).
-        let analysis =
-            DSP_SCRATCH.with(|s| capture.analyze_with(self.spec.bw_hz, &mut s.borrow_mut()));
+        // 4. Post-layout simulation.
+        let (capture, analysis) = self.simulate(&layout)?;
 
         // 5. Power and the Table-3 row.
         let _span = obs::span("flow.power_report");
-        let leakage_nw: f64 = flat
-            .cells
-            .iter()
-            .map(|c| {
-                self.spec
-                    .tech
-                    .catalog()
-                    .cell(&c.cell)
-                    .map(|s| s.leakage_nw())
-                    .unwrap_or(0.0)
-            })
-            .sum();
         let wire_cap = layout.parasitics.total_capacitance_f();
         let power = estimate(&self.spec, &capture.activity, wire_cap, leakage_nw);
         let report = AdcReport::from_parts(
@@ -220,6 +211,35 @@ impl DesignFlow {
             power,
             report,
         })
+    }
+
+    /// Step 4 of [`Self::run`]: the post-layout transient of this flow's
+    /// input tone on `layout`, and its single-tone analysis (the transient
+    /// itself is spanned as `flow.transient` inside the simulator,
+    /// spectrum and tone metrics inside the capture analysis).
+    ///
+    /// The simulator reads only the spec and the extracted VCTRL
+    /// capacitance of `layout`, and the amplitude and input frequency are
+    /// resolved here exactly as in `run()`. So on a layout that a flow of
+    /// the same spec and APR options produced, this returns bit for bit
+    /// the capture and analysis of a fresh `run()` with this flow's
+    /// amplitude, frequency and capture length, without repeating netlist
+    /// generation, APR and timing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates spec validation errors.
+    pub fn simulate(&self, layout: &LayoutResult) -> Result<(SimCapture, ToneAnalysis), CoreError> {
+        let mut sim = AdcSimulator::with_parasitics(self.spec.clone(), &layout.parasitics)?;
+        let fin = self.input_frequency_hz();
+        let amplitude = self.amplitude_rel * self.spec.full_scale_v();
+        let capture = sim.run_tone(fin, amplitude, self.sim_samples);
+        // Sweep/optimizer loops run many flows per worker thread; the
+        // thread-local scratch makes every analysis after the first
+        // allocation-free (bit-identical — see `SpectrumScratch`).
+        let analysis =
+            DSP_SCRATCH.with(|s| capture.analyze_with(self.spec.bw_hz, &mut s.borrow_mut()));
+        Ok((capture, analysis))
     }
 }
 
@@ -261,6 +281,31 @@ mod tests {
         assert!((outcome.report.power_mw / 1e3 - outcome.power.total_w()).abs() < 1e-9);
         assert!(outcome.report.fom_fj > 0.0);
         assert!(!outcome.to_string().is_empty());
+    }
+
+    /// Bit-for-bit equality of two captures and their analyses (`Debug`
+    /// prints every `f64` round-trip exactly, `-0.0` included).
+    fn assert_same_capture(a: (&SimCapture, &ToneAnalysis), b: (&SimCapture, &ToneAnalysis)) {
+        let bits = |c: &SimCapture| c.output.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.0), bits(b.0), "output");
+        assert_eq!(a.0.slice_codes, b.0.slice_codes, "slice_codes");
+        assert_eq!(format!("{:?}", a.0.activity), format!("{:?}", b.0.activity));
+        assert_eq!(format!("{:?}", a.1), format!("{:?}", b.1));
+    }
+
+    #[test]
+    fn simulate_on_an_existing_layout_is_exactly_a_fresh_run() {
+        let outcome = quick_flow().run().unwrap();
+        let (capture, analysis) = quick_flow().simulate(&outcome.layout).unwrap();
+        assert_same_capture((&capture, &analysis), (&outcome.capture, &outcome.analysis));
+
+        // The Fig. 18 reuse: another amplitude on the same layout.
+        let low = quick_flow().with_amplitude(0.05);
+        let fresh = low.run().unwrap();
+        assert_eq!(fresh.layout, outcome.layout, "the layout ignores the tone");
+        let (capture, analysis) = low.simulate(&outcome.layout).unwrap();
+        assert_same_capture((&capture, &analysis), (&fresh.capture, &fresh.analysis));
+        assert_ne!(capture.output, outcome.capture.output);
     }
 
     #[test]

@@ -34,7 +34,7 @@ std::thread_local! {
 /// [`JobError::Invalid`] for unsupported parameters, [`JobError::Failed`]
 /// for flow errors.
 pub fn execute(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
-    job.check_size()?;
+    job.check_bounds()?;
     match job.kind {
         JobKind::SimTone => execute_sim(job),
         JobKind::FullFlow => execute_flow(job),

@@ -189,21 +189,23 @@ impl Job {
         spec.validated().map_err(|e| invalid(&e))
     }
 
-    /// Bounds the size of one job before it runs. The capture length
-    /// must be one the spectrum analysis can use (the FFT needs a power
-    /// of two, and the tone analysis needs the band edge clear of the
-    /// window's DC skirt, [`ToneAnalysis::min_samples`]) and at most
-    /// [`MAX_SAMPLES`]; the substep count at most
-    /// [`MAX_STEPS_PER_CYCLE`]. CLI planning, serve (ahead of admission)
-    /// and [`crate::execute()`] share this check, so an oversized or
-    /// unusable job fails as [`JobError::Invalid`] instead of aborting
-    /// or panicking inside a job.
+    /// Bounds one job before it runs. The capture length must be one the
+    /// spectrum analysis can use (the FFT needs a power of two, and the
+    /// tone analysis needs the band edge clear of the window's DC skirt,
+    /// [`ToneAnalysis::min_samples`]) and at most [`MAX_SAMPLES`]; the
+    /// substep count at most [`MAX_STEPS_PER_CYCLE`]. The input tone must
+    /// be one the transient can drive: a finite amplitude in (0, 1] of
+    /// full scale and, if set, a finite frequency in (0, fs/2). CLI
+    /// planning, serve (ahead of admission) and [`crate::execute()`] share
+    /// this check, so an oversized or unusable job fails as
+    /// [`JobError::Invalid`] instead of aborting, panicking or silently
+    /// reporting a meaningless result inside a job.
     ///
     /// # Errors
     ///
     /// [`JobError::Invalid`] naming the bound that was exceeded, or the
     /// minimum sample count for the band.
-    pub fn check_size(&self) -> Result<(), JobError> {
+    pub fn check_bounds(&self) -> Result<(), JobError> {
         if self.samples > MAX_SAMPLES {
             return Err(JobError::Invalid(format!(
                 "samples {} exceeds the maximum {MAX_SAMPLES}",
@@ -215,6 +217,21 @@ impl Job {
                 "steps_per_cycle {} exceeds the maximum {MAX_STEPS_PER_CYCLE}",
                 self.steps_per_cycle
             )));
+        }
+        // NaN fails every comparison, so it lands in the error branch.
+        if !(self.amplitude_rel > 0.0 && self.amplitude_rel <= 1.0) {
+            return Err(JobError::Invalid(format!(
+                "amplitude_rel {} must be in (0, 1] of full scale",
+                self.amplitude_rel
+            )));
+        }
+        if let Some(fin) = self.fin_hz {
+            if !(fin > 0.0 && fin < self.fs_hz / 2.0) {
+                return Err(JobError::Invalid(format!(
+                    "fin_hz {fin} must be in (0, fs/2) = (0, {})",
+                    self.fs_hz / 2.0
+                )));
+            }
         }
         let band = format!("fs {} MHz / bw {} MHz", self.fs_hz / 1e6, self.bw_hz / 1e6);
         match ToneAnalysis::min_samples(self.fs_hz, self.bw_hz, ANALYSIS_WINDOW) {
@@ -384,11 +401,11 @@ mod tests {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for ok in [1024, 2048, 8192] {
             job.samples = ok;
-            assert_eq!(job.check_size(), Ok(()), "{ok}");
+            assert_eq!(job.check_bounds(), Ok(()), "{ok}");
         }
         for bad in [512, 3000] {
             job.samples = bad;
-            match job.check_size() {
+            match job.check_bounds() {
                 Err(JobError::Invalid(m)) => assert!(m.contains("≥ 1024"), "{m}"),
                 other => panic!("expected Invalid for {bad}, got {other:?}"),
             }
@@ -400,12 +417,12 @@ mod tests {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         job.samples = MAX_SAMPLES;
         job.steps_per_cycle = MAX_STEPS_PER_CYCLE;
-        assert_eq!(job.check_size(), Ok(()));
+        assert_eq!(job.check_bounds(), Ok(()));
         // Powers of two above the minimum, so only the upper bound can
         // refuse them.
         for huge in [MAX_SAMPLES * 2, 1 << 40] {
             job.samples = huge;
-            match job.check_size() {
+            match job.check_bounds() {
                 Err(JobError::Invalid(m)) => {
                     assert_eq!(m, format!("samples {huge} exceeds the maximum 1048576"));
                 }
@@ -414,10 +431,77 @@ mod tests {
         }
         job.samples = 2048;
         job.steps_per_cycle = MAX_STEPS_PER_CYCLE + 1;
-        match job.check_size() {
+        match job.check_bounds() {
             Err(JobError::Invalid(m)) => assert!(m.contains("exceeds the maximum 1024"), "{m}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn check_bounds_refuses_unusable_amplitudes() {
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        for ok in [1.0, 0.79, 1e-6, f64::MIN_POSITIVE] {
+            job.amplitude_rel = ok;
+            assert_eq!(job.check_bounds(), Ok(()), "{ok}");
+        }
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.5,
+            1.5,
+        ] {
+            job.amplitude_rel = bad;
+            match job.check_bounds() {
+                Err(JobError::Invalid(m)) => {
+                    assert_eq!(
+                        m,
+                        format!("amplitude_rel {bad} must be in (0, 1] of full scale")
+                    );
+                }
+                other => panic!("expected Invalid for {bad}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn check_bounds_refuses_unusable_input_frequencies() {
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        for ok in [None, Some(1e6), Some(1.0), Some(374.9e6)] {
+            job.fin_hz = ok;
+            assert_eq!(job.check_bounds(), Ok(()), "{ok:?}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1e6, 375e6, 1e12] {
+            job.fin_hz = Some(bad);
+            match job.check_bounds() {
+                Err(JobError::Invalid(m)) => {
+                    assert_eq!(
+                        m,
+                        format!("fin_hz {bad} must be in (0, fs/2) = (0, 375000000)")
+                    );
+                }
+                other => panic!("expected Invalid for {bad}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_job_that_passes_check_bounds_replays_from_its_json() {
+        // A NaN or infinite amplitude used to run, and was journaled as
+        // `"amplitude_rel":null`, which `from_json` cannot read back.
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        for amp in [f64::NAN, f64::INFINITY] {
+            job.amplitude_rel = amp;
+            assert!(job.check_bounds().is_err());
+            assert!(Job::from_json(&Json::parse(&job.to_json().to_text()).unwrap()).is_err());
+        }
+        job.amplitude_rel = 1.0;
+        job.fin_hz = Some(2.5e6);
+        assert_eq!(job.check_bounds(), Ok(()));
+        let back = Job::from_json(&Json::parse(&job.to_json().to_text()).unwrap()).unwrap();
+        assert_eq!(back, job);
     }
 
     #[test]

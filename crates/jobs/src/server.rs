@@ -531,7 +531,7 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
 /// The admission gate plus the actual execution: reject a capture the
 /// analysis cannot use, shed on queue depth, then run the job.
 fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
-    if let Err(e) = job.check_size() {
+    if let Err(e) = job.check_bounds() {
         return error_response(&e.to_string());
     }
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
@@ -1023,6 +1023,46 @@ mod tests {
         let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert!(stop);
+    }
+
+    #[test]
+    fn handle_line_refuses_unusable_tones_and_keeps_serving() {
+        let engine = test_engine();
+        let sup = test_supervision();
+        // Before the bound these ran and answered a report. (A
+        // non-finite number such as `1e999` never parses as JSON.)
+        for (tone, says) in [
+            (
+                r#""amplitude":0"#,
+                "amplitude_rel 0 must be in (0, 1] of full scale",
+            ),
+            (
+                r#""amplitude":-0.5"#,
+                "amplitude_rel -0.5 must be in (0, 1] of full scale",
+            ),
+            (
+                r#""amplitude":1.5"#,
+                "amplitude_rel 1.5 must be in (0, 1] of full scale",
+            ),
+            (
+                r#""fin_mhz":0"#,
+                "fin_hz 0 must be in (0, fs/2) = (0, 375000000)",
+            ),
+            (
+                r#""fin_mhz":375"#,
+                "fin_hz 375000000 must be in (0, fs/2) = (0, 375000000)",
+            ),
+        ] {
+            let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{tone}}}"#);
+            let (r, stop) = handle_line(&line, &engine, &sup);
+            assert!(!stop);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+            let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert_eq!(err, format!("invalid job: {says}"), "{tone}");
+        }
+        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(engine.totals().jobs, 0, "no refused job reached the engine");
     }
 
     #[test]

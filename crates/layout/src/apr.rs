@@ -1,5 +1,10 @@
 //! The complete APR flow (paper Fig. 9): library modification → floorplan
 //! generation → placement → routing → extraction → checks.
+//!
+//! Each stage runs under a `tdsigma-obs` span (`apr.floorplan`,
+//! `apr.placement`, `apr.routing`, `apr.extraction`, `apr.checks`), so a
+//! trace splits the flow's APR time by stage. Spans only time; they never
+//! touch the layout.
 
 use crate::checks::{check_placement, CheckReport};
 use crate::error::LayoutError;
@@ -11,6 +16,7 @@ use crate::route::{route, Routing};
 use std::collections::BTreeMap;
 use std::fmt;
 use tdsigma_netlist::{FlatNetlist, PowerPlan};
+use tdsigma_obs as obs;
 use tdsigma_tech::Technology;
 
 /// Options of the APR run.
@@ -90,18 +96,22 @@ pub fn synthesize(
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
     let lib = PhysicalLibrary::for_technology(tech);
-    let floorplan = Floorplan::generate(flat, plan, &lib, options.utilization)?;
-    let assignments: BTreeMap<String, String> = flat
-        .cells
-        .iter()
-        .map(|c| {
-            let region = plan
-                .region_of(&c.path)
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|| "CORE".to_string());
-            (c.path.clone(), region)
-        })
-        .collect();
+    let (floorplan, assignments) = {
+        let _span = obs::span("apr.floorplan");
+        let floorplan = Floorplan::generate(flat, plan, &lib, options.utilization)?;
+        let assignments: BTreeMap<String, String> = flat
+            .cells
+            .iter()
+            .map(|c| {
+                let region = plan
+                    .region_of(&c.path)
+                    .map(|r| r.name.clone())
+                    .unwrap_or_else(|| "CORE".to_string());
+                (c.path.clone(), region)
+            })
+            .collect();
+        (floorplan, assignments)
+    };
     finish(flat, floorplan, assignments, &lib, tech, options)
 }
 
@@ -118,12 +128,16 @@ pub fn synthesize_naive(
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
     let lib = PhysicalLibrary::for_technology(tech);
-    let floorplan = Floorplan::generate_naive(flat, &lib, options.utilization)?;
-    let assignments: BTreeMap<String, String> = flat
-        .cells
-        .iter()
-        .map(|c| (c.path.clone(), "CORE".to_string()))
-        .collect();
+    let (floorplan, assignments) = {
+        let _span = obs::span("apr.floorplan");
+        let floorplan = Floorplan::generate_naive(flat, &lib, options.utilization)?;
+        let assignments: BTreeMap<String, String> = flat
+            .cells
+            .iter()
+            .map(|c| (c.path.clone(), "CORE".to_string()))
+            .collect();
+        (floorplan, assignments)
+    };
     let mut opts = *options;
     opts.enforce_checks = false;
     finish(flat, floorplan, assignments, &lib, tech, &opts)
@@ -137,17 +151,29 @@ fn finish(
     tech: &Technology,
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
-    let placement = place(flat, &assignments, &floorplan, lib, options.seed)?;
-    let routing = route(
-        flat,
-        &placement,
-        floorplan.die.width(),
-        floorplan.die.height(),
-        floorplan.row_height_nm(),
-        options.gcell_rows,
-    )?;
-    let parasitics = Parasitics::extract(&routing, tech);
-    let checks = check_placement(flat, &placement);
+    let placement = {
+        let _span = obs::span("apr.placement");
+        place(flat, &assignments, &floorplan, lib, options.seed)?
+    };
+    let routing = {
+        let _span = obs::span("apr.routing");
+        route(
+            flat,
+            &placement,
+            floorplan.die.width(),
+            floorplan.die.height(),
+            floorplan.row_height_nm(),
+            options.gcell_rows,
+        )?
+    };
+    let parasitics = {
+        let _span = obs::span("apr.extraction");
+        Parasitics::extract(&routing, tech)
+    };
+    let checks = {
+        let _span = obs::span("apr.checks");
+        check_placement(flat, &placement)
+    };
     if options.enforce_checks && !checks.is_clean() {
         return Err(LayoutError::ChecksFailed {
             violations: checks.violations.len(),

@@ -413,7 +413,7 @@ fn run_design(flags: &Flags) -> Outcome {
         samples,
         ..Job::flow(node_nm, fs_hz, bw_hz)
     }
-    .check_size()?;
+    .check_bounds()?;
     let out = flags.str("out", "results");
     let out = Path::new(&out);
     fs::create_dir_all(out)?;
@@ -1009,7 +1009,7 @@ fn run_sweep(flags: &Flags) -> Outcome {
                             job.amplitude_rel = amp;
                             job.samples = samples;
                             job.seed = seed;
-                            job.check_size()?;
+                            job.check_bounds()?;
                             jobs.push(job);
                         }
                     }

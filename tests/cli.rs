@@ -263,6 +263,48 @@ fn oversized_samples_are_rejected_not_aborted() {
 }
 
 #[test]
+fn unusable_amplitudes_are_rejected_before_any_job_runs() {
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_amps_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // NaN and inf used to run and report `"failed":0` with SNDR 0, and
+    // were journaled as `"amplitude_rel":null`, which no resume can read.
+    for amp in ["nan", "inf", "0", "1.5", "-0.5"] {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args([
+                "sweep",
+                "--kind",
+                "sim",
+                "--nodes",
+                "40",
+                "--slices",
+                "1",
+                "--amps",
+                amp,
+                "--samples",
+                "2048",
+                "--no-cache",
+                "--no-journal",
+            ])
+            .output()
+            .expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{amp}: {err}");
+        assert!(!err.contains("panicked"), "{amp}: {err}");
+        assert!(
+            err.contains("must be in (0, 1] of full scale"),
+            "{amp} names the bound: {err}"
+        );
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected input writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn nodes_lists_all_supported() {
     let out = Command::new(bin()).arg("nodes").output().expect("runs");
     assert!(out.status.success());
