@@ -30,8 +30,15 @@ fn main() {
         println!("--- {label} ---");
         println!("{}", ascii_spectrum(&spectrum, 18, 100, bw));
         println!("  {}", outcome.analysis);
-        let slope = fit_noise_slope(&spectrum, bw, fs / 4.0);
-        println!("  noise-shaping slope above the band edge: {slope} (paper: 20 dB/dec)");
+        match fit_noise_slope(&spectrum, bw, fs / 4.0) {
+            Some(slope) => {
+                println!("  noise-shaping slope above the band edge: {slope} (paper: 20 dB/dec)")
+            }
+            None => println!(
+                "  noise-shaping slope: FAILED, too few log buckets above the band edge \
+                 (paper: 20 dB/dec)"
+            ),
+        }
 
         // Mismatch out-of-band check: compare in-band noise with and
         // without mismatch — the difference must be small.

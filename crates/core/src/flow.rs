@@ -9,18 +9,25 @@
 //!                └──► post-layout behavioral simulation
 //!                        └──► SNDR / power / area / FOM report (Table 3)
 //! ```
+//!
+//! The first three steps are the physical half ([`crate::physical`]);
+//! the electrical half reads five numbers of it, a [`PhysicalSummary`].
+//! [`DesignFlow::run`] runs both halves and keeps every product;
+//! [`DesignFlow::evaluate`] takes the physical half from a process-wide
+//! memo, so the jobs of a sweep or an optimizer that share a structure
+//! share one layout.
 
 use crate::error::CoreError;
-use crate::netgen;
+use crate::physical::{self, PhysicalKey, PhysicalSummary};
 use crate::power::{estimate, PowerBreakdown};
 use crate::report::AdcReport;
-use crate::sim::{AdcSimulator, SimCapture};
+use crate::sim::{AdcSimulator, SimCapture, VctrlCap};
 use crate::spec::AdcSpec;
 use std::fmt;
 use tdsigma_dsp::metrics::ToneAnalysis;
 use tdsigma_dsp::spectrum::SpectrumScratch;
-use tdsigma_layout::{analyze_timing, synthesize, AprOptions, LayoutResult, TimingReport};
-use tdsigma_netlist::{verilog, Design, PowerPlan};
+use tdsigma_layout::{AprOptions, LayoutResult, TimingReport};
+use tdsigma_netlist::{Design, PowerPlan};
 use tdsigma_obs as obs;
 
 std::thread_local! {
@@ -29,6 +36,15 @@ std::thread_local! {
     /// many flow runs a sweep worker executes.
     static DSP_SCRATCH: std::cell::RefCell<SpectrumScratch> =
         std::cell::RefCell::new(SpectrumScratch::new());
+}
+
+/// The coherent input frequency of a capture: the target (or `BW/5` when
+/// none is given, as the paper uses 1 MHz in a 5 MHz bandwidth) snapped
+/// to a non-zero FFT bin of `samples` points at `fs_hz`.
+pub fn coherent_input_hz(fin_hz: Option<f64>, fs_hz: f64, bw_hz: f64, samples: usize) -> f64 {
+    let target = fin_hz.unwrap_or(bw_hz / 5.0);
+    let bin = (target * samples as f64 / fs_hz).round().max(1.0);
+    bin * fs_hz / samples as f64
 }
 
 /// Everything a flow run produces.
@@ -44,6 +60,8 @@ pub struct FlowOutcome {
     pub layout: LayoutResult,
     /// Static timing of the clocked logic at the sampling clock.
     pub timing: TimingReport,
+    /// What the post-layout simulation and the report read of the layout.
+    pub physical: PhysicalSummary,
     /// The post-layout transient capture.
     pub capture: SimCapture,
     /// Single-tone analysis of the capture.
@@ -68,6 +86,14 @@ impl fmt::Display for FlowOutcome {
         writeln!(f, "{}", self.power)?;
         write!(f, "{}", self.report)
     }
+}
+
+/// The electrical half's products (step 4 and 5 of the flow).
+struct Electrical {
+    capture: SimCapture,
+    analysis: ToneAnalysis,
+    power: PowerBreakdown,
+    report: AdcReport,
 }
 
 /// The configurable flow driver.
@@ -125,71 +151,81 @@ impl DesignFlow {
 
     /// The coherent input frequency the flow will use.
     pub fn input_frequency_hz(&self) -> f64 {
-        let target = self.fin_hz.unwrap_or(self.spec.bw_hz / 5.0);
-        // Snap to a non-zero FFT bin of the capture.
-        let bin = (target * self.sim_samples as f64 / self.spec.fs_hz)
-            .round()
-            .max(1.0);
-        bin * self.spec.fs_hz / self.sim_samples as f64
+        coherent_input_hz(
+            self.fin_hz,
+            self.spec.fs_hz,
+            self.spec.bw_hz,
+            self.sim_samples,
+        )
     }
 
-    /// Runs the complete flow.
+    /// What the physical half of this flow reads.
+    fn physical_key(&self) -> PhysicalKey {
+        PhysicalKey::new(&self.spec, self.apr)
+    }
+
+    /// Runs the complete flow and keeps every intermediate product.
     ///
     /// # Errors
     ///
     /// Propagates spec validation, netlist, and layout errors.
     pub fn run(&self) -> Result<FlowOutcome, CoreError> {
-        // Every stage runs under an observability span: wall time always
-        // lands in the `flow.*` histograms (atomic adds only), and each
-        // stage emits one JSON trace line when tracing is enabled.
+        // 1–3. Netlist, power plan, APR, timing, leakage.
+        let physical::PhysicalDesign {
+            design,
+            verilog,
+            power_plan,
+            layout,
+            timing,
+            summary,
+        } = physical::implement(&self.physical_key())?;
+        // 4–5. Post-layout simulation, power and the Table-3 row.
+        let Electrical {
+            capture,
+            analysis,
+            power,
+            report,
+        } = self.electrical(&summary)?;
+        Ok(FlowOutcome {
+            design,
+            verilog,
+            power_plan,
+            layout,
+            timing,
+            physical: summary,
+            capture,
+            analysis,
+            power,
+            report,
+        })
+    }
 
-        // 1. Netlist + HDL generation.
-        let (design, verilog_text, flat) = {
-            let _span = obs::span("flow.netgen").attr("node", self.spec.tech.id());
-            let design = netgen::generate(&self.spec)?;
-            let verilog_text = verilog::write_design(&design)?;
-            let flat = design.flatten();
-            (design, verilog_text, flat)
-        };
+    /// The Table-3 row of [`Self::run`] and the physical summary it rests
+    /// on, bit for bit, with the physical half taken from the process-wide
+    /// memo of [`physical::summary`]: a spec that shares its structure,
+    /// node, clock and APR options with an earlier evaluation in this
+    /// process skips netlist generation, APR and timing and runs only the
+    /// transient, the spectrum and the power estimate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates spec validation, netlist, and layout errors.
+    pub fn evaluate(&self) -> Result<(AdcReport, PhysicalSummary), CoreError> {
+        let summary = physical::summary(&self.physical_key())?;
+        Ok((self.electrical(&summary)?.report, summary))
+    }
 
-        // 2. Power-domain partitioning (floorplan generation inputs).
-        let power_plan = {
-            let _span = obs::span("flow.power_plan");
-            let power_plan = PowerPlan::infer(&flat)?;
-            power_plan.validate(&flat)?;
-            power_plan
-        };
-
-        // 3. APR with MSV regions + extraction, then timing sign-off.
-        let layout = {
-            let _span = obs::span("flow.apr").attr("cells", flat.cells.len());
-            synthesize(&flat, &power_plan, &self.spec.tech, &self.apr)?
-        };
-        let timing = {
-            let _span = obs::span("flow.timing");
-            analyze_timing(&flat, &layout.parasitics, &self.spec.tech, self.spec.fs_hz)?
-        };
-        // The leakage sum is the last reader of the flat netlist, which is
-        // the largest allocation of the flow (a few `String`s and a map per
-        // cell, ≈10× the hierarchical design); dropping it here keeps it out
-        // of the transient's heap.
-        let leakage_nw: f64 = {
-            let _span = obs::span("flow.power_report");
-            let catalog = self.spec.tech.catalog();
-            flat.cells
-                .iter()
-                .map(|c| catalog.cell(&c.cell).map(|s| s.leakage_nw()).unwrap_or(0.0))
-                .sum()
-        };
-        drop(flat);
-
-        // 4. Post-layout simulation.
-        let (capture, analysis) = self.simulate(&layout)?;
-
-        // 5. Power and the Table-3 row.
+    /// Steps 4 and 5: the post-layout transient, then power and the
+    /// Table-3 row.
+    fn electrical(&self, physical: &PhysicalSummary) -> Result<Electrical, CoreError> {
+        let (capture, analysis) = self.simulate(physical)?;
         let _span = obs::span("flow.power_report");
-        let wire_cap = layout.parasitics.total_capacitance_f();
-        let power = estimate(&self.spec, &capture.activity, wire_cap, leakage_nw);
+        let power = estimate(
+            &self.spec,
+            &capture.activity,
+            physical.wire_cap_f,
+            physical.leakage_nw,
+        );
         let report = AdcReport::from_parts(
             self.spec.tech.id(),
             self.spec.fs_hz,
@@ -197,15 +233,9 @@ impl DesignFlow {
             analysis.sndr_db,
             power.total_w(),
             power.digital_fraction(),
-            layout.area_mm2,
+            physical.area_mm2,
         );
-
-        Ok(FlowOutcome {
-            design,
-            verilog: verilog_text,
-            power_plan,
-            layout,
-            timing,
+        Ok(Electrical {
             capture,
             analysis,
             power,
@@ -214,23 +244,27 @@ impl DesignFlow {
     }
 
     /// Step 4 of [`Self::run`]: the post-layout transient of this flow's
-    /// input tone on `layout`, and its single-tone analysis (the transient
-    /// itself is spanned as `flow.transient` inside the simulator,
-    /// spectrum and tone metrics inside the capture analysis).
+    /// input tone on a physical design, and its single-tone analysis (the
+    /// transient itself is spanned as `flow.transient` inside the
+    /// simulator, spectrum and tone metrics inside the capture analysis).
     ///
     /// The simulator reads only the spec and the extracted VCTRL
-    /// capacitance of `layout`, and the amplitude and input frequency are
-    /// resolved here exactly as in `run()`. So on a layout that a flow of
-    /// the same spec and APR options produced, this returns bit for bit
-    /// the capture and analysis of a fresh `run()` with this flow's
-    /// amplitude, frequency and capture length, without repeating netlist
+    /// capacitance of the summary, and the amplitude and input frequency
+    /// are resolved here exactly as in `run()`. So on the summary of a
+    /// flow with the same [`PhysicalKey`], this returns bit for bit the
+    /// capture and analysis of a fresh `run()` with this flow's amplitude,
+    /// frequency and capture length, without repeating netlist
     /// generation, APR and timing.
     ///
     /// # Errors
     ///
     /// Propagates spec validation errors.
-    pub fn simulate(&self, layout: &LayoutResult) -> Result<(SimCapture, ToneAnalysis), CoreError> {
-        let mut sim = AdcSimulator::with_parasitics(self.spec.clone(), &layout.parasitics)?;
+    pub fn simulate(
+        &self,
+        physical: &PhysicalSummary,
+    ) -> Result<(SimCapture, ToneAnalysis), CoreError> {
+        let mut sim =
+            AdcSimulator::with_parasitics(self.spec.clone(), VctrlCap(physical.vctrl_cap_f))?;
         let fin = self.input_frequency_hz();
         let amplitude = self.amplitude_rel * self.spec.full_scale_v();
         let capture = sim.run_tone(fin, amplitude, self.sim_samples);
@@ -296,14 +330,14 @@ mod tests {
     #[test]
     fn simulate_on_an_existing_layout_is_exactly_a_fresh_run() {
         let outcome = quick_flow().run().unwrap();
-        let (capture, analysis) = quick_flow().simulate(&outcome.layout).unwrap();
+        let (capture, analysis) = quick_flow().simulate(&outcome.physical).unwrap();
         assert_same_capture((&capture, &analysis), (&outcome.capture, &outcome.analysis));
 
         // The Fig. 18 reuse: another amplitude on the same layout.
         let low = quick_flow().with_amplitude(0.05);
         let fresh = low.run().unwrap();
         assert_eq!(fresh.layout, outcome.layout, "the layout ignores the tone");
-        let (capture, analysis) = low.simulate(&outcome.layout).unwrap();
+        let (capture, analysis) = low.simulate(&outcome.physical).unwrap();
         assert_same_capture((&capture, &analysis), (&fresh.capture, &fresh.analysis));
         assert_ne!(capture.output, outcome.capture.output);
     }

@@ -19,6 +19,8 @@
 //! * [`flow`] — the complete design & synthesis flow of Fig. 9: spec →
 //!   netlist → HDL → power plan → floorplan → APR → extraction →
 //!   post-layout simulation → report,
+//! * [`physical`] — the flow's physical half, keyed by exactly what it
+//!   reads and implemented once per key per process,
 //! * [`report`] — Table-3-style performance summaries (SNDR, ENOB, power,
 //!   area, Walden FOM).
 //!
@@ -40,6 +42,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod flow;
 pub mod netgen;
+pub mod physical;
 pub mod power;
 pub mod report;
 pub mod sim;
@@ -49,6 +52,7 @@ pub use backend::{DecimatedSignal, DecimationBackend};
 pub use error::CoreError;
 pub use fingerprint::{engine_fingerprint, ARTIFACT_SCHEMA_VERSION};
 pub use flow::{DesignFlow, FlowOutcome};
+pub use physical::{PhysicalKey, PhysicalSummary};
 pub use report::AdcReport;
 pub use sim::{AdcSimulator, SimCapture};
 pub use spec::AdcSpec;

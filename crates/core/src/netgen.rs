@@ -18,6 +18,11 @@
 //! * [`slice_module`] — Table 2's `ADC_slice`.
 //! * [`generate`] — the full ADC: shared control/buffer nodes, input
 //!   resistors, N slices, clock tree.
+//!
+//! The netlist depends on an [`AdcStructure`] only: the slice count, the
+//! ring length and the output adder. Every electrical knob of the spec
+//! (loop gain, resistor values, noise, seed, simulation steps) leaves the
+//! HDL unchanged.
 
 use crate::error::CoreError;
 use crate::spec::AdcSpec;
@@ -26,10 +31,26 @@ use tdsigma_netlist::{Design, Module, NetId, PortDirection};
 /// Number of identical fragments composing one resistor (paper Fig. 11).
 pub const FRAGMENTS_PER_RESISTOR: usize = 4;
 
-/// Number of delay stages per ring VCO (paper Fig. 5 shows the 4-inverter
-/// stage; the spec's `vco_stages` sets how many are chained).
-fn ring_stages(spec: &AdcSpec) -> usize {
-    spec.vco_stages
+/// The part of an [`AdcSpec`] the gate-level netlist is built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdcStructure {
+    /// Number of slices.
+    pub n_slices: usize,
+    /// Delay stages per ring VCO (paper Fig. 5 shows the 4-inverter
+    /// stage; this sets how many are chained).
+    pub vco_stages: usize,
+    /// Include the thermometer-to-binary ones counter and output register.
+    pub include_output_adder: bool,
+}
+
+impl From<&AdcSpec> for AdcStructure {
+    fn from(spec: &AdcSpec) -> Self {
+        AdcStructure {
+            n_slices: spec.n_slices,
+            vco_stages: spec.vco_stages,
+            include_output_adder: spec.include_output_adder,
+        }
+    }
 }
 
 /// Builds the Table 1 comparator: cross-coupled NOR3 pair + NOR2 SR latch.
@@ -483,15 +504,9 @@ pub fn ones_counter_module(n: usize) -> Module {
             .expect("static construction");
         }
     }
-    // The final carry column (weight `width`) is beyond the output range
-    // only when n is an exact power of two boundary case; fold any
-    // leftover into the MSB via buffers is unnecessary because
-    // popcount(n) ≤ n < 2^width. Assert emptiness in debug builds.
-    debug_assert!(
-        columns[width].is_empty(),
-        "compressor overflow: popcount needs {} bits",
-        width
-    );
+    // The reduction keeps Σ 2^w·(ones in column w) = popcount ≤ n <
+    // 2^width, so a carry that lands in column `width` (for n = 14, 15,
+    // 28–31, …) is constant zero and is left unconnected.
     m
 }
 
@@ -499,8 +514,7 @@ pub fn ones_counter_module(n: usize) -> Module {
 /// Fig.-5 stages closing the ring), one buffer per ring tap, the `pd_VDD`
 /// quantizer block, the `pd_VREFP` thermometer DAC with its resistors, and
 /// the slice's own input resistors into its private control nodes.
-pub fn slice_module(spec: &AdcSpec) -> Module {
-    let stages = ring_stages(spec);
+pub fn slice_module(stages: usize) -> Module {
     let mut m = Module::new("ADC_slice");
     let clk = m.add_port("CLK", PortDirection::Input);
     let vinp = m.add_port("VINP", PortDirection::Input);
@@ -659,13 +673,15 @@ pub fn slice_module(spec: &AdcSpec) -> Module {
 
 /// Generates the complete ADC design: all library blocks, input resistors,
 /// `n_slices` slices sharing the control/buffer nodes, a clock buffer
-/// tree, and the top-level ports.
+/// tree, and the top-level ports. Takes an [`AdcStructure`] or anything
+/// that converts to one, such as `&AdcSpec`.
 ///
 /// # Errors
 ///
 /// Propagates netlist construction errors (cannot occur for a validated
 /// spec; kept fallible for forward compatibility).
-pub fn generate(spec: &AdcSpec) -> Result<Design, CoreError> {
+pub fn generate(structure: impl Into<AdcStructure>) -> Result<Design, CoreError> {
+    let s: AdcStructure = structure.into();
     let mut top = Module::new("adc_top");
     let clk = top.add_port("CLK", PortDirection::Input);
     let vinp = top.add_port("VINP", PortDirection::Input);
@@ -674,9 +690,9 @@ pub fn generate(spec: &AdcSpec) -> Result<Design, CoreError> {
     let vbuf = top.add_port("VBUF", PortDirection::Inout);
     let vrefp = top.add_port("VREFP", PortDirection::Inout);
     let vss = top.add_port("VSS", PortDirection::Inout);
-    let d_ports: Vec<Vec<NetId>> = (0..spec.n_slices)
+    let d_ports: Vec<Vec<NetId>> = (0..s.n_slices)
         .map(|i| {
-            (0..spec.vco_stages)
+            (0..s.vco_stages)
                 .map(|t| top.add_port(format!("D{i}_{t}"), PortDirection::Output))
                 .collect()
         })
@@ -717,14 +733,14 @@ pub fn generate(spec: &AdcSpec) -> Result<Design, CoreError> {
     // Optional on-chip thermometer-to-binary back end: a ones counter over
     // every slice tap bit, registered at the clock — the ADC's binary
     // output word SUM[width-1:0].
-    if spec.include_output_adder {
-        let n_bits = spec.n_slices * spec.vco_stages;
+    if s.include_output_adder {
+        let n_bits = s.n_slices * s.vco_stages;
         let width = ones_counter_width(n_bits);
         let mut conns: Vec<(String, NetId)> =
             vec![("VDD".to_string(), vdd), ("VSS".to_string(), vss)];
         for (i, d_slice) in d_ports.iter().enumerate() {
             for (t, &d) in d_slice.iter().enumerate() {
-                conns.push((format!("IN{}", i * spec.vco_stages + t), d));
+                conns.push((format!("IN{}", i * s.vco_stages + t), d));
             }
         }
         let raw_sums: Vec<NetId> = (0..width)
@@ -758,16 +774,16 @@ pub fn generate(spec: &AdcSpec) -> Result<Design, CoreError> {
         comparator_module(),
         vco_stage_module(),
         buffer_module(),
-        pd_vdd_module(spec.vco_stages),
-        pd_vrefp_module(spec.vco_stages),
+        pd_vdd_module(s.vco_stages),
+        pd_vrefp_module(s.vco_stages),
         resistor_module("res_in", "RESLO"),
         resistor_module("res_dac", "RESHI"),
-        slice_module(spec),
+        slice_module(s.vco_stages),
     ];
-    if spec.include_output_adder {
+    if s.include_output_adder {
         modules.push(full_adder_module());
         modules.push(half_adder_module());
-        modules.push(ones_counter_module(spec.n_slices * spec.vco_stages));
+        modules.push(ones_counter_module(s.n_slices * s.vco_stages));
     }
     modules.push(top);
     let design = Design::with_modules(modules, "adc_top")?;
@@ -962,7 +978,8 @@ mod tests {
     #[test]
     fn ones_counter_is_exhaustively_correct() {
         use tdsigma_netlist::{Design, GateSimulator};
-        for n in [2usize, 3, 5, 8] {
+        // 14 and 15 leave a constant-zero carry beyond the output width.
+        for n in [2usize, 3, 5, 8, 14, 15] {
             let design = Design::with_modules(
                 [
                     full_adder_module(),

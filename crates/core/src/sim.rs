@@ -413,6 +413,18 @@ pub struct AdcSimulator {
     cmp_n: Vec<ClockedComparator>,
 }
 
+/// Extracted wire capacitance of a layout's VCO control nets (every net
+/// whose name contains `VCTRL`), F: the one number of a layout the
+/// post-layout transient reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VctrlCap(pub f64);
+
+impl From<&Parasitics> for VctrlCap {
+    fn from(parasitics: &Parasitics) -> Self {
+        VctrlCap(parasitics.total_capacitance_where(|n| n.contains("VCTRL")))
+    }
+}
+
 impl AdcSimulator {
     /// Builds a schematic-level simulator (no layout parasitics).
     ///
@@ -434,15 +446,16 @@ impl AdcSimulator {
     }
 
     /// Builds a post-layout simulator: the extracted capacitance of the
-    /// control-node nets is added to the summing nodes.
+    /// control-node nets is added to the summing nodes. Takes the
+    /// [`VctrlCap`] of a layout, or the layout's `&Parasitics`, which
+    /// convert to one.
     ///
     /// # Errors
     ///
     /// Propagates spec validation errors.
-    pub fn with_parasitics(spec: AdcSpec, parasitics: &Parasitics) -> Result<Self, CoreError> {
-        let vctrl_cap = parasitics.total_capacitance_where(|n| n.contains("VCTRL"));
+    pub fn with_parasitics(spec: AdcSpec, vctrl: impl Into<VctrlCap>) -> Result<Self, CoreError> {
         // Split between the P and N nodes.
-        Self::build(spec, ComparatorFlavor::Nor3, vctrl_cap / 2.0)
+        Self::build(spec, ComparatorFlavor::Nor3, vctrl.into().0 / 2.0)
     }
 
     fn build(

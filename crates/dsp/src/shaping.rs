@@ -36,10 +36,9 @@ impl fmt::Display for SlopeFit {
 /// (8 per decade) so the fit measures the floor rather than bin-to-bin
 /// scatter. A first-order delta-sigma modulator shows ≈ +20 dB/decade.
 ///
-/// # Panics
-///
-/// Panics if the range contains fewer than 4 log buckets with data.
-pub fn fit_noise_slope(spectrum: &Spectrum, f_lo_hz: f64, f_hi_hz: f64) -> SlopeFit {
+/// Returns `None` if the range holds fewer than 4 log buckets with data,
+/// too few for a meaningful line.
+pub fn fit_noise_slope(spectrum: &Spectrum, f_lo_hz: f64, f_hi_hz: f64) -> Option<SlopeFit> {
     let skirt = spectrum.window().leakage_bins();
     let signal_bin = spectrum.peak_bin();
     let lo_bin = spectrum.bin_of_frequency(f_lo_hz).max(skirt + 1);
@@ -68,11 +67,9 @@ pub fn fit_noise_slope(spectrum: &Spectrum, f_lo_hz: f64, f_hi_hz: f64) -> Slope
         }
         bucket_lo = bucket_hi;
     }
-    assert!(
-        pts.len() >= 4,
-        "slope fit needs at least 4 log buckets, got {}",
-        pts.len()
-    );
+    if pts.len() < 4 {
+        return None;
+    }
 
     // Ordinary least squares on (log10 f, dB).
     let n = pts.len() as f64;
@@ -82,11 +79,11 @@ pub fn fit_noise_slope(spectrum: &Spectrum, f_lo_hz: f64, f_hi_hz: f64) -> Slope
     let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
     let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
     let intercept = (sy - slope * sx) / n;
-    SlopeFit {
+    Some(SlopeFit {
         slope_db_per_decade: slope,
         intercept_db: intercept,
         points: pts.len(),
-    }
+    })
 }
 
 /// Report of in-band idle-tone inspection.
@@ -188,7 +185,7 @@ mod tests {
     fn recovers_first_order_shaping_slope() {
         let samples = shaped_capture(1 << 14, 37, 20.0);
         let s = Spectrum::from_samples(&samples, 100e6, Window::Hann);
-        let fit = fit_noise_slope(&s, 1e6, 40e6);
+        let fit = fit_noise_slope(&s, 1e6, 40e6).unwrap();
         assert!(
             (fit.slope_db_per_decade - 20.0).abs() < 4.0,
             "expected ~20 dB/dec, got {}",
@@ -201,7 +198,7 @@ mod tests {
     fn flat_noise_fits_zero_slope() {
         let samples = shaped_capture(1 << 13, 21, 0.0);
         let s = Spectrum::from_samples(&samples, 100e6, Window::Hann);
-        let fit = fit_noise_slope(&s, 1e6, 40e6);
+        let fit = fit_noise_slope(&s, 1e6, 40e6).unwrap();
         assert!(
             fit.slope_db_per_decade.abs() < 4.0,
             "expected ~0 dB/dec, got {}",
@@ -213,7 +210,7 @@ mod tests {
     fn second_order_slope_distinguished() {
         let samples = shaped_capture(1 << 14, 37, 40.0);
         let s = Spectrum::from_samples(&samples, 100e6, Window::Hann);
-        let fit = fit_noise_slope(&s, 1e6, 40e6);
+        let fit = fit_noise_slope(&s, 1e6, 40e6).unwrap();
         assert!(
             fit.slope_db_per_decade > 30.0,
             "got {}",
@@ -247,10 +244,19 @@ mod tests {
     fn display_formats() {
         let samples = shaped_capture(1 << 12, 100, 20.0);
         let s = Spectrum::from_samples(&samples, 100e6, Window::Hann);
-        let fit = fit_noise_slope(&s, 1e6, 40e6);
+        let fit = fit_noise_slope(&s, 1e6, 40e6).unwrap();
         assert!(fit.to_string().contains("dB/dec"));
         let report = idle_tone_report(&s, 20e6, 25.0);
         assert!(report.to_string().contains("spur"));
+    }
+
+    #[test]
+    fn too_narrow_band_has_no_slope() {
+        let samples = shaped_capture(1 << 12, 100, 20.0);
+        let s = Spectrum::from_samples(&samples, 100e6, Window::Hann);
+        // 1–1.5 MHz spans about 0.18 decade: two log buckets.
+        assert_eq!(fit_noise_slope(&s, 1e6, 1.5e6), None);
+        assert!(fit_noise_slope(&s, 1e6, 40e6).is_some());
     }
 
     #[test]

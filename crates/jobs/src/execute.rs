@@ -1,5 +1,8 @@
 //! The default job runner: turns a [`Job`] into a [`JobReport`] by
-//! driving the core simulator or the full design flow.
+//! driving the core simulator or the full design flow. Flow jobs go
+//! through [`DesignFlow::evaluate`], so jobs that share a structure (the
+//! amplitudes of a flow sweep, the electrical variants an optimizer
+//! proposes) share one layout per process.
 //!
 //! Runners are deliberately plain functions `&Job → Result<(report,
 //! stage times)>` so the pool can be tested with injected runners
@@ -94,11 +97,10 @@ fn execute_flow(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
     stages.build_ms = ms_since(t);
 
     let t = Instant::now();
-    let outcome = flow.run().map_err(failed)?;
+    let (r, physical) = flow.evaluate().map_err(failed)?;
     stages.execute_ms = ms_since(t);
 
     let t = Instant::now();
-    let r = &outcome.report;
     let report = JobReport {
         key: job.key(),
         job: job.clone(),
@@ -109,7 +111,7 @@ fn execute_flow(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
         digital_fraction: Some(r.digital_fraction),
         area_mm2: Some(r.area_mm2),
         fom_fj: Some(r.fom_fj),
-        timing_slack_ps: Some(outcome.timing.slack_ps()),
+        timing_slack_ps: Some(physical.slack_ps),
     };
     stages.analyze_ms = ms_since(t);
     Ok((report, stages))

@@ -10,6 +10,7 @@
 
 use crate::error::JobError;
 use crate::json::Json;
+use tdsigma_core::flow::coherent_input_hz;
 use tdsigma_core::sim::ANALYSIS_WINDOW;
 use tdsigma_core::spec::{AdcSpec, MAX_STEPS_PER_CYCLE};
 use tdsigma_dsp::metrics::ToneAnalysis;
@@ -247,12 +248,10 @@ impl Job {
     }
 
     /// The coherent input frequency the job will actually simulate: the
-    /// target (or BW/5) snapped to a non-zero FFT bin of the capture —
-    /// the same snap rule as `DesignFlow::input_frequency_hz`.
+    /// target (or BW/5) snapped to a non-zero FFT bin of the capture
+    /// ([`coherent_input_hz`]).
     pub fn input_frequency_hz(&self) -> f64 {
-        let target = self.fin_hz.unwrap_or(self.bw_hz / 5.0);
-        let bin = (target * self.samples as f64 / self.fs_hz).round().max(1.0);
-        bin * self.fs_hz / self.samples as f64
+        coherent_input_hz(self.fin_hz, self.fs_hz, self.bw_hz, self.samples)
     }
 
     /// This job as a canonical JSON object (Hz units, every field).

@@ -726,8 +726,9 @@ fn enable_trace(flags: &Flags) -> Result<Option<String>, Box<dyn std::error::Err
 }
 
 /// Prints the per-stage wall-time table accumulated by the span
-/// histograms. Histograms are always on (atomic adds only), so this
-/// works with or without `--trace`.
+/// histograms, and the physical memo's hits and misses when flow jobs
+/// ran. Histograms are always on (atomic adds only), so this works with
+/// or without `--trace`.
 fn print_stage_breakdown() {
     let snap = tdsigma::obs::registry().snapshot();
     let mut rows: Vec<_> = snap
@@ -758,6 +759,11 @@ fn print_stage_breakdown() {
             h.mean_ms(),
             h.max_ms()
         );
+    }
+    let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let (hits, misses) = (count("flow.physical.hits"), count("flow.physical.misses"));
+    if hits + misses > 0 {
+        println!("  physical memo: {hits} hit(s), {misses} miss(es) (a hit skips netgen, APR and timing)");
     }
 }
 

@@ -8,7 +8,10 @@
 //!   2. SIGKILL mid-search, then `--resume <run-id>` → the final
 //!      artifact is byte-identical to an uninterrupted run, and the
 //!      re-run absorbs completed evaluations as cache hits;
-//!   3. `--dry-run` prints the generation-0 plan and executes nothing.
+//!   3. `--dry-run` prints the generation-0 plan and executes nothing;
+//!   4. a full-flow search writes the same `optimize.json` on one worker
+//!      and on three, although its workers share one process-wide memo of
+//!      layouts and race for its entries.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -143,6 +146,34 @@ fn kill9_mid_optimize_then_resume_reproduces_the_artifact() {
         "resumed artifact must be byte-identical to the uninterrupted run"
     );
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn flow_search_is_byte_identical_across_worker_counts() {
+    let root = std::env::temp_dir().join(format!("tdsigma_opt_flow_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut artifacts = Vec::new();
+    for workers in ["1", "3"] {
+        let dir = root.join(workers);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut args: Vec<String> = optimize_args(&dir, "flow-workers", FAST)
+            .into_iter()
+            .map(|a| if a == "sim" { "flow".into() } else { a })
+            .collect();
+        args.extend(["--workers".into(), workers.into()]);
+        let stdout = run_ok(&args, &dir);
+        assert!(stdout.contains("physical memo:"), "{stdout}");
+        artifacts.push(std::fs::read(dir.join("optimize.json")).expect("artifact"));
+    }
+    assert!(
+        String::from_utf8_lossy(&artifacts[0]).contains("\"timing_slack_ps\""),
+        "a flow search reports layout results"
+    );
+    assert_eq!(
+        artifacts[0], artifacts[1],
+        "--workers 1 and --workers 3 must write identical optimize.json"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
