@@ -26,8 +26,10 @@ fn main() {
         "  input 10 mV of {full_scale_mv:.0} mV full scale = {:.1} dBFS",
         20.0 * amplitude_rel.log10()
     );
-    let report = idle_tone_report(&spectrum, bw, 25.0);
-    println!("  idle-tone check: {report}");
+    match idle_tone_report(&spectrum, bw, 25.0) {
+        Some(report) => println!("  idle-tone check: {report}"),
+        None => println!("  idle-tone check: FAILED, too few noise bins in band"),
+    }
     println!("  (paper: \"No idle tones are observed for the low input amplitude.\")");
     println!();
     println!("time-domain output (first 96 samples):");

@@ -19,7 +19,10 @@ pub const MAX_STEPS_PER_CYCLE: usize = 1024;
 pub struct AdcSpec {
     /// Target technology.
     pub tech: Technology,
-    /// Number of slices (effective quantizer levels = slices + 1).
+    /// Number of slices. The output adder sums `n_slices × vco_stages`
+    /// thermometer bits, so the output code spans
+    /// `n_slices · vco_stages + 1` levels; averaging independent slices
+    /// adds ≈ 10·log10(n_slices) dB of SNDR.
     pub n_slices: usize,
     /// Sampling clock, Hz.
     pub fs_hz: f64,

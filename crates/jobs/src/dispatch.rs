@@ -53,7 +53,7 @@
 use crate::error::JobError;
 use crate::faults::{FaultPlan, VERIFY_BASIS};
 use crate::job::Job;
-use crate::metrics::{BackendDispatchStats, DispatchSummary, StageTimes};
+use crate::metrics::{BackendDispatchStats, DispatchSummary};
 use crate::pool::{lock_unpoisoned, Runner};
 use crate::remote::{BackendHealth, RemoteClient, RemoteConfig, RemoteError};
 use crate::report::JobReport;
@@ -358,7 +358,7 @@ enum Candidate {
 /// variants.
 enum RoundOutcome {
     /// A definitive answer (success, or a deterministic job error).
-    Done(Box<Result<(JobReport, StageTimes), JobError>>),
+    Done(Box<Result<JobReport, JobError>>),
     /// At least one backend said "busy, come back in `wait_ms`" (or was
     /// still cooling from an earlier busy) and nothing succeeded.
     Busy { wait_ms: u64, local_tried: bool },
@@ -474,7 +474,7 @@ impl Dispatcher {
     /// Only job-class errors surface (a deterministic rejection, or the
     /// local runner's own failure after every backend was exhausted) —
     /// never "a backend was down".
-    pub fn run_job(&self, job: &Job) -> Result<(JobReport, StageTimes), JobError> {
+    pub fn run_job(&self, job: &Job) -> Result<JobReport, JobError> {
         // An all-busy fleet is temporary by definition: honor the
         // smallest advertised retry_after (bounded) for a couple of
         // rounds before degrading to local execution.
@@ -568,10 +568,7 @@ impl Dispatcher {
                     match backend.attempt(job) {
                         Ok(report) => {
                             let report = self.verify_sampled(backend, report, job);
-                            return RoundOutcome::Done(Box::new(Ok((
-                                report,
-                                StageTimes::default(),
-                            ))));
+                            return RoundOutcome::Done(Box::new(Ok(report)));
                         }
                         Err(RemoteError::Job(e)) => return RoundOutcome::Done(Box::new(Err(e))),
                         Err(RemoteError::Busy { retry_after_ms, .. }) => {
@@ -620,7 +617,7 @@ impl Dispatcher {
         other: (Arc<Backend>, JobReport),
     ) -> JobReport {
         match (self.local)(job) {
-            Ok((truth, _)) => {
+            Ok(truth) => {
                 let text = truth.to_text();
                 let primary_honest = primary.1.to_text() == text;
                 let other_honest = other.1.to_text() == text;
@@ -687,7 +684,7 @@ impl Dispatcher {
             // No usable peer (none trusted, or the peer itself failed):
             // the local engine is the referee.
             Some((Err(_), _)) | None => match (self.local)(job) {
-                Ok((truth, _)) => {
+                Ok(truth) => {
                     if truth.to_text() == report.to_text() {
                         self.note_verified(&report.key);
                         report
@@ -731,7 +728,7 @@ impl Dispatcher {
     }
 
     /// Last-resort in-process execution, counted and warned once.
-    fn local_fallback(&self, job: &Job) -> Result<(JobReport, StageTimes), JobError> {
+    fn local_fallback(&self, job: &Job) -> Result<JobReport, JobError> {
         self.local_fallbacks.fetch_add(1, Ordering::Relaxed);
         tdsigma_obs::counter("dispatch.local_fallback").inc();
         if !self.fallback_warned.swap(true, Ordering::Relaxed) {
@@ -797,22 +794,19 @@ mod tests {
     use crate::server::{Server, ServerConfig};
     use std::sync::atomic::AtomicUsize;
 
-    fn ok_report(job: &Job) -> (JobReport, StageTimes) {
-        (
-            JobReport {
-                key: job.key(),
-                job: job.clone(),
-                fin_hz: job.input_frequency_hz(),
-                sndr_db: 60.0 + job.seed as f64,
-                enob: 9.7,
-                power_mw: None,
-                digital_fraction: None,
-                area_mm2: None,
-                fom_fj: None,
-                timing_slack_ps: None,
-            },
-            StageTimes::default(),
-        )
+    fn ok_report(job: &Job) -> JobReport {
+        JobReport {
+            key: job.key(),
+            job: job.clone(),
+            fin_hz: job.input_frequency_hz(),
+            sndr_db: 60.0 + job.seed as f64,
+            enob: 9.7,
+            power_mw: None,
+            digital_fraction: None,
+            area_mm2: None,
+            fom_fj: None,
+            timing_slack_ps: None,
+        }
     }
 
     fn local_runner() -> Arc<Runner> {
@@ -949,7 +943,7 @@ mod tests {
             seed: 9,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let (report, _) = dispatcher.run_job(&job).expect("dispatched job");
+        let report = dispatcher.run_job(&job).expect("dispatched job");
         assert_eq!(report.key, job.key());
         assert_eq!(report.sndr_db, 69.0);
         let summary = dispatcher.summary();
@@ -968,7 +962,7 @@ mod tests {
             local_runner(),
         );
         let job = Job::sim(40.0, 750e6, 5e6);
-        let (report, _) = dispatcher.run_job(&job).expect("local fallback");
+        let report = dispatcher.run_job(&job).expect("local fallback");
         assert_eq!(report.key, job.key());
         let summary = dispatcher.summary();
         assert_eq!(summary.local_fallbacks, 1);
@@ -988,7 +982,7 @@ mod tests {
                 seed,
                 ..Job::sim(40.0, 750e6, 5e6)
             };
-            let (report, _) = dispatcher.run_job(&job).expect("failover");
+            let report = dispatcher.run_job(&job).expect("failover");
             assert_eq!(report.key, job.key());
         }
         let summary = dispatcher.summary();
@@ -1055,7 +1049,7 @@ mod tests {
                 seed,
                 ..Job::sim(40.0, 750e6, 5e6)
             };
-            let (report, _) = dispatcher.run_job(&job).expect("local absorbs shed work");
+            let report = dispatcher.run_job(&job).expect("local absorbs shed work");
             assert_eq!(report.key, job.key());
         }
         assert_eq!(
@@ -1089,7 +1083,7 @@ mod tests {
                 seed,
                 ..Job::sim(40.0, 750e6, 5e6)
             };
-            let (report, _) = dispatcher.run_job(&job).expect("failover from busy");
+            let report = dispatcher.run_job(&job).expect("failover from busy");
             assert_eq!(report.key, job.key());
         }
         let summary = dispatcher.summary();
@@ -1132,7 +1126,7 @@ mod tests {
                 seed,
                 ..Job::sim(40.0, 750e6, 5e6)
             };
-            let (report, _) = dispatcher.run_job(&job).expect("local absorbs the work");
+            let report = dispatcher.run_job(&job).expect("local absorbs the work");
             assert_eq!(report.key, job.key());
         }
         let summary = dispatcher.summary();
@@ -1207,10 +1201,10 @@ mod tests {
                 seed,
                 ..Job::sim(40.0, 750e6, 5e6)
             };
-            let (report, _) = dispatcher.run_job(&job).expect("verified dispatch");
+            let report = dispatcher.run_job(&job).expect("verified dispatch");
             // The verified bytes win: every answer matches what a pure
             // local run would have produced, lying backend or not.
-            assert_eq!(report.to_text(), ok_report(&job).0.to_text());
+            assert_eq!(report.to_text(), ok_report(&job).to_text());
         }
         assert!(
             dispatcher.backends[0].quarantined(),
@@ -1356,7 +1350,7 @@ mod tests {
             seed: 7,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let truth = ok_report(&job).0;
+        let truth = ok_report(&job);
         let mut lie = truth.clone();
         lie.sndr_db += 3.0;
         let report = dispatcher.arbitrate_pair(

@@ -19,7 +19,6 @@ use crate::report::JobReport;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
 use tdsigma_obs as obs;
 
 /// Engine construction options.
@@ -62,7 +61,8 @@ pub struct Engine {
 pub struct BatchReport {
     /// One result per submitted job, in submission order.
     pub results: Vec<Result<JobReport, JobError>>,
-    /// Outcome counters and timing.
+    /// Outcome counters (durations are on the `engine.batch` and
+    /// `job.attempt` spans).
     pub metrics: BatchMetrics,
 }
 
@@ -183,7 +183,6 @@ impl Engine {
         let _batch_span = obs::span("engine.batch")
             .attr("jobs", jobs.len())
             .attr("journaled", journal.is_some());
-        let started = Instant::now();
         let rejected_before = self.cache.rejected();
         let mut metrics = BatchMetrics {
             jobs: jobs.len(),
@@ -264,23 +263,14 @@ impl Engine {
         let mut journal_err: Option<JobError> = None;
 
         for p in pending {
-            let outcome = p.rx.recv().unwrap_or(JobOutcome {
-                result: Err(JobError::PoolClosed),
-                attempts: 0,
-                exec_ms: 0.0,
-                backoff_ms: 0.0,
-                injected_faults: 0,
-                stages: Default::default(),
-            });
+            let outcome =
+                p.rx.recv()
+                    .unwrap_or_else(|_| JobOutcome::terminal(Err(JobError::PoolClosed)));
             if outcome.attempts > 0 {
                 metrics.executed += 1;
                 metrics.retried += outcome.attempts.saturating_sub(1) as usize;
-                metrics.exec_ms_total += outcome.exec_ms;
-                metrics.exec_ms_max = metrics.exec_ms_max.max(outcome.exec_ms);
-                metrics.stages.accumulate(&outcome.stages);
             }
             metrics.faults_injected += outcome.injected_faults as usize;
-            metrics.backoff_ms_total += outcome.backoff_ms;
             let record: Option<JournalRecord> = match &outcome.result {
                 Ok(_) => Some(JournalRecord::JobFinished { key: p.key.clone() }),
                 // Canceled jobs are neither finished nor permanently
@@ -334,7 +324,6 @@ impl Engine {
         }
 
         metrics.cache_rejected = self.cache.rejected() - rejected_before;
-        metrics.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let results: Vec<_> = slots
             .into_iter()
             .map(|s| s.expect("every slot filled by cache, dedup, or execution"))
@@ -406,7 +395,6 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::StageTimes;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn counting_runner() -> (Arc<AtomicUsize>, Arc<Runner>) {
@@ -414,25 +402,18 @@ mod tests {
         let c = Arc::clone(&count);
         let runner: Arc<Runner> = Arc::new(move |job: &Job| {
             c.fetch_add(1, Ordering::SeqCst);
-            Ok((
-                JobReport {
-                    key: job.key(),
-                    job: job.clone(),
-                    fin_hz: 1e6,
-                    sndr_db: 50.0 + job.seed as f64,
-                    enob: 8.0,
-                    power_mw: None,
-                    digital_fraction: None,
-                    area_mm2: None,
-                    fom_fj: None,
-                    timing_slack_ps: None,
-                },
-                StageTimes {
-                    build_ms: 0.1,
-                    execute_ms: 1.0,
-                    analyze_ms: 0.1,
-                },
-            ))
+            Ok(JobReport {
+                key: job.key(),
+                job: job.clone(),
+                fin_hz: 1e6,
+                sndr_db: 50.0 + job.seed as f64,
+                enob: 8.0,
+                power_mw: None,
+                digital_fraction: None,
+                area_mm2: None,
+                fom_fj: None,
+                timing_slack_ps: None,
+            })
         });
         (count, runner)
     }
@@ -473,7 +454,6 @@ mod tests {
             .collect();
         assert_eq!(sndrs, vec![55.0, 53.0, 59.0, 51.0, 57.0]);
         assert_eq!(batch.metrics.executed, 5);
-        assert!(batch.metrics.exec_ms_total > 0.0);
     }
 
     #[test]

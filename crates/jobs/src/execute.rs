@@ -4,15 +4,15 @@
 //! amplitudes of a flow sweep, the electrical variants an optimizer
 //! proposes) share one layout per process.
 //!
-//! Runners are deliberately plain functions `&Job → Result<(report,
-//! stage times)>` so the pool can be tested with injected runners
-//! (panicking, flaky, slow) without touching the real flow.
+//! Runners are deliberately plain functions `&Job → Result<JobReport>`
+//! so the pool can be tested with injected runners (panicking, flaky,
+//! slow) without touching the real flow. They time nothing themselves:
+//! the `flow.build` span here, the flow's own stage spans and the pool's
+//! `job.attempt` span carry every duration.
 
 use crate::error::JobError;
 use crate::job::{Job, JobKind};
-use crate::metrics::StageTimes;
 use crate::report::JobReport;
-use std::time::Instant;
 use tdsigma_core::flow::DesignFlow;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_dsp::metrics::enob_from_sndr;
@@ -36,7 +36,7 @@ std::thread_local! {
 ///
 /// [`JobError::Invalid`] for unsupported parameters, [`JobError::Failed`]
 /// for flow errors.
-pub fn execute(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
+pub fn execute(job: &Job) -> Result<JobReport, JobError> {
     job.check_bounds()?;
     match job.kind {
         JobKind::SimTone => execute_sim(job),
@@ -44,26 +44,19 @@ pub fn execute(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
     }
 }
 
-fn execute_sim(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
-    let mut stages = StageTimes::default();
-    let t = Instant::now();
+fn execute_sim(job: &Job) -> Result<JobReport, JobError> {
     let (spec, mut sim) = {
         let _span = obs::span("flow.build").attr("kind", "sim");
         let spec = job.to_spec()?;
         let sim = AdcSimulator::new(spec.clone()).map_err(failed)?;
         (spec, sim)
     };
-    stages.build_ms = ms_since(t);
 
-    let t = Instant::now();
     let fin = job.input_frequency_hz();
     let amplitude = job.amplitude_rel * spec.full_scale_v();
     let capture = sim.run_tone(fin, amplitude, job.samples);
-    stages.execute_ms = ms_since(t);
-
-    let t = Instant::now();
     let analysis = DSP_SCRATCH.with(|s| capture.analyze_with(spec.bw_hz, &mut s.borrow_mut()));
-    let report = JobReport {
+    Ok(JobReport {
         key: job.key(),
         job: job.clone(),
         fin_hz: fin,
@@ -74,14 +67,10 @@ fn execute_sim(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
         area_mm2: None,
         fom_fj: None,
         timing_slack_ps: None,
-    };
-    stages.analyze_ms = ms_since(t);
-    Ok((report, stages))
+    })
 }
 
-fn execute_flow(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
-    let mut stages = StageTimes::default();
-    let t = Instant::now();
+fn execute_flow(job: &Job) -> Result<JobReport, JobError> {
     let (flow, fin) = {
         let _span = obs::span("flow.build").attr("kind", "flow");
         let spec = job.to_spec()?;
@@ -94,14 +83,9 @@ fn execute_flow(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
         let fin = flow.input_frequency_hz();
         (flow, fin)
     };
-    stages.build_ms = ms_since(t);
 
-    let t = Instant::now();
     let (r, physical) = flow.evaluate().map_err(failed)?;
-    stages.execute_ms = ms_since(t);
-
-    let t = Instant::now();
-    let report = JobReport {
+    Ok(JobReport {
         key: job.key(),
         job: job.clone(),
         fin_hz: fin,
@@ -112,9 +96,7 @@ fn execute_flow(job: &Job) -> Result<(JobReport, StageTimes), JobError> {
         area_mm2: Some(r.area_mm2),
         fom_fj: Some(r.fom_fj),
         timing_slack_ps: Some(physical.slack_ps),
-    };
-    stages.analyze_ms = ms_since(t);
-    Ok((report, stages))
+    })
 }
 
 fn failed(e: impl std::fmt::Display) -> JobError {
@@ -122,10 +104,6 @@ fn failed(e: impl std::fmt::Display) -> JobError {
         attempts: 1,
         message: e.to_string(),
     }
-}
-
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 #[cfg(test)]
@@ -145,8 +123,8 @@ mod tests {
     #[test]
     fn sim_job_executes_deterministically() {
         let job = quick_sim_job();
-        let (a, _) = execute(&job).unwrap();
-        let (b, _) = execute(&job).unwrap();
+        let a = execute(&job).unwrap();
+        let b = execute(&job).unwrap();
         assert_eq!(a.to_text(), b.to_text(), "same job, same bits");
         assert!(a.sndr_db.is_finite());
         assert_eq!(a.power_mw, None);
@@ -158,8 +136,8 @@ mod tests {
         let job = quick_sim_job();
         let mut other = job.clone();
         other.seed = 31_337;
-        let (a, _) = execute(&job).unwrap();
-        let (b, _) = execute(&other).unwrap();
+        let a = execute(&job).unwrap();
+        let b = execute(&other).unwrap();
         assert_ne!(
             a.sndr_db, b.sndr_db,
             "a different die must measure differently"
@@ -174,12 +152,5 @@ mod tests {
             Err(JobError::Invalid(_)) => {}
             other => panic!("expected Invalid, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn stage_times_are_recorded() {
-        let (_, stages) = execute(&quick_sim_job()).unwrap();
-        assert!(stages.execute_ms > 0.0);
-        assert!(stages.total_ms() >= stages.execute_ms);
     }
 }

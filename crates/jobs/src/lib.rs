@@ -18,7 +18,7 @@
 //!   or stamped by a different engine is moved to the cache's
 //!   `rejected/` directory, tagged with that reason, and recomputed —
 //!   never replayed.
-//! * **[`Engine`]** — pool + cache + [`BatchMetrics`] accounting behind
+//! * **[`Engine`]** — pool + cache + [`BatchMetrics`] counting behind
 //!   one API: [`Engine::run_batch`] for sweeps, [`Engine::submit_one`]
 //!   for the [`Server`] line protocol.
 //! * **[`FaultPlan`]** — seeded, deterministic fault injection (worker
@@ -35,8 +35,10 @@
 //! pure function of its [`Job`] — no wall-clock, host name or scheduling
 //! artifact ever enters it — so a sweep produces bit-identical reports
 //! whether it ran on one worker or sixteen, serially or from a warm
-//! cache. Timing lives in [`StageTimes`] / [`BatchMetrics`], which travel
-//! next to the reports, never inside them.
+//! cache. [`BatchMetrics`] counts what a batch did, next to the reports;
+//! every duration is timed by the [`tdsigma_obs`] spans and histograms
+//! (`engine.batch`, `job.attempt`, `flow.*`, `jobs.backoff`). Neither
+//! ever enters a report.
 //!
 //! Everything here is dependency-free `std`: threads from `std::thread`,
 //! channels from `std::sync::mpsc`, sockets from `std::net`, JSON from
@@ -69,7 +71,7 @@ pub use faults::{AttemptFault, FaultPlan, FrameFault, NetFault};
 pub use job::{Job, JobKind};
 pub use journal::{gc_finished, validate_run_id, Journal, JournalGc, JournalRecord, JournalReplay};
 pub use json::Json;
-pub use metrics::{BackendDispatchStats, BatchMetrics, DispatchSummary, StageTimes};
+pub use metrics::{BackendDispatchStats, BatchMetrics, DispatchSummary};
 pub use plan::{PlanPreview, PlanRow};
 pub use pool::{
     backoff_delay_ms, default_workers, JobOutcome, PoolConfig, Runner, WorkerHeartbeat, WorkerPool,

@@ -1,41 +1,17 @@
-//! Wall-clock and outcome accounting for batches of jobs.
+//! Outcome accounting for batches of jobs.
 //!
-//! Timing lives here — and only here — because [`crate::JobReport`] must
-//! stay a pure function of the job parameters (see the bit-identical
-//! guarantee). Metrics are what the operator reads at the end of a batch:
-//! how much work ran, how much the cache absorbed, and where the time
-//! went per stage.
+//! [`BatchMetrics`] only counts: how much work ran, how much the cache
+//! absorbed, what failed and what was retried. Every duration — per
+//! attempt, per flow stage, per batch, per backoff sleep — is timed by
+//! the [`tdsigma_obs`] spans and histograms, and the CLI's stage
+//! breakdown reads them from there. Neither ever enters a
+//! [`crate::JobReport`], which stays a pure function of the job
+//! parameters (see the bit-identical guarantee).
 
 use std::fmt;
 
-/// Wall time spent in each stage of one job execution, milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimes {
-    /// Spec materialization and (for full flows) netlist elaboration
-    /// up-front work before the simulator starts.
-    pub build_ms: f64,
-    /// The transient simulation / the synthesis+simulation flow body.
-    pub execute_ms: f64,
-    /// Spectral analysis and report assembly.
-    pub analyze_ms: f64,
-}
-
-impl StageTimes {
-    /// Sum of all stages.
-    pub fn total_ms(&self) -> f64 {
-        self.build_ms + self.execute_ms + self.analyze_ms
-    }
-
-    /// Accumulates another sample into this one.
-    pub fn accumulate(&mut self, other: &StageTimes) {
-        self.build_ms += other.build_ms;
-        self.execute_ms += other.execute_ms;
-        self.analyze_ms += other.analyze_ms;
-    }
-}
-
-/// Outcome counters and timing for one batch.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Outcome counters for one batch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchMetrics {
     /// Jobs submitted.
     pub jobs: usize,
@@ -63,44 +39,15 @@ pub struct BatchMetrics {
     /// cache (the job still succeeded; the result is just uncached, so a
     /// resume would recompute it).
     pub cache_store_failures: usize,
-    /// Total wall time spent sleeping in retry backoff, ms.
-    pub backoff_ms_total: f64,
-    /// End-to-end batch wall time, ms.
-    pub wall_ms: f64,
-    /// Sum of per-job execution wall time, ms (parallel speedup shows as
-    /// `exec_ms_total / wall_ms` approaching the worker count).
-    pub exec_ms_total: f64,
-    /// Slowest single job, ms.
-    pub exec_ms_max: f64,
-    /// Per-stage wall time summed over executed jobs.
-    pub stages: StageTimes,
 }
 
 impl BatchMetrics {
-    /// Batch throughput in jobs per second of wall time.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.jobs as f64 / (self.wall_ms / 1e3)
-        }
-    }
-
     /// Fraction of jobs served from the cache (0–1).
     pub fn cache_hit_rate(&self) -> f64 {
         if self.jobs == 0 {
             0.0
         } else {
             self.cache_hits as f64 / self.jobs as f64
-        }
-    }
-
-    /// Effective parallelism achieved: total compute time over wall time.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.exec_ms_total / self.wall_ms
         }
     }
 
@@ -124,13 +71,11 @@ impl BatchMetrics {
 
 impl fmt::Display for BatchMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
-            "batch: {} jobs in {:.0} ms ({:.2} jobs/s) — {} executed, {} cache hits ({:.0} %), \
-             {} deduped, {} failed, {} retried, {} canceled",
+            "batch: {} jobs — {} executed, {} cache hits ({:.0} %), {} deduped, {} failed, \
+             {} retried, {} canceled",
             self.jobs,
-            self.wall_ms,
-            self.jobs_per_sec(),
             self.executed,
             self.cache_hits,
             100.0 * self.cache_hit_rate(),
@@ -139,30 +84,12 @@ impl fmt::Display for BatchMetrics {
             self.retried,
             self.canceled,
         )?;
-        write!(
-            f,
-            "time: compute {:.0} ms (max job {:.0} ms, effective parallelism {:.2}x) — \
-             build {:.0} ms, execute {:.0} ms, analyze {:.0} ms",
-            self.exec_ms_total,
-            self.exec_ms_max,
-            self.speedup(),
-            self.stages.build_ms,
-            self.stages.execute_ms,
-            self.stages.analyze_ms,
-        )?;
-        if self.cache_rejected > 0
-            || self.faults_injected > 0
-            || self.backoff_ms_total > 0.0
-            || self.cache_store_failures > 0
-        {
+        if self.cache_rejected > 0 || self.faults_injected > 0 || self.cache_store_failures > 0 {
             write!(
                 f,
                 "\nresilience: {} cache artifacts rejected, {} faults injected, \
-                 {:.0} ms retry backoff, {} cache store failures",
-                self.cache_rejected,
-                self.faults_injected,
-                self.backoff_ms_total,
-                self.cache_store_failures,
+                 {} cache store failures",
+                self.cache_rejected, self.faults_injected, self.cache_store_failures,
             )?;
         }
         Ok(())
@@ -280,53 +207,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rates_handle_zero() {
-        let m = BatchMetrics::default();
-        assert_eq!(m.jobs_per_sec(), 0.0);
-        assert_eq!(m.cache_hit_rate(), 0.0);
-        assert_eq!(m.speedup(), 0.0);
-    }
-
-    #[test]
-    fn rates_compute() {
+    fn cache_hit_rate_handles_zero_and_computes() {
+        assert_eq!(BatchMetrics::default().cache_hit_rate(), 0.0);
         let m = BatchMetrics {
             jobs: 8,
             cache_hits: 2,
             executed: 6,
-            wall_ms: 2000.0,
-            exec_ms_total: 6000.0,
             ..BatchMetrics::default()
         };
-        assert!((m.jobs_per_sec() - 4.0).abs() < 1e-12);
         assert!((m.cache_hit_rate() - 0.25).abs() < 1e-12);
-        assert!((m.speedup() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stages_accumulate() {
-        let mut a = StageTimes {
-            build_ms: 1.0,
-            execute_ms: 2.0,
-            analyze_ms: 3.0,
-        };
-        a.accumulate(&StageTimes {
-            build_ms: 0.5,
-            execute_ms: 0.5,
-            analyze_ms: 0.5,
-        });
-        assert!((a.total_ms() - 7.5).abs() < 1e-12);
     }
 
     #[test]
     fn display_summarizes() {
         let m = BatchMetrics {
             jobs: 3,
-            wall_ms: 10.0,
+            executed: 2,
+            cache_hits: 1,
             ..BatchMetrics::default()
         };
         let text = m.to_string();
-        assert!(text.contains("3 jobs"));
-        assert!(text.contains("cache hits"));
+        assert!(text.starts_with("batch: 3 jobs"), "{text}");
+        assert!(text.contains("2 executed, 1 cache hits"), "{text}");
+        assert!(
+            !text.contains("time:"),
+            "durations live in the spans: {text}"
+        );
         assert!(
             !text.contains("resilience"),
             "healthy batches stay quiet about faults"
@@ -440,7 +346,6 @@ mod tests {
             jobs: 3,
             cache_rejected: 2,
             faults_injected: 5,
-            backoff_ms_total: 40.0,
             ..BatchMetrics::default()
         };
         let text = m.to_string();

@@ -25,7 +25,6 @@
 use crate::error::JobError;
 use crate::faults::{AttemptFault, FaultPlan};
 use crate::job::Job;
-use crate::metrics::StageTimes;
 use crate::report::JobReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +37,7 @@ use tdsigma_tech::{fnv1a64, Rng64};
 /// A job runner: everything the pool knows about executing work. The
 /// engine installs [`crate::execute::execute`]; tests inject hostile
 /// runners (panicking, flaky, slow) to exercise the scheduler itself.
-pub type Runner = dyn Fn(&Job) -> Result<(JobReport, StageTimes), JobError> + Send + Sync;
+pub type Runner = dyn Fn(&Job) -> Result<JobReport, JobError> + Send + Sync;
 
 /// Pool sizing and retry policy.
 #[derive(Debug, Clone)]
@@ -110,25 +109,17 @@ pub struct JobOutcome {
     pub result: Result<JobReport, JobError>,
     /// Attempts made (0 if the job never started).
     pub attempts: u32,
-    /// Wall time spent executing this job (all attempts), ms.
-    pub exec_ms: f64,
-    /// Wall time spent sleeping in retry backoff, ms.
-    pub backoff_ms: f64,
     /// Faults injected into this job by the active [`FaultPlan`].
     pub injected_faults: u32,
-    /// Per-stage wall time of the successful attempt.
-    pub stages: StageTimes,
 }
 
 impl JobOutcome {
-    fn terminal(result: Result<JobReport, JobError>) -> Self {
+    /// An outcome for a job that never started.
+    pub(crate) fn terminal(result: Result<JobReport, JobError>) -> Self {
         JobOutcome {
             result,
             attempts: 0,
-            exec_ms: 0.0,
-            backoff_ms: 0.0,
             injected_faults: 0,
-            stages: StageTimes::default(),
         }
     }
 }
@@ -333,8 +324,8 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 /// Sleeps up to `ms`, waking every few ms to honor cancellation.
-/// Returns the time actually slept, ms.
-fn cancellable_sleep(ms: u64, cancel: &AtomicBool) -> f64 {
+/// Returns the time actually slept.
+fn cancellable_sleep(ms: u64, cancel: &AtomicBool) -> Duration {
     let started = Instant::now();
     let deadline = Duration::from_millis(ms);
     while started.elapsed() < deadline {
@@ -344,7 +335,7 @@ fn cancellable_sleep(ms: u64, cancel: &AtomicBool) -> f64 {
         let left = deadline - started.elapsed();
         std::thread::sleep(left.min(Duration::from_millis(5)));
     }
-    started.elapsed().as_secs_f64() * 1e3
+    started.elapsed()
 }
 
 #[allow(clippy::too_many_lines)]
@@ -381,23 +372,9 @@ fn worker_loop(
             continue;
         }
         let key = task.job.key();
-        let started = Instant::now();
         let mut attempts = 0u32;
-        let mut backoff_ms = 0.0f64;
         let mut injected_faults = 0u32;
-        let finish = |result: Result<JobReport, JobError>,
-                      attempts: u32,
-                      backoff_ms: f64,
-                      injected_faults: u32,
-                      stages: StageTimes| JobOutcome {
-            result,
-            attempts,
-            exec_ms: (started.elapsed().as_secs_f64() * 1e3 - backoff_ms).max(0.0),
-            backoff_ms,
-            injected_faults,
-            stages,
-        };
-        let outcome = loop {
+        let result = loop {
             attempts += 1;
             // One beat per attempt: retries of a live job keep the
             // watchdog quiet; an attempt that hangs stops beating.
@@ -424,7 +401,7 @@ fn worker_loop(
                 }))
             };
             let may_retry = attempts <= config.retries && !cancel.load(Ordering::SeqCst);
-            let retry_backoff = |backoff_ms: &mut f64| {
+            let retry_backoff = || {
                 let delay = backoff_delay_ms(
                     config.backoff_base_ms,
                     config.backoff_max_ms,
@@ -432,32 +409,22 @@ fn worker_loop(
                     attempts,
                 );
                 if delay > 0 {
-                    let slept = cancellable_sleep(delay, cancel);
-                    *backoff_ms += slept;
-                    backoff_hist.record_us((slept * 1e3) as u64);
+                    backoff_hist.record(cancellable_sleep(delay, cancel));
                 }
                 // Canceled mid-backoff: give up instead of re-running.
                 !cancel.load(Ordering::SeqCst)
             };
             match attempt {
-                Ok(Ok((report, stages))) => {
-                    break finish(Ok(report), attempts, backoff_ms, injected_faults, stages);
-                }
+                Ok(Ok(report)) => break Ok(report),
                 Ok(Err(e)) if e.is_retryable() && may_retry => {
-                    if retry_backoff(&mut backoff_ms) {
+                    if retry_backoff() {
                         retries_ctr.inc();
                         continue;
                     }
-                    break finish(
-                        Err(JobError::Canceled),
-                        attempts,
-                        backoff_ms,
-                        injected_faults,
-                        StageTimes::default(),
-                    );
+                    break Err(JobError::Canceled);
                 }
                 Ok(Err(e)) => {
-                    let result = match e {
+                    break match e {
                         JobError::Invalid(m) => Err(JobError::Invalid(m)),
                         JobError::Failed { message, .. } => {
                             Err(JobError::Failed { attempts, message })
@@ -467,21 +434,14 @@ fn worker_loop(
                             message: other.to_string(),
                         }),
                     };
-                    break finish(
-                        result,
-                        attempts,
-                        backoff_ms,
-                        injected_faults,
-                        StageTimes::default(),
-                    );
                 }
                 Err(panic) => {
                     panics_ctr.inc();
-                    if may_retry && retry_backoff(&mut backoff_ms) {
+                    if may_retry && retry_backoff() {
                         retries_ctr.inc();
                         continue;
                     }
-                    let result = if cancel.load(Ordering::SeqCst) && may_retry {
+                    break if cancel.load(Ordering::SeqCst) && may_retry {
                         Err(JobError::Canceled)
                     } else {
                         Err(JobError::Failed {
@@ -489,18 +449,15 @@ fn worker_loop(
                             message: format!("panic: {}", panic_message(&*panic)),
                         })
                     };
-                    break finish(
-                        result,
-                        attempts,
-                        backoff_ms,
-                        injected_faults,
-                        StageTimes::default(),
-                    );
                 }
             }
         };
         // A dropped receiver just means the caller stopped waiting.
-        let _ = task.reply.send(outcome);
+        let _ = task.reply.send(JobOutcome {
+            result,
+            attempts,
+            injected_faults,
+        });
         status.beat(epoch);
         status.busy.store(false, Ordering::Relaxed);
     }
@@ -550,7 +507,7 @@ mod tests {
                 retries: 0,
                 ..PoolConfig::default()
             },
-            Arc::new(|job: &Job| Ok((dummy_report(job), StageTimes::default()))),
+            Arc::new(|job: &Job| Ok(dummy_report(job))),
         );
         let outcome = pool.submit(job_with_seed(1)).recv().unwrap();
         assert_eq!(outcome.attempts, 1);
@@ -569,7 +526,7 @@ mod tests {
                 if job.seed == 13 {
                     panic!("injected fault on die 13");
                 }
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         let bad = pool.submit(job_with_seed(13));
@@ -603,7 +560,7 @@ mod tests {
                 if f.fetch_add(1, Ordering::SeqCst) < 2 {
                     panic!("flaky");
                 }
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         let outcome = pool.submit(job_with_seed(7)).recv().unwrap();
@@ -645,7 +602,7 @@ mod tests {
             },
             Arc::new(|job: &Job| {
                 std::thread::sleep(std::time::Duration::from_millis(30));
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         let receivers: Vec<_> = (0..6).map(|s| pool.submit(job_with_seed(s))).collect();
@@ -737,21 +694,21 @@ mod tests {
                 if f.fetch_add(1, Ordering::SeqCst) < 2 {
                     return Err(JobError::Transient("flaky resource".into()));
                 }
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         let job = job_with_seed(5);
         let expected: f64 = (1..=2)
             .map(|a| backoff_delay_ms(20, 100, &job.key(), a) as f64)
             .sum();
+        let started = Instant::now();
         let outcome = pool.submit(job).recv().unwrap();
+        let waited_ms = started.elapsed().as_secs_f64() * 1e3;
         assert_eq!(outcome.attempts, 3);
         assert!(outcome.result.is_ok());
         assert!(
-            outcome.backoff_ms >= expected * 0.9,
-            "backoff {:.1} ms < expected {:.1} ms",
-            outcome.backoff_ms,
-            expected
+            waited_ms >= expected * 0.9,
+            "waited {waited_ms:.1} ms < expected backoff {expected:.1} ms"
         );
     }
 
@@ -769,7 +726,6 @@ mod tests {
         );
         let outcome = pool.submit(job_with_seed(1)).recv().unwrap();
         assert_eq!(outcome.attempts, 1);
-        assert_eq!(outcome.backoff_ms, 0.0, "no retries means no backoff");
         match outcome.result {
             Err(JobError::Failed { attempts, message }) => {
                 assert_eq!(attempts, 1);
@@ -793,7 +749,7 @@ mod tests {
                     backoff_base_ms: 1,
                     backoff_max_ms: 4,
                 },
-                Arc::new(|job: &Job| Ok((dummy_report(job), StageTimes::default()))),
+                Arc::new(|job: &Job| Ok(dummy_report(job))),
                 FaultPlan {
                     seed: 7,
                     panic_permille: 300,
@@ -833,7 +789,7 @@ mod tests {
             },
             Arc::new(|job: &Job| {
                 std::thread::sleep(Duration::from_millis(20));
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         let receivers: Vec<_> = (0..6).map(|s| pool.submit(job_with_seed(s))).collect();
@@ -869,7 +825,7 @@ mod tests {
                     // watchdog threshold used below.
                     std::thread::sleep(Duration::from_millis(300));
                 }
-                Ok((dummy_report(job), StageTimes::default()))
+                Ok(dummy_report(job))
             }),
         );
         assert_eq!(pool.heartbeats().len(), 2);
@@ -896,7 +852,7 @@ mod tests {
                 retries: 0,
                 ..PoolConfig::default()
             },
-            Arc::new(|job: &Job| Ok((dummy_report(job), StageTimes::default()))),
+            Arc::new(|job: &Job| Ok(dummy_report(job))),
         );
         pool.shutdown();
         let outcome = pool.submit(job_with_seed(1)).recv().unwrap();

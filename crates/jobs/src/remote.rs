@@ -387,7 +387,6 @@ fn classify_protocol_error(response: &Json) -> RemoteError {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::metrics::StageTimes;
     use crate::pool::{PoolConfig, Runner};
     use crate::server::{Server, ServerConfig};
     use std::sync::Arc;
@@ -397,21 +396,18 @@ mod tests {
             if job.node_nm == 13.0 {
                 return Err(JobError::Invalid("unsupported node".into()));
             }
-            Ok((
-                JobReport {
-                    key: job.key(),
-                    job: job.clone(),
-                    fin_hz: job.input_frequency_hz(),
-                    sndr_db: 60.0 + job.seed as f64,
-                    enob: 9.7,
-                    power_mw: None,
-                    digital_fraction: None,
-                    area_mm2: None,
-                    fom_fj: None,
-                    timing_slack_ps: None,
-                },
-                StageTimes::default(),
-            ))
+            Ok(JobReport {
+                key: job.key(),
+                job: job.clone(),
+                fin_hz: job.input_frequency_hz(),
+                sndr_db: 60.0 + job.seed as f64,
+                enob: 9.7,
+                power_mw: None,
+                digital_fraction: None,
+                area_mm2: None,
+                fom_fj: None,
+                timing_slack_ps: None,
+            })
         });
         let engine = Arc::new(
             Engine::with_runner(

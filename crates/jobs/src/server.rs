@@ -871,7 +871,6 @@ mod tests {
         assert!(handles.is_empty());
     }
     use crate::faults::FaultPlan;
-    use crate::metrics::StageTimes;
     use crate::pool::{PoolConfig, Runner};
     use crate::report::JobReport;
 
@@ -884,21 +883,18 @@ mod tests {
             if job.node_nm == 13.0 {
                 return Err(JobError::Invalid("unsupported node".into()));
             }
-            Ok((
-                JobReport {
-                    key: job.key(),
-                    job: job.clone(),
-                    fin_hz: job.input_frequency_hz(),
-                    sndr_db: 60.0 + job.seed as f64,
-                    enob: 9.7,
-                    power_mw: None,
-                    digital_fraction: None,
-                    area_mm2: None,
-                    fom_fj: None,
-                    timing_slack_ps: None,
-                },
-                StageTimes::default(),
-            ))
+            Ok(JobReport {
+                key: job.key(),
+                job: job.clone(),
+                fin_hz: job.input_frequency_hz(),
+                sndr_db: 60.0 + job.seed as f64,
+                enob: 9.7,
+                power_mw: None,
+                digital_fraction: None,
+                area_mm2: None,
+                fom_fj: None,
+                timing_slack_ps: None,
+            })
         });
         Arc::new(
             Engine::with_runner(
@@ -1160,21 +1156,18 @@ mod tests {
     fn health_degrades_and_ready_flips_when_a_worker_stalls() {
         let runner: Arc<Runner> = Arc::new(|job: &Job| {
             std::thread::sleep(Duration::from_millis(250));
-            Ok((
-                JobReport {
-                    key: job.key(),
-                    job: job.clone(),
-                    fin_hz: 1e6,
-                    sndr_db: 60.0,
-                    enob: 9.7,
-                    power_mw: None,
-                    digital_fraction: None,
-                    area_mm2: None,
-                    fom_fj: None,
-                    timing_slack_ps: None,
-                },
-                StageTimes::default(),
-            ))
+            Ok(JobReport {
+                key: job.key(),
+                job: job.clone(),
+                fin_hz: 1e6,
+                sndr_db: 60.0,
+                enob: 9.7,
+                power_mw: None,
+                digital_fraction: None,
+                area_mm2: None,
+                fom_fj: None,
+                timing_slack_ps: None,
+            })
         });
         let engine = Arc::new(
             Engine::with_runner(

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdsigma_jobs::{
     Engine, EngineConfig, FaultPlan, FrameFault, Job, JobError, JobReport, Json, PoolConfig,
-    Runner, Server, ServerConfig, StageTimes,
+    Runner, Server, ServerConfig,
 };
 
 /// The fault seeds the suite sweeps. CI runs exactly this fixed set so a
@@ -51,21 +51,18 @@ fn with_deadline<T: Send + 'static>(
 /// scheduling artifact would show up as a byte diff.
 fn fake_runner() -> Arc<Runner> {
     Arc::new(|job: &Job| {
-        Ok((
-            JobReport {
-                key: job.key(),
-                job: job.clone(),
-                fin_hz: job.input_frequency_hz(),
-                sndr_db: 50.0 + job.seed as f64,
-                enob: 8.0 + job.seed as f64 / 100.0,
-                power_mw: None,
-                digital_fraction: None,
-                area_mm2: None,
-                fom_fj: None,
-                timing_slack_ps: None,
-            },
-            StageTimes::default(),
-        ))
+        Ok(JobReport {
+            key: job.key(),
+            job: job.clone(),
+            fin_hz: job.input_frequency_hz(),
+            sndr_db: 50.0 + job.seed as f64,
+            enob: 8.0 + job.seed as f64 / 100.0,
+            power_mw: None,
+            digital_fraction: None,
+            area_mm2: None,
+            fom_fj: None,
+            timing_slack_ps: None,
+        })
     })
 }
 
@@ -444,21 +441,18 @@ fn drain_under_chaos_cancels_queued_and_closes_cleanly() {
     with_deadline("drain", 60, || {
         let slow: Arc<Runner> = Arc::new(|job: &Job| {
             std::thread::sleep(Duration::from_millis(10));
-            Ok((
-                JobReport {
-                    key: job.key(),
-                    job: job.clone(),
-                    fin_hz: 1e6,
-                    sndr_db: 60.0,
-                    enob: 9.7,
-                    power_mw: None,
-                    digital_fraction: None,
-                    area_mm2: None,
-                    fom_fj: None,
-                    timing_slack_ps: None,
-                },
-                StageTimes::default(),
-            ))
+            Ok(JobReport {
+                key: job.key(),
+                job: job.clone(),
+                fin_hz: 1e6,
+                sndr_db: 60.0,
+                enob: 9.7,
+                power_mw: None,
+                digital_fraction: None,
+                area_mm2: None,
+                fom_fj: None,
+                timing_slack_ps: None,
+            })
         });
         let engine = Arc::new(
             Engine::with_runner(

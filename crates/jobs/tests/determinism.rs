@@ -147,7 +147,7 @@ fn serve_answers_concurrent_clients_and_rejects_garbage() {
     assert_eq!(answers.len(), 4);
 
     // The server's answer matches a direct in-process execution.
-    let direct = tdsigma_jobs::execute(&quick_job(1)).expect("direct").0;
+    let direct = tdsigma_jobs::execute(&quick_job(1)).expect("direct");
     let served = answers
         .iter()
         .find(|(seed, _)| *seed == 1)

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tdsigma_jobs::{
     BreakerConfig, DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobReport,
-    Json, PoolConfig, Runner, Server, ServerConfig, StageTimes,
+    Json, PoolConfig, Runner, Server, ServerConfig,
 };
 
 /// Runs `f` on a worker thread and panics if it does not finish within
@@ -48,21 +48,18 @@ fn with_deadline<T: Send + 'static>(
 fn slow_runner(ms: u64) -> Arc<Runner> {
     Arc::new(move |job: &Job| {
         std::thread::sleep(Duration::from_millis(ms));
-        Ok((
-            JobReport {
-                key: job.key(),
-                job: job.clone(),
-                fin_hz: job.input_frequency_hz(),
-                sndr_db: 50.0 + job.seed as f64,
-                enob: 8.0 + job.seed as f64 / 100.0,
-                power_mw: None,
-                digital_fraction: None,
-                area_mm2: None,
-                fom_fj: None,
-                timing_slack_ps: None,
-            },
-            StageTimes::default(),
-        ))
+        Ok(JobReport {
+            key: job.key(),
+            job: job.clone(),
+            fin_hz: job.input_frequency_hz(),
+            sndr_db: 50.0 + job.seed as f64,
+            enob: 8.0 + job.seed as f64 / 100.0,
+            power_mw: None,
+            digital_fraction: None,
+            area_mm2: None,
+            fom_fj: None,
+            timing_slack_ps: None,
+        })
     })
 }
 

@@ -726,9 +726,12 @@ fn enable_trace(flags: &Flags) -> Result<Option<String>, Box<dyn std::error::Err
 }
 
 /// Prints the per-stage wall-time table accumulated by the span
-/// histograms, and the physical memo's hits and misses when flow jobs
-/// ran. Histograms are always on (atomic adds only), so this works with
-/// or without `--trace`.
+/// histograms — the only record of where a run's time went — with the
+/// retry backoff sleeps when any retry slept, the effective parallelism
+/// (`job.attempt` total over `engine.batch` total) when a batch ran, and
+/// the physical memo's hits and misses when flow jobs ran. Histograms
+/// are always on (atomic adds only), so this works with or without
+/// `--trace`.
 fn print_stage_breakdown() {
     let snap = tdsigma::obs::registry().snapshot();
     let mut rows: Vec<_> = snap
@@ -737,8 +740,7 @@ fn print_stage_breakdown() {
         .filter(|(name, h)| {
             h.count > 0
                 && (name.starts_with("flow.")
-                    || name.as_str() == "job.attempt"
-                    || name.as_str() == "engine.batch")
+                    || ["job.attempt", "engine.batch", "jobs.backoff"].contains(&name.as_str()))
         })
         .collect();
     if rows.is_empty() {
@@ -758,6 +760,14 @@ fn print_stage_breakdown() {
             h.total_ms(),
             h.mean_ms(),
             h.max_ms()
+        );
+    }
+    let total_ms = |name: &str| snap.histograms.get(name).map_or(0.0, |h| h.total_ms());
+    let batch_ms = total_ms("engine.batch");
+    if batch_ms > 0.0 {
+        println!(
+            "  effective parallelism {:.2}x (job.attempt total / engine.batch total)",
+            total_ms("job.attempt") / batch_ms
         );
     }
     let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);

@@ -70,7 +70,20 @@ fn sweep_runs_grid_and_writes_artifact() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("SNDR[dB]"), "table header missing: {text}");
-    assert!(text.contains("2 jobs"), "metrics missing: {text}");
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("batch: 2 jobs") && l.contains("2 executed, 0 cache hits")),
+        "batch counts missing: {text}"
+    );
+    assert!(
+        !text.lines().any(|l| l.starts_with("time:")),
+        "durations belong to the stage breakdown: {text}"
+    );
+    assert_breakdown_has(&text, &["engine.batch", "job.attempt", "flow.transient"]);
+    assert!(
+        text.contains("effective parallelism"),
+        "parallelism line missing: {text}"
+    );
     let json = std::fs::read_to_string(dir.join("sweep.json")).expect("artifact");
     assert!(
         json.trim_start().starts_with('{'),
@@ -83,6 +96,62 @@ fn sweep_runs_grid_and_writes_artifact() {
         journal_dir.join("cli-smoke.jsonl").exists(),
         "sweep must write its journal"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts the stage breakdown in `stdout` has a row for each of
+/// `stages`.
+fn assert_breakdown_has(stdout: &str, stages: &[&str]) {
+    let table: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("stage breakdown"))
+        .collect();
+    for stage in stages {
+        assert!(
+            table
+                .iter()
+                .any(|l| l.split_whitespace().next() == Some(*stage)),
+            "no {stage} row in the stage breakdown: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn retries_that_slept_show_a_backoff_row() {
+    // Chaos seed 1 injects faults into this grid's first attempts; with
+    // two retries every job still succeeds, after backoff sleeps.
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_backoff_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(bin())
+        .args([
+            "sweep",
+            "--nodes",
+            "40",
+            "--slices",
+            "1,2",
+            "--samples",
+            "2048",
+            "--workers",
+            "2",
+            "--no-cache",
+            "--no-journal",
+            "--chaos-seed",
+            "1",
+            "--retries",
+            "2",
+            "--out",
+            dir.to_str().expect("utf8 temp path"),
+        ])
+        .output()
+        .expect("runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    let batch = text
+        .lines()
+        .find(|l| l.starts_with("batch:"))
+        .unwrap_or_else(|| panic!("no batch line: {text}"));
+    assert!(!batch.contains(" 0 retried"), "no retry happened: {text}");
+    assert_breakdown_has(&text, &["engine.batch", "job.attempt", "jobs.backoff"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
