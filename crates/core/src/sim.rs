@@ -291,6 +291,11 @@ impl SimCapture {
     /// captures of the same length should hold one scratch.
     pub fn spectrum_with(&self, window: Window, scratch: &mut SpectrumScratch) -> Spectrum {
         let _span = obs::span("flow.spectrum").attr("samples", self.output.len());
+        self.spectrum_unspanned(window, scratch)
+    }
+
+    /// [`Self::spectrum_with`] outside the `flow.spectrum` span.
+    fn spectrum_unspanned(&self, window: Window, scratch: &mut SpectrumScratch) -> Spectrum {
         Spectrum::from_samples_scratch(
             &self.output,
             self.fs_hz,
@@ -321,6 +326,20 @@ impl SimCapture {
         let spectrum = self.spectrum_with(ANALYSIS_WINDOW, scratch);
         let _span = obs::span("flow.tone_metrics");
         ToneAnalysis::of(&spectrum, Some(bw_hz))
+    }
+
+    /// [`Self::analyze_with`] outside the `flow.*` spans, for analysis
+    /// that is not a flow stage: the engine fingerprint's golden vector
+    /// must not show up in a run's stage breakdown.
+    pub(crate) fn analyze_unspanned(
+        &self,
+        bw_hz: f64,
+        scratch: &mut SpectrumScratch,
+    ) -> ToneAnalysis {
+        ToneAnalysis::of(
+            &self.spectrum_unspanned(ANALYSIS_WINDOW, scratch),
+            Some(bw_hz),
+        )
     }
 
     /// Mean output code.
@@ -676,6 +695,19 @@ impl AdcSimulator {
     /// negligible fraction.
     pub fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> SimCapture {
         let _span = obs::span("flow.transient").attr("samples", n_samples);
+        self.run_unspanned(input, n_samples)
+    }
+
+    /// [`Self::run`] outside the `flow.transient` span (see
+    /// [`SimCapture::analyze_unspanned`]). Never inlined, so a
+    /// [`tone`] run outside the span executes the same machine code as
+    /// every `run_tone` inside it.
+    #[inline(never)]
+    pub(crate) fn run_unspanned<F: Fn(f64) -> f64>(
+        &mut self,
+        input: F,
+        n_samples: usize,
+    ) -> SimCapture {
         // Borrow-split the SoA state into locals once, so the hot loops
         // below index plain slices.
         let Self {
@@ -881,9 +913,15 @@ impl AdcSimulator {
     /// Convenience: runs a single-tone test at `fin_hz` with differential
     /// amplitude `amplitude_v` for `n_samples` cycles.
     pub fn run_tone(&mut self, fin_hz: f64, amplitude_v: f64, n_samples: usize) -> SimCapture {
-        let w = 2.0 * PI * fin_hz;
-        self.run(|t| amplitude_v * (w * t).sin(), n_samples)
+        self.run(tone(fin_hz, amplitude_v), n_samples)
     }
+}
+
+/// The input [`AdcSimulator::run_tone`] drives: a sine of `amplitude_v`
+/// volts at `fin_hz`.
+pub(crate) fn tone(fin_hz: f64, amplitude_v: f64) -> impl Fn(f64) -> f64 {
+    let w = 2.0 * PI * fin_hz;
+    move |t| amplitude_v * (w * t).sin()
 }
 
 impl fmt::Debug for AdcSimulator {

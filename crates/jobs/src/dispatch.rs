@@ -1,4 +1,5 @@
-//! Multi-backend dispatch: failover, circuit breakers, local fallback.
+//! Multi-backend dispatch: failover, one standing per backend, local
+//! fallback.
 //!
 //! The [`Dispatcher`] turns a fleet of `tdsigma serve` backends into one
 //! [`Runner`]: plug it into [`crate::Engine::with_runner`] and every existing
@@ -9,24 +10,32 @@
 //!
 //! The failure policy, in order:
 //!
-//! 1. **Rotation.** Jobs round-robin across backends whose breaker
+//! 1. **Rotation.** Jobs round-robin across the backends whose standing
 //!    admits them (plus local, when `local` was listed as a member).
 //! 2. **Failover.** A backend-class failure ([`RemoteError::Backend`])
-//!    records against that backend's breaker and the job immediately
-//!    moves to the next candidate. A job-class rejection
-//!    ([`RemoteError::Job`]) is deterministic — every backend would
-//!    answer the same — so it propagates without burning the fleet.
-//!    A structured busy/shed rejection ([`RemoteError::Busy`]) is
-//!    neither: the backend is demonstrably alive, just full. It counts
-//!    as breaker *success*, the advertised `retry_after_ms` becomes a
-//!    dispatch-side cooldown during which the rotation skips the
-//!    backend, and the job fails over like any transient miss.
-//! 3. **Circuit breaker.** After [`BreakerConfig::failure_threshold`]
-//!    consecutive failures a backend's breaker opens and the rotation
-//!    skips it; after [`BreakerConfig::cooldown_ms`] one half-open probe
-//!    job is admitted — success re-closes the breaker, failure re-opens
-//!    it for another cooldown. This keeps a dead peer from taxing every
-//!    job with a connect timeout.
+//!    is a strike against that backend and the job immediately moves to
+//!    the next candidate. A job-class rejection ([`RemoteError::Job`]) is
+//!    deterministic — every backend would answer the same — so it
+//!    propagates without burning the fleet. A structured busy/shed
+//!    rejection ([`RemoteError::Busy`]) is neither: the backend is alive,
+//!    just full, so it stays away for the advertised `retry_after_ms`
+//!    without a strike, and the job fails over like any transient miss.
+//! 3. **Standing.** Each backend has exactly one standing, and only what
+//!    it was seen to do changes it:
+//!
+//!    | standing       | admits                           | entered on                              |
+//!    |----------------|----------------------------------|-----------------------------------------|
+//!    | Up             | every job                        | an answer, or an Away that ran out      |
+//!    | Away until t   | nothing before t, then Up        | a busy rejection                        |
+//!    | Down until t   | nothing before t, then one probe | 3 failures in a row, or a failed probe  |
+//!    | Probing        | nothing: its probe is out        | a Down or Skewed whose t has passed     |
+//!    | Skewed until t | nothing before t, then one probe | a foreign engine fingerprint            |
+//!    | Quarantined    | nothing, for the rest of the run | bytes that disagreed with recomputation |
+//!
+//!    A probe must re-prove the engine fingerprint before it carries a
+//!    job, and that job's answer decides Up or Down. A dead peer does
+//!    not tax every job with a connect timeout, and a replaced binary
+//!    rejoins only once it matches again.
 //! 4. **Local fallback.** When every backend is down or skipped, the
 //!    job runs in-process on the wrapped local runner. A sweep never
 //!    fails solely because the fleet did; the degradation is counted
@@ -38,15 +47,13 @@
 //!    redundantly re-executed on a second backend or the local engine
 //!    and compared byte-for-byte. Reports are pure functions of their
 //!    jobs, so any disagreement proves corruption: the backend that
-//!    disagrees with the local recomputation is **integrity-quarantined**
-//!    (excluded for the rest of the run, never re-probed — unlike a
-//!    breaker, there is no recovering from lying) and the verified
-//!    bytes win.
+//!    disagrees with the local recomputation is Quarantined (there is
+//!    no recovering from lying) and the verified bytes win.
 //!
 //! Per-backend instrumentation lands in `tdsigma-obs` under
 //! `dispatch.<addr>.…`: `dispatched`/`failed`/`retried`/
-//! `integrity_failures` counters, a `breaker` gauge (0 = closed,
-//! 1 = half-open, 2 = open) and an `rtt` histogram.
+//! `integrity_failures` counters, a `breaker` gauge (0 = Up or Away,
+//! 1 = Probing, 2 = Down, Skewed or Quarantined) and an `rtt` histogram.
 //! [`Dispatcher::summary`] snapshots the same numbers for end-of-sweep
 //! reporting.
 
@@ -59,135 +66,126 @@ use crate::remote::{BackendHealth, RemoteClient, RemoteConfig, RemoteError};
 use crate::report::JobReport;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive backend-class failures that open the breaker.
-    pub failure_threshold: u32,
-    /// How long an open breaker rejects before admitting one half-open
-    /// probe, ms.
-    pub cooldown_ms: u64,
-}
+/// Backend-class failures in a row that take an Up backend Down.
+const STRIKES: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ms: 5_000,
-        }
-    }
-}
+/// How long a Down or Skewed backend sits out before its probe.
+const COOLDOWN: Duration = Duration::from_secs(5);
 
-/// Where a breaker currently stands. Reported as a gauge: closed = 0,
-/// half-open = 1, open = 2 — higher is worse.
+/// Where one backend stands: the one answer to "may it take the next
+/// job?" (module docs, step 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; failures are being counted.
-    Closed,
-    /// Cooling down; everything is rejected until the cooldown elapses.
-    Open,
-    /// One probe is in flight; its outcome decides open vs closed.
-    HalfOpen,
+enum Standing {
+    /// Trusted, with this many backend-class failures in a row.
+    Up { strikes: u32 },
+    /// Busy: skipped until `until`, then Up without a probe.
+    Away { until: Instant },
+    /// Failing: skipped until `until`, then one probe.
+    Down { until: Instant },
+    /// Its one probe is out; `skewed` if it was Skewed before.
+    Probing { skewed: bool },
+    /// Advertised a foreign engine fingerprint: skipped until `until`,
+    /// then one probe.
+    Skewed { until: Instant },
+    /// Returned bytes that disagreed with a recomputation: terminal.
+    Quarantined,
 }
 
-impl BreakerState {
-    /// The gauge encoding (0/1/2, higher is worse).
-    pub fn gauge_value(self) -> f64 {
-        match self {
-            BreakerState::Closed => 0.0,
-            BreakerState::HalfOpen => 1.0,
-            BreakerState::Open => 2.0,
-        }
-    }
+/// What a backend was seen to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// It answered: a report, or a deterministic job rejection.
+    Answered,
+    /// A backend-class failure: unreachable, dropped or garbled.
+    Failed,
+    /// A busy/shed rejection asking to be left alone this long.
+    Busy(Duration),
+    /// It advertised an engine fingerprint other than ours.
+    Skewed,
+    /// Its bytes disagreed with a redundant recomputation.
+    Lied,
 }
 
-struct BreakerInner {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: Option<Instant>,
+/// What a standing lets the caller do with one job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    /// Send the job.
+    Go,
+    /// Re-prove the fingerprint, then send the job: the caller carries
+    /// the one probe.
+    Probe,
+    /// Skip: it asked to be left alone for now.
+    Away,
+    /// Skip.
+    No,
 }
 
-/// A per-backend circuit breaker.
-///
-/// `admit` is a *claim*, not a query: when it returns `true` the caller
-/// has committed to one attempt and must follow up with exactly one
-/// `record_success` or `record_failure` — in the half-open state the
-/// admitted call *is* the probe, and a second caller is rejected until
-/// the probe reports back.
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    inner: Mutex<BreakerInner>,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                opened_at: None,
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerInner> {
-        // Nothing in here panics while holding the guard, but recover
-        // from poisoning anyway: the state is a plain value with no
-        // multi-step invariant.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Claims permission for one attempt (see the type docs).
-    pub fn admit(&self) -> bool {
-        let mut inner = self.lock();
-        match inner.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => false, // a probe is already out
-            BreakerState::Open => {
-                let cooled = inner
-                    .opened_at
-                    .is_none_or(|t| t.elapsed() >= Duration::from_millis(self.config.cooldown_ms));
-                if cooled {
-                    inner.state = BreakerState::HalfOpen;
-                    true // this caller carries the probe
-                } else {
-                    false
-                }
+impl Standing {
+    /// Claims one attempt at `now`. `Probe` moves the standing to
+    /// Probing, so every other caller gets `No` until the probe's
+    /// outcome is recorded.
+    fn admit(&mut self, now: Instant) -> Admit {
+        match *self {
+            Standing::Up { .. } => Admit::Go,
+            Standing::Away { until } if now < until => Admit::Away,
+            Standing::Away { .. } => {
+                *self = Standing::Up { strikes: 0 };
+                Admit::Go
             }
+            Standing::Down { until } | Standing::Skewed { until } if now >= until => {
+                let skewed = matches!(self, Standing::Skewed { .. });
+                *self = Standing::Probing { skewed };
+                Admit::Probe
+            }
+            _ => Admit::No,
         }
     }
 
-    /// Reports a successful attempt: closes the breaker and clears the
-    /// failure streak.
-    pub fn record_success(&self) {
-        let mut inner = self.lock();
-        inner.state = BreakerState::Closed;
-        inner.consecutive_failures = 0;
-        inner.opened_at = None;
-    }
-
-    /// Reports a failed attempt: extends the streak and opens the
-    /// breaker at the threshold (a failed half-open probe re-opens it
-    /// immediately).
-    pub fn record_failure(&self) {
-        let mut inner = self.lock();
-        inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
-        let trip = inner.state == BreakerState::HalfOpen
-            || inner.consecutive_failures >= self.config.failure_threshold;
-        if trip {
-            inner.state = BreakerState::Open;
-            inner.opened_at = Some(Instant::now());
+    /// Folds what the backend was seen to do at `now` into its standing.
+    /// Returns whether this newly marked it Skewed or Quarantined, so the
+    /// caller warns once.
+    fn record(&mut self, outcome: Outcome, now: Instant) -> bool {
+        let was = *self;
+        *self = match (was, outcome) {
+            (Standing::Quarantined, _) | (_, Outcome::Lied) => Standing::Quarantined,
+            (_, Outcome::Skewed) => Standing::Skewed {
+                until: now + COOLDOWN,
+            },
+            // Only a probe that re-proves the fingerprint lifts a skew,
+            // and a straggler's answer does not cut a busy wait short.
+            (Standing::Skewed { .. }, _)
+            | (Standing::Away { .. }, Outcome::Answered | Outcome::Failed) => was,
+            (_, Outcome::Busy(wait)) => Standing::Away { until: now + wait },
+            (_, Outcome::Answered) => Standing::Up { strikes: 0 },
+            (Standing::Up { strikes }, Outcome::Failed) if strikes + 1 < STRIKES => Standing::Up {
+                strikes: strikes + 1,
+            },
+            (Standing::Down { .. }, Outcome::Failed) => was,
+            (_, Outcome::Failed) => Standing::Down {
+                until: now + COOLDOWN,
+            },
+        };
+        match outcome {
+            Outcome::Skewed => !matches!(
+                was,
+                Standing::Skewed { .. } | Standing::Probing { skewed: true }
+            ),
+            Outcome::Lied => was != Standing::Quarantined,
+            _ => false,
         }
     }
 
-    /// The current state (for gauges and tests).
-    pub fn state(&self) -> BreakerState {
-        self.lock().state
+    /// The `breaker` gauge, higher is worse: 0 while it takes jobs, 1
+    /// while its probe is out, 2 while it is excluded.
+    fn gauge(self) -> u8 {
+        match self {
+            Standing::Up { .. } | Standing::Away { .. } => 0,
+            Standing::Probing { .. } => 1,
+            _ => 2,
+        }
     }
 }
 
@@ -202,8 +200,6 @@ pub struct DispatchConfig {
     pub local_in_rotation: bool,
     /// Connection deadlines shared by every backend client.
     pub remote: RemoteConfig,
-    /// Per-backend breaker tuning.
-    pub breaker: BreakerConfig,
     /// Deterministic network-fault injection for chaos runs.
     pub faults: FaultPlan,
     /// Sampled redundant verification rate, permille (0 disables — the
@@ -213,136 +209,112 @@ pub struct DispatchConfig {
     pub verify_permille: u16,
 }
 
-/// One backend plus its breaker and instrumentation.
+/// One backend and its standing.
 struct Backend {
     client: RemoteClient,
-    breaker: CircuitBreaker,
-    /// Until when a busy/shed rejection asked us to stay away. Distinct
-    /// from the breaker: the backend is healthy, just full, so tripping
-    /// Closed→Open (and burning the failure streak) would be wrong.
-    cooldown_until: Mutex<Option<Instant>>,
-    /// Whether the backend last advertised an engine fingerprint
-    /// different from this process's. A skewed backend is excluded from
-    /// dispatch — its reports are not interchangeable with ours — until
-    /// a later verification (e.g. a half-open probe after it was
-    /// replaced) sees matching fingerprints again.
-    skewed: AtomicBool,
-    /// Whether this backend returned result bytes that disagreed with a
-    /// redundant recomputation. Terminal for the run: unlike a breaker
-    /// (transient failures recover) or a skew mark (a replaced binary
-    /// can rejoin), a backend caught lying about *values* is never
-    /// probed or trusted again.
-    integrity_quarantined: AtomicBool,
+    standing: Mutex<Standing>,
 }
 
 impl Backend {
-    fn gauge(&self) {
-        tdsigma_obs::gauge(&format!("dispatch.{}.breaker", self.client.addr()))
-            .set(self.breaker.state().gauge_value());
+    fn standing(&self) -> Standing {
+        *lock_unpoisoned(&self.standing)
     }
 
-    fn skewed(&self) -> bool {
-        self.skewed.load(Ordering::Relaxed)
+    fn set_gauge(&self, gauge: u8) {
+        tdsigma_obs::gauge(&format!("dispatch.{}.breaker", self.client.addr())).set(gauge.into());
     }
 
-    fn quarantined(&self) -> bool {
-        self.integrity_quarantined.load(Ordering::Relaxed)
+    /// Records `outcome` now and updates the gauge; see
+    /// [`Standing::record`] for the return value.
+    fn record(&self, outcome: Outcome) -> bool {
+        let (newly, gauge) = {
+            let mut standing = lock_unpoisoned(&self.standing);
+            let newly = standing.record(outcome, Instant::now());
+            (newly, standing.gauge())
+        };
+        self.set_gauge(gauge);
+        newly
     }
 
-    /// Marks this backend integrity-quarantined: its bytes disagreed
-    /// with a redundant recomputation. Counted per backend and warned
-    /// once on stderr.
+    /// Whether this backend may take the next job now: the one gate for
+    /// the rotation and for choosing a verification peer. A due probe
+    /// re-proves the fingerprint first, and the attempt that follows
+    /// `Go` settles it. Never returns `Probe`.
+    fn admit(&self) -> Admit {
+        let admit = lock_unpoisoned(&self.standing).admit(Instant::now());
+        if admit != Admit::Probe {
+            return admit;
+        }
+        self.set_gauge(1);
+        if self.check_fingerprint().is_ok() {
+            Admit::Go
+        } else {
+            Admit::No
+        }
+    }
+
+    /// Health-checks the backend and compares its engine fingerprint
+    /// with this process's: the one fingerprint check. A mismatch is
+    /// counted under `dispatch.<addr>.version_skew`, warned once and
+    /// recorded; so is silence, as a failure. Either comes back as the
+    /// recorded outcome.
+    fn check_fingerprint(&self) -> Result<BackendHealth, Outcome> {
+        let ours = tdsigma_core::engine_fingerprint();
+        let health = match self.client.health() {
+            Ok(h) if h.fingerprint == ours => return Ok(h),
+            Ok(h) => h,
+            Err(_) => {
+                self.record(Outcome::Failed);
+                return Err(Outcome::Failed);
+            }
+        };
+        let addr = self.client.addr();
+        tdsigma_obs::counter(&format!("dispatch.{addr}.version_skew")).inc();
+        if self.record(Outcome::Skewed) {
+            let theirs = match health.fingerprint.as_str() {
+                "" => "unknown",
+                theirs => theirs,
+            };
+            eprintln!(
+                "warning: backend {addr} excluded: engine fingerprint {theirs} != local {ours}"
+            );
+        }
+        Err(Outcome::Skewed)
+    }
+
+    /// Quarantines this backend: its bytes disagreed with a redundant
+    /// recomputation. Counted per backend and warned once on stderr.
     fn mark_integrity_failure(&self) {
-        tdsigma_obs::counter(&format!(
-            "dispatch.{}.integrity_failures",
-            self.client.addr()
-        ))
-        .inc();
-        if !self.integrity_quarantined.swap(true, Ordering::Relaxed) {
+        let addr = self.client.addr();
+        tdsigma_obs::counter(&format!("dispatch.{addr}.integrity_failures")).inc();
+        if self.record(Outcome::Lied) {
             eprintln!(
-                "warning: backend {} integrity-quarantined: its report bytes disagree \
+                "warning: backend {addr} integrity-quarantined: its report bytes disagree \
                  with redundant recomputation",
-                self.client.addr(),
             );
         }
     }
 
-    /// Health-checks the backend and compares its advertised engine
-    /// fingerprint against this process's. Returns `true` only for a
-    /// reachable backend with a matching fingerprint (clearing any skew
-    /// mark); a mismatch marks the backend skewed and counts under
-    /// `dispatch.<addr>.version_skew`.
-    fn verify_fingerprint(&self) -> bool {
-        match self.client.health() {
-            Ok(h) if h.fingerprint == tdsigma_core::engine_fingerprint() => {
-                self.skewed.store(false, Ordering::Relaxed);
-                true
-            }
-            Ok(h) => {
-                self.mark_skewed(&h.fingerprint);
-                false
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn mark_skewed(&self, theirs: &str) {
-        tdsigma_obs::counter(&format!("dispatch.{}.version_skew", self.client.addr())).inc();
-        if !self.skewed.swap(true, Ordering::Relaxed) {
-            let theirs = if theirs.is_empty() { "unknown" } else { theirs };
-            eprintln!(
-                "warning: backend {} excluded: engine fingerprint {} != local {}",
-                self.client.addr(),
-                theirs,
-                tdsigma_core::engine_fingerprint(),
-            );
-        }
-    }
-
-    /// Whether a `retry_after_ms` cooldown from a busy rejection is
-    /// still running.
-    fn cooling(&self) -> bool {
-        let guard = self
-            .cooldown_until
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.is_some_and(|until| Instant::now() < until)
-    }
-
-    fn set_cooldown(&self, retry_after_ms: u64) {
-        let mut guard = self
-            .cooldown_until
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(Instant::now() + Duration::from_millis(retry_after_ms));
-    }
-
-    /// One full attempt: counters, RTT, breaker bookkeeping.
+    /// One full attempt: counters, RTT, and its outcome recorded.
     fn attempt(&self, job: &Job) -> Result<JobReport, RemoteError> {
         let addr = self.client.addr();
         tdsigma_obs::counter(&format!("dispatch.{addr}.dispatched")).inc();
         let start = Instant::now();
         let result = self.client.run_job(job);
         tdsigma_obs::histogram(&format!("dispatch.{addr}.rtt")).record(start.elapsed());
-        match &result {
+        self.record(match &result {
             // A job-class rejection means the backend held up its end of
-            // the protocol: the breaker records success.
-            Ok(_) | Err(RemoteError::Job(_)) => self.breaker.record_success(),
-            // Busy is a healthy backend protecting itself: success for
-            // the breaker (it also resolves a half-open probe — the
-            // peer answered), plus a rotation cooldown for as long as
-            // it asked to be left alone.
+            // the protocol.
+            Ok(_) | Err(RemoteError::Job(_)) => Outcome::Answered,
             Err(RemoteError::Busy { retry_after_ms, .. }) => {
                 tdsigma_obs::counter(&format!("dispatch.{addr}.shed_deferred")).inc();
-                self.set_cooldown(*retry_after_ms);
-                self.breaker.record_success();
+                Outcome::Busy(Duration::from_millis(*retry_after_ms))
             }
             Err(RemoteError::Backend(_)) => {
                 tdsigma_obs::counter(&format!("dispatch.{addr}.failed")).inc();
-                self.breaker.record_failure();
+                Outcome::Failed
             }
-        }
-        self.gauge();
+        });
         result
     }
 }
@@ -362,7 +334,7 @@ enum RoundOutcome {
     /// At least one backend said "busy, come back in `wait_ms`" (or was
     /// still cooling from an earlier busy) and nothing succeeded.
     Busy { wait_ms: u64, local_tried: bool },
-    /// Every candidate failed or was breaker-skipped.
+    /// Every candidate failed or was skipped for its standing.
     Exhausted { local_tried: bool },
 }
 
@@ -394,10 +366,7 @@ impl Dispatcher {
                 Arc::new(Backend {
                     client: RemoteClient::with_config(addr.clone(), config.remote.clone())
                         .with_faults(config.faults),
-                    breaker: CircuitBreaker::new(config.breaker.clone()),
-                    cooldown_until: Mutex::new(None),
-                    skewed: AtomicBool::new(false),
-                    integrity_quarantined: AtomicBool::new(false),
+                    standing: Mutex::new(Standing::Up { strikes: 0 }),
                 })
             })
             .collect();
@@ -428,34 +397,29 @@ impl Dispatcher {
         std::mem::take(&mut *lock_unpoisoned(&self.fresh_verified))
     }
 
-    /// Health-checks every backend once (the startup probe). Returns
-    /// `(addr, health)` per backend; `None` marks an unreachable peer —
-    /// which also seeds its breaker with a failure, so a fleet that is
-    /// down at startup stops being retried almost immediately. A
-    /// reachable backend advertising a different engine fingerprint is
-    /// marked skewed here — registration is the first exclusion point —
-    /// and the rotation will refuse to give it jobs.
+    /// Health-checks every backend once (the startup probe) and returns
+    /// `(addr, health)` per backend. `Some` marks a backend that is
+    /// reachable and runs this engine. `None` marks one that is
+    /// unreachable, which is warned here and counted as its first
+    /// strike, or Skewed, which the check warned about; neither gets
+    /// jobs until it proves itself.
     pub fn probe(&self) -> Vec<(String, Option<BackendHealth>)> {
         self.backends
             .iter()
             .map(|b| {
-                let health = match b.client.health() {
+                let addr = b.client.addr().to_string();
+                let health = match b.check_fingerprint() {
                     Ok(h) => {
-                        b.breaker.record_success();
-                        if h.fingerprint == tdsigma_core::engine_fingerprint() {
-                            b.skewed.store(false, Ordering::Relaxed);
-                        } else {
-                            b.mark_skewed(&h.fingerprint);
-                        }
+                        b.record(Outcome::Answered);
                         Some(h)
                     }
-                    Err(_) => {
-                        b.breaker.record_failure();
+                    Err(Outcome::Failed) => {
+                        eprintln!("warning: backend {addr} unreachable at startup");
                         None
                     }
+                    Err(_) => None,
                 };
-                b.gauge();
-                (b.client.addr().to_string(), health)
+                (addr, health)
             })
             .collect()
     }
@@ -466,7 +430,7 @@ impl Dispatcher {
         Arc::new(move |job: &Job| this.run_job(job))
     }
 
-    /// Executes one job somewhere: rotation → failover → breaker →
+    /// Executes one job somewhere: rotation → failover → standing →
     /// local fallback, per the module docs.
     ///
     /// # Errors
@@ -513,7 +477,7 @@ impl Dispatcher {
         }
     }
 
-    /// One pass over the rotation: rotation → failover → breaker,
+    /// One pass over the rotation: rotation → failover → standing,
     /// classifying how the pass ended.
     fn dispatch_round(&self, job: &Job) -> RoundOutcome {
         let candidates = self.rotation(job);
@@ -537,33 +501,15 @@ impl Dispatcher {
                 }
                 Candidate::Remote(i) => {
                     let backend = &self.backends[*i];
-                    if backend.quarantined() {
-                        // Integrity quarantine is terminal for the run:
-                        // no probe, no cooldown, no breaker claim.
-                        continue;
-                    }
-                    if backend.cooling() {
+                    match backend.admit() {
+                        Admit::Go => {}
                         // A busy rejection's retry_after is still
                         // running; skip without waking the backend.
-                        note_busy(100);
-                        continue;
-                    }
-                    if !backend.breaker.admit() {
-                        backend.gauge();
-                        continue;
-                    }
-                    // A marked-skewed backend, and every half-open
-                    // probe, must re-prove fingerprint equality before
-                    // carrying a job: the probe is how a replaced
-                    // binary (matching again) rejoins the rotation, and
-                    // how a mismatched one keeps its breaker open
-                    // instead of corrupting results. A failed check
-                    // resolves the admit() claim as a failure.
-                    let half_open = backend.breaker.state() == BreakerState::HalfOpen;
-                    if (half_open || backend.skewed()) && !backend.verify_fingerprint() {
-                        backend.breaker.record_failure();
-                        backend.gauge();
-                        continue;
+                        Admit::Away => {
+                            note_busy(100);
+                            continue;
+                        }
+                        Admit::Probe | Admit::No => continue,
                     }
                     match backend.attempt(job) {
                         Ok(report) => {
@@ -703,19 +649,13 @@ impl Dispatcher {
         }
     }
 
-    /// The first still-trusted backend other than `origin` to use as a
-    /// verification peer, claiming its breaker admission. `None` when
-    /// the rest of the fleet is untrusted, cooling, or breaker-rejected.
+    /// The first backend other than `origin` whose standing admits a
+    /// job, to use as a verification peer. `None` when no other backend
+    /// is admitted.
     fn verify_peer(&self, origin: &Arc<Backend>) -> Option<Arc<Backend>> {
         self.backends
             .iter()
-            .find(|b| {
-                !Arc::ptr_eq(b, origin)
-                    && !b.quarantined()
-                    && !b.skewed()
-                    && !b.cooling()
-                    && b.breaker.admit()
-            })
+            .find(|b| !Arc::ptr_eq(b, origin) && b.admit() == Admit::Go)
             .cloned()
     }
 
@@ -756,8 +696,8 @@ impl Dispatcher {
         slots
     }
 
-    /// Snapshot of per-backend counters and breaker states for
-    /// end-of-sweep reporting.
+    /// Snapshot of per-backend counters and standings for end-of-sweep
+    /// reporting.
     pub fn summary(&self) -> DispatchSummary {
         let backends = self
             .backends
@@ -774,7 +714,7 @@ impl Dispatcher {
                     shed_deferred: get("shed_deferred"),
                     version_skew: get("version_skew"),
                     integrity_failures: get("integrity_failures"),
-                    breaker_open: b.breaker.state() != BreakerState::Closed,
+                    breaker_open: b.standing().gauge() > 0,
                 }
             })
             .collect();
@@ -904,33 +844,118 @@ mod tests {
         }
     }
 
+    /// Drives `standing` through `outcomes` at `now`, one after another.
+    fn walk(standing: &mut Standing, outcomes: &[Outcome], now: Instant) {
+        for &outcome in outcomes {
+            standing.record(outcome, now);
+        }
+    }
+
+    fn down(t: Instant) -> Standing {
+        Standing::Down {
+            until: t + COOLDOWN,
+        }
+    }
+
+    fn skewed(t: Instant) -> Standing {
+        Standing::Skewed {
+            until: t + COOLDOWN,
+        }
+    }
+
     #[test]
-    fn breaker_walks_closed_open_halfopen_closed() {
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 2,
-            cooldown_ms: 30,
-        });
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert!(breaker.admit());
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Closed, "below threshold");
-        assert!(breaker.admit());
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Open, "threshold trips");
-        assert!(!breaker.admit(), "open rejects during cooldown");
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(breaker.admit(), "cooldown elapsed: probe admitted");
-        assert_eq!(breaker.state(), BreakerState::HalfOpen);
-        assert!(!breaker.admit(), "only one probe at a time");
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Open, "failed probe re-opens");
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(breaker.admit());
-        breaker.record_success();
-        assert_eq!(breaker.state(), BreakerState::Closed, "good probe closes");
-        // A success clears the streak: one new failure does not trip.
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Closed);
+    fn standing_goes_down_after_three_failures_and_one_probe_decides() {
+        let t0 = Instant::now();
+        let mut s = Standing::Up { strikes: 0 };
+        walk(&mut s, &[Outcome::Failed, Outcome::Failed], t0);
+        assert_eq!(s, Standing::Up { strikes: 2 }, "below the threshold");
+        assert_eq!(s.admit(t0), Admit::Go);
+        s.record(Outcome::Failed, t0);
+        assert_eq!((s, s.gauge()), (down(t0), 2), "third strike");
+        assert_eq!(s.admit(t0 + COOLDOWN / 2), Admit::No, "cooling down");
+        let t1 = t0 + COOLDOWN;
+        assert_eq!(s.admit(t1), Admit::Probe, "cooled: one probe");
+        assert_eq!(s.gauge(), 1);
+        assert_eq!(s.admit(t1), Admit::No, "only one probe at a time");
+        s.record(Outcome::Failed, t1);
+        assert_eq!(s, down(t1), "failed probe");
+        let t2 = t1 + COOLDOWN;
+        assert_eq!(s.admit(t2), Admit::Probe);
+        s.record(Outcome::Answered, t2);
+        assert_eq!(
+            (s, s.gauge()),
+            (Standing::Up { strikes: 0 }, 0),
+            "good probe"
+        );
+        // An answer clears the streak.
+        let streak = [Outcome::Failed, Outcome::Failed, Outcome::Answered];
+        walk(&mut s, &streak, t2);
+        s.record(Outcome::Failed, t2);
+        assert_eq!(s, Standing::Up { strikes: 1 });
+    }
+
+    #[test]
+    fn standing_busy_never_adds_a_strike_and_returns_without_a_probe() {
+        let t0 = Instant::now();
+        let wait = Duration::from_millis(40);
+        let away = Standing::Away { until: t0 + wait };
+        let mut s = Standing::Up { strikes: 2 };
+        s.record(Outcome::Busy(wait), t0);
+        assert_eq!((s, s.gauge()), (away, 0), "full is not broken");
+        // Stragglers neither strike nor cut the wait short.
+        let stragglers = [Outcome::Failed, Outcome::Failed, Outcome::Failed];
+        walk(&mut s, &stragglers, t0);
+        s.record(Outcome::Answered, t0);
+        assert_eq!(s, away);
+        assert_eq!(s.admit(t0), Admit::Away);
+        assert_eq!(s.admit(t0 + wait), Admit::Go, "no probe on return");
+        assert_eq!(s, Standing::Up { strikes: 0 });
+        // Busy also settles a probe: the peer answered.
+        let mut probing = Standing::Probing { skewed: false };
+        probing.record(Outcome::Busy(wait), t0);
+        assert_eq!(probing, away);
+    }
+
+    #[test]
+    fn standing_rejoins_from_skew_only_through_a_matching_probe() {
+        let t0 = Instant::now();
+        let mut s = Standing::Up { strikes: 0 };
+        assert!(s.record(Outcome::Skewed, t0), "first mismatch warns");
+        // Answers from stragglers do not vouch for the fingerprint.
+        walk(&mut s, &[Outcome::Answered, Outcome::Busy(COOLDOWN)], t0);
+        assert_eq!(s, skewed(t0));
+        assert_eq!(s.admit(t0), Admit::No);
+        let t1 = t0 + COOLDOWN;
+        assert_eq!(s.admit(t1), Admit::Probe, "a fingerprint probe");
+        assert!(!s.record(Outcome::Skewed, t1), "still skewed: warned");
+        assert_eq!(s, skewed(t1));
+        let t2 = t1 + COOLDOWN;
+        assert_eq!(s.admit(t2), Admit::Probe);
+        // The fingerprint matched, so the probe carried a job.
+        s.record(Outcome::Answered, t2);
+        assert_eq!(s, Standing::Up { strikes: 0 });
+        // A Down backend whose probe finds a new engine turns Skewed.
+        let mut s = Standing::Down { until: t0 };
+        assert_eq!(s.admit(t0), Admit::Probe);
+        assert!(s.record(Outcome::Skewed, t0));
+        assert_eq!(s, skewed(t0));
+    }
+
+    #[test]
+    fn standing_quarantine_is_terminal() {
+        let t0 = Instant::now();
+        let mut s = Standing::Skewed { until: t0 };
+        assert!(s.record(Outcome::Lied, t0), "first lie warns");
+        assert!(!s.record(Outcome::Lied, t0), "warned once");
+        let later = [
+            Outcome::Answered,
+            Outcome::Failed,
+            Outcome::Busy(COOLDOWN),
+            Outcome::Skewed,
+        ];
+        walk(&mut s, &later, t0);
+        assert_eq!((s, s.gauge()), (Standing::Quarantined, 2));
+        assert_eq!(s.admit(t0 + COOLDOWN * 1000), Admit::No, "never re-probed");
     }
 
     #[test]
@@ -994,19 +1019,14 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_repeated_failures_and_skips_the_dead_peer() {
-        let mut config = fast_config(vec!["127.0.0.1:19".into()]);
-        config.breaker = BreakerConfig {
-            failure_threshold: 2,
-            cooldown_ms: 60_000,
-        };
-        let dispatcher = Dispatcher::new(&config, local_runner());
+        let dispatcher = Dispatcher::new(&fast_config(vec!["127.0.0.1:19".into()]), local_runner());
         for _ in 0..5 {
             dispatcher.run_job(&Job::sim(40.0, 750e6, 5e6)).unwrap();
         }
         let summary = dispatcher.summary();
         assert!(summary.backends[0].breaker_open);
         assert_eq!(
-            summary.backends[0].dispatched, 2,
+            summary.backends[0].dispatched, 3,
             "breaker must stop dispatch at the threshold"
         );
         assert_eq!(summary.local_fallbacks, 5);
@@ -1052,10 +1072,9 @@ mod tests {
             let report = dispatcher.run_job(&job).expect("local absorbs shed work");
             assert_eq!(report.key, job.key());
         }
-        assert_eq!(
-            dispatcher.backends[0].breaker.state(),
-            BreakerState::Closed,
-            "a healthy-but-full backend must never trip its breaker"
+        assert!(
+            matches!(dispatcher.backends[0].standing(), Standing::Away { .. }),
+            "a healthy-but-full backend must never go down"
         );
         let summary = dispatcher.summary();
         assert!(!summary.backends[0].breaker_open);
@@ -1102,82 +1121,89 @@ mod tests {
         stop_backend(live, handle);
     }
 
-    #[test]
-    fn mismatched_fingerprint_backend_is_excluded_not_trusted() {
-        // A backend whose every supervision frame advertises a garbled
-        // engine fingerprint: alive, fast — and not to be trusted.
-        let (skewed, handle) = spawn_backend_with_faults(crate::faults::FaultPlan {
-            seed: 11,
-            wrong_fingerprint_permille: 1000,
-            ..crate::faults::FaultPlan::none()
-        });
-        let dispatcher = Dispatcher::new(&fast_config(vec![skewed.to_string()]), local_runner());
-        let probes = dispatcher.probe();
-        assert!(
-            probes[0].1.is_some(),
-            "the backend is healthy at the transport level"
-        );
-        assert!(
-            dispatcher.backends[0].skewed(),
-            "the probe must mark the version skew"
-        );
-        for seed in 0..3u64 {
-            let job = Job {
-                seed,
-                ..Job::sim(40.0, 750e6, 5e6)
-            };
-            let report = dispatcher.run_job(&job).expect("local absorbs the work");
-            assert_eq!(report.key, job.key());
-        }
-        let summary = dispatcher.summary();
-        assert_eq!(
-            summary.backends[0].dispatched, 0,
-            "a skewed backend must never receive a job: {summary}"
-        );
-        assert!(
-            summary.backends[0].version_skew >= 1,
-            "skew must be counted: {summary}"
-        );
-        assert_eq!(summary.local_fallbacks, 3, "every job still completed");
-        let rendered = summary.to_string();
-        assert!(
-            rendered.contains("DEGRADED: version_skew"),
-            "the summary must flag the degradation: {rendered}"
-        );
-        stop_backend(skewed, handle);
+    /// A live peer whose every reply is a healthy `health` frame with
+    /// `stamp` spliced in: it can be health-checked, but any job sent
+    /// to it fails to parse.
+    fn spawn_stamped_backend(stamp: &str) -> std::net::SocketAddr {
+        spawn_canned_backend(format!(
+            "{{\"ok\":true,\"health\":{{\"status\":\"ok\",\"workers\":2,{stamp}\
+             \"uptime_ms\":5,\"served_jobs\":0}}}}\n"
+        ))
     }
 
     #[test]
-    fn backend_advertising_no_fingerprint_is_untrusted() {
-        // A live peer whose health frame carries no `fingerprint` field
-        // at all: absence of evidence is not a match.
-        let unstamped = spawn_canned_backend(
-            "{\"ok\":true,\"health\":{\"status\":\"ok\",\"workers\":2,\
-             \"uptime_ms\":5,\"served_jobs\":0}}\n"
-                .to_string(),
-        );
-        let dispatcher = Dispatcher::new(&fast_config(vec![unstamped.to_string()]), local_runner());
-        assert!(dispatcher.probe()[0].1.is_some(), "the probe reaches it");
-        assert!(
-            dispatcher.backends[0].skewed(),
-            "a missing fingerprint must mark the backend skewed"
-        );
-        for seed in 0..3u64 {
-            let job = Job {
-                seed,
-                ..Job::sim(40.0, 750e6, 5e6)
-            };
-            dispatcher.run_job(&job).expect("local absorbs the work");
+    fn mismatched_fingerprint_backend_is_excluded_not_trusted() {
+        // Alive, fast, and running another engine — or advertising no
+        // fingerprint at all, since absence of evidence is not a match.
+        for stamp in ["\"fingerprint\":\"aaaaaaaaaaaaaaaa\",", ""] {
+            let skewed = spawn_stamped_backend(stamp);
+            let dispatcher =
+                Dispatcher::new(&fast_config(vec![skewed.to_string()]), local_runner());
+            assert!(dispatcher.probe()[0].1.is_none(), "reachable, not trusted");
+            assert!(
+                matches!(dispatcher.backends[0].standing(), Standing::Skewed { .. }),
+                "the probe must mark the version skew"
+            );
+            for seed in 0..3u64 {
+                let job = Job {
+                    seed,
+                    ..Job::sim(40.0, 750e6, 5e6)
+                };
+                let report = dispatcher.run_job(&job).expect("local absorbs the work");
+                assert_eq!(report.key, job.key());
+            }
+            let summary = dispatcher.summary();
+            assert_eq!(
+                summary.backends[0].dispatched, 0,
+                "a skewed backend must never receive a job: {summary}"
+            );
+            assert!(
+                summary.backends[0].version_skew >= 1,
+                "skew must be counted: {summary}"
+            );
+            assert_eq!(summary.local_fallbacks, 3, "every job still completed");
+            assert!(
+                summary.to_string().contains("DEGRADED: version_skew"),
+                "the summary must flag the degradation: {summary}"
+            );
         }
+    }
+
+    #[test]
+    fn verify_peer_due_for_its_probe_must_reprove_its_fingerprint() {
+        // The peer was Down and its cooldown has passed, and meanwhile
+        // its binary changed. Choosing it as a verification peer is its
+        // probe: it must be caught as skew, not handed the job.
+        let (honest, handle) = spawn_backend();
+        let changed = spawn_stamped_backend("\"fingerprint\":\"bbbbbbbbbbbbbbbb\",");
+        let config = DispatchConfig {
+            verify_permille: 1000,
+            ..fast_config(vec![honest.to_string(), changed.to_string()])
+        };
+        let dispatcher = Dispatcher::new(&config, local_runner());
+        *lock_unpoisoned(&dispatcher.backends[1].standing) = Standing::Down {
+            until: Instant::now(),
+        };
+        let job = Job {
+            seed: 8,
+            ..Job::sim(40.0, 750e6, 5e6)
+        };
+        let report = dispatcher.run_job(&job).expect("verified dispatch");
+        assert_eq!(report.to_text(), ok_report(&job).to_text());
         let summary = dispatcher.summary();
+        let peer = &summary.backends[1];
         assert_eq!(
-            summary.backends[0].dispatched, 0,
-            "an unstamped backend must never receive a job: {summary}"
+            peer.dispatched, 0,
+            "no job before the fingerprint: {summary}"
         );
+        assert_eq!(peer.version_skew, 1, "counted as skew: {summary}");
+        assert_eq!(peer.integrity_failures, 0, "not as a lie: {summary}");
+        assert_eq!(summary.backends[0].integrity_failures, 0, "{summary}");
         assert!(
-            summary.to_string().contains("DEGRADED: version_skew"),
-            "the summary must flag the degradation: {summary}"
+            matches!(dispatcher.backends[1].standing(), Standing::Skewed { .. }),
+            "{summary}"
         );
+        stop_backend(honest, handle);
     }
 
     #[test]
@@ -1206,8 +1232,9 @@ mod tests {
             // local run would have produced, lying backend or not.
             assert_eq!(report.to_text(), ok_report(&job).to_text());
         }
-        assert!(
-            dispatcher.backends[0].quarantined(),
+        assert_eq!(
+            dispatcher.backends[0].standing(),
+            Standing::Quarantined,
             "first verified mismatch must integrity-quarantine the liar"
         );
         let summary = dispatcher.summary();
@@ -1298,7 +1325,7 @@ mod tests {
         assert_eq!(local_calls.load(Ordering::SeqCst), 1);
         let summary = dispatcher.summary();
         assert_eq!(summary.backends[0].integrity_failures, 0);
-        assert!(!dispatcher.backends[0].quarantined());
+        assert_ne!(dispatcher.backends[0].standing(), Standing::Quarantined);
         stop_backend(addr, handle);
     }
 
@@ -1359,12 +1386,14 @@ mod tests {
             (Arc::clone(&dispatcher.backends[1]), truth.clone()),
         );
         assert_eq!(report.to_text(), truth.to_text(), "the honest bytes win");
-        assert!(
-            dispatcher.backends[0].quarantined(),
+        assert_eq!(
+            dispatcher.backends[0].standing(),
+            Standing::Quarantined,
             "the liar is integrity-quarantined"
         );
-        assert!(
-            !dispatcher.backends[1].quarantined(),
+        assert_eq!(
+            dispatcher.backends[1].standing(),
+            Standing::Up { strikes: 0 },
             "the honest peer keeps its standing"
         );
         assert_eq!(

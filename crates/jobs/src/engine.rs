@@ -111,7 +111,7 @@ impl Engine {
     }
 
     /// The fault plan this engine was built with (the serve layer
-    /// consults it for frame-level faults such as `wrong_fingerprint`).
+    /// consults it for the lying-backend report perturbation).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }

@@ -2,10 +2,13 @@
 //!
 //! A [`FaultPlan`] is a seeded description of which faults to inject
 //! where: worker panics, transient retryable errors, artificial job
-//! latency, corrupted cache artifacts, and malformed or stalled network
-//! frames. It is compiled in always and consulted on the hot paths, but
-//! an empty plan ([`FaultPlan::none`], the default) reduces every check
-//! to a handful of integer compares — no RNG is ever constructed.
+//! latency, corrupted cache artifacts, malformed or stalled network
+//! frames, and a lying backend. Version skew has no site here: a
+//! backend started under the `TDSIGMA_FINGERPRINT` override is a real
+//! foreign engine. The plan is compiled in always and consulted on the
+//! hot paths, but an empty plan ([`FaultPlan::none`], the default)
+//! reduces every check to a handful of integer compares — no RNG is
+//! ever constructed.
 //!
 //! The load-bearing property is **determinism independent of
 //! scheduling**: every decision is a pure function of `(plan seed, fault
@@ -20,7 +23,7 @@ use tdsigma_tech::{fnv1a64, Rng64, FNV1A64_BASIS};
 /// independent decision stream so that, e.g., raising the panic rate
 /// does not reshuffle which attempts get latency. The discriminants
 /// seed those streams, so they are fixed: a retired site's number
-/// (11) is never reused.
+/// (11, 12) is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
     Panic = 1,
@@ -33,7 +36,6 @@ enum Site {
     Response = 8,
     SlowClient = 9,
     Flood = 10,
-    WrongFingerprint = 12,
     LyingBackend = 13,
 }
 
@@ -114,12 +116,6 @@ pub struct FaultPlan {
     pub flood_permille: u16,
     /// How many extra duplicate requests one flood decision fires.
     pub flood_burst: u32,
-    /// Chance a server advertises a deliberately wrong engine
-    /// fingerprint in one supervision frame (health/ready/stats).
-    /// Exercises the dispatcher's version-skew exclusion.
-    /// Not part of [`FaultPlan::chaos`]: faking version skew changes
-    /// which backends a sweep may use, so it must stay opt-in.
-    pub wrong_fingerprint_permille: u16,
     /// Chance a serve backend perturbs a report's *values* after compute
     /// while keeping the report key intact — a lying backend. This is
     /// exactly the corruption class that wire attestation and engine
@@ -156,7 +152,6 @@ impl FaultPlan {
             slow_client_ms: 2,
             flood_permille: 100,
             flood_burst: 3,
-            wrong_fingerprint_permille: 0,
             lying_backend_permille: 0,
         }
     }
@@ -175,7 +170,6 @@ impl FaultPlan {
             && self.slow_client_permille == 0
             && self.slow_client_ms == 0
             && self.flood_permille == 0
-            && self.wrong_fingerprint_permille == 0
             && self.lying_backend_permille == 0
     }
 
@@ -295,19 +289,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether a server should advertise a deliberately wrong engine
-    /// fingerprint in its `index`-th supervision frame. A skew-aware
-    /// client must exclude the backend, never accept its results.
-    pub fn wrong_fingerprint(&self, index: u64) -> bool {
-        let key = format!("frame-{index}");
-        self.hit(
-            Site::WrongFingerprint,
-            &key,
-            0,
-            self.wrong_fingerprint_permille,
-        )
-    }
-
     /// The perturbation (if any) a lying backend applies to the report
     /// for job `key`: a deterministic non-zero delta added to one of the
     /// report's metric values *after* compute, with the report key left
@@ -378,7 +359,6 @@ mod tests {
         assert_eq!(plan.net_fault("peer|abc123", 1), None);
         assert_eq!(plan.slow_client_stall(7), None);
         assert_eq!(plan.flood_at(7), 0);
-        assert!(!plan.wrong_fingerprint(1));
         assert_eq!(plan.lying_report_delta("abc123"), None);
     }
 
@@ -476,25 +456,6 @@ mod tests {
         assert_eq!(
             plan.lying_backend_permille, 0,
             "value corruption must stay opt-in, not part of default chaos"
-        );
-    }
-
-    #[test]
-    fn wrong_fingerprint_fires_deterministically_when_enabled() {
-        let plan = FaultPlan {
-            seed: 67,
-            wrong_fingerprint_permille: 400,
-            ..FaultPlan::default()
-        };
-        assert!(!plan.is_empty(), "enabled class must register");
-        let hits: Vec<u64> = (0..100).filter(|&i| plan.wrong_fingerprint(i)).collect();
-        assert!(!hits.is_empty(), "enabled wrong-fingerprint must fire");
-        let again: Vec<u64> = (0..100).filter(|&i| plan.wrong_fingerprint(i)).collect();
-        assert_eq!(hits, again, "decisions must be pure");
-        assert_eq!(
-            FaultPlan::chaos(67).wrong_fingerprint_permille,
-            0,
-            "faking version skew changes which backends run; it must stay opt-in"
         );
     }
 

@@ -63,7 +63,7 @@ pub mod report;
 pub mod server;
 
 pub use cache::{CacheScrub, CacheStats, ResultCache};
-pub use dispatch::{BreakerConfig, BreakerState, CircuitBreaker, DispatchConfig, Dispatcher};
+pub use dispatch::{DispatchConfig, Dispatcher};
 pub use engine::{BatchReport, Engine, EngineConfig, EngineTotals};
 pub use error::JobError;
 pub use execute::execute;

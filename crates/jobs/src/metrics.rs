@@ -109,8 +109,8 @@ pub struct BackendDispatchStats {
     pub failed: u64,
     /// Jobs that moved on to another candidate after failing here.
     pub retried: u64,
-    /// Structured busy/shed rejections honored as cooldowns (never
-    /// counted toward the breaker — the backend was alive, just full).
+    /// Structured busy/shed rejections honored as cooldowns (never a
+    /// strike — the backend was alive, just full).
     pub shed_deferred: u64,
     /// Times this backend was excluded for advertising an engine
     /// fingerprint different from the dispatching process's. Non-zero
@@ -120,7 +120,8 @@ pub struct BackendDispatchStats {
     /// recomputation. Non-zero means the backend was caught lying and
     /// is integrity-quarantined for the rest of the run.
     pub integrity_failures: u64,
-    /// Whether the breaker was anything but closed at snapshot time.
+    /// Whether the backend was anything but Up or Away at snapshot time
+    /// (printed as `breaker OPEN`).
     pub breaker_open: bool,
 }
 

@@ -74,7 +74,7 @@ pub enum RemoteError {
     /// with a computed
     /// `retry_after_ms`. Not a failure — the peer executed the protocol
     /// perfectly — so this must cool the backend down for the hinted
-    /// interval rather than count toward its circuit breaker.
+    /// interval rather than count as a strike against it.
     Busy {
         /// The rejection message (`shedding load: …`, `server busy: …`).
         message: String,
@@ -221,7 +221,7 @@ impl RemoteClient {
     /// # Errors
     ///
     /// [`RemoteError::Backend`] when the peer is unreachable or answers
-    /// garbage — exactly the condition a breaker should count.
+    /// garbage — exactly the condition a strike should count.
     pub fn health(&self) -> Result<BackendHealth, RemoteError> {
         let response = self.exchange(r#"{"cmd":"health"}"#, &format!("{}|health", self.addr))?;
         let health = response

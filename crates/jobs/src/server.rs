@@ -236,10 +236,6 @@ struct Supervision {
     allow_remote_shutdown: bool,
     started: Instant,
     admission: Arc<Admission>,
-    /// Monotonic supervision-frame counter, shared by every connection:
-    /// each `health`/`ready`/`stats` response consumes one index so the
-    /// `wrong_fingerprint` fault site draws deterministically per frame.
-    frames: Arc<AtomicU64>,
 }
 
 /// A running line-protocol server. One thread per connection; all
@@ -252,7 +248,6 @@ pub struct Server {
     active: Arc<AtomicUsize>,
     started: Instant,
     admission: Arc<Admission>,
-    frames: Arc<AtomicU64>,
 }
 
 impl Server {
@@ -285,7 +280,6 @@ impl Server {
             active: Arc::new(AtomicUsize::new(0)),
             started: Instant::now(),
             admission,
-            frames: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -348,10 +342,9 @@ impl Server {
             let config = self.config.clone();
             let started = self.started;
             let admission = Arc::clone(&self.admission);
-            let frames = Arc::clone(&self.frames);
             handles.push(thread::spawn(move || {
                 let _ = serve_connection(
-                    stream, &engine, &stop, addr, &config, &active, started, &admission, &frames,
+                    stream, &engine, &stop, addr, &config, &active, started, &admission,
                 );
                 let n = active.fetch_sub(1, Ordering::SeqCst) - 1;
                 tdsigma_obs::gauge("serve.active_connections").set(n as f64);
@@ -425,7 +418,6 @@ fn serve_connection(
     active: &Arc<AtomicUsize>,
     started: Instant,
     admission: &Arc<Admission>,
-    frames: &Arc<AtomicU64>,
 ) -> io::Result<()> {
     let supervision = Supervision {
         active: Arc::clone(active),
@@ -434,7 +426,6 @@ fn serve_connection(
         allow_remote_shutdown: config.allow_remote_shutdown,
         started,
         admission: Arc::clone(admission),
-        frames: Arc::clone(frames),
     };
     if config.idle_timeout_ms > 0 {
         let timeout = Some(Duration::from_millis(config.idle_timeout_ms));
@@ -575,21 +566,6 @@ fn error_response(message: &str) -> Json {
     ])
 }
 
-/// The engine fingerprint this supervision frame advertises. Normally
-/// the process-wide [`tdsigma_core::engine_fingerprint`]; under the
-/// `wrong_fingerprint` fault site the hex digits come back reversed —
-/// a deterministic garble a skew-aware client must reject, never a
-/// value that could collide with a real engine's fingerprint by luck.
-fn advertised_fingerprint(engine: &Engine, supervision: &Supervision) -> String {
-    let ours = tdsigma_core::engine_fingerprint();
-    let frame = supervision.frames.fetch_add(1, Ordering::Relaxed);
-    if engine.fault_plan().wrong_fingerprint(frame) {
-        tdsigma_obs::counter("serve.wrong_fingerprint_injected").inc();
-        return ours.chars().rev().collect();
-    }
-    ours.to_string()
-}
-
 /// The liveness watchdog's verdict: worker heartbeats, connection
 /// pressure, and lifetime failure counts in one object. `status` is
 /// `"degraded"` the moment any busy worker goes silent past the stall
@@ -613,7 +589,7 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
             ("status".into(), Json::Str(status.into())),
             (
                 "fingerprint".into(),
-                Json::Str(advertised_fingerprint(engine, supervision)),
+                Json::Str(tdsigma_core::engine_fingerprint().into()),
             ),
             ("workers".into(), Json::Num(beats.len() as f64)),
             ("busy_workers".into(), Json::Num(busy as f64)),
@@ -672,7 +648,7 @@ fn ready_response(engine: &Engine, supervision: &Supervision) -> Json {
         ("ready".into(), Json::Bool(reason.is_none())),
         (
             "fingerprint".into(),
-            Json::Str(advertised_fingerprint(engine, supervision)),
+            Json::Str(tdsigma_core::engine_fingerprint().into()),
         ),
     ];
     if let Some(reason) = reason {
@@ -691,7 +667,7 @@ fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
         Json::Obj(vec![
             (
                 "fingerprint".into(),
-                Json::Str(advertised_fingerprint(engine, supervision)),
+                Json::Str(tdsigma_core::engine_fingerprint().into()),
             ),
             ("workers".into(), Json::Num(engine.workers() as f64)),
             ("jobs".into(), Json::Num(totals.jobs as f64)),
@@ -953,7 +929,6 @@ mod tests {
             allow_remote_shutdown: true,
             started: Instant::now(),
             admission: Arc::new(Admission::new(&ServerConfig::default())),
-            frames: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -1448,29 +1423,6 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(0.0)
         );
-    }
-
-    #[test]
-    fn wrong_fingerprint_fault_garbles_every_supervision_frame() {
-        let engine = test_engine_with_faults(FaultPlan {
-            seed: 7,
-            wrong_fingerprint_permille: 1000,
-            ..FaultPlan::none()
-        });
-        let sup = test_supervision();
-        let ours = tdsigma_core::engine_fingerprint();
-        let garbled: String = ours.chars().rev().collect();
-        assert_ne!(garbled, ours, "fingerprint must not be a palindrome");
-        for _ in 0..3 {
-            let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
-            assert_eq!(
-                r.get("health")
-                    .and_then(|h| h.get("fingerprint"))
-                    .and_then(Json::as_str),
-                Some(garbled.as_str()),
-                "a 1000-permille fault must garble every frame, deterministically"
-            );
-        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tdsigma_jobs::{
-    BreakerConfig, DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobReport,
-    Json, PoolConfig, Runner, Server, ServerConfig,
+    DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobReport, Json, PoolConfig,
+    Runner, Server, ServerConfig,
 };
 
 /// Runs `f` on a worker thread and panics if it does not finish within
@@ -384,7 +384,6 @@ fn dispatcher_rides_out_a_flooded_backend_without_tripping_breakers() {
         let config = DispatchConfig {
             backends: vec![addr.clone()],
             local_in_rotation: true,
-            breaker: BreakerConfig::default(),
             ..DispatchConfig::default()
         };
         let dispatcher = Dispatcher::new(&config, slow_runner(0));

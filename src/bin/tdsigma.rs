@@ -675,28 +675,22 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
             };
             let local_runner: Arc<Runner> = Arc::new(execute);
             let dispatcher = Dispatcher::new(&config, local_runner);
-            // Startup probe: report each backend, seed the breakers, and
+            // Startup probe: report each backend, seed the standings, and
             // size the dispatch pool from the fleet's actual capacity
             // (each pool thread just blocks on one remote call).
             let mut remote_workers = 0usize;
-            let ours = tdsigma::core::engine_fingerprint();
+            // The probe warned about every backend it does not trust
+            // (unreachable or skewed); those must not size the pool.
             for (addr, health) in dispatcher.probe() {
-                match health {
-                    // The probe already marked (and warned about) the
-                    // version skew; a skewed backend never receives
-                    // work, so it must not size the pool either.
-                    Some(h) if h.fingerprint != ours => {}
-                    Some(h) => {
-                        println!(
-                            "backend {addr}: {} workers, status {}, up {:.0} s, {} jobs served",
-                            h.workers,
-                            h.status,
-                            h.uptime_ms as f64 / 1e3,
-                            h.served_jobs
-                        );
-                        remote_workers += h.workers;
-                    }
-                    None => eprintln!("warning: backend {addr} unreachable at startup"),
+                if let Some(h) = health {
+                    println!(
+                        "backend {addr}: {} workers, status {}, up {:.0} s, {} jobs served",
+                        h.workers,
+                        h.status,
+                        h.uptime_ms as f64 / 1e3,
+                        h.served_jobs
+                    );
+                    remote_workers += h.workers;
                 }
             }
             let workers = if local {

@@ -102,18 +102,58 @@ fn sweep_runs_grid_and_writes_artifact() {
 /// Asserts the stage breakdown in `stdout` has a row for each of
 /// `stages`.
 fn assert_breakdown_has(stdout: &str, stages: &[&str]) {
-    let table: Vec<&str> = stdout
-        .lines()
-        .skip_while(|l| !l.starts_with("stage breakdown"))
-        .collect();
     for stage in stages {
         assert!(
-            table
-                .iter()
-                .any(|l| l.split_whitespace().next() == Some(*stage)),
+            breakdown_count(stdout, stage).is_some(),
             "no {stage} row in the stage breakdown: {stdout}"
         );
     }
+}
+
+/// The `count` column of `stage`'s row in the stage breakdown.
+fn breakdown_count(stdout: &str, stage: &str) -> Option<u64> {
+    stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("stage breakdown"))
+        .find_map(|l| {
+            let mut cols = l.split_whitespace();
+            if cols.next() != Some(stage) {
+                return None;
+            }
+            cols.next()?.parse().ok()
+        })
+}
+
+#[test]
+fn stage_breakdown_counts_only_the_jobs_the_sweep_ran() {
+    // The engine fingerprint simulates a golden vector too; that is not
+    // a flow stage, so four sim jobs are four of each.
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_stages_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(bin())
+        .args([
+            "sweep",
+            "--nodes",
+            "40,180",
+            "--slices",
+            "1,2",
+            "--samples",
+            "2048",
+            "--workers",
+            "2",
+            "--no-cache",
+            "--no-journal",
+            "--out",
+            dir.to_str().expect("utf8 temp path"),
+        ])
+        .output()
+        .expect("runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    for stage in ["flow.transient", "flow.spectrum", "flow.tone_metrics"] {
+        assert_eq!(breakdown_count(&text, stage), Some(4), "{stage}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
