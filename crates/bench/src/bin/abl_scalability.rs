@@ -38,8 +38,8 @@ fn main() {
         jobs.push(job);
     }
     for &scale in &clock_scales {
-        // Same spec `with_clock` produces: vco_f0 and kvco both derive
-        // from fs, so deriving the spec at the scaled clock is identical.
+        // The paper's "increase the clock" knob: vco_f0 and kvco both
+        // derive from fs, so the spec at the scaled clock scales them too.
         let mut job = base_job();
         job.fs_hz = FS_HZ * scale;
         job.bw_hz = BW_HZ * scale;

@@ -14,6 +14,15 @@ use tdsigma_tech::{NodeId, Technology};
 /// linear in this, so the bound keeps one run's work finite.
 pub const MAX_STEPS_PER_CYCLE: usize = 1024;
 
+/// Most slices a spec may ask for: 64× the largest workload's 16. The
+/// simulator allocates per-slice state up front, so an unbounded count
+/// would abort the process.
+pub const MAX_SLICES: usize = 1024;
+
+/// Most ring stages per VCO: a slice code sums one tap XOR per stage in
+/// a `u8`, so a longer ring would wrap it.
+pub const MAX_VCO_STAGES: usize = u8::MAX as usize;
+
 /// Full specification of one ADC instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdcSpec {
@@ -109,13 +118,19 @@ impl AdcSpec {
     /// Returns [`CoreError::InvalidSpec`] if the clock exceeds what the
     /// node's ring oscillator can support or the OSR is unusably low.
     pub fn for_technology(tech: Technology, fs_hz: f64, bw_hz: f64) -> Result<Self, CoreError> {
+        AdcSpec::nominal(tech, fs_hz, bw_hz).validated()
+    }
+
+    /// [`AdcSpec::for_technology`] before validation: for a caller that
+    /// sets more knobs, then validates once.
+    pub fn nominal(tech: Technology, fs_hz: f64, bw_hz: f64) -> Self {
         let vdd = tech.vdd().value();
         let vco_f0_hz = fs_hz / 5.0;
         // With the input and DAC common modes both at VDD/2, the resistive
         // divider parks the control nodes at VDD/2 — the VCO's nominal
         // operating point.
         let vctrl_cm_v = vdd * 0.5;
-        let spec = AdcSpec {
+        AdcSpec {
             n_slices: 8,
             fs_hz,
             bw_hz,
@@ -147,11 +162,12 @@ impl AdcSpec {
             steps_per_cycle: 16,
             seed: 2017,
             tech,
-        };
-        spec.validated()
+        }
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and bounds every knob, so no spec
+    /// that passes can make the simulator panic or allocate without limit.
+    /// NaN fails every `!(x > 0.0)`-style test below.
     ///
     /// # Errors
     ///
@@ -162,11 +178,41 @@ impl AdcSpec {
                 reason: reason.to_string(),
             })
         };
-        if self.n_slices == 0 {
-            return fail("at least one slice required");
+        let positive = [
+            ("fs_hz", self.fs_hz),
+            ("bw_hz", self.bw_hz),
+            ("vco_f0_hz", self.vco_f0_hz),
+            ("kvco_hz_per_v", self.kvco_hz_per_v),
+            ("rin_ohm", self.rin_ohm),
+            ("rdac_ohm", self.rdac_ohm),
+            ("vrefp_v", self.vrefp_v),
+        ];
+        if let Some((name, x)) = positive.iter().find(|(_, x)| !(x.is_finite() && *x > 0.0)) {
+            return fail(&format!("{name} {x} must be finite and positive"));
         }
-        if self.fs_hz <= 0.0 || self.bw_hz <= 0.0 {
-            return fail("clock and bandwidth must be positive");
+        let spreads = [
+            self.input_cm_v,
+            self.vctrl_cm_v,
+            self.vco_mismatch_sigma,
+            self.dac_mismatch_sigma,
+            self.comparator_offset_sigma_v,
+            self.comparator_noise_v,
+            self.phase_noise_per_sqrt_hz,
+            self.clock_jitter_rms_s,
+            self.node_cap_f,
+        ];
+        if !spreads.iter().all(|x| x.is_finite() && *x >= 0.0) {
+            return fail(
+                "common modes, noise, mismatch and jitter must be finite and non-negative",
+            );
+        }
+        for (name, n, max) in [
+            ("n_slices", self.n_slices, MAX_SLICES),
+            ("vco_stages", self.vco_stages, MAX_VCO_STAGES),
+        ] {
+            if !(1..=max).contains(&n) {
+                return fail(&format!("{name} {n} must be in 1..={max}"));
+            }
         }
         if self.oversampling_ratio() < 4.0 {
             return fail("OSR below 4: widen the clock or narrow the bandwidth");
@@ -183,10 +229,7 @@ impl AdcSpec {
         if 1.0 / self.fs_hz < 10.0 * self.tech.fo4_delay_ps() * 1e-12 {
             return fail("sampling clock too fast for the node's logic (needs 10 FO4 per period)");
         }
-        if self.rin_ohm <= 0.0 || self.rdac_ohm <= 0.0 {
-            return fail("resistor values must be positive");
-        }
-        if self.vrefp_v <= 0.0 || self.vrefp_v > self.tech.vdd().value() * 1.001 {
+        if self.vrefp_v > self.tech.vdd().value() * 1.001 {
             return fail("VREFP must be positive and within the supply");
         }
         if self.steps_per_cycle < 4 {
@@ -197,8 +240,8 @@ impl AdcSpec {
                 "need at most {MAX_STEPS_PER_CYCLE} simulation substeps per cycle"
             ));
         }
-        if self.clock_jitter_rms_s < 0.0 || self.clock_jitter_rms_s > 0.1 / self.fs_hz {
-            return fail("clock jitter must be non-negative and well below the period");
+        if self.clock_jitter_rms_s > 0.1 / self.fs_hz {
+            return fail("clock jitter must be well below the period");
         }
         Ok(self)
     }
@@ -231,47 +274,6 @@ impl AdcSpec {
         self.n_slices = n;
         self.validated()
     }
-
-    /// Returns a copy with a different clock and bandwidth (the paper's
-    /// "increase the clock frequency" knob), rescaling the VCO to match.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn with_clock(mut self, fs_hz: f64, bw_hz: f64) -> Result<Self, CoreError> {
-        let scale = fs_hz / self.fs_hz;
-        self.fs_hz = fs_hz;
-        self.bw_hz = bw_hz;
-        self.vco_f0_hz *= scale;
-        self.kvco_hz_per_v *= scale;
-        self.validated()
-    }
-
-    /// Returns a copy with a different DAC branch resistance (the
-    /// paper's feedback-current knob: a smaller `Rdac` pushes more DAC
-    /// current, widening the full scale and the loop's slewing
-    /// authority at the cost of DAC power). The design-space optimizer
-    /// searches this dimension.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn with_dac_resistance(mut self, rdac_ohm: f64) -> Result<Self, CoreError> {
-        self.rdac_ohm = rdac_ohm;
-        self.validated()
-    }
-
-    /// Returns a copy with the loop gain scaled (the paper's "boost the
-    /// loop gain by increasing either the DAC feedback current or the VCO
-    /// tuning gain" knob).
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn with_loop_gain(mut self, multiplier: f64) -> Result<Self, CoreError> {
-        self.kvco_hz_per_v *= multiplier;
-        self.validated()
-    }
 }
 
 #[cfg(test)]
@@ -301,22 +303,25 @@ mod tests {
     #[test]
     fn knobs_rescale() {
         let s = AdcSpec::paper_40nm().unwrap();
-        let more = s.clone().with_slices(16).unwrap();
+        let more = s.with_slices(16).unwrap();
         assert_eq!(more.n_slices, 16);
-        let faster = s.clone().with_clock(1.5e9, 10e6).unwrap();
-        assert_eq!(faster.vco_f0_hz, s.vco_f0_hz * 2.0);
-        let base = s.kvco_hz_per_v;
-        let hotter = s.with_loop_gain(2.0).unwrap();
-        assert!((hotter.kvco_hz_per_v - 2.0 * base).abs() < 1.0);
     }
 
     #[test]
     fn dac_resistance_knob_rescales_full_scale() {
         let s = AdcSpec::paper_40nm().unwrap();
         let fs0 = s.full_scale_v();
-        let hot = s.clone().with_dac_resistance(11_000.0).unwrap();
-        assert!((hot.full_scale_v() - 2.0 * fs0).abs() < 1e-12);
-        assert!(s.with_dac_resistance(-1.0).is_err());
+        let hot = AdcSpec {
+            rdac_ohm: 11_000.0,
+            ..s.clone()
+        };
+        assert!((hot.validated().unwrap().full_scale_v() - 2.0 * fs0).abs() < 1e-12);
+        assert!(AdcSpec {
+            rdac_ohm: -1.0,
+            ..s
+        }
+        .validated()
+        .is_err());
     }
 
     #[test]
@@ -324,7 +329,8 @@ mod tests {
         let s = AdcSpec::paper_40nm().unwrap();
         assert!(s.clone().with_slices(0).is_err());
         // OSR too low.
-        assert!(s.clone().with_clock(750e6, 200e6).is_err());
+        let t40 = Technology::for_node(NodeId::N40).unwrap();
+        assert!(AdcSpec::for_technology(t40, 750e6, 200e6).is_err());
         // A 20 GHz clock is far beyond 180 nm logic (10 FO4 = 500 ps).
         let t180 = Technology::for_node(NodeId::N180).unwrap();
         assert!(AdcSpec::for_technology(t180, 20e9, 100e6).is_err());
@@ -356,6 +362,40 @@ mod tests {
                 other => panic!("expected InvalidSpec for {bad}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn every_knob_is_finite_and_every_count_bounded() {
+        let base = AdcSpec::paper_40nm().unwrap();
+        let verdict = |edit: &dyn Fn(&mut AdcSpec)| {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            spec.validated().map(|_| ()).map_err(|e| e.to_string())
+        };
+        let refused = |edit: &dyn Fn(&mut AdcSpec), says: &str| {
+            let err = verdict(edit).unwrap_err();
+            assert!(err.contains(says), "{err}");
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            refused(&|s| s.kvco_hz_per_v = bad, "kvco_hz_per_v");
+            refused(&|s| s.rdac_ohm = bad, "rdac_ohm");
+            refused(&|s| s.fs_hz = bad, "fs_hz");
+        }
+        for bad in [f64::NAN, f64::INFINITY, -1e-3] {
+            refused(&|s| s.vco_mismatch_sigma = bad, "mismatch");
+        }
+        let edge = |s: &mut AdcSpec| {
+            s.vco_mismatch_sigma = 0.0;
+            s.n_slices = MAX_SLICES;
+        };
+        assert_eq!(verdict(&edge), Ok(()));
+        refused(
+            &|s| s.n_slices = MAX_SLICES + 1,
+            "n_slices 1025 must be in 1..=1024",
+        );
+        refused(&|s| s.n_slices = 1 << 50, "n_slices 1125899906842624");
+        refused(&|s| s.vco_stages = 0, "vco_stages 0 must be in 1..=255");
+        refused(&|s| s.vco_stages = MAX_VCO_STAGES + 1, "vco_stages 256");
     }
 
     #[test]

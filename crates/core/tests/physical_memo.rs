@@ -52,11 +52,8 @@ fn flow(
     rdac_ohm: f64,
     apr_seed: u64,
 ) -> DesignFlow {
-    let mut spec = base
-        .with_slices(slices)
-        .unwrap()
-        .with_dac_resistance(rdac_ohm)
-        .unwrap();
+    let mut spec = base.with_slices(slices).unwrap();
+    spec.rdac_ohm = rdac_ohm;
     spec.vco_stages = stages;
     spec.kvco_hz_per_v *= gain;
     spec.steps_per_cycle = 4;
@@ -140,7 +137,8 @@ fn the_key_holds_exactly_what_the_layout_depends_on() {
 
     // The electrical fields `SearchSpace` and `Job` decode leave the HDL
     // and the key unchanged.
-    let mut electrical = base.clone().with_dac_resistance(33_000.0).unwrap();
+    let mut electrical = base.clone();
+    electrical.rdac_ohm = 33_000.0;
     electrical.kvco_hz_per_v *= 1.7;
     electrical.seed = 4_242;
     electrical.steps_per_cycle = 64;

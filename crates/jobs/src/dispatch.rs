@@ -33,7 +33,9 @@
 //!    | Quarantined    | nothing, for the rest of the run | bytes that disagreed with recomputation |
 //!
 //!    A probe must re-prove the engine fingerprint before it carries a
-//!    job, and that job's answer decides Up or Down. A dead peer does
+//!    job, and that job's answer decides Up or Down. The startup probe
+//!    ([`Dispatcher::probe`]) is a probe like any other, so a peer dead
+//!    at startup is Down from the first job on. A dead peer does
 //!    not tax every job with a connect timeout, and a replaced binary
 //!    rejoins only once it matches again.
 //! 4. **Local fallback.** When every backend is down or skipped, the
@@ -400,14 +402,16 @@ impl Dispatcher {
     /// Health-checks every backend once (the startup probe) and returns
     /// `(addr, health)` per backend. `Some` marks a backend that is
     /// reachable and runs this engine. `None` marks one that is
-    /// unreachable, which is warned here and counted as its first
-    /// strike, or Skewed, which the check warned about; neither gets
-    /// jobs until it proves itself.
+    /// unreachable, which is warned here and goes Down like any failed
+    /// probe, or Skewed, which the check warned about; neither gets jobs
+    /// until its next probe proves it.
     pub fn probe(&self) -> Vec<(String, Option<BackendHealth>)> {
         self.backends
             .iter()
             .map(|b| {
                 let addr = b.client.addr().to_string();
+                *lock_unpoisoned(&b.standing) = Standing::Probing { skewed: false };
+                b.set_gauge(1);
                 let health = match b.check_fingerprint() {
                     Ok(h) => {
                         b.record(Outcome::Answered);
@@ -837,7 +841,6 @@ mod tests {
             backends,
             remote: RemoteConfig {
                 connect_timeout_ms: 200,
-                connect_attempts: 1,
                 ..RemoteConfig::default()
             },
             ..DispatchConfig::default()
@@ -992,6 +995,30 @@ mod tests {
         let summary = dispatcher.summary();
         assert_eq!(summary.local_fallbacks, 1);
         assert!(summary.backends.iter().all(|b| b.failed >= 1));
+    }
+
+    #[test]
+    fn backends_dead_at_the_startup_probe_take_no_jobs() {
+        // A failed startup probe is a failed probe: Down for the
+        // cooldown, so no job pays a connect to either dead peer.
+        let dead = vec!["127.0.0.1:23".to_string(), "127.0.0.1:24".to_string()];
+        let dispatcher = Dispatcher::new(&fast_config(dead), local_runner());
+        assert!(dispatcher
+            .probe()
+            .iter()
+            .all(|(_, health)| health.is_none()));
+        for seed in 0..3u64 {
+            let job = Job {
+                seed,
+                ..Job::sim(40.0, 750e6, 5e6)
+            };
+            assert_eq!(dispatcher.run_job(&job).expect("local").key, job.key());
+        }
+        let summary = dispatcher.summary();
+        assert_eq!(summary.local_fallbacks, 3);
+        for b in &summary.backends {
+            assert_eq!((b.dispatched, b.breaker_open), (0, true), "{}", b.addr);
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::job::{Job, JobKind};
 use crate::report::JobReport;
 use tdsigma_core::flow::DesignFlow;
 use tdsigma_core::sim::AdcSimulator;
+use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::metrics::enob_from_sndr;
 use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_obs as obs;
@@ -34,28 +35,27 @@ std::thread_local! {
 ///
 /// # Errors
 ///
-/// [`JobError::Invalid`] for unsupported parameters, [`JobError::Failed`]
-/// for flow errors.
+/// [`JobError::Invalid`] for a job [`Job::to_spec`] refuses,
+/// [`JobError::Failed`] for flow errors.
 pub fn execute(job: &Job) -> Result<JobReport, JobError> {
-    job.check_bounds()?;
+    let spec = job.to_spec()?;
     match job.kind {
-        JobKind::SimTone => execute_sim(job),
-        JobKind::FullFlow => execute_flow(job),
+        JobKind::SimTone => execute_sim(job, spec),
+        JobKind::FullFlow => execute_flow(job, spec),
     }
 }
 
-fn execute_sim(job: &Job) -> Result<JobReport, JobError> {
-    let (spec, mut sim) = {
+fn execute_sim(job: &Job, spec: AdcSpec) -> Result<JobReport, JobError> {
+    let mut sim = {
         let _span = obs::span("flow.build").attr("kind", "sim");
-        let spec = job.to_spec()?;
-        let sim = AdcSimulator::new(spec.clone()).map_err(failed)?;
-        (spec, sim)
+        AdcSimulator::new(spec).map_err(failed)?
     };
 
     let fin = job.input_frequency_hz();
-    let amplitude = job.amplitude_rel * spec.full_scale_v();
+    let amplitude = job.amplitude_rel * sim.spec().full_scale_v();
+    let bw_hz = sim.spec().bw_hz;
     let capture = sim.run_tone(fin, amplitude, job.samples);
-    let analysis = DSP_SCRATCH.with(|s| capture.analyze_with(spec.bw_hz, &mut s.borrow_mut()));
+    let analysis = DSP_SCRATCH.with(|s| capture.analyze_with(bw_hz, &mut s.borrow_mut()));
     Ok(JobReport {
         key: job.key(),
         job: job.clone(),
@@ -70,10 +70,9 @@ fn execute_sim(job: &Job) -> Result<JobReport, JobError> {
     })
 }
 
-fn execute_flow(job: &Job) -> Result<JobReport, JobError> {
+fn execute_flow(job: &Job, spec: AdcSpec) -> Result<JobReport, JobError> {
     let (flow, fin) = {
         let _span = obs::span("flow.build").attr("kind", "flow");
-        let spec = job.to_spec()?;
         let mut flow = DesignFlow::new(spec)
             .with_samples(job.samples)
             .with_amplitude(job.amplitude_rel);

@@ -2,10 +2,10 @@
 //!
 //! A [`FaultPlan`] is a seeded description of which faults to inject
 //! where: worker panics, transient retryable errors, artificial job
-//! latency, corrupted cache artifacts, malformed or stalled network
-//! frames, and a lying backend. Version skew has no site here: a
-//! backend started under the `TDSIGMA_FINGERPRINT` override is a real
-//! foreign engine. The plan is compiled in always and consulted on the
+//! latency, corrupted cache artifacts, dropped, stalled or corrupted
+//! dispatch exchanges, and a lying backend. Version skew has no site
+//! here: a backend started under the `TDSIGMA_FINGERPRINT` override is a
+//! real foreign engine. The plan is compiled in always and consulted on the
 //! hot paths, but an empty plan ([`FaultPlan::none`], the default)
 //! reduces every check to a handful of integer compares — no RNG is
 //! ever constructed.
@@ -23,19 +23,16 @@ use tdsigma_tech::{fnv1a64, Rng64, FNV1A64_BASIS};
 /// independent decision stream so that, e.g., raising the panic rate
 /// does not reshuffle which attempts get latency. The discriminants
 /// seed those streams, so they are fixed: a retired site's number
-/// (11, 12) is never reused.
+/// (5, 9, 10, 11, 12) is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
     Panic = 1,
     Transient = 2,
     Latency = 3,
     Artifact = 4,
-    Frame = 5,
     ConnDrop = 6,
     NetStall = 7,
     Response = 8,
-    SlowClient = 9,
-    Flood = 10,
     LyingBackend = 13,
 }
 
@@ -64,17 +61,6 @@ pub enum NetFault {
     CorruptResponse,
 }
 
-/// A fault applied to one protocol frame by a hostile client (used by
-/// the chaos suite to attack the server deterministically).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameFault {
-    /// Replace the frame with malformed bytes.
-    Garble(String),
-    /// Send only a prefix of the frame and stall (no newline) for the
-    /// given number of milliseconds before hanging up.
-    Stall(u64),
-}
-
 /// A seeded, deterministic fault-injection plan. All rates are permille
 /// (0–1000); the zero plan injects nothing and costs nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,11 +78,6 @@ pub struct FaultPlan {
     /// Chance a cache artifact is written corrupted (truncated, garbled
     /// or emptied) instead of intact.
     pub corrupt_artifact_permille: u16,
-    /// Chance a protocol frame is garbled by the chaos client.
-    pub frame_garble_permille: u16,
-    /// Chance a protocol frame is stalled mid-line by the chaos client
-    /// (the stall duration is this many ms).
-    pub frame_stall_ms: u64,
     /// Chance a remote dispatch connection is dropped before the request
     /// is written.
     pub conn_drop_permille: u16,
@@ -105,17 +86,6 @@ pub struct FaultPlan {
     /// Stall injected before a remote dispatch response is read, ms
     /// (applied to ~30 % of exchanges when non-zero; 0 disables).
     pub net_stall_ms: u64,
-    /// Chance a chaos client writes its frame one byte at a time with a
-    /// pause after each chunk — a *slow client* holding a server
-    /// connection open (the overload analogue of a frame stall).
-    pub slow_client_permille: u16,
-    /// Per-chunk pause of a slow client, ms (0 disables the class).
-    pub slow_client_ms: u64,
-    /// Chance one chaos frame is amplified into a burst of duplicates —
-    /// a request *flood* that admission control must shed, not queue.
-    pub flood_permille: u16,
-    /// How many extra duplicate requests one flood decision fires.
-    pub flood_burst: u32,
     /// Chance a serve backend perturbs a report's *values* after compute
     /// while keeping the report key intact — a lying backend. This is
     /// exactly the corruption class that wire attestation and engine
@@ -143,15 +113,9 @@ impl FaultPlan {
             transient_permille: 200,
             latency_ms_max: 3,
             corrupt_artifact_permille: 150,
-            frame_garble_permille: 250,
-            frame_stall_ms: 5,
             conn_drop_permille: 150,
             response_corrupt_permille: 150,
             net_stall_ms: 5,
-            slow_client_permille: 150,
-            slow_client_ms: 2,
-            flood_permille: 100,
-            flood_burst: 3,
             lying_backend_permille: 0,
         }
     }
@@ -162,14 +126,9 @@ impl FaultPlan {
             && self.transient_permille == 0
             && self.latency_ms_max == 0
             && self.corrupt_artifact_permille == 0
-            && self.frame_garble_permille == 0
-            && self.frame_stall_ms == 0
             && self.conn_drop_permille == 0
             && self.response_corrupt_permille == 0
             && self.net_stall_ms == 0
-            && self.slow_client_permille == 0
-            && self.slow_client_ms == 0
-            && self.flood_permille == 0
             && self.lying_backend_permille == 0
     }
 
@@ -238,57 +197,6 @@ impl FaultPlan {
         None
     }
 
-    /// The fault (if any) a chaos client should apply to its `index`-th
-    /// protocol frame.
-    pub fn frame_fault(&self, index: u64) -> Option<FrameFault> {
-        let key = format!("frame-{index}");
-        if self.hit(Site::Frame, &key, 0, self.frame_garble_permille) {
-            let mut rng = self.stream(Site::Frame, &key, 1);
-            let garbage = match rng.gen_range(3) {
-                0 => "{\"cmd\":".to_string(),                    // truncated JSON
-                1 => "\u{1}\u{2}binary\u{3}garbage".to_string(), // non-JSON bytes
-                _ => "[1,2,".to_string(),                        // unterminated array
-            };
-            return Some(FrameFault::Garble(garbage));
-        }
-        if self.frame_stall_ms > 0 && self.hit(Site::Frame, &key, 2, 300) {
-            return Some(FrameFault::Stall(self.frame_stall_ms));
-        }
-        None
-    }
-
-    /// Per-chunk pause (ms) a chaos client should apply to its
-    /// `index`-th frame when playing a slow client, `None` to send the
-    /// frame normally. A slow client dribbles the frame byte-wise with
-    /// this pause after each chunk, holding the connection open.
-    pub fn slow_client_stall(&self, index: u64) -> Option<u64> {
-        if self.slow_client_ms == 0 {
-            return None;
-        }
-        let key = format!("frame-{index}");
-        if self.hit(Site::SlowClient, &key, 0, self.slow_client_permille) {
-            Some(self.slow_client_ms)
-        } else {
-            None
-        }
-    }
-
-    /// How many *extra* duplicate requests a chaos client should fire
-    /// alongside its `index`-th frame (0 = no flood here). Duplicates
-    /// are harmless to correctness — jobs are deterministic and cached —
-    /// so this purely pressures admission control.
-    pub fn flood_at(&self, index: u64) -> u32 {
-        if self.flood_burst == 0 {
-            return 0;
-        }
-        let key = format!("frame-{index}");
-        if self.hit(Site::Flood, &key, 0, self.flood_permille) {
-            self.flood_burst
-        } else {
-            0
-        }
-    }
-
     /// The perturbation (if any) a lying backend applies to the report
     /// for job `key`: a deterministic non-zero delta added to one of the
     /// report's metric values *after* compute, with the report key left
@@ -355,10 +263,7 @@ mod tests {
             assert_eq!(plan.attempt_latency_ms("abc123", attempt), 0);
         }
         assert_eq!(plan.corrupt_artifact("abc123", "{}"), None);
-        assert_eq!(plan.frame_fault(7), None);
         assert_eq!(plan.net_fault("peer|abc123", 1), None);
-        assert_eq!(plan.slow_client_stall(7), None);
-        assert_eq!(plan.flood_at(7), 0);
         assert_eq!(plan.lying_report_delta("abc123"), None);
     }
 
@@ -374,9 +279,6 @@ mod tests {
                     b.attempt_latency_ms(key, attempt)
                 );
             }
-        }
-        for i in 0..50 {
-            assert_eq!(a.frame_fault(i), b.frame_fault(i));
         }
         for i in 0..50 {
             let key = format!("peer:4017|{i:08x}");
@@ -426,10 +328,6 @@ mod tests {
         assert!(transients > 20, "transient class silent: {transients}");
         assert!(latencies > 100, "latency class silent: {latencies}");
         assert!(corruptions > 20, "corruption class silent: {corruptions}");
-        assert!(
-            (0..200).any(|i| plan.frame_fault(i).is_some()),
-            "frame class silent"
-        );
         let mut drops = 0;
         let mut stalls = 0;
         let mut garbles = 0;
@@ -447,12 +345,6 @@ mod tests {
         assert!(drops > 20, "conn-drop class silent: {drops}");
         assert!(stalls > 50, "net-stall class silent: {stalls}");
         assert!(garbles > 20, "corrupt-response class silent: {garbles}");
-        let slow = (0..500)
-            .filter(|&i| plan.slow_client_stall(i).is_some())
-            .count();
-        let floods = (0..500).filter(|&i| plan.flood_at(i) > 0).count();
-        assert!(slow > 20, "slow-client class silent: {slow}");
-        assert!(floods > 10, "flood class silent: {floods}");
         assert_eq!(
             plan.lying_backend_permille, 0,
             "value corruption must stay opt-in, not part of default chaos"

@@ -7,12 +7,17 @@
 //! whether the batch ran on one worker or sixteen, and a request arriving
 //! over the `serve` line protocol is exactly as executable as one built
 //! in-process.
+//!
+//! Whether a job can run at all is decided once, by [`Job::to_spec`]:
+//! every entry point (CLI planning, serve admission, [`crate::execute()`])
+//! calls it, and a job it accepts has no field left that can make the
+//! simulator abort, panic or wrap.
 
 use crate::error::JobError;
 use crate::json::Json;
 use tdsigma_core::flow::coherent_input_hz;
 use tdsigma_core::sim::ANALYSIS_WINDOW;
-use tdsigma_core::spec::{AdcSpec, MAX_STEPS_PER_CYCLE};
+use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::metrics::ToneAnalysis;
 use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 
@@ -21,6 +26,12 @@ use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 /// transient runs `samples × steps_per_cycle` steps, so an unbounded
 /// request from a peer would abort the process or pin a worker.
 pub const MAX_SAMPLES: usize = 1 << 20;
+
+/// The largest seed a job may carry: 2⁵³, the last integer a JSON
+/// number (an `f64`) holds exactly. A larger one would be rounded on the
+/// wire and in the journal, so the backend's report key and the resumed
+/// job would not match the planned one.
+pub const MAX_SEED: u64 = 1 << 53;
 
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,20 +169,63 @@ impl Job {
         format!("{a:016x}{b:016x}")
     }
 
-    /// Materializes the validated [`AdcSpec`] this job describes.
+    /// The one validity predicate for a job: checks it and materializes
+    /// the [`AdcSpec`] it describes. The capture must be a power of two
+    /// the spectrum analysis can use ([`ToneAnalysis::min_samples`]) and
+    /// at most [`MAX_SAMPLES`]; the tone a finite amplitude in (0, 1] of
+    /// full scale and, if set, a finite frequency in (0, fs/2). The knobs
+    /// are set on the spec directly and [`AdcSpec::validated`] bounds them
+    /// once. CLI planning, serve (ahead of admission) and
+    /// [`crate::execute()`] all call this, so a job that cannot run fails
+    /// as [`JobError::Invalid`] instead of aborting, panicking or
+    /// reporting a meaningless result.
     ///
     /// # Errors
     ///
-    /// Returns [`JobError::Invalid`] if the node is unsupported or the
-    /// derived spec fails validation.
+    /// [`JobError::Invalid`] naming the bound that was exceeded, the
+    /// minimum sample count for the band, or the unsupported node.
     pub fn to_spec(&self) -> Result<AdcSpec, JobError> {
-        let invalid = |e: &dyn std::fmt::Display| JobError::Invalid(e.to_string());
-        let node = NodeId::from_gate_length(self.node_nm).map_err(|e| invalid(&e))?;
-        let tech = Technology::for_node(node).map_err(|e| invalid(&e))?;
-        let mut spec = AdcSpec::for_technology(tech, self.fs_hz, self.bw_hz)
-            .map_err(|e| invalid(&e))?
-            .with_slices(self.slices)
-            .map_err(|e| invalid(&e))?;
+        let invalid = |message: String| Err(JobError::Invalid(message));
+        if self.samples > MAX_SAMPLES {
+            return invalid(format!(
+                "samples {} exceeds the maximum {MAX_SAMPLES}",
+                self.samples
+            ));
+        }
+        if self.seed > MAX_SEED {
+            return invalid(format!("seed {} exceeds the maximum {MAX_SEED}", self.seed));
+        }
+        // NaN fails every comparison, so it lands in the error branch.
+        if !(self.amplitude_rel > 0.0 && self.amplitude_rel <= 1.0) {
+            return invalid(format!(
+                "amplitude_rel {} must be in (0, 1] of full scale",
+                self.amplitude_rel
+            ));
+        }
+        if let Some(fin) = self.fin_hz {
+            if !(fin > 0.0 && fin < self.fs_hz / 2.0) {
+                return invalid(format!(
+                    "fin_hz {fin} must be in (0, fs/2) = (0, {})",
+                    self.fs_hz / 2.0
+                ));
+            }
+        }
+        let band = format!("fs {} MHz / bw {} MHz", self.fs_hz / 1e6, self.bw_hz / 1e6);
+        match ToneAnalysis::min_samples(self.fs_hz, self.bw_hz, ANALYSIS_WINDOW) {
+            Some(min) if self.samples >= min && self.samples.is_power_of_two() => {}
+            Some(min) => {
+                return invalid(format!(
+                    "samples {} cannot be analyzed at {band}: need a power of two ≥ {min}",
+                    self.samples
+                ))
+            }
+            None => return invalid(format!("no capture length resolves the band at {band}")),
+        }
+        let rejected = |e: &dyn std::fmt::Display| JobError::Invalid(e.to_string());
+        let node = NodeId::from_gate_length(self.node_nm).map_err(|e| rejected(&e))?;
+        let tech = Technology::for_node(node).map_err(|e| rejected(&e))?;
+        let mut spec = AdcSpec::nominal(tech, self.fs_hz, self.bw_hz);
+        spec.n_slices = self.slices;
         if self.vco_stages != 0 {
             spec.vco_stages = self.vco_stages;
         }
@@ -182,69 +236,10 @@ impl Job {
             spec.steps_per_cycle = self.steps_per_cycle;
         }
         if self.rdac_ohm != 0.0 {
-            spec = spec
-                .with_dac_resistance(self.rdac_ohm)
-                .map_err(|e| invalid(&e))?;
+            spec.rdac_ohm = self.rdac_ohm;
         }
         spec.seed = self.seed;
-        spec.validated().map_err(|e| invalid(&e))
-    }
-
-    /// Bounds one job before it runs. The capture length must be one the
-    /// spectrum analysis can use (the FFT needs a power of two, and the
-    /// tone analysis needs the band edge clear of the window's DC skirt,
-    /// [`ToneAnalysis::min_samples`]) and at most [`MAX_SAMPLES`]; the
-    /// substep count at most [`MAX_STEPS_PER_CYCLE`]. The input tone must
-    /// be one the transient can drive: a finite amplitude in (0, 1] of
-    /// full scale and, if set, a finite frequency in (0, fs/2). CLI
-    /// planning, serve (ahead of admission) and [`crate::execute()`] share
-    /// this check, so an oversized or unusable job fails as
-    /// [`JobError::Invalid`] instead of aborting, panicking or silently
-    /// reporting a meaningless result inside a job.
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::Invalid`] naming the bound that was exceeded, or the
-    /// minimum sample count for the band.
-    pub fn check_bounds(&self) -> Result<(), JobError> {
-        if self.samples > MAX_SAMPLES {
-            return Err(JobError::Invalid(format!(
-                "samples {} exceeds the maximum {MAX_SAMPLES}",
-                self.samples
-            )));
-        }
-        if self.steps_per_cycle > MAX_STEPS_PER_CYCLE {
-            return Err(JobError::Invalid(format!(
-                "steps_per_cycle {} exceeds the maximum {MAX_STEPS_PER_CYCLE}",
-                self.steps_per_cycle
-            )));
-        }
-        // NaN fails every comparison, so it lands in the error branch.
-        if !(self.amplitude_rel > 0.0 && self.amplitude_rel <= 1.0) {
-            return Err(JobError::Invalid(format!(
-                "amplitude_rel {} must be in (0, 1] of full scale",
-                self.amplitude_rel
-            )));
-        }
-        if let Some(fin) = self.fin_hz {
-            if !(fin > 0.0 && fin < self.fs_hz / 2.0) {
-                return Err(JobError::Invalid(format!(
-                    "fin_hz {fin} must be in (0, fs/2) = (0, {})",
-                    self.fs_hz / 2.0
-                )));
-            }
-        }
-        let band = format!("fs {} MHz / bw {} MHz", self.fs_hz / 1e6, self.bw_hz / 1e6);
-        match ToneAnalysis::min_samples(self.fs_hz, self.bw_hz, ANALYSIS_WINDOW) {
-            Some(min) if self.samples >= min && self.samples.is_power_of_two() => Ok(()),
-            Some(min) => Err(JobError::Invalid(format!(
-                "samples {} cannot be analyzed at {band}: need a power of two ≥ {min}",
-                self.samples
-            ))),
-            None => Err(JobError::Invalid(format!(
-                "no capture length resolves the band at {band}"
-            ))),
-        }
+        spec.validated().map_err(|e| rejected(&e))
     }
 
     /// The coherent input frequency the job will actually simulate: the
@@ -396,15 +391,15 @@ mod tests {
     }
 
     #[test]
-    fn check_samples_names_the_minimum_for_the_band() {
+    fn to_spec_names_the_minimum_samples_for_the_band() {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for ok in [1024, 2048, 8192] {
             job.samples = ok;
-            assert_eq!(job.check_bounds(), Ok(()), "{ok}");
+            assert!(job.to_spec().is_ok(), "{ok}");
         }
         for bad in [512, 3000] {
             job.samples = bad;
-            match job.check_bounds() {
+            match job.to_spec() {
                 Err(JobError::Invalid(m)) => assert!(m.contains("≥ 1024"), "{m}"),
                 other => panic!("expected Invalid for {bad}, got {other:?}"),
             }
@@ -412,36 +407,29 @@ mod tests {
     }
 
     #[test]
-    fn check_size_bounds_samples_and_steps_from_above() {
+    fn to_spec_bounds_samples_from_above() {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         job.samples = MAX_SAMPLES;
-        job.steps_per_cycle = MAX_STEPS_PER_CYCLE;
-        assert_eq!(job.check_bounds(), Ok(()));
+        assert!(job.to_spec().is_ok());
         // Powers of two above the minimum, so only the upper bound can
         // refuse them.
         for huge in [MAX_SAMPLES * 2, 1 << 40] {
             job.samples = huge;
-            match job.check_bounds() {
+            match job.to_spec() {
                 Err(JobError::Invalid(m)) => {
                     assert_eq!(m, format!("samples {huge} exceeds the maximum 1048576"));
                 }
                 other => panic!("expected Invalid for {huge}, got {other:?}"),
             }
         }
-        job.samples = 2048;
-        job.steps_per_cycle = MAX_STEPS_PER_CYCLE + 1;
-        match job.check_bounds() {
-            Err(JobError::Invalid(m)) => assert!(m.contains("exceeds the maximum 1024"), "{m}"),
-            other => panic!("expected Invalid, got {other:?}"),
-        }
     }
 
     #[test]
-    fn check_bounds_refuses_unusable_amplitudes() {
+    fn to_spec_refuses_unusable_amplitudes() {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for ok in [1.0, 0.79, 1e-6, f64::MIN_POSITIVE] {
             job.amplitude_rel = ok;
-            assert_eq!(job.check_bounds(), Ok(()), "{ok}");
+            assert!(job.to_spec().is_ok(), "{ok}");
         }
         for bad in [
             f64::NAN,
@@ -453,7 +441,7 @@ mod tests {
             1.5,
         ] {
             job.amplitude_rel = bad;
-            match job.check_bounds() {
+            match job.to_spec() {
                 Err(JobError::Invalid(m)) => {
                     assert_eq!(
                         m,
@@ -466,15 +454,15 @@ mod tests {
     }
 
     #[test]
-    fn check_bounds_refuses_unusable_input_frequencies() {
+    fn to_spec_refuses_unusable_input_frequencies() {
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for ok in [None, Some(1e6), Some(1.0), Some(374.9e6)] {
             job.fin_hz = ok;
-            assert_eq!(job.check_bounds(), Ok(()), "{ok:?}");
+            assert!(job.to_spec().is_ok(), "{ok:?}");
         }
         for bad in [f64::NAN, f64::INFINITY, 0.0, -1e6, 375e6, 1e12] {
             job.fin_hz = Some(bad);
-            match job.check_bounds() {
+            match job.to_spec() {
                 Err(JobError::Invalid(m)) => {
                     assert_eq!(
                         m,
@@ -487,18 +475,23 @@ mod tests {
     }
 
     #[test]
-    fn every_job_that_passes_check_bounds_replays_from_its_json() {
+    fn every_job_that_passes_to_spec_replays_from_its_json() {
         // A NaN or infinite amplitude used to run, and was journaled as
         // `"amplitude_rel":null`, which `from_json` cannot read back.
         let mut job = Job::sim(40.0, 750e6, 5e6);
         for amp in [f64::NAN, f64::INFINITY] {
             job.amplitude_rel = amp;
-            assert!(job.check_bounds().is_err());
+            assert!(job.to_spec().is_err());
             assert!(Job::from_json(&Json::parse(&job.to_json().to_text()).unwrap()).is_err());
         }
         job.amplitude_rel = 1.0;
+        // A seed past 2⁵³ was written rounded, so the artifact named a
+        // die other than the one simulated.
+        job.seed = MAX_SEED + 1;
+        assert!(job.to_spec().is_err());
+        job.seed = MAX_SEED;
         job.fin_hz = Some(2.5e6);
-        assert_eq!(job.check_bounds(), Ok(()));
+        assert!(job.to_spec().is_ok());
         let back = Job::from_json(&Json::parse(&job.to_json().to_text()).unwrap()).unwrap();
         assert_eq!(back, job);
     }

@@ -22,8 +22,8 @@
 //!   one API: [`Engine::run_batch`] for sweeps, [`Engine::submit_one`]
 //!   for the [`Server`] line protocol.
 //! * **[`FaultPlan`]** — seeded, deterministic fault injection (worker
-//!   panics, transient errors, latency, artifact corruption, hostile
-//!   frames) that exercises the resilience layer: exponential backoff
+//!   panics, transient errors, latency, artifact corruption, network
+//!   faults on dispatch) that exercises the resilience layer: exponential backoff
 //!   with deterministic jitter, cache rejection, socket timeouts and
 //!   graceful drain. The chaos suite
 //!   (`tests/chaos.rs`) asserts the headline invariant: under any fault
@@ -67,7 +67,7 @@ pub use dispatch::{DispatchConfig, Dispatcher};
 pub use engine::{BatchReport, Engine, EngineConfig, EngineTotals};
 pub use error::JobError;
 pub use execute::execute;
-pub use faults::{AttemptFault, FaultPlan, FrameFault, NetFault};
+pub use faults::{AttemptFault, FaultPlan, NetFault};
 pub use job::{Job, JobKind};
 pub use journal::{gc_finished, validate_run_id, Journal, JournalGc, JournalRecord, JournalReplay};
 pub use json::Json;

@@ -1,11 +1,12 @@
 //! Remote backend client: the dispatcher's side of the serve protocol.
 //!
 //! A [`RemoteClient`] speaks the [`crate::server`] line protocol to one
-//! backend address: connect with bounded retries (reusing the pool's
-//! [`backoff_delay_ms`] deterministic jitter), one JSON request line
-//! out, one JSON response line back, with explicit connect/read/write
-//! deadlines so a dead or stalled peer costs a bounded amount of time —
-//! never a hung sweep.
+//! backend address: one connect attempt, one JSON request line out, one
+//! JSON response line back, with explicit connect/read/write deadlines
+//! so a dead or stalled peer costs a bounded amount of time — never a
+//! hung sweep. There is no retry here: an unreachable peer is one
+//! failure in the dispatcher's standing table, which decides when to
+//! try it again.
 //!
 //! Jobs travel in their canonical Hz-units form (`{"cmd":"run","job":…}`,
 //! see [`Job::to_json`]) so the backend computes the same content
@@ -29,26 +30,22 @@ use crate::error::JobError;
 use crate::faults::{FaultPlan, NetFault, ATTEST_BASIS};
 use crate::job::Job;
 use crate::json::Json;
-use crate::pool::backoff_delay_ms;
 use crate::report::JobReport;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Deadlines and retry bounds for one backend connection.
+/// Deadlines for one backend connection.
 #[derive(Debug, Clone)]
 pub struct RemoteConfig {
-    /// Per-attempt TCP connect deadline, ms.
+    /// TCP connect deadline, ms.
     pub connect_timeout_ms: u64,
     /// Deadline for the response line, ms. Generous by default: a `run`
     /// request legitimately blocks while the backend executes the flow.
     pub read_timeout_ms: u64,
     /// Deadline for writing the request line, ms.
     pub write_timeout_ms: u64,
-    /// Connect attempts before the backend counts as unreachable.
-    /// Retries are spaced by [`backoff_delay_ms`] keyed on the address.
-    pub connect_attempts: u32,
 }
 
 impl Default for RemoteConfig {
@@ -57,7 +54,6 @@ impl Default for RemoteConfig {
             connect_timeout_ms: 2_000,
             read_timeout_ms: 300_000,
             write_timeout_ms: 10_000,
-            connect_attempts: 3,
         }
     }
 }
@@ -301,54 +297,33 @@ impl RemoteClient {
         })
     }
 
-    /// Connects with per-attempt deadlines and deterministic backoff
-    /// between attempts (keyed on the address, so a fleet of clients
-    /// does not reconnect in lockstep).
+    /// Connects once, under the connect deadline, and arms the read and
+    /// write deadlines.
     fn connect(&self) -> Result<TcpStream, RemoteError> {
-        let attempts = self.config.connect_attempts.max(1);
-        let mut last = String::new();
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                let delay = backoff_delay_ms(50, 2_000, &self.addr, attempt - 1);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            match self.try_connect() {
-                Ok(stream) => return Ok(stream),
-                Err(e) => last = e,
-            }
-        }
-        Err(RemoteError::Backend(format!(
-            "{} unreachable after {attempts} attempt(s): {last}",
-            self.addr
-        )))
-    }
-
-    fn try_connect(&self) -> Result<TcpStream, String> {
+        let unreachable =
+            |e: String| RemoteError::Backend(format!("{} unreachable: {e}", self.addr));
         let timeout = Duration::from_millis(self.config.connect_timeout_ms.max(1));
         let addrs = self
             .addr
             .to_socket_addrs()
-            .map_err(|e| format!("cannot resolve: {e}"))?;
+            .map_err(|e| unreachable(format!("cannot resolve: {e}")))?;
         let mut last = String::from("no addresses resolved");
         for addr in addrs {
             match TcpStream::connect_timeout(&addr, timeout) {
                 Ok(stream) => {
+                    let deadline = |ms: u64| Some(Duration::from_millis(ms.max(1)));
                     stream
-                        .set_read_timeout(Some(Duration::from_millis(
-                            self.config.read_timeout_ms.max(1),
-                        )))
-                        .map_err(|e| e.to_string())?;
-                    stream
-                        .set_write_timeout(Some(Duration::from_millis(
-                            self.config.write_timeout_ms.max(1),
-                        )))
-                        .map_err(|e| e.to_string())?;
+                        .set_read_timeout(deadline(self.config.read_timeout_ms))
+                        .and_then(|()| {
+                            stream.set_write_timeout(deadline(self.config.write_timeout_ms))
+                        })
+                        .map_err(|e| unreachable(e.to_string()))?;
                     return Ok(stream);
                 }
                 Err(e) => last = e.to_string(),
             }
         }
-        Err(last)
+        Err(unreachable(last))
     }
 }
 
@@ -488,7 +463,6 @@ mod tests {
             "127.0.0.1:9",
             RemoteConfig {
                 connect_timeout_ms: 200,
-                connect_attempts: 2,
                 ..RemoteConfig::default()
             },
         );
@@ -560,7 +534,6 @@ mod tests {
             addr.to_string(),
             RemoteConfig {
                 read_timeout_ms: 300,
-                connect_attempts: 1,
                 ..RemoteConfig::default()
             },
         )

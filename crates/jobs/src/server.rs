@@ -519,10 +519,10 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
     admitted_run(engine, supervision, &job)
 }
 
-/// The admission gate plus the actual execution: reject a capture the
-/// analysis cannot use, shed on queue depth, then run the job.
+/// The admission gate plus the actual execution: reject a job
+/// [`Job::to_spec`] refuses, shed on queue depth, then run the job.
 fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
-    if let Err(e) = job.check_bounds() {
+    if let Err(e) = job.to_spec() {
         return error_response(&e.to_string());
     }
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
@@ -974,7 +974,7 @@ mod tests {
             ),
             (
                 r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"steps":1000000000}"#,
-                "steps_per_cycle 1000000000 exceeds the maximum 1024",
+                "invalid ADC spec: need at most 1024 simulation substeps per cycle",
             ),
         ] {
             let (r, stop) = handle_line(line, &engine, &sup);
@@ -1000,28 +1000,40 @@ mod tests {
     fn handle_line_refuses_unusable_tones_and_keeps_serving() {
         let engine = test_engine();
         let sup = test_supervision();
-        // Before the bound these ran and answered a report. (A
-        // non-finite number such as `1e999` never parses as JSON.)
+        // Before the bound these ran and answered a report, except the
+        // last two: 2⁵⁰ slices aborted the process allocating per-slice
+        // state, and a negative loop gain panicked in the VCO model and
+        // came back as a retryable failure. (A non-finite number such as
+        // `1e999` never parses as JSON.)
+        let kvco = -(0.8 * 750e6 / 1.1);
         for (tone, says) in [
             (
                 r#""amplitude":0"#,
-                "amplitude_rel 0 must be in (0, 1] of full scale",
+                "amplitude_rel 0 must be in (0, 1] of full scale".to_string(),
             ),
             (
                 r#""amplitude":-0.5"#,
-                "amplitude_rel -0.5 must be in (0, 1] of full scale",
+                "amplitude_rel -0.5 must be in (0, 1] of full scale".to_string(),
             ),
             (
                 r#""amplitude":1.5"#,
-                "amplitude_rel 1.5 must be in (0, 1] of full scale",
+                "amplitude_rel 1.5 must be in (0, 1] of full scale".to_string(),
             ),
             (
                 r#""fin_mhz":0"#,
-                "fin_hz 0 must be in (0, fs/2) = (0, 375000000)",
+                "fin_hz 0 must be in (0, fs/2) = (0, 375000000)".to_string(),
             ),
             (
                 r#""fin_mhz":375"#,
-                "fin_hz 375000000 must be in (0, fs/2) = (0, 375000000)",
+                "fin_hz 375000000 must be in (0, fs/2) = (0, 375000000)".to_string(),
+            ),
+            (
+                r#""slices":1125899906842624,"samples":2048,"steps":4"#,
+                "invalid ADC spec: n_slices 1125899906842624 must be in 1..=1024".to_string(),
+            ),
+            (
+                r#""loop_gain":-1"#,
+                format!("invalid ADC spec: kvco_hz_per_v {kvco} must be finite and positive"),
             ),
         ] {
             let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{tone}}}"#);

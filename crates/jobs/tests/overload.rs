@@ -13,8 +13,8 @@
 //!    down but does not trip circuit breakers or fail jobs — busy
 //!    rejections become cooldowns, and every job still completes.
 //!
-//! Traffic shapes (slow-client stalls, floods) come from the seeded
-//! [`FaultPlan`] so every run of the suite replays the same storm.
+//! Traffic shapes (slow-client stalls, floods) follow a fixed schedule,
+//! so every run of the suite replays the same storm.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -264,20 +264,15 @@ fn flood_rejections_are_structured_and_admitted_jobs_complete() {
     });
 }
 
-/// The chaos soak: traffic shaped by the seeded plan — slow-client
+/// The chaos soak: traffic shaped by a fixed schedule — slow-client
 /// stalls (frames split with a pause) and floods (bursts of duplicate
-/// requests) — against a tightly capped server. Deterministic per seed;
-/// every admitted report is byte-identical to the baseline.
+/// requests) — against a tightly capped server. Deterministic; every
+/// admitted report is byte-identical to the baseline.
 #[test]
 fn overload_soak_is_bounded_and_byte_identical_under_chaos_traffic() {
     with_deadline("overload soak", 120, || {
         let jobs = grid(8);
         let expected = baseline(&jobs);
-        let plan = FaultPlan::chaos(21);
-        assert!(
-            plan.slow_client_permille > 0 && plan.flood_permille > 0,
-            "the chaos plan must enable the overload fault sites"
-        );
         let (addr, handle) = spawn_server(
             engine(2, 10),
             ServerConfig {
@@ -297,11 +292,11 @@ fn overload_soak_is_bounded_and_byte_identical_under_chaos_traffic() {
                 for (i, job) in jobs.iter().enumerate() {
                     let index = (c * jobs.len() + i) as u64;
                     let frame = run_frame(job);
-                    // Slow-client fault: the frame dribbles in.
-                    let stall = plan.slow_client_stall(index).unwrap_or(0);
+                    // Slow client: every fifth frame dribbles in.
+                    let stall = if index % 5 == 1 { 2 } else { 0 };
                     stalls += u64::from(stall > 0);
-                    // Flood fault: the same frame arrives in a burst.
-                    let burst = 1 + plan.flood_at(index);
+                    // Flood: every seventh frame arrives in a burst of 4.
+                    let burst = if index % 7 == 3 { 4 } else { 1 };
                     floods += u64::from(burst > 1);
                     for _ in 0..burst {
                         outcomes.push(classify(&exchange(&addr, &frame, stall)));
@@ -331,8 +326,8 @@ fn overload_soak_is_bounded_and_byte_identical_under_chaos_traffic() {
                 }
             }
         }
-        assert!(stalls > 0, "seed 21 must stall at least one frame");
-        assert!(floods > 0, "seed 21 must flood at least one request");
+        assert!(stalls > 0, "the schedule must stall at least one frame");
+        assert!(floods > 0, "the schedule must flood at least one request");
         assert!(reports > 0, "the soak must get real work through");
         // Rejections are allowed but not required here — what matters
         // is that the queue stayed bounded and drained.

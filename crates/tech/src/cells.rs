@@ -14,6 +14,7 @@ use crate::error::TechError;
 use crate::itrs::NodeRecord;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Functional class of a standard cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -275,10 +276,11 @@ pub const RES_FRAG_LOW_OHM: f64 = 250.0;
 /// the paper's 11 kΩ input resistor (Fig. 11b).
 pub const RES_FRAG_HIGH_OHM: f64 = 2750.0;
 
-/// The complete standard-cell catalog of one technology node.
+/// The complete standard-cell catalog of one technology node. Immutable
+/// and shared: a clone copies a pointer, not the cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellCatalog {
-    cells: BTreeMap<String, CellSpec>,
+    cells: Arc<BTreeMap<String, CellSpec>>,
 }
 
 impl CellCatalog {
@@ -342,7 +344,9 @@ impl CellCatalog {
                 cells.insert(name, spec);
             }
         }
-        CellCatalog { cells }
+        CellCatalog {
+            cells: Arc::new(cells),
+        }
     }
 
     /// Looks up a cell by catalog name.

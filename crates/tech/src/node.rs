@@ -5,6 +5,7 @@ use crate::error::TechError;
 use crate::itrs::{record_for, NodeRecord, NODE_TABLE};
 use crate::units::{Nanometers, Picoseconds, Volts};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a supported CMOS technology node.
 ///
@@ -106,7 +107,14 @@ impl Technology {
         let gate_length_nm = id.gate_length().value();
         let record =
             *record_for(gate_length_nm).ok_or(TechError::UnknownNode { gate_length_nm })?;
-        let catalog = CellCatalog::for_record(&record);
+        // One catalog per node for the process: every job derives its
+        // spec (and so a technology) at planning, admission and execution.
+        static CATALOGS: [OnceLock<CellCatalog>; NodeId::ALL.len()] =
+            [const { OnceLock::new() }; NodeId::ALL.len()];
+        let slot = NodeId::ALL.iter().position(|&n| n == id);
+        let catalog = CATALOGS[slot.expect("NodeId::ALL lists every node")]
+            .get_or_init(|| CellCatalog::for_record(&record))
+            .clone();
         Ok(Technology {
             id,
             record,

@@ -93,7 +93,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use tdsigma::core::{flow::DesignFlow, spec::AdcSpec};
+use tdsigma::core::flow::DesignFlow;
 use tdsigma::jobs::{
     default_workers, execute, gc_finished, validate_run_id, BatchReport, DispatchConfig,
     Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobError, JobKind, Journal, JournalRecord,
@@ -409,18 +409,16 @@ fn run_design(flags: &Flags) -> Outcome {
     let bw_hz = flags.f64("bw-mhz", 5.0)? * 1e6;
     let slices = flags.usize("slices", 8)?;
     let samples = flags.usize("samples", 16_384)?;
-    Job {
+    let spec = Job {
+        slices,
         samples,
         ..Job::flow(node_nm, fs_hz, bw_hz)
     }
-    .check_bounds()?;
+    .to_spec()?;
     let out = flags.str("out", "results");
     let out = Path::new(&out);
     fs::create_dir_all(out)?;
 
-    let node = NodeId::from_gate_length(node_nm)?;
-    let tech = Technology::for_node(node)?;
-    let spec = AdcSpec::for_technology(tech, fs_hz, bw_hz)?.with_slices(slices)?;
     println!(
         "designing {} slices at {} — fs {:.0} MHz, BW {:.2} MHz, OSR {:.0}",
         spec.n_slices,
@@ -1019,7 +1017,7 @@ fn run_sweep(flags: &Flags) -> Outcome {
                             job.amplitude_rel = amp;
                             job.samples = samples;
                             job.seed = seed;
-                            job.check_bounds()?;
+                            job.to_spec()?;
                             jobs.push(job);
                         }
                     }

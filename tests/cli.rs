@@ -332,24 +332,51 @@ fn oversized_samples_are_rejected_not_aborted() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     // Powers of two above the band minimum: before the upper bound the
-    // sweep passed planning and died allocating 8 TB (exit 134).
-    for args in [
-        &["design", "--samples", "2097152"][..],
-        &[
-            "sweep",
-            "--kind",
-            "sim",
-            "--nodes",
-            "40",
-            "--slices",
-            "4",
-            "--amps",
-            "0.5",
-            "--samples",
-            "1099511627776",
-            "--no-cache",
-            "--no-journal",
-        ][..],
+    // sweep passed planning and died allocating 8 TB (exit 134). So did
+    // 2⁵⁰ slices, allocating per-slice state.
+    for (args, says) in [
+        (
+            &["design", "--samples", "2097152"][..],
+            "exceeds the maximum 1048576",
+        ),
+        (
+            &["design", "--slices", "1125899906842624"][..],
+            "n_slices 1125899906842624 must be in 1..=1024",
+        ),
+        (
+            &[
+                "sweep",
+                "--kind",
+                "sim",
+                "--nodes",
+                "40",
+                "--slices",
+                "4",
+                "--amps",
+                "0.5",
+                "--samples",
+                "1099511627776",
+                "--no-cache",
+                "--no-journal",
+            ][..],
+            "exceeds the maximum 1048576",
+        ),
+        (
+            &[
+                "sweep",
+                "--kind",
+                "sim",
+                "--nodes",
+                "40",
+                "--slices",
+                "1125899906842624",
+                "--samples",
+                "2048",
+                "--no-cache",
+                "--no-journal",
+            ][..],
+            "n_slices 1125899906842624 must be in 1..=1024",
+        ),
     ] {
         let out = Command::new(bin())
             .current_dir(&dir)
@@ -359,10 +386,7 @@ fn oversized_samples_are_rejected_not_aborted() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
-        assert!(
-            err.contains("exceeds the maximum 1048576"),
-            "names the bound: {err}"
-        );
+        assert!(err.contains(says), "names the bound: {err}");
     }
     assert!(
         !dir.join("results").exists(),

@@ -410,3 +410,125 @@ fn sim_dc_transfer_monotone() {
         }
     }
 }
+
+/// `Job::to_spec` is total: whatever a peer puts in any numeric field,
+/// it answers `Ok` or `JobError::Invalid` and never panics, and every
+/// spec it accepts is inside the bounds and builds a simulator.
+#[test]
+fn job_to_spec_is_total_and_its_specs_build() {
+    use tdsigma::core::sim::AdcSimulator;
+    use tdsigma::core::spec::{MAX_SLICES, MAX_STEPS_PER_CYCLE, MAX_VCO_STAGES};
+    use tdsigma::jobs::job::MAX_SAMPLES;
+    use tdsigma::jobs::{Job, JobError};
+
+    const HUGE: f64 = (1u64 << 50) as f64;
+    let ints = |bound: usize| vec![0, 1, bound, bound + 1, 1 << 50];
+    let floats = |bound: f64| {
+        vec![
+            0.0,
+            1.0,
+            bound,
+            bound + 1.0,
+            HUGE,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+    };
+    type Set = fn(&mut Job, f64);
+    let fields: Vec<(&str, Vec<f64>, Set)> = vec![
+        ("node_nm", floats(180.0), |j, x| j.node_nm = x),
+        ("fs_hz", floats(750e6), |j, x| j.fs_hz = x),
+        ("bw_hz", floats(5e6), |j, x| j.bw_hz = x),
+        ("amplitude_rel", floats(1.0), |j, x| j.amplitude_rel = x),
+        ("fin_hz", floats(375e6), |j, x| j.fin_hz = Some(x)),
+        ("loop_gain", floats(1.0), |j, x| j.loop_gain = x),
+        ("rdac_ohm", floats(22e3), |j, x| j.rdac_ohm = x),
+        (
+            "slices",
+            ints(MAX_SLICES).into_iter().map(|n| n as f64).collect(),
+            |j, x| j.slices = x as usize,
+        ),
+        (
+            "samples",
+            ints(MAX_SAMPLES).into_iter().map(|n| n as f64).collect(),
+            |j, x| j.samples = x as usize,
+        ),
+        (
+            "steps_per_cycle",
+            ints(MAX_STEPS_PER_CYCLE)
+                .into_iter()
+                .map(|n| n as f64)
+                .collect(),
+            |j, x| j.steps_per_cycle = x as usize,
+        ),
+        (
+            "vco_stages",
+            ints(MAX_VCO_STAGES).into_iter().map(|n| n as f64).collect(),
+            |j, x| j.vco_stages = x as usize,
+        ),
+    ];
+    let base = Job {
+        slices: 2,
+        samples: 2048,
+        steps_per_cycle: 4,
+        ..Job::sim(40.0, 750e6, 5e6)
+    };
+    let check = |job: &Job, what: &str| match job.to_spec() {
+        Err(JobError::Invalid(_)) => false,
+        Err(e) => panic!("{what}: expected Ok or Invalid, got {e:?}"),
+        Ok(spec) => {
+            assert!((1..=MAX_SLICES).contains(&spec.n_slices), "{what}");
+            assert!((1..=MAX_VCO_STAGES).contains(&spec.vco_stages), "{what}");
+            assert!(
+                (4..=MAX_STEPS_PER_CYCLE).contains(&spec.steps_per_cycle),
+                "{what}"
+            );
+            assert!(
+                job.samples <= MAX_SAMPLES && job.samples.is_power_of_two(),
+                "{what}"
+            );
+            assert!(
+                job.amplitude_rel > 0.0 && job.amplitude_rel <= 1.0,
+                "{what}"
+            );
+            for x in [
+                spec.fs_hz,
+                spec.bw_hz,
+                spec.vco_f0_hz,
+                spec.kvco_hz_per_v,
+                spec.rin_ohm,
+                spec.rdac_ohm,
+                spec.vrefp_v,
+            ] {
+                assert!(x.is_finite() && x > 0.0, "{what}: {x}");
+            }
+            AdcSimulator::new(spec).unwrap_or_else(|e| panic!("{what}: {e}"));
+            true
+        }
+    };
+    // Every value of every field on its own…
+    let mut accepted = 0;
+    for (name, values, set) in &fields {
+        for &x in values {
+            let mut job = base.clone();
+            set(&mut job, x);
+            accepted += usize::from(check(&job, &format!("{name} = {x}")));
+        }
+    }
+    assert!(accepted > 10, "the bounds themselves must be accepted");
+    // …and random combinations of two to four of them.
+    for case in 0..400u64 {
+        let mut rng = case_rng("job_to_spec_is_total_and_its_specs_build", case);
+        let mut job = base.clone();
+        let mut what = format!("case {case}:");
+        for _ in 0..uniform_usize(&mut rng, 2, 5) {
+            let (name, values, set) = &fields[rng.gen_range(fields.len())];
+            let x = values[rng.gen_range(values.len())];
+            set(&mut job, x);
+            what += &format!(" {name} = {x}");
+        }
+        check(&job, &what);
+    }
+}
