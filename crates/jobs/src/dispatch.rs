@@ -227,8 +227,13 @@ impl Backend {
     }
 
     /// Records `outcome` now and updates the gauge; see
-    /// [`Standing::record`] for the return value.
+    /// [`Standing::record`] for the return value. Every failure, of a job
+    /// attempt or of a probe, is counted here once under
+    /// `dispatch.<addr>.failed`.
     fn record(&self, outcome: Outcome) -> bool {
+        if outcome == Outcome::Failed {
+            tdsigma_obs::counter(&format!("dispatch.{}.failed", self.client.addr())).inc();
+        }
         let (newly, gauge) = {
             let mut standing = lock_unpoisoned(&self.standing);
             let newly = standing.record(outcome, Instant::now());
@@ -312,10 +317,7 @@ impl Backend {
                 tdsigma_obs::counter(&format!("dispatch.{addr}.shed_deferred")).inc();
                 Outcome::Busy(Duration::from_millis(*retry_after_ms))
             }
-            Err(RemoteError::Backend(_)) => {
-                tdsigma_obs::counter(&format!("dispatch.{addr}.failed")).inc();
-                Outcome::Failed
-            }
+            Err(RemoteError::Backend(_)) => Outcome::Failed,
         });
         result
     }
@@ -1017,7 +1019,12 @@ mod tests {
         let summary = dispatcher.summary();
         assert_eq!(summary.local_fallbacks, 3);
         for b in &summary.backends {
-            assert_eq!((b.dispatched, b.breaker_open), (0, true), "{}", b.addr);
+            assert_eq!(
+                (b.dispatched, b.failed, b.breaker_open),
+                (0, 1, true),
+                "the failed probe is counted: {}",
+                b.addr
+            );
         }
     }
 

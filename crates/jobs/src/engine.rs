@@ -6,13 +6,17 @@
 //! you exactly what happened. Single submission ([`Engine::submit_one`])
 //! is the serve path: many threads may call it concurrently against the
 //! same engine.
+//!
+//! The engine knows nothing of journals. A caller that wants crash
+//! recovery journals the plan before [`Engine::run_batch`]; because every
+//! result is filed in the cache as it lands, the cache alone answers
+//! which planned jobs are done (see [`crate::journal`]).
 
 use crate::cache::ResultCache;
 use crate::error::JobError;
 use crate::execute;
 use crate::faults::FaultPlan;
 use crate::job::Job;
-use crate::journal::{Journal, JournalRecord};
 use crate::metrics::BatchMetrics;
 use crate::pool::{JobOutcome, PoolConfig, Runner, WorkerPool};
 use crate::report::JobReport;
@@ -156,33 +160,11 @@ impl Engine {
     /// * **Caching** — jobs whose key is already filed execute zero flows;
     ///   identical jobs within the batch execute once.
     /// * **Isolation** — one panicking or failing job fails only itself.
+    /// * **Durability** — every result is filed in the cache as it lands,
+    ///   so a crashed batch re-run from its plan executes only the jobs
+    ///   whose artifact never reached the cache.
     pub fn run_batch(&self, jobs: &[Job]) -> BatchReport {
-        self.run_batch_with_journal(jobs, None)
-            .expect("a journal-free batch cannot fail")
-    }
-
-    /// [`Engine::run_batch`] with an optional write-ahead journal. With a
-    /// journal, the batch plan (including every job) and all cache hits
-    /// are durably recorded *before* anything is submitted, and each
-    /// outcome is recorded as it lands — so a SIGKILL at any point leaves
-    /// enough on disk for `--resume` to finish the run without redoing
-    /// completed work.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JobError::Io`] if a journal write fails. A broken
-    /// journal voids the crash-safety contract, so — unlike a cache
-    /// store failure — it fails the batch loudly. In-flight jobs still
-    /// drain (and their results reach the cache) before the error is
-    /// returned.
-    pub fn run_batch_with_journal(
-        &self,
-        jobs: &[Job],
-        mut journal: Option<&mut Journal>,
-    ) -> Result<BatchReport, JobError> {
-        let _batch_span = obs::span("engine.batch")
-            .attr("jobs", jobs.len())
-            .attr("journaled", journal.is_some());
+        let _batch_span = obs::span("engine.batch").attr("jobs", jobs.len());
         let rejected_before = self.cache.rejected();
         let mut metrics = BatchMetrics {
             jobs: jobs.len(),
@@ -190,77 +172,33 @@ impl Engine {
         };
         let mut slots: Vec<Option<Result<JobReport, JobError>>> = vec![None; jobs.len()];
 
-        // Phase 1: classify every job — cache hit, in-batch duplicate, or
-        // planned for execution — without submitting anything yet, so the
-        // full plan can be journaled before the first flow starts.
-        struct Planned {
-            key: String,
-            job: Job,
+        // Each job is a cache hit, a duplicate of an earlier job in the
+        // batch, or submitted now.
+        struct Pending {
+            rx: mpsc::Receiver<JobOutcome>,
             slots: Vec<usize>,
         }
-        let mut planned: Vec<Planned> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
-        let mut hit_keys: Vec<String> = Vec::new();
-
         for (i, job) in jobs.iter().enumerate() {
             let key = job.key();
             if let Some(hit) = self.cache.get(&key) {
                 metrics.cache_hits += 1;
-                hit_keys.push(key);
                 slots[i] = Some(Ok(hit));
                 continue;
             }
             obs::counter("jobs.cache_misses").inc();
             if let Some(&pi) = by_key.get(&key) {
                 metrics.deduped += 1;
-                planned[pi].slots.push(i);
+                pending[pi].slots.push(i);
                 continue;
             }
-            by_key.insert(key.clone(), planned.len());
-            planned.push(Planned {
-                key,
-                job: job.clone(),
+            by_key.insert(key, pending.len());
+            pending.push(Pending {
+                rx: self.pool.submit(job.clone()),
                 slots: vec![i],
             });
         }
-        hit_keys.sort();
-        hit_keys.dedup();
-
-        // Phase 2: one durable journal batch — the plan, what the cache
-        // already answered, and what is about to be submitted. One fsync.
-        if let Some(j) = journal.as_deref_mut() {
-            let mut recs = Vec::with_capacity(1 + hit_keys.len() + planned.len());
-            recs.push(JournalRecord::BatchPlanned {
-                run_id: j.run_id().to_string(),
-                fingerprint: tdsigma_core::engine_fingerprint().to_string(),
-                jobs: jobs.to_vec(),
-            });
-            for key in &hit_keys {
-                recs.push(JournalRecord::JobFinished { key: key.clone() });
-            }
-            for p in &planned {
-                recs.push(JournalRecord::JobStarted { key: p.key.clone() });
-            }
-            j.append_all(&recs)?;
-        }
-
-        // Phase 3: submit, then drain outcomes, journaling each as it
-        // lands. A journal failure mid-drain is remembered but the drain
-        // completes — in-flight results still reach the cache.
-        struct Pending {
-            key: String,
-            rx: mpsc::Receiver<JobOutcome>,
-            slots: Vec<usize>,
-        }
-        let pending: Vec<Pending> = planned
-            .into_iter()
-            .map(|p| Pending {
-                rx: self.pool.submit(p.job),
-                key: p.key,
-                slots: p.slots,
-            })
-            .collect();
-        let mut journal_err: Option<JobError> = None;
 
         for p in pending {
             let outcome =
@@ -271,18 +209,6 @@ impl Engine {
                 metrics.retried += outcome.attempts.saturating_sub(1) as usize;
             }
             metrics.faults_injected += outcome.injected_faults as usize;
-            let record: Option<JournalRecord> = match &outcome.result {
-                Ok(_) => Some(JournalRecord::JobFinished { key: p.key.clone() }),
-                // Canceled jobs are neither finished nor permanently
-                // degraded: leaving them unjournaled makes a resume pick
-                // them up again, which is the right semantics.
-                Err(JobError::Canceled) => None,
-                Err(e) => Some(JournalRecord::JobDegraded {
-                    key: p.key.clone(),
-                    error: e.to_string(),
-                    retryable: e.is_retryable(),
-                }),
-            };
             let shared: Result<JobReport, JobError> = match outcome.result {
                 Ok(report) => {
                     // Cache failures must not fail the job: the report is
@@ -308,16 +234,6 @@ impl Engine {
                     Err(e)
                 }
             };
-            // Journal *after* the cache write, so a journaled
-            // `job_finished` implies the artifact rename already
-            // happened (or was counted as a store failure).
-            if journal_err.is_none() {
-                if let (Some(j), Some(rec)) = (journal.as_deref_mut(), &record) {
-                    if let Err(e) = j.append(rec) {
-                        journal_err = Some(e);
-                    }
-                }
-            }
             for &slot in &p.slots {
                 slots[slot] = Some(shared.clone());
             }
@@ -336,11 +252,7 @@ impl Engine {
         totals.failed += metrics.failed;
         drop(totals);
         metrics.publish();
-
-        if let Some(e) = journal_err {
-            return Err(e);
-        }
-        Ok(BatchReport { results, metrics })
+        BatchReport { results, metrics }
     }
 
     /// Answers one job — from the cache if possible, otherwise through

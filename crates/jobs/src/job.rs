@@ -27,6 +27,18 @@ use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 /// request from a peer would abort the process or pin a worker.
 pub const MAX_SAMPLES: usize = 1 << 20;
 
+/// The most transient work one job may ask for: 2²⁸ slice-substeps
+/// (`samples × steps_per_cycle × slices`). The slice, sample and step
+/// bounds each hold alone, so without this one a single job could ask for
+/// all three maxima: 2⁴⁰ slice-substeps, about 18 h of one worker and
+/// 1 GiB of slice codes (2²⁸ runs in about 16 s on one core of a
+/// 2-vCPU VM). 2²⁸ is 64× the largest job the binaries and the
+/// ledger build (16 slices × 16384 samples × 16 steps = 2²², `sim_sweep`)
+/// and 32× the slow capture of the crash-resume tests (2 slices × 2¹⁸
+/// samples × 16 steps), and it still admits a [`MAX_SAMPLES`] capture at
+/// the default 8 slices and 16 steps.
+pub const MAX_WORK: usize = 1 << 28;
+
 /// The largest seed a job may carry: 2⁵³, the last integer a JSON
 /// number (an `f64`) holds exactly. A larger one would be rounded on the
 /// wire and in the journal, so the backend's report key and the resumed
@@ -175,7 +187,8 @@ impl Job {
     /// at most [`MAX_SAMPLES`]; the tone a finite amplitude in (0, 1] of
     /// full scale and, if set, a finite frequency in (0, fs/2). The knobs
     /// are set on the spec directly and [`AdcSpec::validated`] bounds them
-    /// once. CLI planning, serve (ahead of admission) and
+    /// once; their product with the capture is bounded by [`MAX_WORK`].
+    /// CLI planning, serve (ahead of admission) and
     /// [`crate::execute()`] all call this, so a job that cannot run fails
     /// as [`JobError::Invalid`] instead of aborting, panicking or
     /// reporting a meaningless result.
@@ -239,7 +252,17 @@ impl Job {
             spec.rdac_ohm = self.rdac_ohm;
         }
         spec.seed = self.seed;
-        spec.validated().map_err(|e| rejected(&e))
+        let spec = spec.validated().map_err(|e| rejected(&e))?;
+        let work = [spec.steps_per_cycle, spec.n_slices]
+            .into_iter()
+            .try_fold(self.samples, usize::checked_mul);
+        match work {
+            Some(work) if work <= MAX_WORK => Ok(spec),
+            _ => invalid(format!(
+                "samples {} × steps {} × slices {} exceeds the maximum work {MAX_WORK}",
+                self.samples, spec.steps_per_cycle, spec.n_slices
+            )),
+        }
     }
 
     /// The coherent input frequency the job will actually simulate: the

@@ -105,7 +105,8 @@ pub struct BackendDispatchStats {
     pub addr: String,
     /// Jobs sent to this backend.
     pub dispatched: u64,
-    /// Backend-class failures (unreachable, deadline, corrupt frame).
+    /// Backend-class failures of job attempts and health probes alike
+    /// (unreachable, deadline, corrupt frame).
     pub failed: u64,
     /// Jobs that moved on to another candidate after failing here.
     pub retried: u64,

@@ -4,10 +4,11 @@
 //! the same answer — given a job list and the current cache, how many
 //! jobs are planned, how many are in-batch duplicates, how many the
 //! cache already answers, and how many flows would actually run. The
-//! classification here mirrors phase 1 of
-//! [`crate::engine::Engine::run_batch_with_journal`] exactly (cache hit
-//! → dedup → execute), so the preview's prediction matches what the
-//! real run will report.
+//! classification here mirrors [`crate::engine::Engine::run_batch`]
+//! exactly (cache hit → dedup → execute), so the preview's prediction
+//! matches what the real run will report. A `--resume` banner counts the
+//! planned jobs this preview finds cached: the cache is the only record
+//! of which jobs finished.
 
 use crate::cache::ResultCache;
 use crate::job::Job;

@@ -1001,9 +1001,10 @@ mod tests {
         let engine = test_engine();
         let sup = test_supervision();
         // Before the bound these ran and answered a report, except the
-        // last two: 2⁵⁰ slices aborted the process allocating per-slice
-        // state, and a negative loop gain panicked in the VCO model and
-        // came back as a retryable failure. (A non-finite number such as
+        // last three: 2⁵⁰ slices aborted the process allocating per-slice
+        // state, a negative loop gain panicked in the VCO model and came
+        // back as a retryable failure, and the three maxima at once would
+        // have pinned a worker for about 18 h. (A non-finite number such as
         // `1e999` never parses as JSON.)
         let kvco = -(0.8 * 750e6 / 1.1);
         for (tone, says) in [
@@ -1034,6 +1035,11 @@ mod tests {
             (
                 r#""loop_gain":-1"#,
                 format!("invalid ADC spec: kvco_hz_per_v {kvco} must be finite and positive"),
+            ),
+            (
+                r#""slices":1024,"samples":1048576,"steps":1024"#,
+                "samples 1048576 × steps 1024 × slices 1024 exceeds the maximum work 268435456"
+                    .to_string(),
             ),
         ] {
             let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{tone}}}"#);

@@ -210,9 +210,9 @@ impl std::fmt::Display for OptError {
 impl std::error::Error for OptError {}
 
 /// The evaluation contract: a batch of jobs in, one result per job out,
-/// in submission order — the exact shape of
-/// [`tdsigma_jobs::Engine::run_batch_with_journal`]. The outer `Err`
-/// aborts the run; per-job `Err`s score as [`FITNESS_FAILED`].
+/// in submission order, as [`tdsigma_jobs::Engine::run_batch`] returns
+/// them. The outer `Err` (say, a journal write that failed) aborts the
+/// run; per-job `Err`s score as [`FITNESS_FAILED`].
 pub type EvalFn<'a> = dyn FnMut(&[Job]) -> Result<Vec<Result<JobReport, JobError>>, JobError> + 'a;
 
 /// One scored candidate evaluation.

@@ -779,9 +779,10 @@ fn generate_run_id(prefix: &str) -> String {
     format!("{prefix}-{millis}-{}", std::process::id())
 }
 
-/// Prints the dry-run plan: what the batch would submit, and what the
-/// current cache already answers. Runs nothing, writes nothing.
-fn print_dry_run(flags: &Flags, jobs: &[Job]) -> Result<(), Box<dyn std::error::Error>> {
+/// Classifies `jobs` against the cache the run would use (none under
+/// `--no-cache`) without executing anything: the dry-run table, and what
+/// a resume banner counts as done.
+fn preview(flags: &Flags, jobs: &[Job]) -> Result<PlanPreview, Box<dyn std::error::Error>> {
     let cache = if flags.switch("no-cache") {
         None
     } else {
@@ -791,7 +792,19 @@ fn print_dry_run(flags: &Flags, jobs: &[Job]) -> Result<(), Box<dyn std::error::
             flags.str("cache-dir", "results/cache"),
         )?)
     };
-    let preview = PlanPreview::of(jobs, cache.as_ref());
+    Ok(PlanPreview::of(jobs, cache.as_ref()))
+}
+
+/// The `N of M <what> cached` clause of a resume banner.
+fn cached_of(preview: &PlanPreview, what: &str) -> String {
+    let cached = preview.rows.iter().filter(|r| r.cached).count();
+    format!("{cached} of {} {what} cached", preview.jobs)
+}
+
+/// Prints the dry-run plan: what the batch would submit, and what the
+/// current cache already answers. Runs nothing, writes nothing.
+fn print_dry_run(flags: &Flags, jobs: &[Job]) -> Result<(), Box<dyn std::error::Error>> {
+    let preview = preview(flags, jobs)?;
     print!("{}", preview.table());
     println!("{}", preview.summary());
     println!("dry run: nothing executed, nothing written");
@@ -848,13 +861,11 @@ impl RunContext {
         Self::start(flags, id, journal, Default::default())
     }
 
-    /// Continues a replayed run in its own journal. `completed` is what
-    /// the command counts as journaled complete; `work` names what
-    /// re-executes when `--no-cache` makes those claims unusable.
+    /// Continues a replayed run in its own journal. `work` names what
+    /// re-executes when `--no-cache` leaves no cache to absorb it.
     fn resume(
         flags: &Flags,
         replay: JournalReplay,
-        completed: usize,
         work: &str,
     ) -> Result<Self, Box<dyn std::error::Error>> {
         verify_resume_fingerprint(
@@ -862,17 +873,13 @@ impl RunContext {
             &replay.fingerprint,
             flags.switch("resume-force"),
         )?;
-        // With --no-cache there is nothing to reconcile completion
-        // against: the journal's "finished" claims point at cache
-        // artifacts we will not read, so everything re-executes.
-        let no_cache = flags.switch("no-cache");
-        if no_cache {
+        // The cache is the only record of completion, so without it
+        // everything re-executes.
+        if flags.switch("no-cache") {
             println!("cache disabled: re-executing {work}");
         }
         let mut journal = Journal::open_existing(journal_dir(flags), &replay.run_id)?;
-        journal.append(&JournalRecord::Resumed {
-            completed: if no_cache { 0 } else { completed as u64 },
-        })?;
+        journal.append(&JournalRecord::Resumed)?;
         Self::start(flags, replay.run_id, Some(journal), replay.verified)
     }
 
@@ -905,16 +912,25 @@ impl RunContext {
             .map_or("off".to_string(), |j| j.path().display().to_string())
     }
 
-    /// Runs one journaled batch, then journals the keys the dispatcher
-    /// verified during it.
+    /// Runs one batch: journals its plan durably before anything is
+    /// submitted, runs it, then journals the keys the dispatcher
+    /// verified during it. Which jobs finished is the cache's to say.
     fn run_batch(&mut self, jobs: &[Job]) -> Result<BatchReport, JobError> {
-        let batch = self
-            .engine
-            .run_batch_with_journal(jobs, self.journal.as_mut())?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append(&JournalRecord::BatchPlanned {
+                run_id: self.id.clone(),
+                fingerprint: tdsigma::core::engine_fingerprint().to_string(),
+                jobs: jobs.to_vec(),
+            })?;
+        }
+        let batch = self.engine.run_batch(jobs);
         if let (Some(dispatcher), Some(journal)) = (&self.dispatcher, self.journal.as_mut()) {
-            for key in dispatcher.drain_verified() {
-                journal.append(&JournalRecord::JobVerified { key })?;
-            }
+            let verified: Vec<_> = dispatcher
+                .drain_verified()
+                .into_iter()
+                .map(|key| JournalRecord::JobVerified { key })
+                .collect();
+            journal.append_all(&verified)?;
         }
         Ok(batch)
     }
@@ -983,16 +999,9 @@ fn run_sweep(flags: &Flags) -> Outcome {
                 )
                 .into());
             }
-            let complete = replay
-                .jobs
-                .iter()
-                .filter(|j| replay.finished.contains(&j.key()))
-                .count();
             println!(
-                "resuming run {run_id}: {complete} of {} jobs journaled complete, \
-                 {} degraded, resume #{}",
-                replay.jobs.len(),
-                replay.degraded.len(),
+                "resuming run {run_id}: {}, resume #{}",
+                cached_of(&preview(flags, &replay.jobs)?, "jobs"),
                 replay.resumes + 1
             );
             if dry_run {
@@ -1001,7 +1010,7 @@ fn run_sweep(flags: &Flags) -> Outcome {
             }
             let jobs = std::mem::take(&mut replay.jobs);
             let work = format!("all {} jobs", jobs.len());
-            (jobs, RunContext::resume(flags, replay, complete, &work)?)
+            (jobs, RunContext::resume(flags, replay, &work)?)
         }
         None => {
             let mut jobs = Vec::new();
@@ -1093,18 +1102,17 @@ fn run_sweep(flags: &Flags) -> Outcome {
         eprintln!("degraded: {failed} of {} jobs failed — {next}", jobs.len());
     }
 
-    // Journal GC: an explicit --journal-gc prunes every provably-finished
-    // journal; a clean sweep quietly prunes old finished runs but keeps a
-    // recent window so `--resume` stays useful. The current run is always
-    // protected (it may still be referenced by the degraded hint above).
-    // Under --no-cache a clean finish does NOT auto-prune: the journal's
-    // completion claims are not backed by cache artifacts, so only an
-    // explicit --journal-gc may reconcile them away.
+    // Journal GC: an explicit --journal-gc prunes every journal whose
+    // plan the cache holds in full; a clean sweep quietly prunes old
+    // finished runs but keeps a recent window so `--resume` stays useful.
+    // The current run is always protected (it may still be referenced by
+    // the degraded hint above). Under --no-cache there is no disk cache
+    // to prove a run finished, so nothing is pruned.
     let gc_requested = flags.switch("journal-gc");
-    let auto_gc = failed == 0 && !flags.switch("no-cache");
-    if !flags.switch("no-journal") && (gc_requested || auto_gc) {
+    if !flags.switch("no-journal") && (gc_requested || failed == 0) {
         let keep = if gc_requested { 0 } else { 32 };
-        match gc_finished(Path::new(&journal_dir), keep, &[run.id.as_str()]) {
+        let cache = run.engine.cache();
+        match gc_finished(Path::new(&journal_dir), cache, keep, &[run.id.as_str()]) {
             Ok(gc) if !gc.pruned.is_empty() => println!(
                 "journal gc: pruned {} finished journal(s), {} kept",
                 gc.pruned.len(),
@@ -1221,13 +1229,12 @@ fn run_optimize(flags: &Flags) -> Outcome {
                 print_dry_run(flags, &initial_jobs(&config)?)?;
                 return Ok(0);
             }
-            let completed = replay.finished.len();
             println!(
-                "resuming optimize {run_id}: {completed} evaluation(s) journaled complete, \
-                 resume #{}",
+                "resuming optimize {run_id}: {} in its last planned generation, resume #{}",
+                cached_of(&preview(flags, &replay.jobs)?, "evaluation(s)"),
                 replay.resumes + 1
             );
-            let run = RunContext::resume(flags, replay, completed, "every evaluation")?;
+            let run = RunContext::resume(flags, replay, "every evaluation")?;
             (config, run)
         }
         None => {

@@ -1,6 +1,6 @@
 //! Process-driving helpers shared by the crash-resume and failover
 //! integration tests: spawning the real `tdsigma` binary, watching its
-//! journal for progress, and parsing its metrics line.
+//! cache for progress, and parsing its metrics line.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::io::{BufRead, BufReader, Write};
@@ -87,9 +87,23 @@ pub fn journal_path(base: &Path, run_id: &str) -> PathBuf {
     base.join("journal").join(format!("{run_id}.jsonl"))
 }
 
-pub fn finished_records(journal: &Path) -> usize {
-    std::fs::read_to_string(journal)
-        .map(|text| text.matches("\"t\":\"job_finished\"").count())
+/// Results filed in the cache at `base` (by [`sweep_args`] or
+/// [`optimize_args`]): its `<hex key>.json` artifacts. The cache is the
+/// only record of which jobs finished.
+pub fn cached_artifacts(base: &Path) -> usize {
+    std::fs::read_dir(base.join("cache"))
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter(|e| {
+                    e.file_name().to_str().is_some_and(|name| {
+                        name.strip_suffix(".json").is_some_and(|key| {
+                            !key.is_empty() && key.chars().all(|c| c.is_ascii_hexdigit())
+                        })
+                    })
+                })
+                .count()
+        })
         .unwrap_or(0)
 }
 

@@ -1,15 +1,16 @@
 //! Kill -9 a sweep mid-run, then resume it.
 //!
 //! The crash-safety contract under test (see DESIGN.md):
-//!   1. a resumed run re-executes only jobs with no `job_finished`
-//!      journal record — completed work is absorbed from the cache;
+//!   1. a resumed run re-executes only jobs with no cached artifact —
+//!      completed work is absorbed from the cache, the only record of
+//!      completion (deleting an artifact makes its job run again);
 //!   2. the final `sweep.json` is byte-identical to an uninterrupted
 //!      run of the same grid;
 //!   3. a journal whose final record was torn by the crash replays
 //!      cleanly (with a warning) instead of failing.
 //!
 //! The test drives the real binary: a control run establishes the
-//! expected artifact, a second run is SIGKILLed once its journal shows
+//! expected artifact, a second run is SIGKILLed once its cache shows
 //! progress, the journal tail is deliberately mangled, and the resume
 //! must reconcile and finish.
 
@@ -17,7 +18,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{bin, finished_records, journal_path, metric, sweep_args, SLOW_SAMPLES};
+use common::{bin, cached_artifacts, journal_path, metric, sweep_args, FAST_SAMPLES, SLOW_SAMPLES};
 
 const RUN_ID: &str = "crash-resume-it";
 
@@ -43,7 +44,7 @@ fn kill9_mid_sweep_then_resume_reproduces_the_report() {
     let expected = std::fs::read(control.join("sweep.json")).expect("control artifact");
 
     // Crash run: one worker serializes the jobs, so killing after the
-    // first `job_finished` record is guaranteed to strand later jobs.
+    // first cached artifact is guaranteed to strand later jobs.
     let mut child = Command::new(bin())
         .args(sweep_args(&crashed, "1", RUN_ID, SLOW_SAMPLES))
         .stdout(std::process::Stdio::null())
@@ -53,17 +54,14 @@ fn kill9_mid_sweep_then_resume_reproduces_the_report() {
     let journal = journal_path(&crashed, RUN_ID);
     let deadline = Instant::now() + Duration::from_secs(120);
     let finished_before_kill = loop {
-        let done = finished_records(&journal);
+        let done = cached_artifacts(&crashed);
         if done >= 1 {
             break done;
         }
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("sweep exited ({status:?}) before the test could kill it — raise SLOW_SAMPLES");
         }
-        assert!(
-            Instant::now() < deadline,
-            "no journal progress within 120 s"
-        );
+        assert!(Instant::now() < deadline, "no cache progress within 120 s");
         std::thread::sleep(Duration::from_millis(20));
     };
     child.kill().expect("SIGKILL");
@@ -86,7 +84,7 @@ fn kill9_mid_sweep_then_resume_reproduces_the_report() {
             .expect("append torn tail");
     }
 
-    // Resume: journaled-complete jobs must come back as cache hits.
+    // Resume: jobs cached before the kill must come back as cache hits.
     let out = Command::new(bin())
         .args([
             "sweep",
@@ -115,17 +113,17 @@ fn kill9_mid_sweep_then_resume_reproduces_the_report() {
         "resume banner missing: {stdout}"
     );
 
-    // No recompute: every job journaled complete before the kill was
-    // served from the cache, so at most (4 - finished) executed.
+    // No recompute: every job cached before the kill was served from
+    // the cache, so at most (4 - finished) executed.
     let executed = metric(&stdout, "executed");
     let hits = metric(&stdout, "cache");
     assert!(
         hits >= finished_before_kill,
-        "{hits} cache hits < {finished_before_kill} journaled-complete jobs:\n{stdout}"
+        "{hits} cache hits < {finished_before_kill} cached jobs:\n{stdout}"
     );
     assert!(
         executed <= 4 - finished_before_kill,
-        "resume re-executed journaled-complete work \
+        "resume re-executed cached work \
          ({executed} executed, {finished_before_kill} already finished):\n{stdout}"
     );
     assert_eq!(executed + hits, 4, "every planned job accounted for");
@@ -139,5 +137,64 @@ fn kill9_mid_sweep_then_resume_reproduces_the_report() {
         String::from_utf8_lossy(&resumed)
     );
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The cache, not the journal, says which jobs are done: after a
+/// complete run loses one artifact, the resume banner counts three of
+/// four jobs cached and the resume executes exactly the lost one.
+#[test]
+fn resume_after_a_lost_artifact_counts_and_reruns_only_that_job() {
+    let run_id = "lost-artifact-it";
+    let root = std::env::temp_dir().join(format!("tdsigma_lost_artifact_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("mkdir root");
+    let out = Command::new(bin())
+        .args(sweep_args(&root, "2", run_id, FAST_SAMPLES))
+        .output()
+        .expect("first run spawns");
+    assert!(out.status.success(), "first run failed");
+    let expected = std::fs::read(root.join("sweep.json")).expect("first artifact");
+    assert_eq!(cached_artifacts(&root), 4);
+
+    let lost = std::fs::read_dir(root.join("cache"))
+        .expect("cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("an artifact");
+    std::fs::remove_file(&lost).expect("delete one artifact");
+
+    let out = Command::new(bin())
+        .args([
+            "sweep",
+            "--resume",
+            run_id,
+            "--journal-dir",
+            &root.join("journal").to_string_lossy(),
+            "--cache-dir",
+            &root.join("cache").to_string_lossy(),
+            "--out",
+            &root.to_string_lossy(),
+        ])
+        .output()
+        .expect("resume spawns");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "resume failed:\n{stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "resuming run {run_id}: 3 of 4 jobs cached, resume #1"
+        )),
+        "the banner must count what the cache holds:\n{stdout}"
+    );
+    assert_eq!(metric(&stdout, "executed"), 1, "{stdout}");
+    assert_eq!(metric(&stdout, "cache"), 3, "{stdout}");
+    assert_eq!(
+        cached_artifacts(&root),
+        4,
+        "the lost artifact is filed again"
+    );
+    let resumed = std::fs::read(root.join("sweep.json")).expect("resumed artifact");
+    assert_eq!(resumed, expected, "same bytes after the re-run");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 
 mod common;
 use common::{
-    bin, finished_records, journal_path, spawn_serve, sweep_args, wait_for_ready, FAST_SAMPLES,
-    SLOW_SAMPLES,
+    bin, cached_artifacts, spawn_serve, sweep_args, wait_for_ready, FAST_SAMPLES, SLOW_SAMPLES,
 };
 
 #[test]
@@ -65,12 +64,12 @@ fn kill9_one_backend_mid_sweep_still_matches_local_bytes() {
         .spawn()
         .expect("distributed sweep spawns");
 
-    // SIGKILL backend A once the journal shows progress but before the
-    // grid is done — later jobs routed to A must fail over to B.
-    let journal = journal_path(&dist, run_id);
+    // SIGKILL backend A once the client's cache shows progress but
+    // before the grid is done — later jobs routed to A must fail over
+    // to B.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let done = finished_records(&journal);
+        let done = cached_artifacts(&dist);
         if done >= 1 {
             assert!(
                 done < 4,
@@ -81,10 +80,7 @@ fn kill9_one_backend_mid_sweep_still_matches_local_bytes() {
         if let Some(status) = sweep.try_wait().expect("try_wait") {
             panic!("sweep exited ({status:?}) before the test could kill a backend");
         }
-        assert!(
-            Instant::now() < deadline,
-            "no journal progress within 120 s"
-        );
+        assert!(Instant::now() < deadline, "no cache progress within 120 s");
         std::thread::sleep(Duration::from_millis(20));
     }
     backend_a.kill().expect("SIGKILL backend A");

@@ -17,7 +17,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{bin, finished_records, journal_path, metric, optimize_args};
+use common::{bin, cached_artifacts, journal_path, metric, optimize_args};
 
 /// Fast enough for a 16-evaluation budget to finish quickly.
 const FAST: &str = "2048";
@@ -79,7 +79,7 @@ fn kill9_mid_optimize_then_resume_reproduces_the_artifact() {
     run_ok(&optimize_args(&control, "opt-crash", SLOW), &control);
     let expected = std::fs::read(control.join("optimize.json")).expect("control artifact");
 
-    // Crash run: SIGKILL once the journal shows at least one finished
+    // Crash run: SIGKILL once the cache holds at least one finished
     // evaluation (and the budget of 16 guarantees more remain).
     let mut child = Command::new(bin())
         .current_dir(&crashed)
@@ -88,19 +88,15 @@ fn kill9_mid_optimize_then_resume_reproduces_the_artifact() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("crash run spawns");
-    let journal = journal_path(&crashed, "opt-crash");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        if finished_records(&journal) >= 1 {
+        if cached_artifacts(&crashed) >= 1 {
             break;
         }
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("optimize exited ({status:?}) before the kill — raise SLOW");
         }
-        assert!(
-            Instant::now() < deadline,
-            "no journal progress within 120 s"
-        );
+        assert!(Instant::now() < deadline, "no cache progress within 120 s");
         std::thread::sleep(Duration::from_millis(20));
     }
     child.kill().expect("SIGKILL");
@@ -111,8 +107,8 @@ fn kill9_mid_optimize_then_resume_reproduces_the_artifact() {
         "the artifact must not exist before the run completes"
     );
 
-    // Resume: the persisted config re-runs; journaled-complete
-    // evaluations come back as cache hits.
+    // Resume: the persisted config re-runs; cached evaluations come
+    // back as cache hits.
     let resume_args: Vec<String> = ["optimize", "--resume", "opt-crash"]
         .iter()
         .map(ToString::to_string)

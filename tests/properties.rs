@@ -418,7 +418,7 @@ fn sim_dc_transfer_monotone() {
 fn job_to_spec_is_total_and_its_specs_build() {
     use tdsigma::core::sim::AdcSimulator;
     use tdsigma::core::spec::{MAX_SLICES, MAX_STEPS_PER_CYCLE, MAX_VCO_STAGES};
-    use tdsigma::jobs::job::MAX_SAMPLES;
+    use tdsigma::jobs::job::{MAX_SAMPLES, MAX_WORK};
     use tdsigma::jobs::{Job, JobError};
 
     const HUGE: f64 = (1u64 << 50) as f64;
@@ -490,6 +490,10 @@ fn job_to_spec_is_total_and_its_specs_build() {
                 "{what}"
             );
             assert!(
+                job.samples * spec.steps_per_cycle * spec.n_slices <= MAX_WORK,
+                "{what}"
+            );
+            assert!(
                 job.amplitude_rel > 0.0 && job.amplitude_rel <= 1.0,
                 "{what}"
             );
@@ -518,6 +522,14 @@ fn job_to_spec_is_total_and_its_specs_build() {
         }
     }
     assert!(accepted > 10, "the bounds themselves must be accepted");
+    // Every knob inside its own bound, but their product above MAX_WORK.
+    let greedy = Job {
+        slices: MAX_SLICES,
+        samples: MAX_SAMPLES,
+        steps_per_cycle: MAX_STEPS_PER_CYCLE,
+        ..base.clone()
+    };
+    assert!(!check(&greedy, "all three maxima"), "must be refused");
     // …and random combinations of two to four of them.
     for case in 0..400u64 {
         let mut rng = case_rng("job_to_spec_is_total_and_its_specs_build", case);
