@@ -30,6 +30,27 @@ fn main() {
         });
     }
 
+    // Two corners of the optimizer's search at 40 nm: one slice, where
+    // the fixed cost of a step (the input tone's `sin`, the clock, the
+    // loop itself) dominates, and 16 slices of 3 stages at loop gain
+    // 2.0, where the per-slice passes and the data-dependent branches
+    // cost the most.
+    let base = AdcSpec::paper_40nm().expect("spec");
+    let one_slice = base.clone().with_slices(1).expect("spec");
+    let mut heavy = base.with_slices(16).expect("spec");
+    heavy.vco_stages = 3;
+    heavy.kvco_hz_per_v *= 2.0;
+    for (label, spec) in [
+        ("1slice", one_slice),
+        ("16slice_3stage_gain2", heavy.validated().expect("spec")),
+    ] {
+        let name = format!("adc_sim_run_tone_40nm_{label}_{cycles}cyc");
+        runner.bench(&name, || {
+            let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
+            black_box(sim.run_tone(1e6, 0.1, cycles))
+        });
+    }
+
     // The noise sources toggled off one at a time at the 40 nm point,
     // against `adc_sim_run_tone_40nm_2048cyc` (every source on): what
     // each costs per step, and the noise-free arithmetic floor.

@@ -23,8 +23,9 @@ pub struct CommonModeWindow {
 
 impl CommonModeWindow {
     /// True if `vcm` lies inside the window.
+    #[inline]
     pub fn contains(&self, vcm_v: f64) -> bool {
-        (self.min_v..=self.max_v).contains(&vcm_v)
+        (self.min_v <= vcm_v) & (vcm_v <= self.max_v)
     }
 }
 
@@ -96,20 +97,27 @@ impl ClockedComparator {
         self.decisions += 1;
         let vcm = 0.5 * (vp_v + vn_v);
         if !self.params.cm_window.contains(vcm) {
-            self.metastable_events += 1;
-            self.decision = rng.uniform() < 0.5;
-            return self.decision;
+            return self.coin_flip(rng);
         }
         let mut vdiff = vp_v - vn_v + self.params.offset_v;
         if self.params.noise_rms_v > 0.0 {
             vdiff += rng.gaussian(self.params.noise_rms_v);
         }
         if vdiff.abs() < self.params.metastability_window_v {
-            self.metastable_events += 1;
-            self.decision = rng.uniform() < 0.5;
-        } else {
-            self.decision = vdiff > 0.0;
+            return self.coin_flip(rng);
         }
+        self.decision = vdiff > 0.0;
+        self.decision
+    }
+
+    /// A decision with no regenerative gain behind it: a coin flip,
+    /// counted as metastable. Out of line, so the common path of
+    /// [`Self::sample`] stays small enough to inline into a caller's
+    /// loop.
+    #[cold]
+    fn coin_flip(&mut self, rng: &mut SimRng) -> bool {
+        self.metastable_events += 1;
+        self.decision = rng.uniform() < 0.5;
         self.decision
     }
 

@@ -12,6 +12,9 @@ use tdsigma_tech::rng::Rng64;
 pub struct SimRng {
     inner: Rng64,
     seed: u64,
+    /// The ziggurat tables, looked up once at construction so no draw
+    /// pays for the process-wide lazy initialisation check.
+    zig: &'static Ziggurat,
 }
 
 /// Number of ziggurat layers: the low 8 bits of a draw pick one.
@@ -53,6 +56,15 @@ fn ziggurat() -> &'static Ziggurat {
     })
 }
 
+/// One ziggurat attempt's draw from `inner`: `(layer, u, x = u·x[layer])`.
+#[inline]
+fn zig_attempt(inner: &mut Rng64, zig: &Ziggurat) -> (usize, f64, f64) {
+    let bits = inner.next_u64();
+    let layer = (bits & 0xff) as usize;
+    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+    (layer, u, u * zig.x[layer])
+}
+
 impl SimRng {
     /// Creates an RNG from a seed. The same seed always produces the same
     /// simulation.
@@ -60,6 +72,7 @@ impl SimRng {
         SimRng {
             inner: Rng64::seed_from_u64(seed),
             seed,
+            zig: ziggurat(),
         }
     }
 
@@ -91,21 +104,12 @@ impl SimRng {
     /// exactly as one loop would.
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        let zig = ziggurat();
-        let (layer, u, x) = self.zig_attempt(zig);
+        let zig = self.zig;
+        let (layer, u, x) = zig_attempt(&mut self.inner, zig);
         if x.abs() < zig.x[layer + 1] {
             return x;
         }
         self.normal_slow(zig, layer, u, x)
-    }
-
-    /// One ziggurat attempt's draw: `(layer, u, x = u·x[layer])`.
-    #[inline]
-    fn zig_attempt(&mut self, zig: &Ziggurat) -> (usize, f64, f64) {
-        let bits = self.inner.next_u64();
-        let layer = (bits & 0xff) as usize;
-        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
-        (layer, u, u * zig.x[layer])
     }
 
     /// The rest of an attempt whose rectangle test failed (tail or
@@ -122,7 +126,7 @@ impl SimRng {
             if y < (-0.5 * x * x).exp() {
                 return x;
             }
-            (layer, u, x) = self.zig_attempt(zig);
+            (layer, u, x) = zig_attempt(&mut self.inner, zig);
             if x.abs() < zig.x[layer + 1] {
                 return x;
             }
@@ -151,11 +155,28 @@ impl SimRng {
     /// Fills `out` with standard normals: exactly the values, and the
     /// stream consumption, of `out.len()` repeated
     /// [`Self::standard_normal`] calls.
+    ///
+    /// The generator state is copied into a local for the fill, so it
+    /// stays in registers across draws instead of making a store and a
+    /// reload per draw; it is handed back to `self` around the rare slow
+    /// path and at the end. The tables are read through one hoisted
+    /// reference.
     #[inline]
     pub fn fill_standard_normals(&mut self, out: &mut [f64]) {
+        let zig = self.zig;
+        let mut inner = self.inner.clone();
         for z in out {
-            *z = self.standard_normal();
+            let (layer, u, x) = zig_attempt(&mut inner, zig);
+            *z = if x.abs() < zig.x[layer + 1] {
+                x
+            } else {
+                self.inner = inner;
+                let x = self.normal_slow(zig, layer, u, x);
+                inner = self.inner.clone();
+                x
+            };
         }
+        self.inner = inner;
     }
 
     /// Derives an independent child RNG (for per-instance streams) without
@@ -283,6 +304,67 @@ mod tests {
                 frozen.inner.next_u64(),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn fill_matches_scalar_draws_through_the_wedge_and_the_tail() {
+        // The fill keeps the generator state in a local and hands it
+        // back around the slow path, so every position of a slow draw
+        // in a fill must be checked: first, last, and the tail. Seeds
+        // are found by replaying the frozen one-loop sampler, whose
+        // counters say which path returned each draw.
+        const LEN: usize = 8;
+        let path_of = |seed: u64| -> [usize; LEN] {
+            let mut rng = SimRng::new(seed);
+            std::array::from_fn(|_| {
+                let mut paths = [0u64; 3];
+                standard_normal_one_loop(&mut rng, &mut paths);
+                paths.iter().position(|&p| p == 1).expect("one path")
+            })
+        };
+        // [wedge first, wedge last, tail anywhere]
+        let mut seeds: [Option<u64>; 3] = [None; 3];
+        for seed in 0..200_000u64 {
+            let paths = path_of(seed);
+            let hits = [paths[0] == 1, paths[LEN - 1] == 1, paths.contains(&2)];
+            for (slot, hit) in seeds.iter_mut().zip(hits) {
+                if hit && slot.is_none() {
+                    *slot = Some(seed);
+                }
+            }
+            if seeds.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        for seed in seeds.map(|s| s.expect("a seed for every slow path")) {
+            // One fill of LEN, and the same draws as fills split around
+            // every position.
+            for split in 0..=LEN {
+                let mut scalar = SimRng::new(seed);
+                let mut batched = SimRng::new(seed);
+                let want: Vec<f64> = (0..LEN).map(|_| scalar.standard_normal()).collect();
+                let mut got = [0.0; LEN];
+                let (a, b) = got.split_at_mut(split);
+                batched.fill_standard_normals(a);
+                batched.fill_standard_normals(b);
+                for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "seed {seed} split {split} draw {k}"
+                    );
+                }
+                // The streams stay in step afterwards.
+                for _ in 0..5 {
+                    assert_eq!(
+                        scalar.standard_normal().to_bits(),
+                        batched.standard_normal().to_bits()
+                    );
+                    assert_eq!(scalar.uniform().to_bits(), batched.uniform().to_bits());
+                }
+                assert_eq!(scalar.inner.next_u64(), batched.inner.next_u64());
+            }
         }
     }
 

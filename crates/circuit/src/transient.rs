@@ -51,6 +51,9 @@ pub struct Clock {
     time_base_s: f64,
     /// Fixed-grid mode: steps per clock period.
     steps_per_period: Option<u64>,
+    /// Fixed-grid mode: `steps mod steps_per_period`, kept by counting
+    /// so that a step costs no integer division.
+    grid_index: u64,
     /// Fixed-grid mode: number of step indices within a period whose
     /// phase falls in the high half (`j / n < duty`).
     high_steps: u64,
@@ -73,6 +76,7 @@ impl Clock {
             dt_s: 0.0,
             time_base_s: 0.0,
             steps_per_period: None,
+            grid_index: 0,
             high_steps: 0,
             level: true, // phase 0 is the high half
             rising_edges: 0,
@@ -105,6 +109,7 @@ impl Clock {
     pub fn with_steps_per_period(mut self, n: u64) -> Self {
         assert!(n > 0, "need at least one step per period");
         self.steps_per_period = Some(n);
+        self.grid_index = self.steps % n;
         self.high_steps = Self::high_step_count(n, self.duty);
         self
     }
@@ -150,7 +155,9 @@ impl Clock {
     pub fn advance(&mut self, dt_s: f64) -> EdgeKind {
         let new_level = if let Some(n) = self.steps_per_period {
             self.steps += 1;
-            (self.steps % n) < self.high_steps
+            let next = self.grid_index + 1;
+            self.grid_index = if next == n { 0 } else { next };
+            self.grid_index < self.high_steps
         } else {
             // Generic mode: keep time as base + k·dt so a constant-dt
             // run cannot drift; a dt change rebases the counter.

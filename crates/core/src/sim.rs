@@ -22,6 +22,23 @@
 //!   ground — closing a first-order delta-sigma loop per slice whose
 //!   quantisation error, VCO mismatch and comparator offset are all
 //!   high-pass shaped.
+//!
+//! The engine advances a fixed step grid, and each step is a sequence of
+//! passes over the slices, so that no data-dependent branch sits in the
+//! divide-heavy arithmetic:
+//!
+//! 1. **Nodes and VCOs**, straight-line: both summing nodes, the slice's
+//!    resistor power `P_p + P_n` and both VCO phases, as `[P, N]` pairs,
+//!    writing the power and each phase increment to per-slice scratch.
+//! 2. **Energy**: the powers summed serially in slice order.
+//! 3. **Edge tracking**: each VCO's tap-0 level, counted as data flow.
+//! 4. **Quantizer**, on a rising clock edge only: the SAFF decisions and
+//!    slice codes; on a falling edge, the retimed DAC update.
+//!
+//! The passes do the scalar reference engine's floating-point operations
+//! in the same order, and consume the RNG stream in the contract order
+//! below, so every output bit matches it (DESIGN §14;
+//! `tests/scalar_reference.rs` and `tests/golden.rs` check it).
 
 use crate::error::CoreError;
 use crate::spec::AdcSpec;
@@ -160,32 +177,28 @@ impl PhaseWrap {
 
     /// Level of `phase`, where `inc` is the realized float increment
     /// from the previously passed phase (`ph_new - ph_old`).
+    ///
+    /// Branch-light: the wrap into `[0, 2π)` is a select, and both
+    /// safe-zone tests and the `|inc| < 2π` guard combine with `&`/`|`
+    /// into the one fallback branch, which is almost never taken. When
+    /// the guard fails, `r` is discarded and the fallback runs from the
+    /// stored state.
     #[inline]
     fn level(&mut self, phase: f64, inc: f64) -> bool {
         // Per-step error growth: the realized-increment subtraction and
         // the remainder addition each round to ≤½ ulp of an O(2π)
         // quantity; 1e-15 over-covers both.
         let e = self.err + 1e-15;
-        if inc.abs() < TWO_PI {
-            let mut r = self.rem + inc;
-            if r >= TWO_PI {
-                r -= TWO_PI;
-            } else if r < 0.0 {
-                r += TWO_PI;
-            }
-            // Margin: doubled bound plus a flat guard so the threshold
-            // arithmetic's own rounding can never un-conservative us.
-            let m = 2e-14 + 2.0 * e;
-            if r >= m && r < PI - m {
-                self.rem = r;
-                self.err = e;
-                return true;
-            }
-            if r >= PI + m && r < TWO_PI - m {
-                self.rem = r;
-                self.err = e;
-                return false;
-            }
+        let r = wrap_once(self.rem + inc);
+        // Margin: doubled bound plus a flat guard so the threshold
+        // arithmetic's own rounding can never un-conservative us.
+        let m = 2e-14 + 2.0 * e;
+        let high = (r >= m) & (r < PI - m);
+        let low = (r >= PI + m) & (r < TWO_PI - m);
+        if (high | low) & (inc.abs() < TWO_PI) {
+            self.rem = r;
+            self.err = e;
+            return high;
         }
         let r = phase.rem_euclid(TWO_PI);
         self.rem = r;
@@ -195,15 +208,24 @@ impl PhaseWrap {
 
     /// The buffered tap level `((phase + jit + offset).sin() * 3.0)
     /// .clamp(-1.0, 1.0)`, bit for bit, where `phase` is the phase this
-    /// tracker last saw. `sin` is called only near a crossing of ±⅓.
+    /// tracker last saw. `sin` is called only near a crossing of ±⅓,
+    /// behind the one branch; the wrap and the clip tests are selects.
     #[inline]
     fn tap_level(&self, phase: f64, jit: f64, offset: f64) -> f64 {
-        self.clipped_level(phase, jit, offset)
-            .unwrap_or_else(|| ((phase + jit + offset).sin() * 3.0).clamp(-1.0, 1.0))
+        let (high, low) = self.clipped(phase, jit, offset);
+        if high | low {
+            if high {
+                1.0
+            } else {
+                -1.0
+            }
+        } else {
+            ((phase + jit + offset).sin() * 3.0).clamp(-1.0, 1.0)
+        }
     }
 
-    /// `Some(±1.0)` when the tap level is provably clipped, `None` when
-    /// it needs `sin`.
+    /// Whether the tap level is provably clipped to `+1` (`high`) or to
+    /// `−1` (`low`); neither means it needs `sin`.
     ///
     /// `3·sin x` clamps to exactly +1 when `sin x ≥ ⅓ + δ` (δ a few ulp
     /// above the error of `sin` and of the `·3` rounding), that is when
@@ -216,22 +238,30 @@ impl PhaseWrap {
     /// interval, where `sin` clears ⅓ by ≈9e-13 — thousands of ulp
     /// (DESIGN §14 has the full bound).
     #[inline]
-    fn clipped_level(&self, phase: f64, jit: f64, offset: f64) -> Option<f64> {
+    fn clipped(&self, phase: f64, jit: f64, offset: f64) -> (bool, bool) {
         let guard = 2.0 * (self.err + (phase.abs() + jit.abs()) * 3e-16) + 1e-12;
-        let mut y = self.rem + jit + offset;
-        if y >= TWO_PI {
-            y -= TWO_PI;
-        } else if y < 0.0 {
-            y += TWO_PI;
-        }
-        if y >= CLIP_HI.0 + guard && y <= CLIP_HI.1 - guard {
-            Some(1.0)
-        } else if y >= CLIP_LO.0 + guard && y <= CLIP_LO.1 - guard {
-            Some(-1.0)
-        } else {
-            None
-        }
+        let y = wrap_once(self.rem + jit + offset);
+        (
+            (y >= CLIP_HI.0 + guard) & (y <= CLIP_HI.1 - guard),
+            (y >= CLIP_LO.0 + guard) & (y <= CLIP_LO.1 - guard),
+        )
     }
+}
+
+/// `r` moved by one turn toward `[0, 2π)`: `r − 2π` at or above 2π,
+/// `r + 2π` below 0, else `r`, as a select. Adding `0.0` instead of
+/// keeping `r` differs only at `r = −0.0`, which no caller's
+/// comparisons can tell from `+0.0`.
+#[inline]
+fn wrap_once(r: f64) -> f64 {
+    let turn = if r >= TWO_PI {
+        -TWO_PI
+    } else if r < 0.0 {
+        TWO_PI
+    } else {
+        0.0
+    };
+    r + turn
 }
 
 /// Where `3·sin x` sits at or above +1 in `[0, 2π)`: `[asin ⅓,
@@ -420,6 +450,10 @@ pub struct AdcSimulator {
     /// Per-step noise draws in contract order (`nodeP, nodeN, vcoP,
     /// vcoN` per slice, absent sources skipped), reused every step.
     z: Vec<f64>,
+    /// Per-step scratch between the passes: each slice's resistor
+    /// power `P_p + P_n`, and each VCO's realized phase increment.
+    power: Vec<f64>,
+    phase_inc: Vec<[f64; 2]>,
     // --- per-slice digital state (length N).
     code: Vec<u8>,
     dac_code: Vec<u8>,
@@ -652,6 +686,8 @@ impl AdcSimulator {
                 .map(|tap| PI * tap as f64 / stages as f64)
                 .collect(),
             z: vec![0.0; (2 * usize::from(thermal) + 2 * usize::from(sigma_f > 0.0)) * n],
+            power: vec![0.0; n],
+            phase_inc: vec![[0.0; 2]; n],
             code: vec![0; n],
             dac_code: vec![0; n],
             vco_edges: 0,
@@ -734,6 +770,8 @@ impl AdcSimulator {
             wrap,
             tap_offset,
             z,
+            power,
+            phase_inc,
             code,
             dac_code,
             vco_edges,
@@ -769,24 +807,43 @@ impl AdcSimulator {
         let vco_freq = |fbase: &[f64; 2], v: &[f64; 2]| {
             [0, 1].map(|s| (fbase[s] + kvco * (v[s] - vcm)).max(0.0))
         };
+        // Every per-slice array as a slice of length `n`: the loops then
+        // keep pointers and lengths in registers instead of re-reading
+        // them from `self` after each store, and index checks fold away.
+        let (node_v, node_decay, node_sigma, node_gsum) = (
+            &mut node_v[..n],
+            &node_decay[..n],
+            &node_sigma[..n],
+            &node_gsum[..n],
+        );
+        let (dac_r, dac_drive, dac_term) = (&dac_r[..n], &mut dac_drive[..n], &mut dac_term[..n]);
+        let (phase, phase_inc, fbase, power) = (
+            &mut phase[..n],
+            &mut phase_inc[..n],
+            &fbase[..n],
+            &mut power[..n],
+        );
+        let (wrap, vco_level) = (&mut wrap[..n], &mut vco_level[..n]);
+        let (code, dac_code) = (&mut code[..n], &mut dac_code[..n]);
+        // This run's counts, kept in registers and added to the
+        // cumulative counters once at the end.
+        let (mut edges, mut bit_toggles, mut dac_steps) = (0u64, 0u64, 0u64);
 
         while output.len() < n_samples {
             step += 1;
-            *time_s = start_time + step as f64 * dt;
-            let vin = input(*time_s);
+            let vin = input(start_time + step as f64 * dt);
             let drives = [spec.input_cm_v + vin / 2.0, spec.input_cm_v - vin / 2.0];
             let in_term = drives.map(|d| d / r_in);
             rng.fill_standard_normals(z);
 
-            // One pass per slice: both nodes (exact exponential RC update
-            // toward the conductance-weighted target, discretised OU
-            // thermal noise), the slice's resistor energy, then both
-            // VCOs (dφ = 2π·f·dt with white-FM noise on f). A side's VCO
-            // reads only its own node, so fusing the passes changes no
-            // operand, and the energy still accumulates in slice order
-            // (P+N per slice, then ·dt), the scalar engine's rounding
-            // sequence. The P and N lanes run side by side, so each pair
-            // of divisions can issue as one packed divide.
+            // Pass 1, nodes and VCOs, straight-line per slice: both nodes
+            // (exact exponential RC update toward the conductance-
+            // weighted target, discretised OU thermal noise), the
+            // slice's resistor power, then both VCOs (dφ = 2π·f·dt with
+            // white-FM noise on f). A side's VCO reads only its own node.
+            // The P and N lanes run side by side, so each pair of
+            // divisions can issue as one packed divide; nothing here
+            // branches on data.
             for i in 0..n {
                 let zi = &z[i * per_slice..(i + 1) * per_slice];
                 let (decay, sigma, gsum) = (&node_decay[i], &node_sigma[i], &node_gsum[i]);
@@ -802,26 +859,41 @@ impl AdcSimulator {
                     let dv_dac = drive[s] - v[s];
                     dv_in * dv_in / r_in + dv_dac * dv_dac / r_dac[s]
                 });
-                resistor_energy += (pow[0] + pow[1]) * dt;
+                power[i] = pow[0] + pow[1];
 
                 let mut f = vco_freq(&fbase[i], &v);
                 if phase_noise {
                     f = [0, 1].map(|s| f[s] + zi[vco_z + s] * sigma_f);
                 }
+                let old = phase[i];
+                let ph = [0, 1].map(|s| old[s] + 2.0 * PI * f[s] * dt);
+                phase[i] = ph;
+                phase_inc[i] = [0, 1].map(|s| ph[s] - old[s]);
+            }
+
+            // Pass 2, the energy: P+N per slice, then ·dt, summed in
+            // slice order — the scalar engine's rounding sequence.
+            for p in power.iter() {
+                resistor_energy += p * dt;
+            }
+
+            // Pass 3, edge tracking: the tap-0 level of every VCO. The
+            // edge count is data flow, not a branch.
+            for ((w, l), (ph, inc)) in wrap
+                .iter_mut()
+                .zip(vco_level.iter_mut())
+                .zip(phase.iter().zip(phase_inc.iter()))
+            {
                 for s in 0..2 {
-                    let ph_old = phase[i][s];
-                    let ph = ph_old + 2.0 * PI * f[s] * dt;
-                    phase[i][s] = ph;
-                    let level = wrap[i][s].level(ph, ph - ph_old);
-                    if level != vco_level[i][s] {
-                        *vco_edges += 1;
-                        vco_level[i][s] = level;
-                    }
+                    let level = w[s].level(ph[s], inc[s]);
+                    edges += u64::from(level != l[s]);
+                    l[s] = level;
                 }
             }
 
             match clock.advance(dt) {
                 EdgeKind::Rising => {
+                    // Pass 4, the quantizer.
                     let mut sum = 0.0;
                     // Clock jitter is common to every SAFF (one clock
                     // tree); each VCO's sampled phase shifts by 2π·f·δt,
@@ -853,13 +925,9 @@ impl AdcSimulator {
                             let sn = wn.tap_level(phn, jn, offset);
                             let q1 = cp.sample(buf_cm + half * sp, buf_cm - half * sp, rng);
                             let q2 = cn.sample(buf_cm + half * sn, buf_cm - half * sn, rng);
-                            if q1 ^ q2 {
-                                c += 1;
-                            }
+                            c += u8::from(q1 ^ q2);
                         }
-                        if c != code[i] {
-                            *d_toggles += 1;
-                        }
+                        bit_toggles += u64::from(c != code[i]);
                         code[i] = c;
                         sum += c as f64;
                     }
@@ -872,7 +940,7 @@ impl AdcSimulator {
                     // cycle after the decision (excess loop delay).
                     for i in 0..n {
                         if code[i] != dac_code[i] {
-                            *dac_toggles += code[i].abs_diff(dac_code[i]) as u64;
+                            dac_steps += u64::from(code[i].abs_diff(dac_code[i]));
                             dac_code[i] = code[i];
                             // code high → pull VCTRLP down, VCTRLN up
                             // (negative feedback through the inverters);
@@ -886,6 +954,10 @@ impl AdcSimulator {
             }
         }
 
+        *time_s = start_time + step as f64 * dt;
+        *vco_edges += edges;
+        *d_toggles += bit_toggles;
+        *dac_toggles += dac_steps;
         let activity = Activity {
             vco_edges: *vco_edges,
             clk_cycles: n_samples as u64,
@@ -1144,7 +1216,8 @@ mod tests {
             w.rem,
             w.err
         );
-        w.clipped_level(phase, jit, offset).is_some()
+        let (high, low) = w.clipped(phase, jit, offset);
+        high | low
     }
 
     #[test]

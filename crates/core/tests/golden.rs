@@ -1,5 +1,7 @@
 //! Golden bit-exactness suite: the transient engine's output, down to the
-//! last bit, for 3 seeds × 2 paper nodes.
+//! last bit, for 3 seeds × 2 paper nodes and for corners off the paper
+//! point (1, 3 and 16 slices; 3 and 5 stages; loop gain 2.0; 16 steps
+//! per cycle; thermal and phase noise off).
 //!
 //! The SoA hot-loop refactor (and any future one) must reproduce the
 //! scalar engine's floating-point stream *exactly* — same-seed runs are a
@@ -25,7 +27,9 @@ use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_dsp::window::Window;
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
-/// Output of `golden_probe` at the ziggurat normal-sampler baseline.
+/// Output of `golden_probe` at the ziggurat normal-sampler baseline; the
+/// corner lines (from `40nm slices=1` on) were recorded from the same
+/// engine before the pass-split kernel landed.
 const GOLDEN: &str = "\
 40nm seed=2017 output=dbce5b99669aabd8 codes=1cc940a55cd8b8a6 spectrum=1b442bf66223366c vco=6558 clk=1024 dac=4698 d=4691 cmp=65536 energy=3e011ac8fc0df2d4 dur=3eb6e80fe033c8c6
 40nm seed=1 output=e13d92af997472a1 codes=1680194c920dd459 spectrum=fbac778bc712985e vco=6554 clk=1024 dac=4769 d=4765 cmp=65536 energy=3e011a1ec059981d dur=3eb6e80fe033c8c6
@@ -33,6 +37,15 @@ const GOLDEN: &str = "\
 180nm seed=2017 output=c0c7455f070571c6 codes=a3e37a411de99c6e spectrum=fdc1b9b038955d8f vco=6554 clk=1024 dac=4767 d=4762 cmp=65536 energy=3e312efbc36a004d dur=3ed12e0be826d695
 180nm seed=1 output=bd8165c2673ae722 codes=25d0e3eec081e55f spectrum=aa9796b634e4a20d vco=6552 clk=1024 dac=4809 d=4800 cmp=65536 energy=3e312b850c07cd74 dur=3ed12e0be826d695
 180nm seed=42 output=0ee0d308b2912c4e codes=15fd6cfe917b2aff spectrum=98ff72da5ac87845 vco=6546 clk=1024 dac=4811 d=4804 cmp=65536 energy=3e312cd80d96f720 dur=3ed12e0be826d695
+40nm slices=1 seed=2017 output=a3c35cf1b8e2cbb0 codes=ef873ecaf3170563 spectrum=7c4c8212277337dc vco=817 clk=1024 dac=610 d=609 cmp=8192 energy=3dd11d25a03338bd dur=3eb6e80fe033c8c6
+40nm slices=3 seed=2017 output=774b70a589d662a1 codes=15d5430933e78fa4 spectrum=19cb0d2090e09bdb vco=2459 clk=1024 dac=1810 d=1806 cmp=24576 energy=3de9b575541f613a dur=3eb6e80fe033c8c6
+40nm slices=16 seed=2017 output=129164b6a55276e7 codes=16785bddd39db749 spectrum=db1e56922ed9074b vco=13124 clk=1024 dac=9489 d=9479 cmp=131072 energy=3e111b82f0021fdf dur=3eb6e80fe033c8c6
+40nm stages=3 seed=2017 output=85f8b0be1157e7e6 codes=62c4b850c4e47434 spectrum=1884ef01accd10d3 vco=6557 clk=1024 dac=3130 d=3124 cmp=49152 energy=3dfb408a699b3e5b dur=3eb6e80fe033c8c6
+40nm stages=5 seed=2017 output=bc377bb64217ee7f codes=686b9a8bb88bcda9 spectrum=3e5bd8004c181b60 vco=6544 clk=1024 dac=3192 d=2730 cmp=81920 energy=3e04c2007ebe8084 dur=3eb6e80fe033c8c6
+40nm gain=2 seed=2017 output=90a5ec664271b6b5 codes=8e75a37eb88c97a3 spectrum=98e50c297e21125e vco=6560 clk=1024 dac=5094 d=5013 cmp=65536 energy=3e019055ca35b6da dur=3eb6e80fe033c8c6
+40nm steps=16 seed=2017 output=39336e13fb4cffd7 codes=ce3a7ddc154b6dea spectrum=8bf4e9748d4d1011 vco=6560 clk=1024 dac=4709 d=4704 cmp=65536 energy=3e0119a0657490a9 dur=3eb6e80fe033c8c6
+40nm quiet seed=2017 output=485453efba2c1df6 codes=6f137f6e0d0fe7ea spectrum=ea9056430083fe58 vco=6559 clk=1024 dac=4675 d=4670 cmp=65536 energy=3e011458762b9258 dur=3eb6e80fe033c8c6
+40nm slices=16 stages=3 gain=2 seed=2017 output=5f90b2ce0c442612 codes=9fa6326efb72da0f spectrum=f0e517c176dfd563 vco=13106 clk=1024 dac=6490 d=6380 cmp=98304 energy=3e0bc12cbe3500c5 dur=3eb6e80fe033c8c6
 ";
 
 /// FNV-1a over a byte stream — the checksum `golden_probe` prints.
@@ -40,14 +53,59 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     fnv1a64(&bytes.collect::<Vec<u8>>(), FNV1A64_BASIS)
 }
 
-fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScratch) -> String {
-    let mut spec = spec.clone();
-    spec.steps_per_cycle = 8;
-    spec.seed = seed;
+/// Every fixture case, in `GOLDEN` order: a label and the spec it runs.
+/// The paper points run at 8 steps per cycle for 3 seeds; each corner is
+/// the 40 nm point at seed 2017 with one knob moved (the last moves the
+/// three the optimizer's search makes most branch-heavy).
+fn cases() -> Vec<(String, AdcSpec)> {
+    let mut cases = Vec::new();
+    for (node, spec) in [
+        ("40nm", AdcSpec::paper_40nm().expect("spec")),
+        ("180nm", AdcSpec::paper_180nm().expect("spec")),
+    ] {
+        for seed in [2017u64, 1, 42] {
+            let mut spec = spec.clone();
+            spec.steps_per_cycle = 8;
+            spec.seed = seed;
+            cases.push((node.to_string(), spec));
+        }
+    }
+    let corner = |label: &str, edit: &dyn Fn(&mut AdcSpec)| {
+        let mut spec = AdcSpec::paper_40nm().expect("spec");
+        spec.steps_per_cycle = 8;
+        edit(&mut spec);
+        (
+            format!("40nm {label}"),
+            spec.validated().expect("corner spec"),
+        )
+    };
+    cases.extend([
+        corner("slices=1", &|s| s.n_slices = 1),
+        corner("slices=3", &|s| s.n_slices = 3),
+        corner("slices=16", &|s| s.n_slices = 16),
+        corner("stages=3", &|s| s.vco_stages = 3),
+        corner("stages=5", &|s| s.vco_stages = 5),
+        corner("gain=2", &|s| s.kvco_hz_per_v *= 2.0),
+        corner("steps=16", &|s| s.steps_per_cycle = 16),
+        corner("quiet", &|s| {
+            s.thermal_noise = false;
+            s.phase_noise_per_sqrt_hz = 0.0;
+        }),
+        corner("slices=16 stages=3 gain=2", &|s| {
+            s.n_slices = 16;
+            s.vco_stages = 3;
+            s.kvco_hz_per_v *= 2.0;
+        }),
+    ]);
+    cases
+}
+
+fn golden_line(label: &str, spec: &AdcSpec, scratch: &mut SpectrumScratch) -> String {
     let n = 1024usize;
     let fin = 11.0 * spec.fs_hz / n as f64;
     let amp = 0.79 * spec.full_scale_v();
-    let mut sim = AdcSimulator::new(spec).expect("sim");
+    let seed = spec.seed;
+    let mut sim = AdcSimulator::new(spec.clone()).expect("sim");
     let cap = sim.run_tone(fin, amp, n);
     let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
     let code_sum = fnv1a(cap.slice_codes.iter().copied());
@@ -55,7 +113,7 @@ fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScra
     let psd_sum = fnv1a(psd.powers().iter().flat_map(|v| v.to_bits().to_le_bytes()));
     let a = &cap.activity;
     format!(
-        "{node} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
+        "{label} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
          spectrum={psd_sum:016x} vco={} clk={} dac={} d={} cmp={} \
          energy={:016x} dur={:016x}",
         a.vco_edges,
@@ -70,19 +128,14 @@ fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScra
 
 #[test]
 fn transient_engine_matches_golden_fixtures_bit_for_bit() {
-    // One SpectrumScratch reused across all six cases — the spectrum
+    // One SpectrumScratch reused across every case — the spectrum
     // checksums therefore also pin the scratch path's bit-exactness
     // across re-plans (1024-sample captures at two sample rates).
     let mut scratch = SpectrumScratch::new();
     let mut got = String::new();
-    for (node, spec) in [
-        ("40nm", AdcSpec::paper_40nm().expect("spec")),
-        ("180nm", AdcSpec::paper_180nm().expect("spec")),
-    ] {
-        for seed in [2017u64, 1, 42] {
-            got.push_str(&golden_line(node, &spec, seed, &mut scratch));
-            got.push('\n');
-        }
+    for (label, spec) in cases() {
+        got.push_str(&golden_line(&label, &spec, &mut scratch));
+        got.push('\n');
     }
     for (want, have) in GOLDEN.lines().zip(got.lines()) {
         assert_eq!(

@@ -14,7 +14,11 @@
 //! Unlike the checksum fixtures in `golden.rs` (which freeze specific
 //! values), this suite proves the equivalence *construction* — including
 //! the post-layout path, where extracted parasitics land as extra node
-//! capacitance.
+//! capacitance. Besides the output words it compares the activity
+//! counters the power model reads (VCO edges, comparator decisions, DAC
+//! and slice-bit toggles), at the paper points and at corners off them:
+//! 1, 3 and 16 slices, 3 and 5 stages, loop gain 2.0, 16 steps per
+//! cycle, and thermal and phase noise off.
 
 use std::f64::consts::PI;
 use tdsigma_circuit::comparator::ComparatorParams;
@@ -48,6 +52,10 @@ struct RefSlice {
     dac_code: u8,
 }
 
+/// The activity counters `RefSim` keeps beside its components' own:
+/// `[VCO edges, comparator decisions, DAC toggles, slice-bit toggles]`.
+type RefActivity = [u64; 4];
+
 struct RefSim {
     spec: AdcSpec,
     slices: Vec<RefSlice>,
@@ -56,6 +64,8 @@ struct RefSim {
     time_s: f64,
     buf_swing_v: f64,
     buf_cm_v: f64,
+    dac_toggles: u64,
+    d_toggles: u64,
 }
 
 impl RefSim {
@@ -153,7 +163,25 @@ impl RefSim {
             clock,
             rng,
             time_s: 0.0,
+            dac_toggles: 0,
+            d_toggles: 0,
         }
+    }
+
+    /// Counters since construction, summed over the components.
+    fn activity(&self) -> RefActivity {
+        let vco_edges = self
+            .slices
+            .iter()
+            .map(|s| s.vco_p.edge_count() + s.vco_n.edge_count())
+            .sum();
+        let decisions = self
+            .slices
+            .iter()
+            .flat_map(|s| s.cmp_p.iter().chain(&s.cmp_n))
+            .map(ClockedComparator::decision_count)
+            .sum();
+        [vco_edges, decisions, self.dac_toggles, self.d_toggles]
     }
 
     fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> Vec<f64> {
@@ -213,6 +241,9 @@ impl RefSim {
                                 code += 1;
                             }
                         }
+                        if code != slice.code {
+                            self.d_toggles += 1;
+                        }
                         slice.code = code;
                         sum += code as f64;
                     }
@@ -222,6 +253,8 @@ impl RefSim {
                     for slice in &mut self.slices {
                         slice.retimed_code = slice.code;
                         if slice.retimed_code != slice.dac_code {
+                            self.dac_toggles +=
+                                u64::from(slice.retimed_code.abs_diff(slice.dac_code));
                             slice.dac_code = slice.retimed_code;
                             let code = slice.dac_code as usize;
                             slice.node_p.set_drive(slice.dac_p, slice.dac_drive_p[code]);
@@ -246,6 +279,10 @@ fn tone(spec: &AdcSpec, samples: usize) -> (f64, f64) {
 }
 
 fn assert_equivalent(spec: AdcSpec, extra_cap_f: f64, soa: &mut AdcSimulator, samples: usize) {
+    let what = format!(
+        "{} slices, {} stages, kvco {:e}, {} steps, seed {}",
+        spec.n_slices, spec.vco_stages, spec.kvco_hz_per_v, spec.steps_per_cycle, spec.seed
+    );
     let (fin, amp) = tone(&spec, samples);
     let cap = soa.run_tone(fin, amp, samples);
     let mut reference = RefSim::build(spec, extra_cap_f);
@@ -256,9 +293,20 @@ fn assert_equivalent(spec: AdcSpec, extra_cap_f: f64, soa: &mut AdcSimulator, sa
         assert_eq!(
             r.to_bits(),
             s.to_bits(),
-            "engines diverge at sample {k}: ref={r} soa={s}"
+            "{what}: engines diverge at sample {k}: ref={r} soa={s}"
         );
     }
+    let a = &cap.activity;
+    assert_eq!(
+        reference.activity(),
+        [
+            a.vco_edges,
+            a.comparator_decisions,
+            a.dac_toggles,
+            a.d_toggles
+        ],
+        "{what}: activity [vco edges, decisions, dac toggles, bit toggles]"
+    );
 }
 
 #[test]
@@ -277,6 +325,56 @@ fn soa_engine_matches_scalar_reference_180nm_4_slices() {
     spec.seed = 42;
     let mut soa = AdcSimulator::new(spec.clone()).unwrap();
     assert_equivalent(spec, 0.0, &mut soa, 2048);
+}
+
+/// The 40 nm point (8 steps per cycle, seed 7) with one knob moved.
+fn corner(edit: impl FnOnce(&mut AdcSpec)) -> AdcSpec {
+    let mut spec = AdcSpec::paper_40nm().unwrap();
+    spec.steps_per_cycle = 8;
+    spec.seed = 7;
+    edit(&mut spec);
+    spec.validated().unwrap()
+}
+
+#[test]
+fn soa_engine_matches_scalar_reference_across_slice_counts() {
+    for slices in [1, 3, 16] {
+        let spec = corner(|s| s.n_slices = slices);
+        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
+        assert_equivalent(spec, 0.0, &mut soa, 1024);
+    }
+}
+
+#[test]
+fn soa_engine_matches_scalar_reference_across_stages_and_gain() {
+    for spec in [
+        corner(|s| s.vco_stages = 3),
+        corner(|s| s.vco_stages = 5),
+        corner(|s| s.kvco_hz_per_v *= 2.0),
+        // The optimizer's branch-heaviest reach.
+        corner(|s| {
+            s.n_slices = 16;
+            s.vco_stages = 3;
+            s.kvco_hz_per_v *= 2.0;
+        }),
+    ] {
+        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
+        assert_equivalent(spec, 0.0, &mut soa, 1024);
+    }
+}
+
+#[test]
+fn soa_engine_matches_scalar_reference_at_16_steps_and_without_noise() {
+    for spec in [
+        corner(|s| s.steps_per_cycle = 16),
+        corner(|s| {
+            s.thermal_noise = false;
+            s.phase_noise_per_sqrt_hz = 0.0;
+        }),
+    ] {
+        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
+        assert_equivalent(spec, 0.0, &mut soa, 1024);
+    }
 }
 
 #[test]

@@ -56,8 +56,9 @@
 //! `dispatch.<addr>.…`: `dispatched`/`failed`/`retried`/
 //! `integrity_failures` counters, a `breaker` gauge (0 = Up or Away,
 //! 1 = Probing, 2 = Down, Skewed or Quarantined) and an `rtt` histogram.
-//! [`Dispatcher::summary`] snapshots the same numbers for end-of-sweep
-//! reporting.
+//! Those are process-wide and keyed by address, so [`Dispatcher::summary`]
+//! reads each backend's own copy of the counts instead: a second
+//! dispatcher to a reused address reports only what it saw.
 
 use crate::error::JobError;
 use crate::faults::{FaultPlan, VERIFY_BASIS};
@@ -66,7 +67,7 @@ use crate::metrics::{BackendDispatchStats, DispatchSummary};
 use crate::pool::{lock_unpoisoned, Runner};
 use crate::remote::{BackendHealth, RemoteClient, RemoteConfig, RemoteError};
 use crate::report::JobReport;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -211,13 +212,21 @@ pub struct DispatchConfig {
     pub verify_permille: u16,
 }
 
-/// One backend and its standing.
+/// One backend, its standing, and this dispatcher's counts of what it
+/// was seen to do, by obs counter name.
 struct Backend {
     client: RemoteClient,
     standing: Mutex<Standing>,
+    counts: Mutex<HashMap<&'static str, u64>>,
 }
 
 impl Backend {
+    /// Counts `what` here and under `dispatch.<addr>.<what>`.
+    fn count(&self, what: &'static str) {
+        *lock_unpoisoned(&self.counts).entry(what).or_default() += 1;
+        tdsigma_obs::counter(&format!("dispatch.{}.{what}", self.client.addr())).inc();
+    }
+
     fn standing(&self) -> Standing {
         *lock_unpoisoned(&self.standing)
     }
@@ -232,7 +241,7 @@ impl Backend {
     /// `dispatch.<addr>.failed`.
     fn record(&self, outcome: Outcome) -> bool {
         if outcome == Outcome::Failed {
-            tdsigma_obs::counter(&format!("dispatch.{}.failed", self.client.addr())).inc();
+            self.count("failed");
         }
         let (newly, gauge) = {
             let mut standing = lock_unpoisoned(&self.standing);
@@ -276,7 +285,7 @@ impl Backend {
             }
         };
         let addr = self.client.addr();
-        tdsigma_obs::counter(&format!("dispatch.{addr}.version_skew")).inc();
+        self.count("version_skew");
         if self.record(Outcome::Skewed) {
             let theirs = match health.fingerprint.as_str() {
                 "" => "unknown",
@@ -292,12 +301,12 @@ impl Backend {
     /// Quarantines this backend: its bytes disagreed with a redundant
     /// recomputation. Counted per backend and warned once on stderr.
     fn mark_integrity_failure(&self) {
-        let addr = self.client.addr();
-        tdsigma_obs::counter(&format!("dispatch.{addr}.integrity_failures")).inc();
+        self.count("integrity_failures");
         if self.record(Outcome::Lied) {
             eprintln!(
-                "warning: backend {addr} integrity-quarantined: its report bytes disagree \
+                "warning: backend {} integrity-quarantined: its report bytes disagree \
                  with redundant recomputation",
+                self.client.addr()
             );
         }
     }
@@ -305,7 +314,7 @@ impl Backend {
     /// One full attempt: counters, RTT, and its outcome recorded.
     fn attempt(&self, job: &Job) -> Result<JobReport, RemoteError> {
         let addr = self.client.addr();
-        tdsigma_obs::counter(&format!("dispatch.{addr}.dispatched")).inc();
+        self.count("dispatched");
         let start = Instant::now();
         let result = self.client.run_job(job);
         tdsigma_obs::histogram(&format!("dispatch.{addr}.rtt")).record(start.elapsed());
@@ -314,7 +323,7 @@ impl Backend {
             // the protocol.
             Ok(_) | Err(RemoteError::Job(_)) => Outcome::Answered,
             Err(RemoteError::Busy { retry_after_ms, .. }) => {
-                tdsigma_obs::counter(&format!("dispatch.{addr}.shed_deferred")).inc();
+                self.count("shed_deferred");
                 Outcome::Busy(Duration::from_millis(*retry_after_ms))
             }
             Err(RemoteError::Backend(_)) => Outcome::Failed,
@@ -371,6 +380,7 @@ impl Dispatcher {
                     client: RemoteClient::with_config(addr.clone(), config.remote.clone())
                         .with_faults(config.faults),
                     standing: Mutex::new(Standing::Up { strikes: 0 }),
+                    counts: Mutex::default(),
                 })
             })
             .collect();
@@ -524,21 +534,13 @@ impl Dispatcher {
                         }
                         Err(RemoteError::Job(e)) => return RoundOutcome::Done(Box::new(Err(e))),
                         Err(RemoteError::Busy { retry_after_ms, .. }) => {
-                            tdsigma_obs::counter(&format!(
-                                "dispatch.{}.retried",
-                                backend.client.addr()
-                            ))
-                            .inc();
+                            backend.count("retried");
                             note_busy(retry_after_ms);
                             continue;
                         }
                         Err(RemoteError::Backend(_)) => {
                             if slot + 1 < candidates.len() {
-                                tdsigma_obs::counter(&format!(
-                                    "dispatch.{}.retried",
-                                    backend.client.addr()
-                                ))
-                                .inc();
+                                backend.count("retried");
                             }
                             continue;
                         }
@@ -702,18 +704,17 @@ impl Dispatcher {
         slots
     }
 
-    /// Snapshot of per-backend counters and standings for end-of-sweep
-    /// reporting.
+    /// Snapshot of this dispatcher's per-backend counts and standings
+    /// for end-of-sweep reporting.
     pub fn summary(&self) -> DispatchSummary {
         let backends = self
             .backends
             .iter()
             .map(|b| {
-                let addr = b.client.addr();
-                let get =
-                    |what: &str| tdsigma_obs::counter(&format!("dispatch.{addr}.{what}")).get();
+                let counts = lock_unpoisoned(&b.counts);
+                let get = |what: &str| counts.get(what).copied().unwrap_or(0);
                 BackendDispatchStats {
-                    addr: addr.to_string(),
+                    addr: b.client.addr().to_string(),
                     dispatched: get("dispatched"),
                     failed: get("failed"),
                     retried: get("retried"),
@@ -1201,6 +1202,21 @@ mod tests {
                 "the summary must flag the degradation: {summary}"
             );
         }
+    }
+
+    #[test]
+    fn two_dispatchers_to_one_address_each_report_only_their_own_counts() {
+        let (addr, _handle) = spawn_backend();
+        let dispatchers = [2u64, 1].map(|jobs| {
+            let d = Dispatcher::new(&fast_config(vec![addr.to_string()]), local_runner());
+            for seed in 0..jobs {
+                let job = Job::sim(40.0, 750e6, 5e6);
+                d.run_job(&Job { seed, ..job }).expect("answered");
+            }
+            d
+        });
+        let dispatched = dispatchers.map(|d| d.summary().backends[0].dispatched);
+        assert_eq!(dispatched, [2, 1]);
     }
 
     #[test]
