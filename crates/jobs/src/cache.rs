@@ -161,12 +161,7 @@ impl ResultCache {
         if let Some(hit) = self.mem.lock().expect("cache lock").get(key) {
             return Some(hit.clone());
         }
-        let path = self.artifact_path(key)?;
-        let parsed = match fs::read_to_string(&path) {
-            Ok(text) => parse_artifact(&text, key, &self.fingerprint),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => Err(Reject::Corrupt),
-        };
+        let (path, parsed) = self.verdict(key)?;
         match parsed {
             Ok(report) => {
                 self.mem
@@ -182,18 +177,28 @@ impl ResultCache {
         }
     }
 
-    /// Cheap presence probe: true if `key` is in the memory tier or an
-    /// artifact file exists on disk. Unlike [`ResultCache::get`] this
-    /// never reads, parses, rejects or promotes — it is the
-    /// dry-run/planning primitive, so a preview of a 10k-job sweep costs
-    /// 10k `stat` calls, not 10k artifact parses. A corrupt artifact
-    /// therefore counts as present here and will only be rejected (and
-    /// re-executed) by the real run.
+    /// Would [`ResultCache::get`] answer `key`? The same verdict — the
+    /// memory tier, then the disk artifact checked against this engine —
+    /// but read-only: it never moves, counts or promotes an artifact, so
+    /// a dry run still writes nothing. A corrupt or foreign artifact is
+    /// absent here, as the real run will reject it. This is the planning
+    /// primitive of dry runs, resume banners and journal GC.
     pub fn contains(&self, key: &str) -> bool {
         if self.mem.lock().expect("cache lock").contains_key(key) {
             return true;
         }
-        self.artifact_path(key).is_some_and(|p| p.exists())
+        self.verdict(key).is_some_and(|(_, parsed)| parsed.is_ok())
+    }
+
+    /// Reads and checks `key`'s disk artifact: `None` if there is none.
+    fn verdict(&self, key: &str) -> Option<(PathBuf, Result<JobReport, Reject>)> {
+        let path = self.artifact_path(key)?;
+        let parsed = match fs::read_to_string(&path) {
+            Ok(text) => parse_artifact(&text, key, &self.fingerprint),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(_) => Err(Reject::Corrupt),
+        };
+        Some((path, parsed))
     }
 
     /// Stores a result under its own key, in memory and (if configured)
@@ -614,6 +619,11 @@ mod tests {
             let counter = format!("jobs.cache_rejected.{}", reason.tag());
             let counted_before = tdsigma_obs::counter(&counter).get();
             let cache = ResultCache::with_disk(&dir).unwrap();
+            // The planning probe reaches the same verdict and leaves the
+            // artifact where it is.
+            assert!(!cache.contains(&key), "{what}: a preview must miss");
+            assert!(path.exists(), "{what}: contains must not move it");
+            assert_eq!(cache.rejected(), 0, "{what}: contains counts nothing");
             assert!(cache.get(&key).is_none(), "{what}: must miss");
             assert_eq!(cache.rejected(), 1, "{what}");
             assert!(

@@ -211,18 +211,8 @@ impl Engine {
             metrics.faults_injected += outcome.injected_faults as usize;
             let shared: Result<JobReport, JobError> = match outcome.result {
                 Ok(report) => {
-                    // Cache failures must not fail the job: the report is
-                    // in hand; persistence is best-effort — but visibly
-                    // best-effort.
-                    if let Err(e) = self.cache.put(&report) {
+                    if !self.store(&report) {
                         metrics.cache_store_failures += 1;
-                        obs::counter("jobs.cache_store_failures").inc();
-                        if obs::tracing_enabled() {
-                            obs::event(
-                                "cache.store_failure",
-                                &[("key", report.key.clone()), ("error", e.to_string())],
-                            );
-                        }
                     }
                     Ok(report)
                 }
@@ -288,9 +278,27 @@ impl Engine {
         }
         drop(totals);
         if let Ok(report) = &outcome.result {
-            let _ = self.cache.put(report);
+            self.store(report);
         }
         outcome.result
+    }
+
+    /// Files a result in the cache; false if the disk write failed. A
+    /// store failure must not fail the job: the report is in hand and
+    /// persistence is best-effort, but visibly so, under
+    /// `jobs.cache_store_failures`.
+    fn store(&self, report: &JobReport) -> bool {
+        let Err(e) = self.cache.put(report) else {
+            return true;
+        };
+        obs::counter("jobs.cache_store_failures").inc();
+        if obs::tracing_enabled() {
+            obs::event(
+                "cache.store_failure",
+                &[("key", report.key.clone()), ("error", e.to_string())],
+            );
+        }
+        false
     }
 }
 
@@ -309,7 +317,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn counting_runner() -> (Arc<AtomicUsize>, Arc<Runner>) {
+    /// An engine of `workers` threads, no retries and a cache in
+    /// `cache_dir` (or memory), whose runner counts its executions.
+    fn counting_engine(workers: usize, cache_dir: Option<PathBuf>) -> (Arc<AtomicUsize>, Engine) {
         let count = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&count);
         let runner: Arc<Runner> = Arc::new(move |job: &Job| {
@@ -327,7 +337,17 @@ mod tests {
                 timing_slack_ps: None,
             })
         });
-        (count, runner)
+        let pool = PoolConfig {
+            workers,
+            retries: 0,
+            ..PoolConfig::default()
+        };
+        let config = EngineConfig {
+            pool,
+            cache_dir,
+            faults: FaultPlan::none(),
+        };
+        (count, Engine::with_runner(config, runner).unwrap())
     }
 
     fn jobs_with_seeds(seeds: &[u64]) -> Vec<Job> {
@@ -343,20 +363,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let (_, runner) = counting_runner();
-        let engine = Engine::with_runner(
-            EngineConfig {
-                pool: PoolConfig {
-                    workers: 4,
-                    retries: 0,
-                    ..PoolConfig::default()
-                },
-                cache_dir: None,
-                faults: Default::default(),
-            },
-            runner,
-        )
-        .unwrap();
+        let (_, engine) = counting_engine(4, None);
         let jobs = jobs_with_seeds(&[5, 3, 9, 1, 7]);
         let batch = engine.run_batch(&jobs);
         let sndrs: Vec<f64> = batch
@@ -370,20 +377,7 @@ mod tests {
 
     #[test]
     fn in_batch_duplicates_execute_once() {
-        let (count, runner) = counting_runner();
-        let engine = Engine::with_runner(
-            EngineConfig {
-                pool: PoolConfig {
-                    workers: 2,
-                    retries: 0,
-                    ..PoolConfig::default()
-                },
-                cache_dir: None,
-                faults: Default::default(),
-            },
-            runner,
-        )
-        .unwrap();
+        let (count, engine) = counting_engine(2, None);
         let jobs = jobs_with_seeds(&[1, 2, 1, 1, 2]);
         let batch = engine.run_batch(&jobs);
         assert_eq!(count.load(Ordering::SeqCst), 2, "two distinct jobs");
@@ -396,20 +390,7 @@ mod tests {
 
     #[test]
     fn second_batch_is_all_cache_hits() {
-        let (count, runner) = counting_runner();
-        let engine = Engine::with_runner(
-            EngineConfig {
-                pool: PoolConfig {
-                    workers: 2,
-                    retries: 0,
-                    ..PoolConfig::default()
-                },
-                cache_dir: None,
-                faults: Default::default(),
-            },
-            runner,
-        )
-        .unwrap();
+        let (count, engine) = counting_engine(2, None);
         let jobs = jobs_with_seeds(&[1, 2, 3]);
         let first = engine.run_batch(&jobs);
         assert_eq!(first.metrics.executed, 3);
@@ -427,21 +408,25 @@ mod tests {
     }
 
     #[test]
+    fn submit_one_counts_a_cache_store_failure() {
+        let dir = std::env::temp_dir().join(format!(
+            "tdsigma_engine_store_failure_{}",
+            std::process::id()
+        ));
+        let (_, engine) = counting_engine(1, Some(dir.clone()));
+        // Pull the directory out from under the open cache: the artifact
+        // write fails with a real OS error regardless of privileges.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let failures = || obs::counter("jobs.cache_store_failures").get();
+        let before = failures();
+        let report = engine.submit_one(&jobs_with_seeds(&[4])[0]);
+        assert_eq!(report.unwrap().sndr_db, 54.0, "the job still succeeds");
+        assert!(failures() > before, "the lost artifact is counted");
+    }
+
+    #[test]
     fn totals_accumulate_across_batches() {
-        let (_, runner) = counting_runner();
-        let engine = Engine::with_runner(
-            EngineConfig {
-                pool: PoolConfig {
-                    workers: 1,
-                    retries: 0,
-                    ..PoolConfig::default()
-                },
-                cache_dir: None,
-                faults: Default::default(),
-            },
-            runner,
-        )
-        .unwrap();
+        let (_, engine) = counting_engine(1, None);
         let jobs = jobs_with_seeds(&[1, 2]);
         engine.run_batch(&jobs);
         engine.run_batch(&jobs);

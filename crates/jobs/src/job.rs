@@ -45,6 +45,24 @@ pub const MAX_WORK: usize = 1 << 28;
 /// job would not match the planned one.
 pub const MAX_SEED: u64 = 1 << 53;
 
+/// The keys of a job's canonical JSON form, in [`Job::to_json`] order:
+/// the only keys [`Job::from_json`] accepts.
+const JOB_FIELDS: [&str; 13] = [
+    "kind",
+    "node_nm",
+    "slices",
+    "fs_hz",
+    "bw_hz",
+    "samples",
+    "amplitude_rel",
+    "fin_hz",
+    "steps_per_cycle",
+    "loop_gain",
+    "vco_stages",
+    "rdac_ohm",
+    "seed",
+];
+
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -274,32 +292,51 @@ impl Job {
 
     /// This job as a canonical JSON object (Hz units, every field).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".into(), Json::Str(self.kind.as_str().into())),
-            ("node_nm".into(), Json::Num(self.node_nm)),
-            ("slices".into(), Json::Num(self.slices as f64)),
-            ("fs_hz".into(), Json::Num(self.fs_hz)),
-            ("bw_hz".into(), Json::Num(self.bw_hz)),
-            ("samples".into(), Json::Num(self.samples as f64)),
-            ("amplitude_rel".into(), Json::Num(self.amplitude_rel)),
-            ("fin_hz".into(), self.fin_hz.map_or(Json::Null, Json::Num)),
-            (
-                "steps_per_cycle".into(),
-                Json::Num(self.steps_per_cycle as f64),
-            ),
-            ("loop_gain".into(), Json::Num(self.loop_gain)),
-            ("vco_stages".into(), Json::Num(self.vco_stages as f64)),
-            ("rdac_ohm".into(), Json::Num(self.rdac_ohm)),
-            ("seed".into(), Json::Num(self.seed as f64)),
-        ])
+        let values = [
+            Json::Str(self.kind.as_str().into()),
+            Json::Num(self.node_nm),
+            Json::Num(self.slices as f64),
+            Json::Num(self.fs_hz),
+            Json::Num(self.bw_hz),
+            Json::Num(self.samples as f64),
+            Json::Num(self.amplitude_rel),
+            self.fin_hz.map_or(Json::Null, Json::Num),
+            Json::Num(self.steps_per_cycle as f64),
+            Json::Num(self.loop_gain),
+            Json::Num(self.vco_stages as f64),
+            Json::Num(self.rdac_ohm),
+            Json::Num(self.seed as f64),
+        ];
+        Json::Obj(
+            JOB_FIELDS
+                .map(String::from)
+                .into_iter()
+                .zip(values)
+                .collect(),
+        )
     }
 
-    /// Parses the canonical JSON form written by [`Job::to_json`].
+    /// Parses the canonical JSON form written by [`Job::to_json`]. Every
+    /// field is required except `fin_hz` (absent or `null` → `None`) and
+    /// `rdac_ohm` (absent → 0.0), and a key `to_json` does not write is
+    /// refused, so a misspelt or leftover field cannot silently fall back
+    /// to a default.
     ///
     /// # Errors
     ///
-    /// Returns [`JobError::Invalid`] on missing or mistyped fields.
+    /// Returns [`JobError::Invalid`] on missing, mistyped or unknown fields.
     pub fn from_json(v: &Json) -> Result<Self, JobError> {
+        if let Json::Obj(fields) = v {
+            if let Some((k, _)) = fields
+                .iter()
+                .find(|(k, _)| !JOB_FIELDS.contains(&k.as_str()))
+            {
+                return Err(JobError::Invalid(format!(
+                    "unknown job field {k:?} (known: {})",
+                    JOB_FIELDS.join(", ")
+                )));
+            }
+        }
         let missing = |k: &str| JobError::Invalid(format!("job field {k:?} missing or mistyped"));
         let num = |k: &str| v.get(k).and_then(Json::as_f64).ok_or_else(|| missing(k));
         let int = |k: &str| v.get(k).and_then(Json::as_u64).ok_or_else(|| missing(k));
@@ -322,7 +359,7 @@ impl Job {
             steps_per_cycle: int("steps_per_cycle")? as usize,
             loop_gain: num("loop_gain")?,
             vco_stages: int("vco_stages")? as usize,
-            // Absent in pre-v2 journals and requests: 0.0 = spec default,
+            // Absent in pre-v2 journals: 0.0 = spec default,
             // which is exactly what those jobs meant.
             rdac_ohm: match v.get("rdac_ohm") {
                 Some(Json::Null) | None => 0.0,
@@ -368,6 +405,34 @@ mod tests {
         let job2 = Job::sim(40.0, 750e6, 5e6);
         let back2 = Job::from_json(&Json::parse(&job2.to_json().to_text()).unwrap()).unwrap();
         assert_eq!(job2, back2);
+    }
+
+    #[test]
+    fn from_json_refuses_every_key_to_json_does_not_write() {
+        let Json::Obj(fields) = Job::sim(40.0, 750e6, 5e6).to_json() else {
+            unreachable!("a job is an object")
+        };
+        // Misspelt optional fields, a MHz-units key and a leftover request
+        // field: none may silently read as a default.
+        for stray in ["fin_hzz", "rdac_ohms", "slcies", "fin_mhz", "deadline_ms"] {
+            let mut with = fields.clone();
+            with.push((stray.into(), Json::Num(1.0)));
+            match Job::from_json(&Json::Obj(with)) {
+                Err(JobError::Invalid(m)) => {
+                    assert!(
+                        m.starts_with(&format!("unknown job field {stray:?}")),
+                        "{m}"
+                    );
+                }
+                other => panic!("{stray} must be refused, got {other:?}"),
+            }
+        }
+        // A misspelling that replaces a required field is refused too.
+        let typo: Vec<_> = fields
+            .into_iter()
+            .map(|(k, v)| (if k == "slices" { "slcies".into() } else { k }, v))
+            .collect();
+        assert!(Job::from_json(&Json::Obj(typo)).is_err());
     }
 
     #[test]

@@ -427,7 +427,8 @@ pub struct JournalGc {
 /// directory bounded the way the prune of `rejected/` bounds the
 /// cache. A run counts as finished only when its replay and `cache`
 /// prove it: a batch plan exists, the tail is not torn, and `cache`
-/// holds an artifact for every planned job. A memory-only cache proves
+/// holds an artifact it would replay ([`ResultCache::contains`]) for
+/// every planned job, not a corrupt or foreign one. A memory-only cache proves
 /// nothing, since it dies with the process, so with one nothing is
 /// pruned. Anything else — unfinished, corrupt, unreadable, foreign
 /// files — is kept; deleting evidence is worse than keeping an obsolete
@@ -848,6 +849,29 @@ mod tests {
         let cold = ResultCache::with_disk(cache.disk_dir().unwrap()).unwrap();
         write_run(&dir, "lost", &done);
         assert!(gc_finished(&dir, &cold, 0, &[]).unwrap().pruned.is_empty());
+        let _ = fs::remove_dir_all(dir.parent().unwrap());
+    }
+
+    #[test]
+    fn gc_keeps_a_run_whose_artifacts_this_engine_would_reject() {
+        let (dir, cache, jobs) = gc_fixture("gc_foreign");
+        let foreign = Job {
+            seed: 7,
+            ..jobs[0].clone()
+        };
+        let disk = cache.disk_dir().unwrap();
+        let writer = ResultCache::with_disk(disk)
+            .unwrap()
+            .with_fingerprint("aaaaaaaaaaaaaaaa");
+        cache_result(&writer, &foreign);
+        write_run(&dir, "foreign", std::slice::from_ref(&foreign));
+        let gc = gc_finished(&dir, &cache, 0, &[]).unwrap();
+        assert!(gc.pruned.is_empty(), "a foreign artifact proves nothing");
+        assert!(journal_path(&dir, "foreign").exists());
+        assert!(
+            disk.join(format!("{}.json", foreign.key())).exists(),
+            "gc only reads the artifact"
+        );
         let _ = fs::remove_dir_all(dir.parent().unwrap());
     }
 

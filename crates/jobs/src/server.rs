@@ -1,32 +1,25 @@
 //! `tdsigma serve`: a line-protocol TCP front end over an [`Engine`].
 //!
-//! Protocol: one JSON request per line in, one JSON response per line
-//! out. A request is either a command object —
+//! Protocol: one JSON command object per line in, one JSON response per
+//! line out:
 //!
 //! ```text
-//! {"cmd":"ping"}      → {"ok":true,"pong":true}
-//! {"cmd":"stats"}     → {"ok":true,"stats":{…}}
-//! {"cmd":"run","job":{…}} → {"ok":true,"report":{…}}
-//! {"cmd":"shutdown"}  → {"ok":true,"bye":true}   (then the server stops)
+//! {"cmd":"ping"}          → {"ok":true,"pong":true}
+//! {"cmd":"stats"}         → {"ok":true,"stats":{…}}
+//! {"cmd":"health"}        → {"ok":true,"health":{…}}
+//! {"cmd":"ready"}         → {"ok":true,"ready":true,"fingerprint":"…"}
+//! {"cmd":"run","job":{…}} → {"ok":true,"report":{…},"attest":"…"}
+//! {"cmd":"shutdown"}      → {"ok":true,"bye":true}   (then the server stops)
 //! ```
-//!
-//! — or a job request in operator-friendly units (MHz, not Hz):
-//!
-//! ```text
-//! {"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":7}
-//!   → {"ok":true,"report":{…}}
-//! ```
-//!
-//! Only `node`, `fs_mhz` and `bw_mhz` are required; everything else
-//! defaults to the paper's operating point (see [`Job::sim`]). Malformed
-//! requests get `{"ok":false,"error":"…"}` and the connection stays open.
-//! Results are cached exactly like sweep results: asking the same
-//! question twice executes one flow.
 //!
 //! The `run` command carries a full [`Job`] in its canonical Hz-units
-//! JSON form ([`Job::to_json`]) — the machine-to-machine path the
-//! distributed dispatcher uses, where every parameter must round-trip
-//! bit-exactly so local and remote execution share one cache address.
+//! JSON form ([`Job::to_json`]), so every parameter round-trips
+//! bit-exactly and local and remote execution share one cache address;
+//! [`Job::from_json`] refuses a missing, mistyped or unknown field.
+//! Results are cached exactly like sweep results: asking the same
+//! question twice executes one flow. A malformed frame, one without a
+//! `cmd`, or a job [`Job::to_spec`] refuses gets `{"ok":false,"error":"…"}`
+//! and the connection stays open.
 //!
 //! `shutdown` is **disabled by default**: any LAN client can reach the
 //! socket, and a shared backend must not be killable by one of them.
@@ -45,9 +38,8 @@
 //! `N` is a backlog-drain estimate the dispatcher honours as a cooldown.
 
 use crate::engine::Engine;
-use crate::error::JobError;
 use crate::faults::ATTEST_BASIS;
-use crate::job::{Job, JobKind};
+use crate::job::Job;
 use crate::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -223,45 +215,47 @@ fn busy_response(message: &str, retry_after_ms: u64, extra: &[(&str, Json)]) -> 
     Json::Obj(obj)
 }
 
-/// The supervision state `health`/`ready`/`stats` report from: the live
-/// connection count, the configured limits, and the process epoch the
-/// uptime counter runs against. A dispatcher health-checking a fleet
-/// uses `uptime_ms`/`served_jobs` to tell a freshly restarted backend
-/// (low uptime, empty counters — treat its warm-up gently) from a
-/// long-lived one.
-struct Supervision {
-    active: Arc<AtomicUsize>,
-    max_connections: usize,
-    stall_threshold_ms: u64,
-    allow_remote_shutdown: bool,
+/// The state every connection of one server shares: the engine, the
+/// configured limits, the stop flag, the live connection count, the
+/// admission state and the epoch `uptime_ms` runs against. A dispatcher
+/// health-checking a fleet uses `uptime_ms`/`served_jobs` to tell a
+/// freshly restarted backend from a long-lived one.
+struct Shared {
+    engine: Arc<Engine>,
+    config: ServerConfig,
+    stop: AtomicBool,
+    active: AtomicUsize,
     started: Instant,
-    admission: Arc<Admission>,
+    admission: Admission,
+    /// The bound address: a connection that accepts `shutdown` connects
+    /// to it to wake the accept loop.
+    addr: SocketAddr,
+}
+
+impl Shared {
+    fn new(engine: Arc<Engine>, config: ServerConfig, addr: SocketAddr) -> Self {
+        Shared {
+            engine,
+            admission: Admission::new(&config),
+            config,
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            started: Instant::now(),
+            addr,
+        }
+    }
 }
 
 /// A running line-protocol server. One thread per connection; all
 /// connections share the engine (and therefore its cache and pool).
 pub struct Server {
     listener: TcpListener,
-    engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
-    config: ServerConfig,
-    active: Arc<AtomicUsize>,
-    started: Instant,
-    admission: Arc<Admission>,
+    shared: Arc<Shared>,
 }
 
 impl Server {
-    /// Binds the listener (use port 0 to let the OS pick) with default
-    /// hardening ([`ServerConfig::default`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind error.
-    pub fn bind(addr: impl ToSocketAddrs, engine: Arc<Engine>) -> io::Result<Self> {
-        Server::bind_with(addr, engine, ServerConfig::default())
-    }
-
-    /// Binds the listener with explicit hardening knobs.
+    /// Binds the listener (use port 0 to let the OS pick) with the given
+    /// hardening knobs.
     ///
     /// # Errors
     ///
@@ -271,21 +265,9 @@ impl Server {
         engine: Arc<Engine>,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        let admission = Arc::new(Admission::new(&config));
-        Ok(Server {
-            listener: TcpListener::bind(addr)?,
-            engine,
-            stop: Arc::new(AtomicBool::new(false)),
-            config,
-            active: Arc::new(AtomicUsize::new(0)),
-            started: Instant::now(),
-            admission,
-        })
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        let listener = TcpListener::bind(addr)?;
+        let shared = Arc::new(Shared::new(engine, config, listener.local_addr()?));
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (needed when binding port 0).
@@ -306,10 +288,10 @@ impl Server {
     /// Propagates listener errors; per-connection I/O errors only end
     /// that connection.
     pub fn run(&self) -> io::Result<()> {
-        let addr = self.listener.local_addr()?;
+        let shared = &self.shared;
         let mut handles = Vec::new();
         for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
+            if shared.stop.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
@@ -317,36 +299,27 @@ impl Server {
             // Connection cap: reject loudly instead of queueing silently,
             // so a flooded client knows to back off (and the cap cannot
             // be mistaken for a hang).
-            if self.config.max_connections > 0
-                && self.active.load(Ordering::SeqCst) >= self.config.max_connections
-            {
+            let active = shared.active.load(Ordering::SeqCst);
+            let cap = shared.config.max_connections;
+            if cap > 0 && active >= cap {
                 tdsigma_obs::counter("serve.busy_rejected").inc();
                 let busy = busy_response(
-                    &format!(
-                        "server busy: {} connections active (limit {})",
-                        self.active.load(Ordering::SeqCst),
-                        self.config.max_connections
-                    ),
-                    self.admission.retry_after_ms(self.engine.workers().max(1)),
+                    &format!("server busy: {active} connections active (limit {cap})"),
+                    shared
+                        .admission
+                        .retry_after_ms(shared.engine.workers().max(1)),
                     &[],
                 );
                 let _ = stream.write_all(busy.to_text().as_bytes());
                 let _ = stream.write_all(b"\n");
                 continue; // dropping the stream closes it
             }
-            let active = Arc::clone(&self.active);
-            let n = active.fetch_add(1, Ordering::SeqCst) + 1;
+            let n = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
             tdsigma_obs::gauge("serve.active_connections").set(n as f64);
-            let engine = Arc::clone(&self.engine);
-            let stop = Arc::clone(&self.stop);
-            let config = self.config.clone();
-            let started = self.started;
-            let admission = Arc::clone(&self.admission);
+            let shared = Arc::clone(shared);
             handles.push(thread::spawn(move || {
-                let _ = serve_connection(
-                    stream, &engine, &stop, addr, &config, &active, started, &admission,
-                );
-                let n = active.fetch_sub(1, Ordering::SeqCst) - 1;
+                let _ = serve_connection(stream, &shared);
+                let n = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
                 tdsigma_obs::gauge("serve.active_connections").set(n as f64);
             }));
         }
@@ -408,25 +381,8 @@ fn read_frame(reader: &mut BufReader<TcpStream>, max_line_bytes: usize) -> io::R
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    engine: &Engine,
-    stop: &AtomicBool,
-    addr: SocketAddr,
-    config: &ServerConfig,
-    active: &Arc<AtomicUsize>,
-    started: Instant,
-    admission: &Arc<Admission>,
-) -> io::Result<()> {
-    let supervision = Supervision {
-        active: Arc::clone(active),
-        max_connections: config.max_connections,
-        stall_threshold_ms: config.stall_threshold_ms,
-        allow_remote_shutdown: config.allow_remote_shutdown,
-        started,
-        admission: Arc::clone(admission),
-    };
+fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let config = &shared.config;
     if config.idle_timeout_ms > 0 {
         let timeout = Some(Duration::from_millis(config.idle_timeout_ms));
         stream.set_read_timeout(timeout)?;
@@ -455,82 +411,71 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = handle_line(line.trim(), engine, &supervision);
+        let (response, shutdown) = handle_line(line.trim(), shared);
         writer.write_all(response.to_text().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
         if shutdown {
-            stop.store(true, Ordering::SeqCst);
+            shared.stop.store(true, Ordering::SeqCst);
             // The accept loop is blocked in `incoming()`; a throwaway
             // connection wakes it so it can observe the stop flag.
-            let _ = TcpStream::connect(addr);
+            let _ = TcpStream::connect(shared.addr);
             break;
         }
     }
     Ok(())
 }
 
+/// The commands a frame may carry, as the error for any other names them.
+const COMMANDS: &str = r#""ping", "stats", "health", "ready", "run" or "shutdown""#;
+
 /// Handles one request line; returns the response and whether the server
 /// should shut down afterwards.
-fn handle_line(line: &str, engine: &Engine, supervision: &Supervision) -> (Json, bool) {
+fn handle_line(line: &str, shared: &Shared) -> (Json, bool) {
     let request = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => return (error_response(&format!("malformed JSON: {e}")), false),
     };
-    if let Some(cmd) = request.get("cmd") {
-        return match cmd.as_str() {
-            Some("ping") => (ok_response(vec![("pong".into(), Json::Bool(true))]), false),
-            Some("stats") => (stats_response(engine, supervision), false),
-            Some("health") => (health_response(engine, supervision), false),
-            Some("ready") => (ready_response(engine, supervision), false),
-            Some("run") => (run_response(&request, engine, supervision), false),
-            Some("shutdown") if supervision.allow_remote_shutdown => {
-                (ok_response(vec![("bye".into(), Json::Bool(true))]), true)
-            }
-            Some("shutdown") => (error_response("shutdown disabled"), false),
-            _ => (
-                error_response(
-                    "unknown command (expected \"ping\", \"stats\", \"health\", \"ready\", \
-                     \"run\" or \"shutdown\")",
-                ),
-                false,
-            ),
-        };
-    }
-    let job = match job_from_request(&request) {
-        Ok(job) => job,
-        Err(e) => return (error_response(&e.to_string()), false),
+    let Some(cmd) = request.get("cmd") else {
+        let message = format!("request needs a \"cmd\" (expected {COMMANDS})");
+        return (error_response(&message), false);
     };
-    (admitted_run(engine, supervision, &job), false)
+    let response = match cmd.as_str() {
+        Some("ping") => ok_response(vec![("pong".into(), Json::Bool(true))]),
+        Some("stats") => stats_response(shared),
+        Some("health") => health_response(shared),
+        Some("ready") => ready_response(shared),
+        Some("run") => run_response(&request, shared),
+        Some("shutdown") if shared.config.allow_remote_shutdown => {
+            return (ok_response(vec![("bye".into(), Json::Bool(true))]), true)
+        }
+        Some("shutdown") => error_response("shutdown disabled"),
+        _ => error_response(&format!("unknown command (expected {COMMANDS})")),
+    };
+    (response, false)
 }
 
-/// Executes a `{"cmd":"run","job":{…}}` request: the job arrives in its
-/// canonical Hz-units JSON form ([`Job::to_json`]), so no unit
-/// conversion happens between a dispatcher and this backend — the cache
-/// key computed here is identical to the one the dispatcher computed.
-fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> Json {
+/// Executes a `{"cmd":"run","job":{…}}` request. The job arrives in its
+/// canonical Hz-units JSON form ([`Job::to_json`]), so no unit conversion
+/// happens between a dispatcher and this backend — the cache key
+/// computed here is identical to the one the dispatcher computed. A job
+/// [`Job::to_spec`] refuses is answered before admission; then the queue
+/// depth may shed it; then it runs.
+fn run_response(request: &Json, shared: &Shared) -> Json {
     let Some(job_json) = request.get("job") else {
         return error_response("run request needs a \"job\" object");
     };
-    let job = match Job::from_json(job_json) {
+    let job = match Job::from_json(job_json).and_then(|job| job.to_spec().map(|_| job)) {
         Ok(job) => job,
         Err(e) => return error_response(&e.to_string()),
     };
-    admitted_run(engine, supervision, &job)
-}
-
-/// The admission gate plus the actual execution: reject a job
-/// [`Job::to_spec`] refuses, shed on queue depth, then run the job.
-fn admitted_run(engine: &Engine, supervision: &Supervision, job: &Job) -> Json {
-    if let Err(e) = job.to_spec() {
-        return error_response(&e.to_string());
-    }
-    let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
-    let ticket = match supervision.admission.admit(engine.workers(), stalled) {
+    let engine = &shared.engine;
+    let stalled = engine.stalled_workers(shared.config.stall_threshold_ms);
+    let ticket = match shared.admission.admit(engine.workers(), stalled) {
         Ok(ticket) => ticket,
         Err(rejection) => return rejection,
     };
-    let result = engine.submit_one(job);
+    let result = engine.submit_one(&job);
     drop(ticket);
     match result {
         Ok(mut report) => {
@@ -570,7 +515,8 @@ fn error_response(message: &str) -> Json {
 /// pressure, and lifetime failure counts in one object. `status` is
 /// `"degraded"` the moment any busy worker goes silent past the stall
 /// threshold — the signal a supervisor alerts on.
-fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
+fn health_response(shared: &Shared) -> Json {
+    let engine = &shared.engine;
     tdsigma_obs::counter("serve.health_checks").inc();
     let beats = engine.heartbeats();
     let busy = beats.iter().filter(|h| h.busy).count();
@@ -580,7 +526,7 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
         .map(|h| h.age_ms)
         .max()
         .unwrap_or(0);
-    let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
+    let stalled = engine.stalled_workers(shared.config.stall_threshold_ms);
     let totals = engine.totals();
     let status = if stalled > 0 { "degraded" } else { "ok" };
     ok_response(vec![(
@@ -597,11 +543,11 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
             ("max_heartbeat_age_ms".into(), Json::Num(max_age as f64)),
             (
                 "active_connections".into(),
-                Json::Num(supervision.active.load(Ordering::SeqCst) as f64),
+                Json::Num(shared.active.load(Ordering::SeqCst) as f64),
             ),
             (
                 "max_connections".into(),
-                Json::Num(supervision.max_connections as f64),
+                Json::Num(shared.config.max_connections as f64),
             ),
             ("jobs".into(), Json::Num(totals.jobs as f64)),
             ("failed".into(), Json::Num(totals.failed as f64)),
@@ -611,16 +557,16 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
             ),
             (
                 "uptime_ms".into(),
-                Json::Num(supervision.started.elapsed().as_millis() as f64),
+                Json::Num(shared.started.elapsed().as_millis() as f64),
             ),
             ("served_jobs".into(), Json::Num(totals.jobs as f64)),
             (
                 "queue_depth".into(),
-                Json::Num(supervision.admission.queue_depth() as f64),
+                Json::Num(shared.admission.queue_depth() as f64),
             ),
             (
                 "shed".into(),
-                Json::Num(supervision.admission.shed.load(Ordering::Relaxed) as f64),
+                Json::Num(shared.admission.shed.load(Ordering::Relaxed) as f64),
             ),
         ]),
     )])
@@ -629,17 +575,18 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
 /// Readiness: can this server usefully take another connection right
 /// now? False while any worker is stalled or the connection cap is
 /// reached, with a `reason` a load balancer can log.
-fn ready_response(engine: &Engine, supervision: &Supervision) -> Json {
+fn ready_response(shared: &Shared) -> Json {
+    let engine = &shared.engine;
     tdsigma_obs::counter("serve.health_checks").inc();
-    let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
-    let active = supervision.active.load(Ordering::SeqCst);
-    let at_cap = supervision.max_connections > 0 && active >= supervision.max_connections;
+    let stalled = engine.stalled_workers(shared.config.stall_threshold_ms);
+    let active = shared.active.load(Ordering::SeqCst);
+    let at_cap = shared.config.max_connections > 0 && active >= shared.config.max_connections;
     let reason = if stalled > 0 {
         Some(format!("{stalled} worker(s) stalled"))
     } else if at_cap {
         Some(format!(
             "connection limit reached ({active}/{})",
-            supervision.max_connections
+            shared.config.max_connections
         ))
     } else {
         None
@@ -657,7 +604,8 @@ fn ready_response(engine: &Engine, supervision: &Supervision) -> Json {
     ok_response(fields)
 }
 
-fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
+fn stats_response(shared: &Shared) -> Json {
+    let engine = &shared.engine;
     // A stats request is a natural checkpoint: push any buffered trace
     // lines to disk so an operator tailing the file sees current state.
     tdsigma_obs::flush_tracing();
@@ -673,7 +621,7 @@ fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
             ("jobs".into(), Json::Num(totals.jobs as f64)),
             (
                 "uptime_ms".into(),
-                Json::Num(supervision.started.elapsed().as_millis() as f64),
+                Json::Num(shared.started.elapsed().as_millis() as f64),
             ),
             ("served_jobs".into(), Json::Num(totals.jobs as f64)),
             ("cache_hits".into(), Json::Num(totals.cache_hits as f64)),
@@ -727,102 +675,13 @@ fn obs_snapshot_json() -> Json {
     ])
 }
 
-/// Builds a [`Job`] from a friendly-units request object. Unknown fields
-/// are rejected so a typo cannot silently fall back to a default.
-fn job_from_request(v: &Json) -> Result<Job, JobError> {
-    const KNOWN: [&str; 13] = [
-        "kind",
-        "node",
-        "slices",
-        "fs_mhz",
-        "bw_mhz",
-        "samples",
-        "amplitude",
-        "fin_mhz",
-        "steps",
-        "loop_gain",
-        "vco_stages",
-        "rdac_ohm",
-        "seed",
-    ];
-    let Json::Obj(fields) = v else {
-        return Err(JobError::Invalid("request must be a JSON object".into()));
-    };
-    if let Some((k, _)) = fields.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-        return Err(JobError::Invalid(format!(
-            "unknown request field {k:?} (known: {})",
-            KNOWN.join(", ")
-        )));
-    }
-    let num = |k: &str| -> Result<Option<f64>, JobError> {
-        match v.get(k) {
-            None | Some(Json::Null) => Ok(None),
-            Some(x) => x
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| JobError::Invalid(format!("field {k:?} must be a number"))),
-        }
-    };
-    let int = |k: &str| -> Result<Option<u64>, JobError> {
-        match v.get(k) {
-            None | Some(Json::Null) => Ok(None),
-            Some(x) => x.as_u64().map(Some).ok_or_else(|| {
-                JobError::Invalid(format!("field {k:?} must be a non-negative integer"))
-            }),
-        }
-    };
-    let require = |k: &str, x: Option<f64>| -> Result<f64, JobError> {
-        x.ok_or_else(|| JobError::Invalid(format!("field {k:?} is required")))
-    };
-
-    let kind = match v.get("kind") {
-        None => JobKind::SimTone,
-        Some(k) => JobKind::parse(
-            k.as_str()
-                .ok_or_else(|| JobError::Invalid("field \"kind\" must be a string".into()))?,
-        )?,
-    };
-    let node_nm = require("node", num("node")?)?;
-    let fs_hz = require("fs_mhz", num("fs_mhz")?)? * 1e6;
-    let bw_hz = require("bw_mhz", num("bw_mhz")?)? * 1e6;
-    let mut job = match kind {
-        JobKind::SimTone => Job::sim(node_nm, fs_hz, bw_hz),
-        JobKind::FullFlow => Job::flow(node_nm, fs_hz, bw_hz),
-    };
-    if let Some(x) = int("slices")? {
-        job.slices = x as usize;
-    }
-    if let Some(x) = int("samples")? {
-        job.samples = x as usize;
-    }
-    if let Some(x) = num("amplitude")? {
-        job.amplitude_rel = x;
-    }
-    if let Some(x) = num("fin_mhz")? {
-        job.fin_hz = Some(x * 1e6);
-    }
-    if let Some(x) = int("steps")? {
-        job.steps_per_cycle = x as usize;
-    }
-    if let Some(x) = num("loop_gain")? {
-        job.loop_gain = x;
-    }
-    if let Some(x) = int("vco_stages")? {
-        job.vco_stages = x as usize;
-    }
-    if let Some(x) = num("rdac_ohm")? {
-        job.rdac_ohm = x;
-    }
-    if let Some(x) = int("seed")? {
-        job.seed = x;
-    }
-    Ok(job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::faults::FaultPlan;
+    use crate::pool::{PoolConfig, Runner};
+    use crate::report::JobReport;
 
     #[test]
     fn reap_drops_finished_connection_threads_and_keeps_live_ones() {
@@ -846,19 +705,12 @@ mod tests {
         reap_finished(&mut handles);
         assert!(handles.is_empty());
     }
-    use crate::faults::FaultPlan;
-    use crate::pool::{PoolConfig, Runner};
-    use crate::report::JobReport;
 
-    fn test_engine() -> Arc<Engine> {
-        test_engine_with_faults(FaultPlan::none())
-    }
-
-    fn test_engine_with_faults(faults: FaultPlan) -> Arc<Engine> {
-        let runner: Arc<Runner> = Arc::new(|job: &Job| {
-            if job.node_nm == 13.0 {
-                return Err(JobError::Invalid("unsupported node".into()));
-            }
+    /// An engine of `workers` threads and no retries whose runner answers
+    /// each job after `delay` with an SNDR of 60 dB plus its seed.
+    fn engine_with(workers: usize, faults: FaultPlan, delay: Duration) -> Arc<Engine> {
+        let runner: Arc<Runner> = Arc::new(move |job: &Job| {
+            thread::sleep(delay);
             Ok(JobReport {
                 key: job.key(),
                 job: job.clone(),
@@ -872,79 +724,64 @@ mod tests {
                 timing_slack_ps: None,
             })
         });
-        Arc::new(
-            Engine::with_runner(
-                EngineConfig {
-                    pool: PoolConfig {
-                        workers: 2,
-                        retries: 0,
-                        ..PoolConfig::default()
-                    },
-                    cache_dir: None,
-                    faults,
-                },
-                runner,
-            )
-            .unwrap(),
-        )
+        let pool = PoolConfig {
+            workers,
+            retries: 0,
+            ..PoolConfig::default()
+        };
+        let config = EngineConfig {
+            pool,
+            cache_dir: None,
+            faults,
+        };
+        Arc::new(Engine::with_runner(config, runner).unwrap())
     }
 
-    #[test]
-    fn request_parsing_applies_defaults_and_overrides() {
-        let v = Json::parse(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":7,"slices":4}"#).unwrap();
-        let job = job_from_request(&v).unwrap();
-        assert_eq!(job.kind, JobKind::SimTone);
-        assert_eq!(job.fs_hz, 750e6);
-        assert_eq!(job.slices, 4);
-        assert_eq!(job.seed, 7);
-        assert_eq!(job.samples, 8192, "sim default");
-
-        let v = Json::parse(r#"{"kind":"flow","node":180,"fs_mhz":250,"bw_mhz":1.4}"#).unwrap();
-        let job = job_from_request(&v).unwrap();
-        assert_eq!(job.kind, JobKind::FullFlow);
-        assert_eq!(job.samples, 16_384, "flow default");
+    fn test_engine() -> Arc<Engine> {
+        engine_with(2, FaultPlan::none(), Duration::ZERO)
     }
 
-    #[test]
-    fn request_parsing_rejects_typos_and_missing_fields() {
-        let v = Json::parse(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"slcies":4}"#).unwrap();
-        assert!(job_from_request(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("slcies"));
-        let v = Json::parse(r#"{"node":40,"bw_mhz":5}"#).unwrap();
-        assert!(job_from_request(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("fs_mhz"));
-        let v = Json::parse("[1,2]").unwrap();
-        assert!(job_from_request(&v).is_err());
+    /// The state of a server around `engine` that was never bound.
+    fn shared_with(engine: Arc<Engine>, config: ServerConfig) -> Shared {
+        Shared::new(engine, config, "127.0.0.1:0".parse().unwrap())
     }
 
-    fn test_supervision() -> Supervision {
-        Supervision {
-            active: Arc::new(AtomicUsize::new(0)),
-            max_connections: 64,
-            stall_threshold_ms: 30_000,
+    /// [`shared_with`] the default limits and remote shutdown allowed.
+    fn test_shared(engine: Arc<Engine>) -> Shared {
+        let config = ServerConfig {
             allow_remote_shutdown: true,
-            started: Instant::now(),
-            admission: Arc::new(Admission::new(&ServerConfig::default())),
-        }
+            ..ServerConfig::default()
+        };
+        shared_with(engine, config)
+    }
+
+    /// A `run` frame carrying `job`.
+    fn run_frame(job: Json) -> String {
+        Json::Obj(vec![
+            ("cmd".into(), Json::Str("run".into())),
+            ("job".into(), job),
+        ])
+        .to_text()
+    }
+
+    /// A change to a job, for tables of refused requests.
+    type Edit = fn(&mut Job);
+
+    /// A `run` frame for the paper's 40 nm sim job after `edit`.
+    fn run_line(edit: impl FnOnce(&mut Job)) -> String {
+        let mut job = Job::sim(40.0, 750e6, 5e6);
+        edit(&mut job);
+        run_frame(job.to_json())
     }
 
     #[test]
     fn handle_line_answers_commands_jobs_and_garbage() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        let (r, stop) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        let shared = test_shared(test_engine());
+        let (r, stop) = handle_line(r#"{"cmd":"ping"}"#, &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert!(!stop);
 
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":2}"#,
-            &engine,
-            &sup,
-        );
+        let (r, _) = handle_line(&run_line(|j| j.seed = 2), &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let sndr = r
             .get("report")
@@ -952,13 +789,20 @@ mod tests {
             .and_then(Json::as_f64);
         assert_eq!(sndr, Some(62.0));
 
-        let (r, _) = handle_line("this is not json", &engine, &sup);
+        let (r, _) = handle_line("this is not json", &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert!(r.get("error").and_then(Json::as_str).is_some());
 
+        // A frame without a command is answered, not run, and names the
+        // commands there are; the connection keeps serving.
+        let (r, stop) = handle_line(r#"{"kind":"sim","node":40,"bw_mhz":5}"#, &shared);
+        assert!(!stop);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+        let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(err.contains("\"cmd\"") && err.contains("\"run\""), "{err}");
+
         // A capture the analysis cannot use is refused before it runs.
-        let line = r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"samples":512}"#;
-        let (r, _) = handle_line(line, &engine, &sup);
+        let (r, _) = handle_line(&run_line(|j| j.samples = 512), &shared);
         let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
         assert!(
             err.starts_with("invalid job:") && err.contains("≥ 1024"),
@@ -967,39 +811,39 @@ mod tests {
         // So is a job too large to run: 2⁴⁰ samples would abort the
         // process on allocation, and a huge substep count would pin a
         // worker. The server answers and keeps serving.
-        for (line, says) in [
+        let too_large: [(Edit, &str); 2] = [
             (
-                r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"samples":1099511627776}"#,
+                |j| j.samples = 1 << 40,
                 "samples 1099511627776 exceeds the maximum 1048576",
             ),
             (
-                r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"steps":1000000000}"#,
+                |j| j.steps_per_cycle = 1_000_000_000,
                 "invalid ADC spec: need at most 1024 simulation substeps per cycle",
             ),
-        ] {
-            let (r, stop) = handle_line(line, &engine, &sup);
+        ];
+        for (edit, says) in too_large {
+            let (r, stop) = handle_line(&run_line(edit), &shared);
             assert!(!stop);
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
             let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
             assert_eq!(err, format!("invalid job: {says}"));
         }
-        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            engine.totals().jobs,
+            shared.engine.totals().jobs,
             1,
             "only the good job reached the engine"
         );
 
-        let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &engine, &sup);
+        let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert!(stop);
     }
 
     #[test]
     fn handle_line_refuses_unusable_tones_and_keeps_serving() {
-        let engine = test_engine();
-        let sup = test_supervision();
+        let shared = test_shared(test_engine());
         // Before the bound these ran and answered a report, except the
         // last three: 2⁵⁰ slices aborted the process allocating per-slice
         // state, a negative loop gain panicked in the VCO model and came
@@ -1007,61 +851,62 @@ mod tests {
         // have pinned a worker for about 18 h. (A non-finite number such as
         // `1e999` never parses as JSON.)
         let kvco = -(0.8 * 750e6 / 1.1);
-        for (tone, says) in [
+        let refused: [(Edit, String); 8] = [
             (
-                r#""amplitude":0"#,
+                |j| j.amplitude_rel = 0.0,
                 "amplitude_rel 0 must be in (0, 1] of full scale".to_string(),
             ),
             (
-                r#""amplitude":-0.5"#,
+                |j| j.amplitude_rel = -0.5,
                 "amplitude_rel -0.5 must be in (0, 1] of full scale".to_string(),
             ),
             (
-                r#""amplitude":1.5"#,
+                |j| j.amplitude_rel = 1.5,
                 "amplitude_rel 1.5 must be in (0, 1] of full scale".to_string(),
             ),
             (
-                r#""fin_mhz":0"#,
+                |j| j.fin_hz = Some(0.0),
                 "fin_hz 0 must be in (0, fs/2) = (0, 375000000)".to_string(),
             ),
             (
-                r#""fin_mhz":375"#,
+                |j| j.fin_hz = Some(375e6),
                 "fin_hz 375000000 must be in (0, fs/2) = (0, 375000000)".to_string(),
             ),
             (
-                r#""slices":1125899906842624,"samples":2048,"steps":4"#,
+                |j| (j.slices, j.samples, j.steps_per_cycle) = (1 << 50, 2048, 4),
                 "invalid ADC spec: n_slices 1125899906842624 must be in 1..=1024".to_string(),
             ),
             (
-                r#""loop_gain":-1"#,
+                |j| j.loop_gain = -1.0,
                 format!("invalid ADC spec: kvco_hz_per_v {kvco} must be finite and positive"),
             ),
             (
-                r#""slices":1024,"samples":1048576,"steps":1024"#,
+                |j| (j.slices, j.samples, j.steps_per_cycle) = (1024, 1 << 20, 1024),
                 "samples 1048576 × steps 1024 × slices 1024 exceeds the maximum work 268435456"
                     .to_string(),
             ),
-        ] {
-            let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{tone}}}"#);
-            let (r, stop) = handle_line(&line, &engine, &sup);
+        ];
+        for (edit, says) in refused {
+            let line = run_line(edit);
+            let (r, stop) = handle_line(&line, &shared);
             assert!(!stop);
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
             let err = r.get("error").and_then(Json::as_str).unwrap_or_default();
-            assert_eq!(err, format!("invalid job: {says}"), "{tone}");
+            assert_eq!(err, format!("invalid job: {says}"), "{line}");
         }
-        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"ping"}"#, &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(engine.totals().jobs, 0, "no refused job reached the engine");
+        assert_eq!(
+            shared.engine.totals().jobs,
+            0,
+            "no refused job reached the engine"
+        );
     }
 
     #[test]
     fn shutdown_is_refused_unless_explicitly_allowed() {
-        let engine = test_engine();
-        let sup = Supervision {
-            allow_remote_shutdown: false,
-            ..test_supervision()
-        };
-        let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &engine, &sup);
+        let shared = shared_with(test_engine(), ServerConfig::default());
+        let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &shared);
         assert!(!stop, "gated shutdown must not stop the server");
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
@@ -1069,24 +914,19 @@ mod tests {
             Some("shutdown disabled")
         );
         // The connection (and server) keep serving afterwards.
-        let (r, stop) = handle_line(r#"{"cmd":"ping"}"#, &engine, &sup);
+        let (r, stop) = handle_line(r#"{"cmd":"ping"}"#, &shared);
         assert!(!stop);
         assert_eq!(r.get("pong").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn run_command_round_trips_a_canonical_job() {
-        let engine = test_engine();
-        let sup = test_supervision();
+        let shared = test_shared(test_engine());
         let job = Job {
             seed: 5,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let request = Json::Obj(vec![
-            ("cmd".into(), Json::Str("run".into())),
-            ("job".into(), job.to_json()),
-        ]);
-        let (r, stop) = handle_line(&request.to_text(), &engine, &sup);
+        let (r, stop) = handle_line(&run_frame(job.to_json()), &shared);
         assert!(!stop);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let report = r.get("report").expect("report object");
@@ -1098,7 +938,7 @@ mod tests {
         );
         assert_eq!(report.get("sndr_db").and_then(Json::as_f64), Some(65.0));
 
-        let (r, _) = handle_line(r#"{"cmd":"run"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"run"}"#, &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert!(r
             .get("error")
@@ -1106,21 +946,52 @@ mod tests {
             .is_some_and(|m| m.contains("job")));
     }
 
+    /// The fields readers outside this module depend on: the dispatcher's
+    /// health probe, the readiness probes, the server-count checks of the
+    /// benchmark and the client's report and attestation check.
+    #[test]
+    fn the_wire_fields_outside_readers_depend_on_are_present() {
+        let shared = test_shared(test_engine());
+        let (r, _) = handle_line(&run_line(|j| j.seed = 3), &shared);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        assert!(r.get("report").and_then(|x| x.get("key")).is_some());
+        assert_eq!(
+            r.get("attest").and_then(Json::as_str).map(str::len),
+            Some(16)
+        );
+
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
+        let health = r.get("health").expect("health object");
+        assert_eq!(
+            health.get("fingerprint").and_then(Json::as_str),
+            Some(tdsigma_core::engine_fingerprint())
+        );
+        assert_eq!(health.get("workers").and_then(Json::as_u64), Some(2));
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert!(health.get("uptime_ms").and_then(Json::as_u64).is_some());
+        assert_eq!(health.get("served_jobs").and_then(Json::as_u64), Some(1));
+
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &shared);
+        assert_eq!(r.get("ready").and_then(Json::as_bool), Some(true));
+
+        // A second ask of the same job is a cache hit, not an execution.
+        handle_line(&run_line(|j| j.seed = 3), &shared);
+        let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &shared);
+        let stats = r.get("stats").expect("stats object");
+        assert_eq!(stats.get("executed").and_then(Json::as_u64), Some(1));
+        assert_eq!(stats.get("cache_hits").and_then(Json::as_u64), Some(1));
+    }
+
     #[test]
     fn stats_and_health_expose_uptime_and_served_jobs() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}"#,
-            &engine,
-            &sup,
-        );
+        let shared = test_shared(test_engine());
+        let (r, _) = handle_line(&run_line(|j| j.seed = 1), &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-        let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &shared);
         let stats = r.get("stats").expect("stats object");
         assert_eq!(stats.get("served_jobs").and_then(Json::as_f64), Some(1.0));
         assert!(stats.get("uptime_ms").and_then(Json::as_f64).is_some());
-        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
         let health = r.get("health").expect("health object");
         assert_eq!(health.get("served_jobs").and_then(Json::as_f64), Some(1.0));
         assert!(health.get("uptime_ms").and_then(Json::as_f64).is_some());
@@ -1128,9 +999,8 @@ mod tests {
 
     #[test]
     fn health_reports_ok_on_an_idle_engine() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        let (r, stop) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let shared = test_shared(test_engine());
+        let (r, stop) = handle_line(r#"{"cmd":"health"}"#, &shared);
         assert!(!stop);
         let health = r.get("health").expect("health object");
         assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
@@ -1147,46 +1017,19 @@ mod tests {
 
     #[test]
     fn health_degrades_and_ready_flips_when_a_worker_stalls() {
-        let runner: Arc<Runner> = Arc::new(|job: &Job| {
-            std::thread::sleep(Duration::from_millis(250));
-            Ok(JobReport {
-                key: job.key(),
-                job: job.clone(),
-                fin_hz: 1e6,
-                sndr_db: 60.0,
-                enob: 9.7,
-                power_mw: None,
-                digital_fraction: None,
-                area_mm2: None,
-                fom_fj: None,
-                timing_slack_ps: None,
-            })
-        });
-        let engine = Arc::new(
-            Engine::with_runner(
-                EngineConfig {
-                    pool: PoolConfig {
-                        workers: 1,
-                        retries: 0,
-                        ..PoolConfig::default()
-                    },
-                    cache_dir: None,
-                    faults: Default::default(),
-                },
-                runner,
-            )
-            .unwrap(),
+        let engine = engine_with(1, FaultPlan::none(), Duration::from_millis(250));
+        let shared = shared_with(
+            Arc::clone(&engine),
+            ServerConfig {
+                stall_threshold_ms: 50,
+                ..ServerConfig::default()
+            },
         );
-        let sup = Supervision {
-            stall_threshold_ms: 50,
-            ..test_supervision()
-        };
         // Park the single worker in a slow job, then watch it trip the
         // 50 ms watchdog while still running.
-        let engine2 = Arc::clone(&engine);
-        let bg = thread::spawn(move || engine2.submit_one(&Job::sim(40.0, 750e6, 5e6)));
+        let bg = thread::spawn(move || engine.submit_one(&Job::sim(40.0, 750e6, 5e6)));
         std::thread::sleep(Duration::from_millis(150));
-        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
         let health = r.get("health").expect("health object");
         assert_eq!(
             health.get("status").and_then(Json::as_str),
@@ -1196,7 +1039,7 @@ mod tests {
             health.get("stalled_workers").and_then(Json::as_f64),
             Some(1.0)
         );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &shared);
         assert_eq!(r.get("ready").and_then(Json::as_bool), Some(false));
         assert!(r
             .get("reason")
@@ -1205,26 +1048,28 @@ mod tests {
         bg.join().unwrap().unwrap();
         // Recovered: back to ok/ready.
         std::thread::sleep(Duration::from_millis(20));
-        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
         assert_eq!(
             r.get("health")
                 .and_then(|h| h.get("status"))
                 .and_then(Json::as_str),
             Some("ok")
         );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &shared);
         assert_eq!(r.get("ready").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn ready_reports_connection_pressure() {
-        let engine = test_engine();
-        let sup = Supervision {
-            active: Arc::new(AtomicUsize::new(2)),
-            max_connections: 2,
-            ..test_supervision()
-        };
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
+        let shared = shared_with(
+            test_engine(),
+            ServerConfig {
+                max_connections: 2,
+                ..ServerConfig::default()
+            },
+        );
+        shared.active.store(2, Ordering::SeqCst);
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &shared);
         assert_eq!(r.get("ready").and_then(Json::as_bool), Some(false));
         assert!(r
             .get("reason")
@@ -1234,18 +1079,18 @@ mod tests {
 
     #[test]
     fn shedding_trips_on_queue_depth_and_reports_retry_after() {
-        let engine = test_engine();
-        let sup = Supervision {
-            admission: Arc::new(Admission::new(&ServerConfig {
+        let shared = shared_with(
+            test_engine(),
+            ServerConfig {
                 max_queue_per_worker: 1,
                 ..ServerConfig::default()
-            })),
-            ..test_supervision()
-        };
+            },
+        );
+        let admission = &shared.admission;
         // Fill the admission window by hand: 2 workers × 1 = 2 slots.
-        let t1 = sup.admission.admit(2, 0).unwrap();
-        let _t2 = sup.admission.admit(2, 0).unwrap();
-        let shed = match sup.admission.admit(2, 0) {
+        let t1 = admission.admit(2, 0).unwrap();
+        let _t2 = admission.admit(2, 0).unwrap();
+        let shed = match admission.admit(2, 0) {
             Err(r) => r,
             Ok(_) => panic!("third request must be shed"),
         };
@@ -1258,17 +1103,13 @@ mod tests {
             Some(50),
             "no samples: the floor of the clamp"
         );
-        assert_eq!(sup.admission.shed.load(Ordering::Relaxed), 1);
+        assert_eq!(admission.shed.load(Ordering::Relaxed), 1);
         // With every worker stalled, even an empty queue sheds.
         drop(t1);
-        let stalled = sup.admission.admit(2, 2);
+        let stalled = admission.admit(2, 2);
         assert!(stalled.is_err(), "a fully stalled pool must shed");
         // Through the wire-level path the rejection reaches the client.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}"#,
-            &engine,
-            &sup,
-        );
+        let (r, _) = handle_line(&run_line(|j| j.seed = 1), &shared);
         assert_eq!(
             r.get("ok").and_then(Json::as_bool),
             Some(true),
@@ -1279,34 +1120,38 @@ mod tests {
 
     #[test]
     fn health_reports_admission_counters() {
-        let engine = test_engine();
-        let sup = test_supervision();
+        let shared = test_shared(test_engine());
         // A fully stalled pool sheds even an empty queue.
-        sup.admission
-            .admit(engine.workers(), engine.workers())
-            .unwrap_err();
-        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let workers = shared.engine.workers();
+        shared.admission.admit(workers, workers).unwrap_err();
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
         let health = r.get("health").expect("health object");
         assert_eq!(health.get("queue_depth").and_then(Json::as_f64), Some(0.0));
         assert_eq!(health.get("shed").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]
-    fn client_and_deadline_fields_are_unknown_request_fields() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        for extra in [r#""client":"alice""#, r#""deadline_ms":60000"#] {
-            let line = format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,{extra}}}"#);
-            let (r, _) = handle_line(&line, &engine, &sup);
+    fn client_and_deadline_keys_in_a_run_job_are_refused() {
+        let shared = test_shared(test_engine());
+        for (key, value) in [
+            ("client", Json::Str("alice".into())),
+            ("deadline_ms", Json::Num(60_000.0)),
+        ] {
+            let Json::Obj(mut fields) = Job::sim(40.0, 750e6, 5e6).to_json() else {
+                unreachable!("a job is an object")
+            };
+            fields.push((key.into(), value));
+            let (r, _) = handle_line(&run_frame(Json::Obj(fields)), &shared);
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
             assert!(
                 r.get("error")
                     .and_then(Json::as_str)
-                    .is_some_and(|m| m.contains("unknown request field")),
-                "{extra} must be refused, not ignored: {}",
+                    .is_some_and(|m| m.contains(&format!("unknown job field {key:?}"))),
+                "{key} must be refused, not ignored: {}",
                 r.to_text()
             );
         }
+        assert_eq!(shared.engine.totals().jobs, 0);
     }
 
     #[test]
@@ -1391,7 +1236,7 @@ mod tests {
 
         let pong = ask(r#"{"cmd":"ping"}"#);
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
-        let report = ask(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":4}"#);
+        let report = ask(&run_line(|j| j.seed = 4));
         assert_eq!(
             report
                 .get("report")
@@ -1416,19 +1261,18 @@ mod tests {
 
     #[test]
     fn health_ready_and_stats_advertise_the_engine_fingerprint() {
-        let engine = test_engine();
-        let sup = test_supervision();
+        let shared = test_shared(test_engine());
         let ours = tdsigma_core::engine_fingerprint();
-        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &shared);
         assert_eq!(
             r.get("health")
                 .and_then(|h| h.get("fingerprint"))
                 .and_then(Json::as_str),
             Some(ours)
         );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &shared);
         assert_eq!(r.get("fingerprint").and_then(Json::as_str), Some(ours));
-        let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &engine, &sup);
+        let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &shared);
         assert_eq!(
             r.get("stats")
                 .and_then(|s| s.get("fingerprint"))
@@ -1467,21 +1311,17 @@ mod tests {
 
     #[test]
     fn lying_backend_fault_perturbs_values_but_keeps_key_and_attestation() {
-        let engine = test_engine_with_faults(FaultPlan {
+        let faults = FaultPlan {
             seed: 83,
             lying_backend_permille: 1000,
             ..FaultPlan::none()
-        });
-        let sup = test_supervision();
+        };
+        let shared = test_shared(engine_with(2, faults, Duration::ZERO));
         let job = Job {
             seed: 5,
             ..Job::sim(40.0, 750e6, 5e6)
         };
-        let request = Json::Obj(vec![
-            ("cmd".into(), Json::Str("run".into())),
-            ("job".into(), job.to_json()),
-        ]);
-        let (r, _) = handle_line(&request.to_text(), &engine, &sup);
+        let (r, _) = handle_line(&run_frame(job.to_json()), &shared);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let report_json = r.get("report").expect("report object");
         assert_eq!(

@@ -122,14 +122,21 @@ fn serve_answers_concurrent_clients_and_rejects_garbage() {
         .map(|seed| {
             std::thread::spawn(move || {
                 let line = format!(
-                    r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,"slices":2,"samples":2048,"steps":4,"seed":{seed}}}"#
+                    r#"{{"cmd":"run","job":{}}}"#,
+                    quick_job(seed).to_json().to_text()
                 );
                 let mut stream = TcpStream::connect(addr).expect("connect");
                 writeln!(stream, "{line}").expect("send");
                 let mut response = String::new();
-                BufReader::new(stream).read_line(&mut response).expect("receive");
+                BufReader::new(stream)
+                    .read_line(&mut response)
+                    .expect("receive");
                 let v = Json::parse(response.trim()).expect("well-formed JSON response");
-                assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{response}");
+                assert_eq!(
+                    v.get("ok").and_then(Json::as_bool),
+                    Some(true),
+                    "{response}"
+                );
                 let sndr = v
                     .get("report")
                     .and_then(|r| r.get("sndr_db"))
@@ -162,6 +169,7 @@ fn serve_answers_concurrent_clients_and_rejects_garbage() {
     let err = request("not even json".to_string());
     assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
     assert!(err.get("error").and_then(Json::as_str).is_some());
+    // So does a frame without a command.
     let err = request(r#"{"node":40}"#.to_string());
     assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
 

@@ -57,10 +57,12 @@
 //! and optimize) prints the planned jobs and predicted cache hits
 //! without executing anything.
 //!
-//! `serve` exposes the same engine over TCP — one JSON job request per
-//! line in, one JSON report per line out (see `crates/jobs/src/server.rs`
-//! or README for the protocol). The protocol `shutdown` command is
-//! refused unless the server was started with `--allow-remote-shutdown`.
+//! `serve` exposes the same engine over TCP — one JSON command per line
+//! in, one JSON response per line out; a job arrives as
+//! `{"cmd":"run","job":…}` in the Hz-units form sweeps journal (see
+//! `crates/jobs/src/server.rs` or README for the protocol). The
+//! protocol `shutdown` command is refused unless the server was started
+//! with `--allow-remote-shutdown`.
 //! Admission control is two gates: `--max-connections` bounds threads,
 //! and `--max-queue` sheds job requests once the in-flight backlog
 //! outgrows the live workers, with a structured rejection carrying a
@@ -121,13 +123,19 @@ fn main() -> ExitCode {
             }
         }
     };
-    match args.first().map(String::as_str) {
-        Some("design") => dispatch(&args[1..], DESIGN_FLAGS, run_design),
-        Some("sweep") => dispatch(&args[1..], SWEEP_FLAGS, run_sweep),
-        Some("optimize") => dispatch(&args[1..], OPTIMIZE_FLAGS, run_optimize),
-        Some("serve") => dispatch(&args[1..], SERVE_FLAGS, run_serve),
-        Some("cache") => run_cache(&args[1..]),
-        Some("nodes") => {
+    let command = args.first().map_or("help", String::as_str);
+    // `--help` anywhere, `tdsigma sweep --help` included, asks for usage.
+    if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        print_help();
+        return ExitCode::SUCCESS;
+    }
+    match command {
+        "design" => dispatch(&args[1..], DESIGN_FLAGS, run_design),
+        "sweep" => dispatch(&args[1..], SWEEP_FLAGS, run_sweep),
+        "optimize" => dispatch(&args[1..], OPTIMIZE_FLAGS, run_optimize),
+        "serve" => dispatch(&args[1..], SERVE_FLAGS, run_serve),
+        "cache" => run_cache(&args[1..]),
+        "nodes" => {
             println!("supported technology nodes:");
             for id in NodeId::ALL {
                 let t = Technology::for_node(id).expect("built-in node");
@@ -135,15 +143,11 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print_help();
-            ExitCode::SUCCESS
-        }
-        Some("version") | Some("--version") | Some("-V") => {
+        "version" | "--version" | "-V" => {
             println!("tdsigma {}", env!("CARGO_PKG_VERSION"));
             ExitCode::SUCCESS
         }
-        Some(other) => {
+        other => {
             eprintln!("unknown command: {other}\n");
             print_help();
             ExitCode::FAILURE
@@ -204,6 +208,9 @@ fn print_help() {
     println!("  finished by `tdsigma optimize --resume ID` through the result cache.");
     println!("DRY RUN: `--dry-run` (sweep and optimize) prints the planned jobs and");
     println!("  predicted cache hits vs misses, then exits without executing anything.");
+    println!("SERVE PROTOCOL: one JSON command per line. {{\"cmd\":\"run\",\"job\":JOB}} runs");
+    println!("  a job given in the Hz-units form `sweep` journals (the `example:` line");
+    println!("  serve prints); ping, stats, health, ready and shutdown take no job.");
     println!("OVERLOAD: serve caps connections (`--max-connections`) and sheds job");
     println!("  requests beyond `--max-queue` per live worker with structured busy");
     println!("  rejections carrying retry_after_ms, which sweep clients honour as a");
@@ -786,8 +793,8 @@ fn preview(flags: &Flags, jobs: &[Job]) -> Result<PlanPreview, Box<dyn std::erro
     let cache = if flags.switch("no-cache") {
         None
     } else {
-        // Opening the cache read-classifies only; `contains` never
-        // parses or rejects artifacts.
+        // `contains` checks each artifact as the run would, but never
+        // moves, counts or promotes one.
         Some(ResultCache::with_disk(
             flags.str("cache-dir", "results/cache"),
         )?)
@@ -1333,8 +1340,15 @@ fn run_serve(flags: &Flags) -> Outcome {
             .map_or("memory only".to_string(), |d| d.display().to_string()),
         config.max_connections,
     );
-    println!("protocol: one JSON job request per line, one JSON report per line back");
-    println!(r#"example: {{"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}}"#);
+    println!("protocol: one JSON command per line, one JSON response per line back");
+    println!(
+        "example: {}",
+        Json::Obj(vec![
+            ("cmd".into(), Json::Str("run".into())),
+            ("job".into(), Job::sim(40.0, 750e6, 5e6).to_json()),
+        ])
+        .to_text()
+    );
     println!(r#"supervision: {{"cmd":"health"}} and {{"cmd":"ready"}} report liveness"#);
     match config.max_queue_per_worker {
         0 => println!("admission: open (no queue cap)"),

@@ -17,13 +17,23 @@ fn help_prints_usage() {
 
 #[test]
 fn help_flag_spellings_all_work() {
-    for flag in ["--help", "-h"] {
-        let out = Command::new(bin()).arg(flag).output().expect("runs");
-        assert!(out.status.success(), "{flag}");
+    let rows: [&[&str]; 8] = [
+        &["--help"],
+        &["-h"],
+        &["design", "--help"],
+        &["sweep", "--help"],
+        &["optimize", "-h"],
+        &["serve", "--help"],
+        &["cache", "--help"],
+        &["nodes", "--help"],
+    ];
+    for args in rows {
+        let out = Command::new(bin()).args(args).output().expect("runs");
+        assert!(out.status.success(), "{args:?}");
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("USAGE"), "{flag}");
-        assert!(text.contains("sweep"), "{flag}");
-        assert!(text.contains("serve"), "{flag}");
+        assert!(text.contains("USAGE"), "{args:?}");
+        assert!(text.contains("sweep"), "{args:?}");
+        assert!(text.contains("serve"), "{args:?}");
     }
 }
 

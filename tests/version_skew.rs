@@ -255,6 +255,15 @@ fn resume_across_an_engine_change(command: &str) {
         stderr.contains("across an engine change"),
         "{command}: the force path must still warn: {stderr}"
     );
+    // The banner counts what the run will replay, not what is on disk.
+    let done = stdout
+        .lines()
+        .find(|l| l.starts_with("resuming "))
+        .unwrap_or_default();
+    assert!(
+        done.contains(": 0 of "),
+        "{command}: foreign artifacts are not cached work: {done:?}"
+    );
     assert_eq!(
         metric(&stdout, "cache"),
         0,
