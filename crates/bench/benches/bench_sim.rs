@@ -3,6 +3,12 @@
 //! source, the raw normal sampler, and the single-run transient +
 //! spectrum path a design-space evaluation pays per candidate.
 //!
+//! The throughput, noise and substep cases time the metered kernel
+//! (`run_tone_metered`, what a flow's power estimate needs), and
+//! `adc_sim_codes_40nm_2048cyc` the codes-only one (`run_tone`) beside
+//! `adc_sim_run_tone_40nm_2048cyc`. The transient + spectrum cases take
+//! the path of a sim-kind evaluation, which is codes-only.
+//!
 //! `cargo bench --bench bench_sim -- --save ../../BENCH_sim.json`
 //! refreshes the checked-in baseline and `-- --compare
 //! ../../BENCH_sim.json` gates the current build against it (paths are
@@ -26,9 +32,14 @@ fn main() {
     ] {
         runner.bench(&format!("adc_sim_run_tone_{label}_{cycles}cyc"), || {
             let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
-            black_box(sim.run_tone(1e6, 0.1, cycles))
+            black_box(sim.run_tone_metered(1e6, 0.1, cycles))
         });
     }
+    let spec = AdcSpec::paper_40nm().expect("spec");
+    runner.bench(&format!("adc_sim_codes_40nm_{cycles}cyc"), || {
+        let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
+        black_box(sim.run_tone(1e6, 0.1, cycles))
+    });
 
     // Two corners of the optimizer's search at 40 nm: one slice, where
     // the fixed cost of a step (the input tone's `sin`, the clock, the
@@ -47,7 +58,7 @@ fn main() {
         let name = format!("adc_sim_run_tone_40nm_{label}_{cycles}cyc");
         runner.bench(&name, || {
             let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
-            black_box(sim.run_tone(1e6, 0.1, cycles))
+            black_box(sim.run_tone_metered(1e6, 0.1, cycles))
         });
     }
 
@@ -69,7 +80,7 @@ fn main() {
     ] {
         runner.bench(&format!("adc_sim_{label}_40nm_{cycles}cyc"), || {
             let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
-            black_box(sim.run_tone(1e6, 0.1, cycles))
+            black_box(sim.run_tone_metered(1e6, 0.1, cycles))
         });
     }
 
@@ -88,7 +99,7 @@ fn main() {
         spec.steps_per_cycle = steps;
         runner.bench(&format!("adc_sim_substeps_{steps}"), || {
             let mut sim = AdcSimulator::new(spec.clone()).expect("simulator");
-            black_box(sim.run_tone(1e6, 0.1, 512))
+            black_box(sim.run_tone_metered(1e6, 0.1, 512))
         });
     }
 

@@ -4,7 +4,7 @@
 //!
 //! For 3 seeds × 2 paper nodes, and for the corners off the 40 nm point
 //! that `golden.rs` lists (slice count, stages, loop gain, steps per
-//! cycle, noise off), it runs a tone capture and prints one line per
+//! cycle, noise off), it runs a metered tone capture and prints one line per
 //! case: FNV-1a checksums over the output-word bit patterns
 //! and the slice codes, every integer activity counter, and the bit
 //! patterns of the float accumulators. Any engine change that alters a
@@ -71,12 +71,11 @@ fn main() {
         let fin = 11.0 * spec.fs_hz / n as f64;
         let amp = 0.79 * spec.full_scale_v();
         let mut sim = AdcSimulator::new(spec).expect("sim");
-        let cap = sim.run_tone(fin, amp, n);
+        let (cap, a) = sim.run_tone_metered(fin, amp, n);
         let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
         let code_sum = fnv1a(cap.slice_codes.iter().copied());
         let psd = cap.spectrum(Window::Hann);
         let psd_sum = fnv1a(psd.powers().iter().flat_map(|v| v.to_bits().to_le_bytes()));
-        let a = &cap.activity;
         println!(
             "{label} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
              spectrum={psd_sum:016x} vco={} clk={} dac={} d={} cmp={} \

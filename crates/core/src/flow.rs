@@ -215,14 +215,15 @@ impl DesignFlow {
         Ok((self.electrical(&summary)?.report, summary))
     }
 
-    /// Steps 4 and 5: the post-layout transient, then power and the
-    /// Table-3 row.
+    /// Steps 4 and 5: the post-layout transient, metered, then power and
+    /// the Table-3 row.
     fn electrical(&self, physical: &PhysicalSummary) -> Result<Electrical, CoreError> {
-        let (capture, analysis) = self.simulate(physical)?;
+        let (capture, activity) = self.transient(physical, AdcSimulator::run_tone_metered)?;
+        let analysis = analyze(&capture, self.spec.bw_hz);
         let _span = obs::span("flow.power_report");
         let power = estimate(
             &self.spec,
-            &capture.activity,
+            &activity,
             physical.wire_cap_f,
             physical.leakage_nw,
         );
@@ -243,10 +244,11 @@ impl DesignFlow {
         })
     }
 
-    /// Step 4 of [`Self::run`]: the post-layout transient of this flow's
-    /// input tone on a physical design, and its single-tone analysis (the
-    /// transient itself is spanned as `flow.transient` inside the
-    /// simulator, spectrum and tone metrics inside the capture analysis).
+    /// Step 4 of [`Self::run`] without the power: the post-layout
+    /// transient of this flow's input tone on a physical design, and its
+    /// single-tone analysis (the transient itself is spanned as
+    /// `flow.transient` inside the simulator, spectrum and tone metrics
+    /// inside the capture analysis).
     ///
     /// The simulator reads only the spec and the extracted VCTRL
     /// capacitance of the summary, and the amplitude and input frequency
@@ -254,7 +256,8 @@ impl DesignFlow {
     /// flow with the same [`PhysicalKey`], this returns bit for bit the
     /// capture and analysis of a fresh `run()` with this flow's amplitude,
     /// frequency and capture length, without repeating netlist
-    /// generation, APR and timing.
+    /// generation, APR and timing. It counts no switching activity
+    /// ([`AdcSimulator::run`]).
     ///
     /// # Errors
     ///
@@ -263,18 +266,36 @@ impl DesignFlow {
         &self,
         physical: &PhysicalSummary,
     ) -> Result<(SimCapture, ToneAnalysis), CoreError> {
-        let mut sim =
-            AdcSimulator::with_parasitics(self.spec.clone(), VctrlCap(physical.vctrl_cap_f))?;
-        let fin = self.input_frequency_hz();
-        let amplitude = self.amplitude_rel * self.spec.full_scale_v();
-        let capture = sim.run_tone(fin, amplitude, self.sim_samples);
-        // Sweep/optimizer loops run many flows per worker thread; the
-        // thread-local scratch makes every analysis after the first
-        // allocation-free (bit-identical — see `SpectrumScratch`).
-        let analysis =
-            DSP_SCRATCH.with(|s| capture.analyze_with(self.spec.bw_hz, &mut s.borrow_mut()));
+        let capture = self.transient(physical, AdcSimulator::run_tone)?;
+        let analysis = analyze(&capture, self.spec.bw_hz);
         Ok((capture, analysis))
     }
+
+    /// The post-layout transient of this flow's tone on `physical`,
+    /// taken by `run` (`AdcSimulator::run_tone` or `run_tone_metered`).
+    fn transient<T>(
+        &self,
+        physical: &PhysicalSummary,
+        run: impl FnOnce(&mut AdcSimulator, f64, f64, usize) -> T,
+    ) -> Result<T, CoreError> {
+        let mut sim =
+            AdcSimulator::with_parasitics(self.spec.clone(), VctrlCap(physical.vctrl_cap_f))?;
+        let amplitude = self.amplitude_rel * self.spec.full_scale_v();
+        Ok(run(
+            &mut sim,
+            self.input_frequency_hz(),
+            amplitude,
+            self.sim_samples,
+        ))
+    }
+}
+
+/// The single-tone analysis of a flow's capture. Sweep/optimizer loops
+/// run many flows per worker thread; the thread-local scratch makes every
+/// analysis after the first allocation-free (bit-identical — see
+/// `SpectrumScratch`).
+fn analyze(capture: &SimCapture, bw_hz: f64) -> ToneAnalysis {
+    DSP_SCRATCH.with(|s| capture.analyze_with(bw_hz, &mut s.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -323,12 +344,13 @@ mod tests {
         let bits = |c: &SimCapture| c.output.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(a.0), bits(b.0), "output");
         assert_eq!(a.0.slice_codes, b.0.slice_codes, "slice_codes");
-        assert_eq!(format!("{:?}", a.0.activity), format!("{:?}", b.0.activity));
         assert_eq!(format!("{:?}", a.1), format!("{:?}", b.1));
     }
 
     #[test]
     fn simulate_on_an_existing_layout_is_exactly_a_fresh_run() {
+        // `run()` meters its transient and `simulate` does not, so this
+        // also holds the codes-only kernel to the metered one.
         let outcome = quick_flow().run().unwrap();
         let (capture, analysis) = quick_flow().simulate(&outcome.physical).unwrap();
         assert_same_capture((&capture, &analysis), (&outcome.capture, &outcome.analysis));

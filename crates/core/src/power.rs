@@ -195,7 +195,7 @@ mod tests {
         let mut s = spec.clone();
         s.steps_per_cycle = 8;
         let mut sim = AdcSimulator::new(s).unwrap();
-        sim.run(|_| 0.0, 1024).activity
+        sim.run_metered(|_| 0.0, 1024).1
     }
 
     #[test]

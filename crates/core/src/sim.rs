@@ -27,13 +27,24 @@
 //! passes over the slices, so that no data-dependent branch sits in the
 //! divide-heavy arithmetic:
 //!
-//! 1. **Nodes and VCOs**, straight-line: both summing nodes, the slice's
-//!    resistor power `P_p + P_n` and both VCO phases, as `[P, N]` pairs,
-//!    writing the power and each phase increment to per-slice scratch.
-//! 2. **Energy**: the powers summed serially in slice order.
-//! 3. **Edge tracking**: each VCO's tap-0 level, counted as data flow.
+//! 1. **Nodes and VCOs**, straight-line: both summing nodes and both VCO
+//!    phases, as `[P, N]` pairs; a metered run also computes the slice's
+//!    resistor power `P_p + P_n` and writes it and each phase increment
+//!    to per-slice scratch.
+//! 2. **Energy** (metered runs only): the powers summed serially in slice
+//!    order.
+//! 3. **Edge tracking** (metered runs only): each VCO's tap-0 level,
+//!    counted as data flow.
 //! 4. **Quantizer**, on a rising clock edge only: the SAFF decisions and
-//!    slice codes; on a falling edge, the retimed DAC update.
+//!    slice codes; on a falling edge, the retimed DAC update. A
+//!    codes-only run first brings each VCO's level tracker up to the
+//!    current phase, once per cycle instead of once per step.
+//!
+//! One kernel body serves both kinds of run: [`AdcSimulator::run`] keeps
+//! only the codes, [`AdcSimulator::run_metered`] also the switching
+//! [`Activity`] the power model reads. The skipped passes draw nothing
+//! from the RNG and feed nothing back into the loop, so both return the
+//! same codes (DESIGN §14, "Counters only where they are read").
 //!
 //! The passes do the scalar reference engine's floating-point operations
 //! in the same order, and consume the RNG stream in the contract order
@@ -176,7 +187,9 @@ impl PhaseWrap {
     }
 
     /// Level of `phase`, where `inc` is the realized float increment
-    /// from the previously passed phase (`ph_new - ph_old`).
+    /// from the previously passed phase (`ph_new - ph_old`). The calls
+    /// may come once per step or once per clock cycle: any sequence of
+    /// increments works, because the exact increments telescope.
     ///
     /// Branch-light: the wrap into `[0, 2π)` is a select, and both
     /// safe-zone tests and the `|inc| < 2π` guard combine with `&`/`|`
@@ -185,10 +198,12 @@ impl PhaseWrap {
     /// stored state.
     #[inline]
     fn level(&mut self, phase: f64, inc: f64) -> bool {
-        // Per-step error growth: the realized-increment subtraction and
-        // the remainder addition each round to ≤½ ulp of an O(2π)
-        // quantity; 1e-15 over-covers both.
-        let e = self.err + 1e-15;
+        // Per-call error growth, for any `|inc| < 2π`: the increment
+        // subtraction rounds by ≤ ½ ulp of `|inc|` (≤ 4.5e-16), the
+        // remainder addition by ≤ ½ ulp of a sum below 4π (≤ 8.9e-16),
+        // and the wrap adds ≤ 4.5e-16 only where that sum is below π in
+        // size; 1.5e-15 covers the worst total, 1.34e-15.
+        let e = self.err + 1.5e-15;
         let r = wrap_once(self.rem + inc);
         // Margin: doubled bound plus a flat guard so the threshold
         // arithmetic's own rounding can never un-conservative us.
@@ -270,8 +285,9 @@ const CLIP_HI: (f64, f64) = (0.339_836_909_454_121_9, 2.801_755_744_135_671_3);
 /// Where `3·sin x` sits at or below −1: `[π + asin ⅓, 2π − asin ⅓]`.
 const CLIP_LO: (f64, f64) = (3.481_429_563_043_915_4, 5.943_348_397_725_464);
 
-/// Switching-activity counters accumulated during a run (the inputs to the
-/// power model).
+/// Switching-activity counters of one metered run (the inputs to the
+/// power model). Every field counts that run alone, so two runs of `n`
+/// cycles on one simulator describe the same power as one run of `2n`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Activity {
     /// Total VCO output transitions across all VCOs.
@@ -303,8 +319,6 @@ pub struct SimCapture {
     pub n_slices: usize,
     /// Quantizer taps per slice (= VCO stages).
     pub taps_per_slice: usize,
-    /// Activity counters for the power model.
-    pub activity: Activity,
 }
 
 impl SimCapture {
@@ -441,26 +455,25 @@ pub struct AdcSimulator {
     phase: Vec<[f64; 2]>,
     /// Mismatch-shifted centre frequencies `f0·(1+δ)`.
     fbase: Vec<[f64; 2]>,
-    /// Tap-0 logic level (edge-count bookkeeping).
+    /// Tap-0 logic level (edge-count bookkeeping), current at the end of
+    /// every run.
     vco_level: Vec<[bool; 2]>,
-    /// Incremental `rem_euclid(2π)` trackers for the level predicate.
+    /// Incremental `rem_euclid(2π)` trackers for the level predicate,
+    /// synced to `phase` at the end of every run.
     wrap: Vec<[PhaseWrap; 2]>,
     /// Phase offset of each quantizer tap, `π·tap/stages`.
     tap_offset: Vec<f64>,
     /// Per-step noise draws in contract order (`nodeP, nodeN, vcoP,
     /// vcoN` per slice, absent sources skipped), reused every step.
     z: Vec<f64>,
-    /// Per-step scratch between the passes: each slice's resistor
-    /// power `P_p + P_n`, and each VCO's realized phase increment.
+    /// Per-step scratch between the passes of a metered run: each
+    /// slice's resistor power `P_p + P_n`, and each VCO's realized phase
+    /// increment.
     power: Vec<f64>,
     phase_inc: Vec<[f64; 2]>,
     // --- per-slice digital state (length N).
     code: Vec<u8>,
     dac_code: Vec<u8>,
-    // --- activity counters (cumulative since construction).
-    vco_edges: u64,
-    dac_toggles: u64,
-    d_toggles: u64,
     /// SAFFs, flattened `[slice·stages + tap]`, one bank per side.
     cmp_p: Vec<ClockedComparator>,
     cmp_n: Vec<ClockedComparator>,
@@ -690,9 +703,6 @@ impl AdcSimulator {
             phase_inc: vec![[0.0; 2]; n],
             code: vec![0; n],
             dac_code: vec![0; n],
-            vco_edges: 0,
-            dac_toggles: 0,
-            d_toggles: 0,
             cmp_p,
             cmp_n,
             spec,
@@ -729,21 +739,50 @@ impl AdcSimulator {
     /// The first ~64 cycles are a settling prefix and are still recorded;
     /// analyses should use power-of-two captures where the prefix is a
     /// negligible fraction.
+    ///
+    /// The run keeps only the codes: it counts no switching activity. A
+    /// caller that needs power uses [`Self::run_metered`], which returns
+    /// the same capture bit for bit.
     pub fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> SimCapture {
         let _span = obs::span("flow.transient").attr("samples", n_samples);
         self.run_unspanned(input, n_samples)
     }
 
+    /// [`Self::run`] plus the run's switching [`Activity`], the input of
+    /// [`crate::power::estimate`]. The counters cover this run alone.
+    pub fn run_metered<F: Fn(f64) -> f64>(
+        &mut self,
+        input: F,
+        n_samples: usize,
+    ) -> (SimCapture, Activity) {
+        let _span = obs::span("flow.transient").attr("samples", n_samples);
+        self.transient::<true, F>(input, n_samples)
+    }
+
     /// [`Self::run`] outside the `flow.transient` span (see
-    /// [`SimCapture::analyze_unspanned`]). Never inlined, so a
-    /// [`tone`] run outside the span executes the same machine code as
-    /// every `run_tone` inside it.
-    #[inline(never)]
+    /// [`SimCapture::analyze_unspanned`]).
     pub(crate) fn run_unspanned<F: Fn(f64) -> f64>(
         &mut self,
         input: F,
         n_samples: usize,
     ) -> SimCapture {
+        self.transient::<false, F>(input, n_samples).0
+    }
+
+    /// The transient kernel. `METER` keeps the switching activity: the
+    /// resistor energy (passes 1–2) and the per-step VCO edge tracking
+    /// (pass 3). Without it those passes are compiled out, each VCO's
+    /// level tracker is synced once per cycle, just before the quantizer
+    /// reads it, and the returned [`Activity`] is all zeros.
+    ///
+    /// Never inlined, so a [`tone`] run outside the `flow.transient`
+    /// span executes the same machine code as every `run_tone` inside it.
+    #[inline(never)]
+    fn transient<const METER: bool, F: Fn(f64) -> f64>(
+        &mut self,
+        input: F,
+        n_samples: usize,
+    ) -> (SimCapture, Activity) {
         // Borrow-split the SoA state into locals once, so the hot loops
         // below index plain slices.
         let Self {
@@ -774,9 +813,6 @@ impl AdcSimulator {
             phase_inc,
             code,
             dac_code,
-            vco_edges,
-            dac_toggles,
-            d_toggles,
             cmp_p,
             cmp_n,
             ..
@@ -825,9 +861,15 @@ impl AdcSimulator {
         );
         let (wrap, vco_level) = (&mut wrap[..n], &mut vco_level[..n]);
         let (code, dac_code) = (&mut code[..n], &mut dac_code[..n]);
-        // This run's counts, kept in registers and added to the
-        // cumulative counters once at the end.
+        // This run's counts, kept in registers.
         let (mut edges, mut bit_toggles, mut dac_steps) = (0u64, 0u64, 0u64);
+        let decisions = |cmp_p: &[ClockedComparator], cmp_n: &[ClockedComparator]| -> u64 {
+            cmp_p.iter().chain(cmp_n).map(|c| c.decision_count()).sum()
+        };
+        let decisions_before = if METER { decisions(cmp_p, cmp_n) } else { 0 };
+        // Without `METER`, the phase each level tracker last saw: every
+        // run leaves the trackers synced, so that is the current phase.
+        let mut synced = if METER { Vec::new() } else { phase.to_vec() };
 
         while output.len() < n_samples {
             step += 1;
@@ -838,9 +880,10 @@ impl AdcSimulator {
 
             // Pass 1, nodes and VCOs, straight-line per slice: both nodes
             // (exact exponential RC update toward the conductance-
-            // weighted target, discretised OU thermal noise), the
-            // slice's resistor power, then both VCOs (dφ = 2π·f·dt with
-            // white-FM noise on f). A side's VCO reads only its own node.
+            // weighted target, discretised OU thermal noise), when
+            // metered the slice's resistor power, then both VCOs
+            // (dφ = 2π·f·dt with white-FM noise on f). A side's VCO reads
+            // only its own node.
             // The P and N lanes run side by side, so each pair of
             // divisions can issue as one packed divide; nothing here
             // branches on data.
@@ -854,12 +897,14 @@ impl AdcSimulator {
                     v = [0, 1].map(|s| v[s] + zi[s] * sigma[s]);
                 }
                 node_v[i] = v;
-                let pow = [0, 1].map(|s| {
-                    let dv_in = drives[s] - v[s];
-                    let dv_dac = drive[s] - v[s];
-                    dv_in * dv_in / r_in + dv_dac * dv_dac / r_dac[s]
-                });
-                power[i] = pow[0] + pow[1];
+                if METER {
+                    let pow = [0, 1].map(|s| {
+                        let dv_in = drives[s] - v[s];
+                        let dv_dac = drive[s] - v[s];
+                        dv_in * dv_in / r_in + dv_dac * dv_dac / r_dac[s]
+                    });
+                    power[i] = pow[0] + pow[1];
+                }
 
                 let mut f = vco_freq(&fbase[i], &v);
                 if phase_noise {
@@ -868,31 +913,42 @@ impl AdcSimulator {
                 let old = phase[i];
                 let ph = [0, 1].map(|s| old[s] + 2.0 * PI * f[s] * dt);
                 phase[i] = ph;
-                phase_inc[i] = [0, 1].map(|s| ph[s] - old[s]);
+                if METER {
+                    phase_inc[i] = [0, 1].map(|s| ph[s] - old[s]);
+                }
             }
 
-            // Pass 2, the energy: P+N per slice, then ·dt, summed in
-            // slice order — the scalar engine's rounding sequence.
-            for p in power.iter() {
-                resistor_energy += p * dt;
-            }
+            if METER {
+                // Pass 2, the energy: P+N per slice, then ·dt, summed in
+                // slice order — the scalar engine's rounding sequence.
+                for p in power.iter() {
+                    resistor_energy += p * dt;
+                }
 
-            // Pass 3, edge tracking: the tap-0 level of every VCO. The
-            // edge count is data flow, not a branch.
-            for ((w, l), (ph, inc)) in wrap
-                .iter_mut()
-                .zip(vco_level.iter_mut())
-                .zip(phase.iter().zip(phase_inc.iter()))
-            {
-                for s in 0..2 {
-                    let level = w[s].level(ph[s], inc[s]);
-                    edges += u64::from(level != l[s]);
-                    l[s] = level;
+                // Pass 3, edge tracking: the tap-0 level of every VCO.
+                // The edge count is data flow, not a branch.
+                for ((w, l), (ph, inc)) in wrap
+                    .iter_mut()
+                    .zip(vco_level.iter_mut())
+                    .zip(phase.iter().zip(phase_inc.iter()))
+                {
+                    for s in 0..2 {
+                        let level = w[s].level(ph[s], inc[s]);
+                        edges += u64::from(level != l[s]);
+                        l[s] = level;
+                    }
                 }
             }
 
             match clock.advance(dt) {
                 EdgeKind::Rising => {
+                    // The quantizer reads the trackers: bring them up to
+                    // this step's phase. The run ends on the rising edge
+                    // of its last word, so this also leaves trackers and
+                    // levels current for a later metered run.
+                    if !METER {
+                        sync_levels(wrap, vco_level, &mut synced, phase);
+                    }
                     // Pass 4, the quantizer.
                     let mut sum = 0.0;
                     // Clock jitter is common to every SAFF (one clock
@@ -955,37 +1011,63 @@ impl AdcSimulator {
         }
 
         *time_s = start_time + step as f64 * dt;
-        *vco_edges += edges;
-        *d_toggles += bit_toggles;
-        *dac_toggles += dac_steps;
-        let activity = Activity {
-            vco_edges: *vco_edges,
-            clk_cycles: n_samples as u64,
-            dac_toggles: *dac_toggles,
-            d_toggles: *d_toggles,
-            comparator_decisions: cmp_p
-                .iter()
-                .chain(cmp_n.iter())
-                .map(|c| c.decision_count())
-                .sum(),
-            resistor_energy_j: resistor_energy,
-            duration_s: *time_s - start_time,
+        let activity = if METER {
+            Activity {
+                vco_edges: edges,
+                clk_cycles: n_samples as u64,
+                dac_toggles: dac_steps,
+                d_toggles: bit_toggles,
+                comparator_decisions: decisions(cmp_p, cmp_n) - decisions_before,
+                resistor_energy_j: resistor_energy,
+                duration_s: *time_s - start_time,
+            }
+        } else {
+            Activity::default()
         };
 
-        SimCapture {
+        let capture = SimCapture {
             output,
             slice_codes,
             fs_hz: self.spec.fs_hz,
             n_slices: self.spec.n_slices,
             taps_per_slice: self.spec.vco_stages,
-            activity,
-        }
+        };
+        (capture, activity)
     }
 
     /// Convenience: runs a single-tone test at `fin_hz` with differential
     /// amplitude `amplitude_v` for `n_samples` cycles.
     pub fn run_tone(&mut self, fin_hz: f64, amplitude_v: f64, n_samples: usize) -> SimCapture {
         self.run(tone(fin_hz, amplitude_v), n_samples)
+    }
+
+    /// [`Self::run_tone`] plus the run's switching [`Activity`] (see
+    /// [`Self::run_metered`]).
+    pub fn run_tone_metered(
+        &mut self,
+        fin_hz: f64,
+        amplitude_v: f64,
+        n_samples: usize,
+    ) -> (SimCapture, Activity) {
+        self.run_metered(tone(fin_hz, amplitude_v), n_samples)
+    }
+}
+
+/// Brings every VCO's level tracker from the phase it last saw
+/// (`synced`) to `phase` with one [`PhaseWrap::level`] call, and stores
+/// the exact tap-0 levels.
+#[inline]
+fn sync_levels(
+    wrap: &mut [[PhaseWrap; 2]],
+    level: &mut [[bool; 2]],
+    synced: &mut [[f64; 2]],
+    phase: &[[f64; 2]],
+) {
+    for (((w, l), old), ph) in wrap.iter_mut().zip(level).zip(synced).zip(phase) {
+        for s in 0..2 {
+            l[s] = w[s].level(ph[s], ph[s] - old[s]);
+        }
+        *old = *ph;
     }
 }
 
@@ -1130,8 +1212,7 @@ mod tests {
         let spec = quick_spec();
         let mut sim = AdcSimulator::new(spec.clone()).unwrap();
         let n = 1024;
-        let cap = sim.run(|_| 0.0, n);
-        let a = &cap.activity;
+        let (_, a) = sim.run_metered(|_| 0.0, n);
         assert_eq!(a.clk_cycles, n as u64);
         // 16 VCOs at f0 = fs/5 → edges ≈ 16 · 2 · (n/5).
         let expected_edges = 16.0 * 2.0 * n as f64 / 5.0;
@@ -1145,6 +1226,68 @@ mod tests {
         assert!(a.resistor_energy_j > 0.0);
         assert!(a.duration_s > 0.0);
         assert!(a.dac_toggles > 0);
+    }
+
+    /// The integer counters of an [`Activity`].
+    fn counts(a: &Activity) -> [u64; 5] {
+        [
+            a.vco_edges,
+            a.clk_cycles,
+            a.dac_toggles,
+            a.d_toggles,
+            a.comparator_decisions,
+        ]
+    }
+
+    #[test]
+    fn activity_counts_each_run_alone() {
+        // A DC input: two runs then see the same input as one run of
+        // twice the length (a tone's time argument would round
+        // differently across the split).
+        let spec = quick_spec();
+        let vin = 0.3 * spec.full_scale_v();
+        let n = 1024;
+        let mut split = AdcSimulator::new(spec.clone()).unwrap();
+        let (first_cap, first) = split.run_metered(|_| vin, n);
+        let (second_cap, second) = split.run_metered(|_| vin, n);
+        let (whole_cap, whole) = AdcSimulator::new(spec.clone())
+            .unwrap()
+            .run_metered(|_| vin, 2 * n);
+        let sum: Vec<u64> = counts(&first)
+            .iter()
+            .zip(counts(&second))
+            .map(|(a, b)| a + b)
+            .collect();
+        assert_eq!(sum, counts(&whole));
+        assert_eq!(
+            [first_cap.output, second_cap.output].concat(),
+            whole_cap.output
+        );
+        // So the second run describes the same power as the first, not
+        // the counts of both over the time of one.
+        let mw = |a: &Activity| crate::power::estimate(&spec, a, 0.0, 0.0).total_w() * 1e3;
+        let (p1, p2) = (mw(&first), mw(&second));
+        assert!((p2 / p1 - 1.0).abs() < 0.02, "{p1} mW then {p2} mW");
+    }
+
+    #[test]
+    fn codes_only_run_leaves_true_levels_for_a_metered_run() {
+        let spec = quick_spec();
+        let (fin, amp) = (11.0 * spec.fs_hz / 1024.0, 0.79 * spec.full_scale_v());
+        let n = 1024;
+        let mut codes_first = AdcSimulator::new(spec.clone()).unwrap();
+        let mut metered = AdcSimulator::new(spec).unwrap();
+        let a1 = codes_first.run_tone(fin, amp, n);
+        let (b1, _) = metered.run_tone_metered(fin, amp, n);
+        assert_eq!(a1, b1, "codes-only and metered first runs");
+        let (a2, a_act) = codes_first.run_tone_metered(fin, amp, n);
+        let (b2, b_act) = metered.run_tone_metered(fin, amp, n);
+        assert_eq!(a2, b2, "second runs");
+        assert_eq!(format!("{a_act:?}"), format!("{b_act:?}"));
+        assert_eq!(
+            a_act.resistor_energy_j.to_bits(),
+            b_act.resistor_energy_j.to_bits()
+        );
     }
 
     #[test]
@@ -1201,6 +1344,34 @@ mod tests {
                 let expect = phase.rem_euclid(TWO_PI) < PI;
                 assert_eq!(got, expect, "seed {seed} step {step} phase {phase}");
             }
+        }
+
+        // A tracker synced once per clock cycle, as in a codes-only run.
+        let mut jumps = 0u32;
+        for seed in 0..8u64 {
+            let mut rng = SimRng::new(100 + seed);
+            let mut phase = rng.uniform() * 1e4;
+            let mut w = PhaseWrap::new(phase);
+            for cycle in 0..40_000u32 {
+                let synced = phase;
+                run_cycle(&mut rng, &mut phase, cycle);
+                jumps += u32::from((phase - synced).abs() >= TWO_PI);
+                let got = w.level(phase, phase - synced);
+                let expect = phase.rem_euclid(TWO_PI) < PI;
+                assert_eq!(got, expect, "seed {seed} cycle {cycle} phase {phase}");
+            }
+        }
+        assert!(jumps > 10_000, "the sweep passes 2π: {jumps} jumps");
+    }
+
+    /// Moves `phase` through clock cycle `cycle`: `1 + cycle % 16` noisy
+    /// steps summing to about `3π·(cycle mod 1000)/999`, so a tracker
+    /// synced once per cycle sees increments swept from 0 to 3π.
+    fn run_cycle(rng: &mut SimRng, phase: &mut f64, cycle: u32) {
+        let target = 1.5 * TWO_PI * f64::from(cycle % 1000) / 999.0;
+        let steps = 1 + cycle % 16;
+        for _ in 0..steps {
+            *phase += target / f64::from(steps) * (1.0 + 0.01 * rng.standard_normal());
         }
     }
 
@@ -1289,6 +1460,33 @@ mod tests {
         assert!(
             near_skipped > 0 && near_called > 0,
             "{near_skipped} / {near_called}"
+        );
+
+        // A tracker synced once per clock cycle from phases up to 10⁶
+        // rad, each tap read right after a sync (as a codes-only run
+        // does).
+        let (mut cycle_skipped, mut cycle_taps, mut jumps) = (0u64, 0u64, 0u32);
+        for seed in 0..4u64 {
+            let mut rng = SimRng::new(200 + seed);
+            let mut phase = rng.uniform() * 1e6;
+            let mut w = PhaseWrap::new(phase);
+            for cycle in 0..100_000u32 {
+                let synced = phase;
+                run_cycle(&mut rng, &mut phase, cycle);
+                jumps += u32::from((phase - synced).abs() >= TWO_PI);
+                w.level(phase, phase - synced);
+                let jit = (2.0 * rng.uniform() - 1.0) * 1e-3;
+                for &offset in &offsets {
+                    cycle_skipped += u64::from(tap_level_matches(&w, phase, jit, offset));
+                    cycle_taps += 1;
+                }
+            }
+        }
+        assert!(jumps > 50_000, "the sweep passes 2π: {jumps} jumps");
+        let share = cycle_skipped as f64 / cycle_taps as f64;
+        assert!(
+            (0.775..0.795).contains(&share),
+            "per-cycle skipped share {share}"
         );
 
         // A tracker whose bound has grown: the guard widens with `err`,
@@ -1401,11 +1599,11 @@ mod tests {
         let spc = spec.steps_per_cycle as u64;
         let n_samples = 2_500_000usize; // 10^7 steps at 4 steps/cycle
         let mut sim = AdcSimulator::new(spec).unwrap();
-        let cap = sim.run(|_| 0.0, n_samples);
+        let (cap, activity) = sim.run_metered(|_| 0.0, n_samples);
         assert_eq!(cap.output.len(), n_samples);
         assert_eq!(sim.clock_rising_edges(), n_samples as u64);
         assert_eq!(sim.clock_steps(), n_samples as u64 * spc);
-        assert_eq!(cap.activity.clk_cycles, n_samples as u64);
+        assert_eq!(activity.clk_cycles, n_samples as u64);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! are byte-stable across releases unless a change note says otherwise).
 //! These fixtures freeze that contract: FNV-1a checksums over the output
 //! words, the per-slice codes, and the spectrum bins, plus every activity
-//! counter and the bit patterns of the float accumulators.
+//! counter and the bit patterns of the float accumulators. The lines are
+//! recorded from metered runs (`run_tone_metered`); the codes-only run
+//! (`run_tone`) must reproduce their output and code checksums.
 //!
 //! If an *intentional* numerical change lands (like the ziggurat normal
 //! sampler that created these values), regenerate with:
@@ -21,7 +23,7 @@
 //! and paste the output into `GOLDEN` below, noting the change in
 //! CHANGELOG.md. Never regenerate to paper over an unexplained diff.
 
-use tdsigma_core::sim::AdcSimulator;
+use tdsigma_core::sim::{AdcSimulator, SimCapture};
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_dsp::window::Window;
@@ -100,22 +102,27 @@ fn cases() -> Vec<(String, AdcSpec)> {
     cases
 }
 
+/// Every case's tone: bin 11 of 1024 samples at −2 dBFS.
+const SAMPLES: usize = 1024;
+
+fn tone(spec: &AdcSpec) -> (f64, f64) {
+    (
+        11.0 * spec.fs_hz / SAMPLES as f64,
+        0.79 * spec.full_scale_v(),
+    )
+}
+
 fn golden_line(label: &str, spec: &AdcSpec, scratch: &mut SpectrumScratch) -> String {
-    let n = 1024usize;
-    let fin = 11.0 * spec.fs_hz / n as f64;
-    let amp = 0.79 * spec.full_scale_v();
+    let (fin, amp) = tone(spec);
     let seed = spec.seed;
     let mut sim = AdcSimulator::new(spec.clone()).expect("sim");
-    let cap = sim.run_tone(fin, amp, n);
-    let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-    let code_sum = fnv1a(cap.slice_codes.iter().copied());
+    let (cap, a) = sim.run_tone_metered(fin, amp, SAMPLES);
     let psd = cap.spectrum_with(Window::Hann, scratch);
     let psd_sum = fnv1a(psd.powers().iter().flat_map(|v| v.to_bits().to_le_bytes()));
-    let a = &cap.activity;
     format!(
-        "{label} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
-         spectrum={psd_sum:016x} vco={} clk={} dac={} d={} cmp={} \
+        "{label} seed={seed} {} spectrum={psd_sum:016x} vco={} clk={} dac={} d={} cmp={} \
          energy={:016x} dur={:016x}",
+        codes_fields(&cap),
         a.vco_edges,
         a.clk_cycles,
         a.dac_toggles,
@@ -124,6 +131,13 @@ fn golden_line(label: &str, spec: &AdcSpec, scratch: &mut SpectrumScratch) -> St
         a.resistor_energy_j.to_bits(),
         a.duration_s.to_bits(),
     )
+}
+
+/// The `output=… codes=…` fields of a fixture line for `cap`.
+fn codes_fields(cap: &SimCapture) -> String {
+    let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    let code_sum = fnv1a(cap.slice_codes.iter().copied());
+    format!("output={out_sum:016x} codes={code_sum:016x}")
 }
 
 #[test]
@@ -146,6 +160,22 @@ fn transient_engine_matches_golden_fixtures_bit_for_bit() {
         );
     }
     assert_eq!(GOLDEN.lines().count(), got.lines().count());
+}
+
+#[test]
+fn codes_only_engine_matches_golden_output_and_codes() {
+    for ((label, spec), line) in cases().iter().zip(GOLDEN.lines()) {
+        let (fin, amp) = tone(spec);
+        let cap = AdcSimulator::new(spec.clone())
+            .expect("sim")
+            .run_tone(fin, amp, SAMPLES);
+        let fields = format!("{label} seed={} {}", spec.seed, codes_fields(&cap));
+        assert!(
+            line.starts_with(&fields),
+            "codes-only run of {label}: {fields}, fixture {line}"
+        );
+    }
+    assert_eq!(cases().len(), GOLDEN.lines().count());
 }
 
 #[test]

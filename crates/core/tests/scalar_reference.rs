@@ -14,11 +14,13 @@
 //! Unlike the checksum fixtures in `golden.rs` (which freeze specific
 //! values), this suite proves the equivalence *construction* — including
 //! the post-layout path, where extracted parasitics land as extra node
-//! capacitance. Besides the output words it compares the activity
-//! counters the power model reads (VCO edges, comparator decisions, DAC
-//! and slice-bit toggles), at the paper points and at corners off them:
-//! 1, 3 and 16 slices, 3 and 5 stages, loop gain 2.0, 16 steps per
-//! cycle, and thermal and phase noise off.
+//! capacitance. Besides the output words and slice codes it compares the
+//! activity counters the power model reads (VCO edges, comparator
+//! decisions, DAC and slice-bit toggles), at the paper points and at
+//! corners off them: 1, 3 and 16 slices, 3 and 5 stages, loop gain 2.0,
+//! 16 steps per cycle, and thermal and phase noise off. Every case runs
+//! the engine twice, metered (`run_tone_metered`) and codes-only
+//! (`run_tone`), and holds both to the reference.
 
 use std::f64::consts::PI;
 use tdsigma_circuit::comparator::ComparatorParams;
@@ -66,6 +68,10 @@ struct RefSim {
     buf_cm_v: f64,
     dac_toggles: u64,
     d_toggles: u64,
+    /// The largest phase advance of any VCO from one rising clock edge to
+    /// the next, as the float difference a codes-only run hands its level
+    /// tracker.
+    max_cycle_advance: f64,
 }
 
 impl RefSim {
@@ -165,6 +171,7 @@ impl RefSim {
             time_s: 0.0,
             dac_toggles: 0,
             d_toggles: 0,
+            max_cycle_advance: 0.0,
         }
     }
 
@@ -184,9 +191,16 @@ impl RefSim {
         [vco_edges, decisions, self.dac_toggles, self.d_toggles]
     }
 
-    fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> Vec<f64> {
+    /// The output words and the slice codes (stride `n_slices`).
+    fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> (Vec<f64>, Vec<u8>) {
         let dt = 1.0 / self.spec.fs_hz / self.spec.steps_per_cycle as f64;
         let mut output = Vec::with_capacity(n_samples);
+        let mut slice_codes = Vec::with_capacity(n_samples * self.slices.len());
+        let mut last_edge: Vec<[f64; 2]> = self
+            .slices
+            .iter()
+            .map(|s| [s.vco_p.phase(), s.vco_n.phase()])
+            .collect();
         let start_time = self.time_s;
         let mut step: u64 = 0;
         while output.len() < n_samples {
@@ -207,6 +221,14 @@ impl RefSim {
             }
             match self.clock.advance(dt) {
                 EdgeKind::Rising => {
+                    for (slice, last) in self.slices.iter().zip(&mut last_edge) {
+                        let now = [slice.vco_p.phase(), slice.vco_n.phase()];
+                        for s in 0..2 {
+                            self.max_cycle_advance =
+                                self.max_cycle_advance.max((now[s] - last[s]).abs());
+                        }
+                        *last = now;
+                    }
                     let mut sum = 0.0;
                     let stages = self.spec.vco_stages;
                     let half = self.buf_swing_v / 2.0;
@@ -245,6 +267,7 @@ impl RefSim {
                             self.d_toggles += 1;
                         }
                         slice.code = code;
+                        slice_codes.push(code);
                         sum += code as f64;
                     }
                     output.push(sum);
@@ -265,7 +288,7 @@ impl RefSim {
                 EdgeKind::None => {}
             }
         }
-        output
+        (output, slice_codes)
     }
 }
 
@@ -278,25 +301,39 @@ fn tone(spec: &AdcSpec, samples: usize) -> (f64, f64) {
     (fin, 0.79 * spec.full_scale_v())
 }
 
-fn assert_equivalent(spec: AdcSpec, extra_cap_f: f64, soa: &mut AdcSimulator, samples: usize) {
+/// Runs `build()`'s engine metered and codes-only against the reference
+/// and returns the reference's largest per-cycle VCO phase advance.
+fn assert_equivalent(
+    spec: AdcSpec,
+    extra_cap_f: f64,
+    build: impl Fn() -> AdcSimulator,
+    samples: usize,
+) -> f64 {
     let what = format!(
         "{} slices, {} stages, kvco {:e}, {} steps, seed {}",
         spec.n_slices, spec.vco_stages, spec.kvco_hz_per_v, spec.steps_per_cycle, spec.seed
     );
     let (fin, amp) = tone(&spec, samples);
-    let cap = soa.run_tone(fin, amp, samples);
+    let (cap, a) = build().run_tone_metered(fin, amp, samples);
+    let codes_only = build().run_tone(fin, amp, samples);
     let mut reference = RefSim::build(spec, extra_cap_f);
     let w = 2.0 * PI * fin;
-    let ref_out = reference.run(|t| amp * (w * t).sin(), samples);
+    let (ref_out, ref_codes) = reference.run(|t| amp * (w * t).sin(), samples);
     assert_eq!(ref_out.len(), samples);
-    for (k, (r, s)) in ref_out.iter().zip(&cap.output).enumerate() {
-        assert_eq!(
-            r.to_bits(),
-            s.to_bits(),
-            "{what}: engines diverge at sample {k}: ref={r} soa={s}"
+    for (kind, cap) in [("metered", &cap), ("codes-only", &codes_only)] {
+        assert_eq!(cap.output.len(), samples, "{what}: {kind}");
+        for (k, (r, s)) in ref_out.iter().zip(&cap.output).enumerate() {
+            assert_eq!(
+                r.to_bits(),
+                s.to_bits(),
+                "{what}: {kind} engine diverges at sample {k}: ref={r} soa={s}"
+            );
+        }
+        assert!(
+            ref_codes == cap.slice_codes,
+            "{what}: {kind} engine's slice codes diverge"
         );
     }
-    let a = &cap.activity;
     assert_eq!(
         reference.activity(),
         [
@@ -307,6 +344,7 @@ fn assert_equivalent(spec: AdcSpec, extra_cap_f: f64, soa: &mut AdcSimulator, sa
         ],
         "{what}: activity [vco edges, decisions, dac toggles, bit toggles]"
     );
+    reference.max_cycle_advance
 }
 
 #[test]
@@ -314,8 +352,12 @@ fn soa_engine_matches_scalar_reference_40nm() {
     let mut spec = AdcSpec::paper_40nm().unwrap();
     spec.steps_per_cycle = 8;
     spec.seed = 7;
-    let mut soa = AdcSimulator::new(spec.clone()).unwrap();
-    assert_equivalent(spec, 0.0, &mut soa, 2048);
+    assert_equivalent(
+        spec.clone(),
+        0.0,
+        || AdcSimulator::new(spec.clone()).unwrap(),
+        2048,
+    );
 }
 
 #[test]
@@ -323,8 +365,12 @@ fn soa_engine_matches_scalar_reference_180nm_4_slices() {
     let mut spec = AdcSpec::paper_180nm().unwrap().with_slices(4).unwrap();
     spec.steps_per_cycle = 8;
     spec.seed = 42;
-    let mut soa = AdcSimulator::new(spec.clone()).unwrap();
-    assert_equivalent(spec, 0.0, &mut soa, 2048);
+    assert_equivalent(
+        spec.clone(),
+        0.0,
+        || AdcSimulator::new(spec.clone()).unwrap(),
+        2048,
+    );
 }
 
 /// The 40 nm point (8 steps per cycle, seed 7) with one knob moved.
@@ -340,8 +386,12 @@ fn corner(edit: impl FnOnce(&mut AdcSpec)) -> AdcSpec {
 fn soa_engine_matches_scalar_reference_across_slice_counts() {
     for slices in [1, 3, 16] {
         let spec = corner(|s| s.n_slices = slices);
-        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
-        assert_equivalent(spec, 0.0, &mut soa, 1024);
+        assert_equivalent(
+            spec.clone(),
+            0.0,
+            || AdcSimulator::new(spec.clone()).unwrap(),
+            1024,
+        );
     }
 }
 
@@ -358,9 +408,44 @@ fn soa_engine_matches_scalar_reference_across_stages_and_gain() {
             s.kvco_hz_per_v *= 2.0;
         }),
     ] {
-        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
-        assert_equivalent(spec, 0.0, &mut soa, 1024);
+        assert_equivalent(
+            spec.clone(),
+            0.0,
+            || AdcSimulator::new(spec.clone()).unwrap(),
+            1024,
+        );
     }
+}
+
+#[test]
+fn codes_only_engine_matches_scalar_reference_across_full_turn_cycles() {
+    // A codes-only run syncs each VCO's level tracker once per cycle,
+    // and a cycle's increment of 2π or more takes the tracker's exact
+    // `rem_euclid` fallback. Loop gain 2.0 does not get there: its
+    // fastest VCO advances ≈ 2.4 rad a cycle. A centre frequency of
+    // 0.9·fs at loop gain 2.0 does, on the positive half of the swing.
+    let gain2 = corner(|s| s.kvco_hz_per_v *= 2.0);
+    let max = assert_equivalent(
+        gain2.clone(),
+        0.0,
+        || AdcSimulator::new(gain2.clone()).unwrap(),
+        1024,
+    );
+    assert!(max < 2.0 * PI, "loop gain 2.0 advances {max} rad a cycle");
+    let fast = corner(|s| {
+        s.vco_f0_hz = 0.9 * s.fs_hz;
+        s.kvco_hz_per_v *= 2.0;
+    });
+    let max = assert_equivalent(
+        fast.clone(),
+        0.0,
+        || AdcSimulator::new(fast.clone()).unwrap(),
+        1024,
+    );
+    assert!(
+        max >= 2.0 * PI,
+        "f0 = 0.9·fs advances only {max} rad a cycle"
+    );
 }
 
 #[test]
@@ -372,8 +457,12 @@ fn soa_engine_matches_scalar_reference_at_16_steps_and_without_noise() {
             s.phase_noise_per_sqrt_hz = 0.0;
         }),
     ] {
-        let mut soa = AdcSimulator::new(spec.clone()).unwrap();
-        assert_equivalent(spec, 0.0, &mut soa, 1024);
+        assert_equivalent(
+            spec.clone(),
+            0.0,
+            || AdcSimulator::new(spec.clone()).unwrap(),
+            1024,
+        );
     }
 }
 
@@ -391,6 +480,6 @@ fn soa_engine_matches_scalar_reference_with_parasitics() {
     let vctrl = layout
         .parasitics
         .total_capacitance_where(|n| n.contains("VCTRL"));
-    let mut soa = AdcSimulator::with_parasitics(spec.clone(), &layout.parasitics).unwrap();
-    assert_equivalent(spec, vctrl / 2.0, &mut soa, 1024);
+    let build = || AdcSimulator::with_parasitics(spec.clone(), &layout.parasitics).unwrap();
+    assert_equivalent(spec.clone(), vctrl / 2.0, build, 1024);
 }

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w1 = 2.0 * std::f64::consts::PI * f1;
     let w2 = 2.0 * std::f64::consts::PI * f2;
     let mut sim = AdcSimulator::new(spec.clone())?;
-    let capture = sim.run(
+    let (capture, activity) = sim.run_metered(
         |t| 0.6 * fs * (w1 * t).sin() + 0.05 * fs * (w2 * t).sin(),
         n,
     );
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Battery budget: estimate power at this (slow) operating point.
-    let breakdown = power::estimate(&spec, &capture.activity, 0.0, 300.0);
+    let breakdown = power::estimate(&spec, &activity, 0.0, 300.0);
     println!("power at 24 MHz: {breakdown}");
     let coin_cell_mah = 220.0;
     let current_ma = breakdown.total_w() / 3.0 * 1e3; // ~3 V battery
