@@ -8,8 +8,7 @@
 //! input correctly.
 
 use std::fmt;
-use tdsigma_circuit::comparator::{ClockedComparator, ComparatorParams};
-use tdsigma_circuit::noise::SimRng;
+use tdsigma_circuit::{ClockedComparator, ComparatorParams, SimRng};
 use tdsigma_core::sim::ComparatorFlavor;
 
 /// One point of a common-mode sweep.

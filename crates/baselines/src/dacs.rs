@@ -7,8 +7,7 @@
 //! thermometer DAC under element mismatch, for both element types.
 
 use std::fmt;
-use tdsigma_circuit::mismatch::MismatchModel;
-use tdsigma_circuit::noise::SimRng;
+use tdsigma_circuit::{MismatchModel, SimRng};
 
 /// The two DAC element types of Fig. 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,7 +22,7 @@ impl DacArchitecture {
     /// Raw element matching (relative 1-σ). Poly resistors match to
     /// ~0.5 %; minimum-area current sources to a few percent (and degrade
     /// with output-voltage sensitivity).
-    pub fn element_sigma(self) -> f64 {
+    pub(crate) fn element_sigma(self) -> f64 {
         match self {
             DacArchitecture::Resistor => 0.005,
             DacArchitecture::CurrentSteering => 0.03,

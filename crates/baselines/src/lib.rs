@@ -11,6 +11,10 @@
 //!   synthesizable ADCs of Table 4 (\[15\] Verilog-to-layout ΔΣ,
 //!   \[16\] stochastic flash, \[17\] domino-logic), each simulated at its
 //!   own technology node.
+//!
+//! The three modules are public because callers, the benchmark ledger
+//! among them, import by module path (`prior::PriorAdc`); the crate root
+//! re-exports nothing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,7 +22,3 @@
 pub mod comparators;
 pub mod dacs;
 pub mod prior;
-
-pub use comparators::{sweep_common_mode, CmSweepPoint};
-pub use dacs::{DacArchitecture, DacMonteCarlo};
-pub use prior::{PriorAdc, PriorArchitecture, Table4Row};

@@ -9,12 +9,8 @@
 //! TD VCO-based ADC achieves the highest SNDR and the best Walden FOM.
 
 use std::fmt;
-use tdsigma_circuit::mismatch::MismatchModel;
-use tdsigma_circuit::noise::SimRng;
-use tdsigma_dsp::decimate::boxcar_decimate;
-use tdsigma_dsp::metrics::{walden_fom_fj, ToneAnalysis};
-use tdsigma_dsp::spectrum::Spectrum;
-use tdsigma_dsp::window::Window;
+use tdsigma_circuit::{MismatchModel, SimRng};
+use tdsigma_dsp::{boxcar_decimate, walden_fom_fj, Spectrum, ToneAnalysis, Window};
 use tdsigma_tech::{NodeId, Technology};
 
 /// The architecture class of a prior work.
@@ -41,17 +37,6 @@ pub enum PriorArchitecture {
         /// Delay-chain stages.
         stages: usize,
     },
-    /// Open-loop VCO counting quantizer (Straayer & Perrott \[2\]): the
-    /// output is the per-clock phase advance of a multi-phase ring,
-    /// counted on its taps — quantization error first-order shaped *by
-    /// construction*, but the VCO's voltage-to-frequency nonlinearity is
-    /// unsuppressed (no feedback loop).
-    OpenLoopVcoCounting {
-        /// Ring taps counted.
-        taps: usize,
-        /// Relative third-order V→f nonlinearity at full scale.
-        cubic_nonlinearity: f64,
-    },
 }
 
 impl fmt::Display for PriorArchitecture {
@@ -69,9 +54,6 @@ impl fmt::Display for PriorArchitecture {
             ),
             PriorArchitecture::DominoLogic { stages } => {
                 write!(f, "domino logic ({stages} stages)")
-            }
-            PriorArchitecture::OpenLoopVcoCounting { taps, .. } => {
-                write!(f, "open-loop VCO counting ({taps} taps)")
             }
         }
     }
@@ -105,7 +87,7 @@ impl PriorAdc {
     /// # Panics
     ///
     /// Panics only if the built-in node table were broken.
-    pub fn waters_verilog_to_layout() -> Self {
+    pub(crate) fn waters_verilog_to_layout() -> Self {
         PriorAdc {
             label: "[15] VtoL dsm 65n".to_string(),
             tech: Technology::for_node(NodeId::N65).expect("built-in node"),
@@ -124,7 +106,7 @@ impl PriorAdc {
     /// # Panics
     ///
     /// Panics only if the built-in node table were broken.
-    pub fn verilog_dsm_130nm() -> Self {
+    pub(crate) fn verilog_dsm_130nm() -> Self {
         PriorAdc {
             label: "[15] VtoL dsm 130n".to_string(),
             tech: Technology::for_node(NodeId::N130).expect("built-in node"),
@@ -142,7 +124,7 @@ impl PriorAdc {
     /// # Panics
     ///
     /// Panics only if the built-in node table were broken.
-    pub fn weaver_stochastic_nyquist() -> Self {
+    pub(crate) fn weaver_stochastic_nyquist() -> Self {
         PriorAdc {
             label: "[16] stoch 90n".to_string(),
             tech: Technology::for_node(NodeId::N90).expect("built-in node"),
@@ -163,7 +145,7 @@ impl PriorAdc {
     /// # Panics
     ///
     /// Panics only if the built-in node table were broken.
-    pub fn domino_logic() -> Self {
+    pub(crate) fn domino_logic() -> Self {
         PriorAdc {
             label: "[17] domino 180n".to_string(),
             tech: Technology::for_node(NodeId::N180).expect("built-in node"),
@@ -173,30 +155,6 @@ impl PriorAdc {
             reported_power_w: 0.433e-3,
             reported_area_mm2: 0.094,
             architecture: PriorArchitecture::DominoLogic { stages: 63 },
-        }
-    }
-
-    /// Ref. \[2\] Straayer & Perrott-style open-loop VCO quantizer, used
-    /// as an architectural reference in ablations (not a Table 4 column —
-    /// it is not a *synthesized* design, but it is the TD ancestor of the
-    /// paper's ADC and shows what closing the loop buys).
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the built-in node table were broken.
-    pub fn straayer_open_loop() -> Self {
-        PriorAdc {
-            label: "[2] open-loop VCO".to_string(),
-            tech: Technology::for_node(NodeId::N130).expect("built-in node"),
-            supply_v: 1.2,
-            fs_hz: 950e6,
-            bw_hz: 10e6,
-            reported_power_w: 40e-3,
-            reported_area_mm2: 0.42,
-            architecture: PriorArchitecture::OpenLoopVcoCounting {
-                taps: 31,
-                cubic_nonlinearity: 0.03,
-            },
         }
     }
 
@@ -238,10 +196,6 @@ impl PriorAdc {
             PriorArchitecture::DominoLogic { stages } => {
                 self.sim_domino(stages, fin, amp, n_samples, &mut rng)
             }
-            PriorArchitecture::OpenLoopVcoCounting {
-                taps,
-                cubic_nonlinearity,
-            } => self.sim_open_loop_vco(taps, cubic_nonlinearity, fin, amp, n_samples, &mut rng),
         };
         let rate = match self.architecture {
             PriorArchitecture::StochasticFlash { averaging, .. } if averaging > 1 => {
@@ -349,35 +303,6 @@ impl PriorAdc {
                 count += 1;
             }
             out.push(count as f64 / stages as f64 - 0.5);
-        }
-        out
-    }
-
-    fn sim_open_loop_vco(
-        &self,
-        taps: usize,
-        cubic: f64,
-        fin: f64,
-        amp: f64,
-        n: usize,
-        rng: &mut SimRng,
-    ) -> Vec<f64> {
-        // Phase accumulates at f(v) = f0·(1 + 0.5·v + cubic·v³); output is
-        // the first difference of the tap-quantized phase — shaped
-        // quantization, unshaped distortion.
-        let f0 = self.fs_hz / 3.0;
-        let w = 2.0 * std::f64::consts::PI * fin;
-        let mut phase = 0.0f64;
-        let mut last_count = 0.0f64;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = i as f64 / self.fs_hz;
-            let v = amp * (w * t).sin() + rng.gaussian(1e-4);
-            let f = f0 * (1.0 + 0.5 * v + cubic * v * v * v);
-            phase += 2.0 * std::f64::consts::PI * f / self.fs_hz;
-            let count = (phase / std::f64::consts::PI * taps as f64).floor();
-            out.push((count - last_count) / taps as f64 - 2.0 * f0 / self.fs_hz);
-            last_count = count;
         }
         out
     }
@@ -529,23 +454,6 @@ mod tests {
             old_sndr > new_sndr + 3.0,
             "VD-DSM must degrade with scaling: 180 nm {old_sndr} vs 22 nm {new_sndr}"
         );
-    }
-
-    #[test]
-    fn open_loop_vco_is_distortion_limited() {
-        // The counting quantizer shapes quantization noise (good SNR) but
-        // the open-loop V→f nonlinearity caps SNDR — the gap closing the
-        // loop (this paper's architecture) removes.
-        let adc = PriorAdc::straayer_open_loop();
-        let a = adc.simulate(8192, 9);
-        assert!(
-            a.snr_db > a.sndr_db + 3.0,
-            "SNR {} vs SNDR {}",
-            a.snr_db,
-            a.sndr_db
-        );
-        assert!((25.0..60.0).contains(&a.sndr_db), "got {}", a.sndr_db);
-        assert!(adc.architecture.to_string().contains("open-loop"));
     }
 
     #[test]

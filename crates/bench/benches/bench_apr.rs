@@ -4,7 +4,7 @@
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
-use tdsigma_core::{netgen, spec::AdcSpec};
+use tdsigma_core::{netgen, AdcSpec};
 use tdsigma_layout::{analyze_timing, synthesize, synthesize_naive, AprOptions};
 use tdsigma_netlist::{GateSimulator, PowerPlan};
 

@@ -2,10 +2,7 @@
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
-use tdsigma_dsp::fft::fft_real;
-use tdsigma_dsp::metrics::ToneAnalysis;
-use tdsigma_dsp::spectrum::Spectrum;
-use tdsigma_dsp::window::Window;
+use tdsigma_dsp::{fft_real, Spectrum, ToneAnalysis, Window};
 
 fn tone(n: usize) -> Vec<f64> {
     (0..n)

@@ -17,11 +17,10 @@
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
-use tdsigma_circuit::noise::SimRng;
+use tdsigma_circuit::SimRng;
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::spectrum::SpectrumScratch;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::{SpectrumScratch, Window};
 
 fn main() {
     let runner = BenchRunner::from_args();

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use tdsigma_baselines::prior::PriorAdc;
 use tdsigma_bench::harness::BenchRunner;
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
+use tdsigma_core::AdcSpec;
 use tdsigma_tech::ScalingTrend;
 
 fn main() {

@@ -4,7 +4,7 @@
 
 use tdsigma_baselines::comparators::sweep_common_mode;
 use tdsigma_core::sim::{AdcSimulator, ComparatorFlavor};
-use tdsigma_core::spec::AdcSpec;
+use tdsigma_core::AdcSpec;
 
 fn main() {
     println!("=== §2.2.1 ablation: comparator flavour ===\n");

@@ -3,7 +3,7 @@
 //! Extends the paper's §4 robustness story to PVT.
 
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::{netgen, spec::AdcSpec};
+use tdsigma_core::{netgen, AdcSpec};
 use tdsigma_layout::{analyze_timing, synthesize, AprOptions};
 use tdsigma_netlist::PowerPlan;
 use tdsigma_tech::Corner;

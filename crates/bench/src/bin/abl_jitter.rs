@@ -4,7 +4,7 @@
 //! *difference* frequency of each VCO pair converts jitter into error).
 
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
+use tdsigma_core::AdcSpec;
 
 fn main() {
     println!("=== clock-jitter tolerance, 40 nm @ 750 MHz ===\n");

@@ -3,7 +3,7 @@
 //! synthesis-friendly works used) instead of the proposed MSV power-domain
 //! flow.
 
-use tdsigma_core::{netgen, spec::AdcSpec};
+use tdsigma_core::{netgen, AdcSpec};
 use tdsigma_layout::{synthesize, synthesize_naive, AprOptions};
 use tdsigma_netlist::PowerPlan;
 

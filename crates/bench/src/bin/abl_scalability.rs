@@ -7,7 +7,7 @@
 //! engine: the 18 simulations run concurrently, results land in
 //! `results/cache/` so a re-run is free, and the reports are
 //! bit-identical to the old serial loop (a [`Job`] materializes the
-//! same [`tdsigma_core::spec::AdcSpec`] the knobs used to mutate).
+//! same [`tdsigma_core::AdcSpec`] the knobs used to mutate).
 
 use tdsigma_jobs::{Engine, EngineConfig, Job, JobReport};
 

@@ -3,7 +3,7 @@
 //! exercise, for inspection in any VCD viewer.
 
 use tdsigma_bench::write_artifact;
-use tdsigma_core::{netgen, spec::AdcSpec, AdcSimulator};
+use tdsigma_core::{netgen, AdcSimulator, AdcSpec};
 use tdsigma_netlist::{Design, GateSimulator, VcdWriter};
 
 fn main() {

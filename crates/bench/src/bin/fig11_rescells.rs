@@ -3,7 +3,7 @@
 //! digital row height), including the §3.1 trade-off numbers.
 
 use tdsigma_bench::write_artifact;
-use tdsigma_layout::resgen::generate_resistor_cell;
+use tdsigma_layout::generate_resistor_cell;
 use tdsigma_tech::{NodeId, Technology};
 
 fn main() {

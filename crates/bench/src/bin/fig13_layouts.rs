@@ -3,9 +3,8 @@
 //! writes the Fig. 13-style SVG views plus a GDS-text stream.
 
 use tdsigma_bench::write_artifact;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_layout::physlib::PhysicalLibrary;
-use tdsigma_layout::{gds, render, synthesize, AprOptions};
+use tdsigma_core::AdcSpec;
+use tdsigma_layout::{gds, render, synthesize, AprOptions, PhysicalLibrary};
 use tdsigma_netlist::PowerPlan;
 
 fn main() {

@@ -2,7 +2,7 @@
 //! post-layout design at both nodes.
 
 use tdsigma_bench::compare_line;
-use tdsigma_core::{flow::DesignFlow, spec::AdcSpec};
+use tdsigma_core::{AdcSpec, DesignFlow};
 
 fn main() {
     println!("=== Fig. 15: power breakdown (post-layout) ===\n");

@@ -3,8 +3,8 @@
 //! 250 kHz at 180 nm).
 
 use tdsigma_bench::{ascii_waveform, write_artifact};
-use tdsigma_core::{flow::DesignFlow, spec::AdcSpec};
-use tdsigma_dsp::decimate::CicDecimator;
+use tdsigma_core::{AdcSpec, DesignFlow};
+use tdsigma_dsp::CicDecimator;
 
 fn main() {
     println!("=== Fig. 16: post-layout transient outputs ===\n");

@@ -3,9 +3,8 @@
 //! and DAC mismatch fall out of band.
 
 use tdsigma_bench::{ascii_spectrum, write_artifact};
-use tdsigma_core::{flow::DesignFlow, spec::AdcSpec};
-use tdsigma_dsp::shaping::fit_noise_slope;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::{AdcSpec, DesignFlow};
+use tdsigma_dsp::{fit_noise_slope, Window};
 
 fn main() {
     println!("=== Fig. 17: post-layout output spectra ===\n");

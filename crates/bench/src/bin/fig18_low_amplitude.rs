@@ -3,9 +3,8 @@
 //! tones" check.
 
 use tdsigma_bench::{ascii_spectrum, ascii_waveform};
-use tdsigma_core::{flow::DesignFlow, spec::AdcSpec};
-use tdsigma_dsp::shaping::idle_tone_report;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::{AdcSpec, DesignFlow};
+use tdsigma_dsp::{idle_tone_report, Window};
 
 fn main() {
     println!("=== Fig. 18: low input amplitude (10 mV), 40 nm ===\n");

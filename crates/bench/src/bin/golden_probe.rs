@@ -11,8 +11,8 @@
 //! single bit of the transient shows up here.
 
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::Window;
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// FNV-1a over a byte stream (the same checksum the golden test uses).

@@ -4,9 +4,8 @@
 //! VCO's V→f curve, which the feedback suppresses.
 
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::metrics::TwoToneAnalysis;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::{TwoToneAnalysis, Window};
 
 fn main() {
     println!("=== two-tone IMD3, 40 nm @ 750 MHz ===\n");

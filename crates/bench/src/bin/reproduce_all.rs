@@ -28,9 +28,8 @@ use tdsigma_baselines::prior::{PriorAdc, Table4Row};
 use tdsigma_bench::write_artifact;
 use tdsigma_core::power::PowerBreakdown;
 use tdsigma_core::sim::ComparatorFlavor;
-use tdsigma_core::{netgen, spec::AdcSpec, AdcReport, DesignFlow, FlowOutcome};
-use tdsigma_dsp::shaping::{fit_noise_slope, idle_tone_report, IdleToneReport, SlopeFit};
-use tdsigma_dsp::window::Window;
+use tdsigma_core::{netgen, AdcReport, AdcSpec, DesignFlow, FlowOutcome};
+use tdsigma_dsp::{fit_noise_slope, idle_tone_report, IdleToneReport, SlopeFit, Window};
 use tdsigma_layout::{synthesize_naive, AprOptions, CheckReport, TimingReport};
 
 struct Gate {

@@ -5,8 +5,8 @@
 
 use tdsigma_bench::write_artifact;
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::linearity::{transfer_inl, TransferPoint};
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::{transfer_inl, TransferPoint};
 
 fn main() {
     println!("=== static linearity (DC transfer sweep), 40 nm ===\n");

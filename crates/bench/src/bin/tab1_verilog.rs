@@ -3,7 +3,7 @@
 //! generation phase.
 
 use tdsigma_bench::write_artifact;
-use tdsigma_core::{netgen, spec::AdcSpec};
+use tdsigma_core::{netgen, AdcSpec};
 use tdsigma_netlist::{verilog, Design};
 
 fn main() {

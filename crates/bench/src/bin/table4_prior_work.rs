@@ -4,7 +4,7 @@
 //! comes from the full post-layout flow.
 
 use tdsigma_baselines::prior::{PriorAdc, Table4Row};
-use tdsigma_core::{flow::DesignFlow, spec::AdcSpec};
+use tdsigma_core::{AdcSpec, DesignFlow};
 
 fn main() {
     println!("=== Table 4: comparison with previous synthesizable ADCs ===\n");

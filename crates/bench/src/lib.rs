@@ -30,7 +30,7 @@ pub mod harness;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
-use tdsigma_dsp::spectrum::Spectrum;
+use tdsigma_dsp::Spectrum;
 
 /// Directory where experiment artifacts (SVG, CSV) are written.
 pub fn results_dir() -> PathBuf {
@@ -130,7 +130,7 @@ pub fn compare_line(metric: &str, paper: f64, measured: f64, unit: &str) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdsigma_dsp::window::Window;
+    use tdsigma_dsp::Window;
 
     #[test]
     fn spectrum_plot_has_requested_shape() {

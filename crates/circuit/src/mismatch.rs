@@ -31,30 +31,6 @@ impl MismatchModel {
         MismatchModel { sigma }
     }
 
-    /// A perfectly matched model (σ = 0) — used to isolate mismatch effects
-    /// in ablation experiments.
-    pub fn ideal() -> Self {
-        MismatchModel { sigma: 0.0 }
-    }
-
-    /// The relative 1-σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Scales σ by `1/sqrt(area_multiple)` — drawing a device `k×` larger
-    /// improves matching by `sqrt(k)` (Pelgrom's law).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `area_multiple` is not positive.
-    pub fn with_area_multiple(&self, area_multiple: f64) -> Self {
-        assert!(area_multiple > 0.0, "area multiple must be positive");
-        MismatchModel {
-            sigma: self.sigma / area_multiple.sqrt(),
-        }
-    }
-
     /// Draws one instance's relative deviation (multiply a nominal parameter
     /// by `1 + draw`).
     pub fn draw(&self, rng: &mut SimRng) -> f64 {
@@ -78,9 +54,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ideal_draws_zero() {
+    fn zero_sigma_draws_zero() {
         let mut rng = SimRng::new(1);
-        let m = MismatchModel::ideal();
+        let m = MismatchModel::new(0.0);
         for _ in 0..10 {
             assert_eq!(m.draw(&mut rng), 0.0);
         }
@@ -96,22 +72,9 @@ mod tests {
     }
 
     #[test]
-    fn area_scaling_follows_pelgrom() {
-        let m = MismatchModel::new(0.04);
-        let bigger = m.with_area_multiple(4.0);
-        assert!((bigger.sigma() - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "sigma must be finite")]
     fn negative_sigma_panics() {
         let _ = MismatchModel::new(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "area multiple must be positive")]
-    fn zero_area_panics() {
-        let _ = MismatchModel::new(0.01).with_area_multiple(0.0);
     }
 
     #[test]

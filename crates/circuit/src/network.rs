@@ -24,8 +24,7 @@ struct Branch {
 /// A node where several resistors sum currents into a capacitance.
 ///
 /// ```
-/// use tdsigma_circuit::network::SummingNode;
-/// use tdsigma_circuit::noise::SimRng;
+/// use tdsigma_circuit::{SimRng, SummingNode};
 ///
 /// // The ADC's control node: input resistor vs DAC resistor.
 /// let mut rng = SimRng::new(0);
@@ -106,7 +105,7 @@ impl SummingNode {
     /// # Panics
     ///
     /// Panics if no branches have been added.
-    pub fn parallel_resistance_ohm(&self) -> f64 {
+    pub(crate) fn parallel_resistance_ohm(&self) -> f64 {
         assert!(!self.branches.is_empty(), "node has no branches");
         1.0 / self
             .branches
@@ -154,9 +153,8 @@ impl SummingNode {
         self.v = target + (self.v - target) * a;
         if self.thermal_noise {
             // Discretised Ornstein-Uhlenbeck: stationary variance kT/C.
-            let kt_over_c = tdsigma_tech::units::BOLTZMANN
-                * tdsigma_tech::units::NOMINAL_TEMPERATURE_K
-                / self.cap_f;
+            let kt_over_c =
+                tdsigma_tech::BOLTZMANN * tdsigma_tech::NOMINAL_TEMPERATURE_K / self.cap_f;
             let sigma = (kt_over_c * (1.0 - a * a)).sqrt();
             self.v += rng.gaussian(sigma);
         }
@@ -170,28 +168,6 @@ impl SummingNode {
     /// Forces the node voltage (initial-condition setting).
     pub fn set_voltage(&mut self, v: f64) {
         self.v = v;
-    }
-
-    /// Current flowing from branch `id`'s source into the node, amperes.
-    pub fn branch_current_a(&self, id: BranchId) -> f64 {
-        let b = &self.branches[id.0];
-        (b.drive_v - self.v) / b.resistance_ohm
-    }
-
-    /// Total power dissipated in the branch resistors right now, watts.
-    pub fn dissipated_power_w(&self) -> f64 {
-        self.branches
-            .iter()
-            .map(|b| {
-                let dv = b.drive_v - self.v;
-                dv * dv / b.resistance_ohm
-            })
-            .sum()
-    }
-
-    /// Number of branches.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
     }
 }
 
@@ -289,26 +265,11 @@ mod tests {
         }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let var = values.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / values.len() as f64;
-        let expected = tdsigma_tech::units::BOLTZMANN * 300.0 / cap;
+        let expected = tdsigma_tech::BOLTZMANN * 300.0 / cap;
         assert!(
             (var / expected - 1.0).abs() < 0.1,
             "kT/C variance: got {var}, expected {expected}"
         );
-    }
-
-    #[test]
-    fn branch_current_and_power() {
-        let mut rng = SimRng::new(0);
-        let mut node = SummingNode::new(0.0, 0.0);
-        let a = node.add_branch(1_000.0, 1.0);
-        let b = node.add_branch(1_000.0, 0.0);
-        node.advance(1e-9, &mut rng);
-        // 0.5 V across each 1 kΩ: 0.5 mA in, 0.5 mA out.
-        assert!((node.branch_current_a(a) - 0.5e-3).abs() < 1e-9);
-        assert!((node.branch_current_a(b) + 0.5e-3).abs() < 1e-9);
-        // Power: 2 × (0.5²/1000) = 0.5 mW.
-        assert!((node.dissipated_power_w() - 0.5e-3).abs() < 1e-9);
-        assert_eq!(node.branch_count(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::sync::OnceLock;
-use tdsigma_tech::rng::Rng64;
+use tdsigma_tech::Rng64;
 
 /// The simulation RNG. A thin wrapper over a seeded [`Rng64`]
 /// (xoshiro256\*\*) that adds Gaussian sampling (a 256-layer
@@ -74,11 +74,6 @@ impl SimRng {
             seed,
             zig: ziggurat(),
         }
-    }
-
-    /// The seed this RNG was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -177,12 +172,6 @@ impl SimRng {
             };
         }
         self.inner = inner;
-    }
-
-    /// Derives an independent child RNG (for per-instance streams) without
-    /// disturbing this RNG's future draws more than one `u64`.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.inner.next_u64())
     }
 }
 
@@ -502,17 +491,6 @@ mod tests {
             let u = rng.uniform();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn forked_rng_is_independent_and_deterministic() {
-        let mut a1 = SimRng::new(7);
-        let mut a2 = SimRng::new(7);
-        let mut c1 = a1.fork();
-        let mut c2 = a2.fork();
-        assert_eq!(c1.uniform(), c2.uniform());
-        // Parent streams still agree after forking.
-        assert_eq!(a1.uniform(), a2.uniform());
     }
 
     #[test]

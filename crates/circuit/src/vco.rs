@@ -55,8 +55,7 @@ impl VcoParams {
 /// A running ring VCO instance.
 ///
 /// ```
-/// use tdsigma_circuit::vco::{RingVco, VcoParams};
-/// use tdsigma_circuit::noise::SimRng;
+/// use tdsigma_circuit::{RingVco, SimRng, VcoParams};
 ///
 /// let params = VcoParams {
 ///     f0_hz: 150e6,
@@ -112,16 +111,6 @@ impl RingVco {
         RingVco::new(params, delta, initial_phase)
     }
 
-    /// The frozen parameters.
-    pub fn params(&self) -> &VcoParams {
-        &self.params
-    }
-
-    /// This instance's relative centre-frequency error.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
     /// Current unwrapped phase in radians.
     pub fn phase(&self) -> f64 {
         self.phase
@@ -154,19 +143,9 @@ impl RingVco {
 
     /// Logic level of output tap `tap` (0-based, spaced `π/n_stages` apart):
     /// the square wave a buffer/SAFF sees.
-    pub fn output_level(&self, tap: usize) -> bool {
+    pub(crate) fn output_level(&self, tap: usize) -> bool {
         let offset = PI * tap as f64 / self.params.n_stages as f64;
         (self.phase + offset).rem_euclid(2.0 * PI) < PI
-    }
-
-    /// Differential output voltage of tap `tap` given a swing, volts.
-    /// Positive when [`Self::output_level`] is true.
-    pub fn output_voltage(&self, tap: usize, swing_v: f64) -> f64 {
-        if self.output_level(tap) {
-            swing_v / 2.0
-        } else {
-            -swing_v / 2.0
-        }
     }
 
     /// Number of output transitions observed so far (all taps toggle at the
@@ -262,13 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn output_voltage_matches_level() {
-        let vco = RingVco::new(params(), 0.0, 0.1);
-        assert_eq!(vco.output_voltage(0, 0.5), 0.25);
-        assert_eq!(vco.output_voltage(4, 0.5), -0.25);
-    }
-
-    #[test]
     fn edge_count_tracks_toggles() {
         let mut rng = SimRng::new(0);
         let mut vco = RingVco::new(params(), 0.0, 0.0);
@@ -321,8 +293,8 @@ mod tests {
         let mut rng2 = SimRng::new(11);
         let a = RingVco::with_mismatch(params(), &model, &mut rng1, 0.0);
         let b = RingVco::with_mismatch(params(), &model, &mut rng2, 0.0);
-        assert_eq!(a.delta(), b.delta());
-        assert!(a.delta() != 0.0);
+        assert_eq!(a.delta, b.delta);
+        assert!(a.delta != 0.0);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! σ ≠ 1, or a discretisation that does not settle to `kT/C`).
 
 use std::f64::consts::PI;
-use tdsigma_circuit::network::SummingNode;
-use tdsigma_circuit::noise::SimRng;
-use tdsigma_circuit::vco::{RingVco, VcoParams};
-use tdsigma_tech::units::{BOLTZMANN, NOMINAL_TEMPERATURE_K};
+use tdsigma_circuit::{RingVco, SimRng, SummingNode, VcoParams};
+use tdsigma_tech::{BOLTZMANN, NOMINAL_TEMPERATURE_K};
 
 const STEPS: usize = 200_000;
 

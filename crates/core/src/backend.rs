@@ -10,11 +10,7 @@
 use crate::sim::SimCapture;
 use crate::spec::AdcSpec;
 use std::fmt;
-use tdsigma_dsp::decimate::CicDecimator;
-use tdsigma_dsp::fir::FirFilter;
-use tdsigma_dsp::metrics::ToneAnalysis;
-use tdsigma_dsp::spectrum::{Spectrum, SpectrumScratch};
-use tdsigma_dsp::window::Window;
+use tdsigma_dsp::{CicDecimator, FirFilter, Spectrum, SpectrumScratch, ToneAnalysis, Window};
 
 /// The decimated, filtered output of the ADC.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +44,7 @@ impl DecimatedSignal {
     /// # Panics
     ///
     /// Panics if fewer than 64 output samples are available.
-    pub fn spectrum_with(&self, scratch: &mut SpectrumScratch) -> Spectrum {
+    pub(crate) fn spectrum_with(&self, scratch: &mut SpectrumScratch) -> Spectrum {
         let n = self.samples.len();
         assert!(n >= 64, "need at least 64 decimated samples");
         let pow2 = 1usize << (usize::BITS - 1 - n.leading_zeros());
@@ -68,7 +64,7 @@ impl DecimatedSignal {
 
     /// [`Self::analyze`] with caller-owned DSP scratch buffers;
     /// bit-identical to [`Self::analyze`].
-    pub fn analyze_with(&self, bw_hz: f64, scratch: &mut SpectrumScratch) -> ToneAnalysis {
+    pub(crate) fn analyze_with(&self, bw_hz: f64, scratch: &mut SpectrumScratch) -> ToneAnalysis {
         ToneAnalysis::of(&self.spectrum_with(scratch), Some(bw_hz))
     }
 }
@@ -112,11 +108,6 @@ impl DecimationBackend {
             compensator,
             ratio,
         }
-    }
-
-    /// The total rate-change ratio.
-    pub fn ratio(&self) -> usize {
-        self.ratio
     }
 
     /// Processes a raw modulator capture into the decimated output.
@@ -202,7 +193,7 @@ mod tests {
     fn rate_change_matches_ratio() {
         let (spec, cap, _) = quick_capture(2048);
         let backend = DecimationBackend::for_spec(&spec);
-        assert_eq!(backend.ratio(), 18); // OSR 75 / 4 → 18
+        assert_eq!(backend.ratio, 18); // OSR 75 / 4 → 18
         let out = backend.process(&cap);
         assert!((out.rate_hz - spec.fs_hz / 18.0).abs() < 1.0);
         assert!(out.samples.len() <= 2048 / 18);

@@ -24,7 +24,7 @@ use crate::error::CoreError;
 use crate::sim::{tone, AdcSimulator};
 use crate::spec::AdcSpec;
 use std::sync::OnceLock;
-use tdsigma_dsp::spectrum::SpectrumScratch;
+use tdsigma_dsp::SpectrumScratch;
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// Version of the on-disk artifact schema (cache artifacts, journal
@@ -42,7 +42,7 @@ static FINGERPRINT: OnceLock<String> = OnceLock::new();
 /// The engine fingerprint of this process, computed once and cached.
 ///
 /// The value is 16 lowercase hex digits (an FNV-1a 64-bit digest) unless
-/// [`FINGERPRINT_ENV`] overrides it, in which case the override is
+/// `FINGERPRINT_ENV` overrides it, in which case the override is
 /// returned verbatim. Computing it costs one tiny golden-vector
 /// simulation (~1k clock cycles of a 2-slice design) on first call.
 pub fn engine_fingerprint() -> &'static str {

@@ -24,8 +24,7 @@ use crate::report::AdcReport;
 use crate::sim::{AdcSimulator, SimCapture, VctrlCap};
 use crate::spec::AdcSpec;
 use std::fmt;
-use tdsigma_dsp::metrics::ToneAnalysis;
-use tdsigma_dsp::spectrum::SpectrumScratch;
+use tdsigma_dsp::{SpectrumScratch, ToneAnalysis};
 use tdsigma_layout::{AprOptions, LayoutResult, TimingReport};
 use tdsigma_netlist::{Design, PowerPlan};
 use tdsigma_obs as obs;
@@ -144,11 +143,6 @@ impl DesignFlow {
         self
     }
 
-    /// The spec this flow will implement.
-    pub fn spec(&self) -> &AdcSpec {
-        &self.spec
-    }
-
     /// The coherent input frequency the flow will use.
     pub fn input_frequency_hz(&self) -> f64 {
         coherent_input_hz(
@@ -202,7 +196,7 @@ impl DesignFlow {
 
     /// The Table-3 row of [`Self::run`] and the physical summary it rests
     /// on, bit for bit, with the physical half taken from the process-wide
-    /// memo of [`physical::summary`]: a spec that shares its structure,
+    /// memo of `physical::summary`: a spec that shares its structure,
     /// node, clock and APR options with an earlier evaluation in this
     /// process skips netlist generation, APR and timing and runs only the
     /// transient, the spectrum and the power estimate.
@@ -368,7 +362,7 @@ mod tests {
     fn input_frequency_is_coherent() {
         let flow = quick_flow();
         let fin = flow.input_frequency_hz();
-        let bin = fin * 4096.0 / flow.spec().fs_hz;
+        let bin = fin * 4096.0 / flow.spec.fs_hz;
         assert!((bin - bin.round()).abs() < 1e-9, "fin must land on a bin");
         assert!(bin >= 1.0);
         // Near BW/5 = 1 MHz, like the paper.
@@ -379,7 +373,7 @@ mod tests {
     fn explicit_input_frequency_snaps() {
         let flow = quick_flow().with_input_frequency(1.23e6);
         let fin = flow.input_frequency_hz();
-        let bin = fin * 4096.0 / flow.spec().fs_hz;
+        let bin = fin * 4096.0 / flow.spec.fs_hz;
         assert!((bin - bin.round()).abs() < 1e-9);
     }
 }

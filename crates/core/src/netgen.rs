@@ -4,18 +4,18 @@
 //!
 //! * [`comparator_module`] — Table 1: two cross-coupled `NOR3X4` (the
 //!   proposed synthesis-friendly comparator) plus the `NOR2X1` SR latch.
-//! * [`vco_stage_module`] — Fig. 5: one pseudo-differential delay stage
+//! * `vco_stage_module` — Fig. 5: one pseudo-differential delay stage
 //!   built from 4 inverters whose power pins connect to `VCTRL` (that is
 //!   what makes the ring a voltage-controlled integrator — and what breaks
 //!   naive APR).
-//! * [`buffer_module`] — the kick-back isolation buffer (same structure,
+//! * `buffer_module` — the kick-back isolation buffer (same structure,
 //!   powered from `VBUF`).
 //! * [`pd_vdd_module`] / [`pd_vrefp_module`] — Table 2's `pd_VDD` (SAFFs,
 //!   XOR, retiming latch) and `pd_VREFP` (the DAC inverters) blocks.
-//! * [`resistor_module`] — `res_cell`: four identical fragments in series
+//! * `resistor_module` — `res_cell`: four identical fragments in series
 //!   (§3.1: "each resistor is decomposed into several identical
 //!   fragments").
-//! * [`slice_module`] — Table 2's `ADC_slice`.
+//! * `slice_module` — Table 2's `ADC_slice`.
 //! * [`generate`] — the full ADC: shared control/buffer nodes, input
 //!   resistors, N slices, clock tree.
 //!
@@ -29,7 +29,7 @@ use crate::spec::AdcSpec;
 use tdsigma_netlist::{Design, Module, NetId, PortDirection};
 
 /// Number of identical fragments composing one resistor (paper Fig. 11).
-pub const FRAGMENTS_PER_RESISTOR: usize = 4;
+pub(crate) const FRAGMENTS_PER_RESISTOR: usize = 4;
 
 /// The part of an [`AdcSpec`] the gate-level netlist is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +108,7 @@ pub fn comparator_module() -> Module {
 
 /// Builds the Fig. 5 VCO delay stage: two forward inverters plus two
 /// cross-coupled inverters, all supplied from `VCTRL`.
-pub fn vco_stage_module() -> Module {
+pub(crate) fn vco_stage_module() -> Module {
     let mut m = Module::new("VCO_cell");
     let on = m.add_port("ON", PortDirection::Output);
     let op = m.add_port("OP", PortDirection::Output);
@@ -136,7 +136,7 @@ pub fn vco_stage_module() -> Module {
 /// Builds the kick-back isolation buffer (`buf_cell` in Table 2): the same
 /// 4-inverter structure with a fixed bias supply `VCTRL` (bonded to VBUF
 /// at the top).
-pub fn buffer_module() -> Module {
+pub(crate) fn buffer_module() -> Module {
     let mut m = Module::new("buf_cell");
     let bon = m.add_port("BON", PortDirection::Output);
     let bop = m.add_port("BOP", PortDirection::Output);
@@ -292,7 +292,7 @@ pub fn pd_vrefp_module(stages: usize) -> Module {
 /// # Panics
 ///
 /// Panics if `fragment` is not a resistor cell name.
-pub fn resistor_module(name: &str, fragment: &str) -> Module {
+pub(crate) fn resistor_module(name: &str, fragment: &str) -> Module {
     assert!(
         fragment == "RESLO" || fragment == "RESHI",
         "fragment must be RESLO or RESHI"
@@ -316,7 +316,7 @@ pub fn resistor_module(name: &str, fragment: &str) -> Module {
 
 /// Builds a full adder from standard cells: `SUM = A ⊕ B ⊕ CIN`,
 /// `COUT = AB + CIN·(A ⊕ B)` — two XOR2 and three NAND2 gates.
-pub fn full_adder_module() -> Module {
+pub(crate) fn full_adder_module() -> Module {
     let mut m = Module::new("full_adder");
     let a = m.add_port("A", PortDirection::Input);
     let b = m.add_port("B", PortDirection::Input);
@@ -380,7 +380,7 @@ pub fn full_adder_module() -> Module {
 }
 
 /// Builds a half adder: `SUM = A ⊕ B`, `COUT = A·B` (XOR2 + NAND2 + INV).
-pub fn half_adder_module() -> Module {
+pub(crate) fn half_adder_module() -> Module {
     let mut m = Module::new("half_adder");
     let a = m.add_port("A", PortDirection::Input);
     let b = m.add_port("B", PortDirection::Input);
@@ -411,7 +411,7 @@ pub fn half_adder_module() -> Module {
 }
 
 /// Number of binary output bits of a ones counter over `n` inputs.
-pub fn ones_counter_width(n: usize) -> usize {
+pub(crate) fn ones_counter_width(n: usize) -> usize {
     (usize::BITS - n.leading_zeros()) as usize
 }
 
@@ -423,7 +423,7 @@ pub fn ones_counter_width(n: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn ones_counter_module(n: usize) -> Module {
+pub(crate) fn ones_counter_module(n: usize) -> Module {
     assert!(n >= 2, "a ones counter needs at least 2 inputs");
     let width = ones_counter_width(n);
     let mut m = Module::new("ones_counter");
@@ -514,7 +514,7 @@ pub fn ones_counter_module(n: usize) -> Module {
 /// Fig.-5 stages closing the ring), one buffer per ring tap, the `pd_VDD`
 /// quantizer block, the `pd_VREFP` thermometer DAC with its resistors, and
 /// the slice's own input resistors into its private control nodes.
-pub fn slice_module(stages: usize) -> Module {
+pub(crate) fn slice_module(stages: usize) -> Module {
     let mut m = Module::new("ADC_slice");
     let clk = m.add_port("CLK", PortDirection::Input);
     let vinp = m.add_port("VINP", PortDirection::Input);
@@ -794,7 +794,7 @@ pub fn generate(structure: impl Into<AdcStructure>) -> Result<Design, CoreError>
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use tdsigma_netlist::{lint::lint_flat, verilog, PowerPlan};
+    use tdsigma_netlist::{lint_flat, verilog, PowerPlan};
 
     fn spec() -> AdcSpec {
         AdcSpec::paper_40nm().unwrap()

@@ -6,7 +6,7 @@
 //! record, the netlist structure, the sampling clock (for STA) and the
 //! APR options. The electrical knobs of a spec (loop gain, resistor
 //! values, noise, seed, simulation steps, input tone) cannot reach it, so
-//! every spec that shares a key shares one layout. [`summary`] exploits
+//! every spec that shares a key shares one layout. `summary` exploits
 //! that: it implements each distinct key at most once per process and
 //! hands later callers the [`PhysicalSummary`] the electrical half reads.
 
@@ -216,7 +216,7 @@ static MEMO: Memo = Memo::new();
 ///
 /// Propagates netlist and layout errors of [`implement`]; a failure is
 /// not remembered.
-pub fn summary(key: &PhysicalKey) -> Result<PhysicalSummary, CoreError> {
+pub(crate) fn summary(key: &PhysicalKey) -> Result<PhysicalSummary, CoreError> {
     MEMO.get_or_compute(key, || implement(key).map(|design| design.summary))
 }
 

@@ -7,7 +7,7 @@
 //! network current and the buffer bias.
 //!
 //! The absolute scale of digital power is calibrated once against the
-//! paper's 40 nm point (see [`DIGITAL_CALIBRATION`]); the *scaling* between
+//! paper's 40 nm point (see `DIGITAL_CALIBRATION`); the *scaling* between
 //! nodes then follows purely from the technology model (`C·V²·f` with
 //! per-node cell capacitances, supplies and clock rates) — which is the
 //! claim under test.
@@ -15,7 +15,7 @@
 use crate::sim::Activity;
 use crate::spec::AdcSpec;
 use std::fmt;
-use tdsigma_tech::cells::{CellClass, DriveStrength};
+use tdsigma_tech::{CellClass, DriveStrength};
 
 /// Multiplier absorbing the difference between a raw gate-level `C·V²·f`
 /// estimate and reality (reduced internal swings, partial activity,
@@ -23,12 +23,12 @@ use tdsigma_tech::cells::{CellClass, DriveStrength};
 /// ≈1 mW of digital power as in the paper's Table 3. Applied identically
 /// at every node, so inter-node *ratios* come purely from the technology
 /// model.
-pub const DIGITAL_CALIBRATION: f64 = 0.47;
+pub(crate) const DIGITAL_CALIBRATION: f64 = 0.47;
 
 /// Buffer bias current per buffer per volt of supply, amperes/volt. The
 /// bias scales with VDD (gm-set), so analog power scales *less* than
 /// digital — the mechanism behind the paper's Fig. 15 share shift.
-pub const BUFFER_BIAS_A_PER_V: f64 = 3.3e-6;
+pub(crate) const BUFFER_BIAS_A_PER_V: f64 = 3.3e-6;
 
 /// Detailed power breakdown, watts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -57,7 +57,7 @@ pub struct PowerBreakdown {
 
 impl PowerBreakdown {
     /// Total digital power (the paper's Fig. 15 "Digital" wedge).
-    pub fn digital_w(&self) -> f64 {
+    pub(crate) fn digital_w(&self) -> f64 {
         self.vco_w
             + self.buffer_logic_w
             + self.saff_w
@@ -69,7 +69,7 @@ impl PowerBreakdown {
     }
 
     /// Total analog power (the "Analog" wedge).
-    pub fn analog_w(&self) -> f64 {
+    pub(crate) fn analog_w(&self) -> f64 {
         self.resistor_network_w + self.buffer_bias_w
     }
 

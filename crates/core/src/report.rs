@@ -1,7 +1,7 @@
 //! Performance reports in the shape of the paper's Table 3.
 
 use std::fmt;
-use tdsigma_dsp::metrics::{enob_from_sndr, walden_fom_fj};
+use tdsigma_dsp::{enob_from_sndr, walden_fom_fj};
 use tdsigma_tech::NodeId;
 
 /// One Table-3-style performance row.

@@ -55,14 +55,11 @@ use crate::error::CoreError;
 use crate::spec::AdcSpec;
 use std::f64::consts::PI;
 use std::fmt;
-use tdsigma_circuit::comparator::{ClockedComparator, CommonModeWindow, ComparatorParams};
-use tdsigma_circuit::mismatch::MismatchModel;
-use tdsigma_circuit::noise::SimRng;
-use tdsigma_circuit::transient::{Clock, EdgeKind};
-use tdsigma_circuit::vco::VcoParams;
-use tdsigma_dsp::metrics::ToneAnalysis;
-use tdsigma_dsp::spectrum::{Spectrum, SpectrumScratch};
-use tdsigma_dsp::window::Window;
+use tdsigma_circuit::{
+    Clock, ClockedComparator, CommonModeWindow, ComparatorParams, EdgeKind, MismatchModel, SimRng,
+    VcoParams,
+};
+use tdsigma_dsp::{Spectrum, SpectrumScratch, ToneAnalysis, Window};
 use tdsigma_layout::Parasitics;
 use tdsigma_obs as obs;
 
@@ -407,7 +404,7 @@ impl fmt::Display for SimCapture {
 /// The behavioral ADC simulator.
 ///
 /// ```no_run
-/// use tdsigma_core::{sim::AdcSimulator, spec::AdcSpec};
+/// use tdsigma_core::{AdcSimulator, AdcSpec};
 ///
 /// # fn main() -> Result<(), tdsigma_core::CoreError> {
 /// let spec = AdcSpec::paper_40nm()?;
@@ -642,9 +639,8 @@ impl AdcSimulator {
             // reproduces `v = target` exactly, and no thermal draw.
             let a = if tau == 0.0 { 0.0 } else { (-dt / tau).exp() };
             let sigma = if thermal {
-                let kt_over_c = tdsigma_tech::units::BOLTZMANN
-                    * tdsigma_tech::units::NOMINAL_TEMPERATURE_K
-                    / node_cap;
+                let kt_over_c =
+                    tdsigma_tech::BOLTZMANN * tdsigma_tech::NOMINAL_TEMPERATURE_K / node_cap;
                 (kt_over_c * (1.0 - a * a)).sqrt()
             } else {
                 0.0
@@ -718,18 +714,17 @@ impl AdcSimulator {
         &self.spec
     }
 
-    /// The comparator flavour in use.
-    pub fn flavor(&self) -> ComparatorFlavor {
-        self.flavor
-    }
-
-    /// Fixed-grid steps taken since construction (drift diagnostics).
-    pub fn clock_steps(&self) -> u64 {
+    /// Fixed-grid steps taken since construction; the clock drift test
+    /// reads it.
+    #[cfg(test)]
+    fn clock_steps(&self) -> u64 {
         self.clock.step_count()
     }
 
-    /// Rising clock edges seen since construction.
-    pub fn clock_rising_edges(&self) -> u64 {
+    /// Rising clock edges seen since construction; the clock drift test
+    /// reads it.
+    #[cfg(test)]
+    fn clock_rising_edges(&self) -> u64 {
         self.clock.rising_edge_count()
     }
 
@@ -1318,7 +1313,7 @@ mod tests {
 
     #[test]
     fn phase_wrap_filter_matches_rem_euclid_exactly() {
-        use tdsigma_circuit::noise::SimRng;
+        use tdsigma_circuit::SimRng;
         // The incremental level tracker must agree with the direct
         // predicate on every step of phase-like random walks: typical
         // sim increments, near-boundary grazing, negative excursions,
@@ -1393,7 +1388,7 @@ mod tests {
 
     #[test]
     fn clipped_tap_level_is_bit_identical_to_sin() {
-        use tdsigma_circuit::noise::SimRng;
+        use tdsigma_circuit::SimRng;
         let offsets: Vec<f64> = (0..4).map(|tap| PI * tap as f64 / 4.0).collect();
 
         // Four walks of sim-like steps from random phases up to 10⁶

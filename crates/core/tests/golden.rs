@@ -24,9 +24,8 @@
 //! CHANGELOG.md. Never regenerate to paper over an unexplained diff.
 
 use tdsigma_core::sim::{AdcSimulator, SimCapture};
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::spectrum::SpectrumScratch;
-use tdsigma_dsp::window::Window;
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::{SpectrumScratch, Window};
 use tdsigma_tech::{fnv1a64, FNV1A64_BASIS};
 
 /// Output of `golden_probe` at the ziggurat normal-sampler baseline; the

@@ -23,16 +23,13 @@
 //! (`run_tone`), and holds both to the reference.
 
 use std::f64::consts::PI;
-use tdsigma_circuit::comparator::ComparatorParams;
-use tdsigma_circuit::mismatch::MismatchModel;
-use tdsigma_circuit::network::{BranchId, SummingNode};
-use tdsigma_circuit::noise::SimRng;
-use tdsigma_circuit::transient::{Clock, EdgeKind};
-use tdsigma_circuit::vco::{RingVco, VcoParams};
-use tdsigma_circuit::ClockedComparator;
+use tdsigma_circuit::{
+    BranchId, Clock, ClockedComparator, ComparatorParams, EdgeKind, MismatchModel, RingVco, SimRng,
+    SummingNode, VcoParams,
+};
 use tdsigma_core::netgen;
 use tdsigma_core::sim::{AdcSimulator, ComparatorFlavor};
-use tdsigma_core::spec::AdcSpec;
+use tdsigma_core::AdcSpec;
 use tdsigma_layout::{synthesize, AprOptions};
 use tdsigma_netlist::PowerPlan;
 

@@ -15,7 +15,7 @@ use std::fmt;
 /// normalises out.
 ///
 /// ```
-/// use tdsigma_dsp::decimate::CicDecimator;
+/// use tdsigma_dsp::CicDecimator;
 ///
 /// let cic = CicDecimator::new(3, 16);
 /// let out = cic.decimate(&vec![0.25; 160]);
@@ -38,16 +38,6 @@ impl CicDecimator {
         assert!(order > 0, "CIC order must be at least 1");
         assert!(ratio >= 2, "decimation ratio must be at least 2");
         CicDecimator { order, ratio }
-    }
-
-    /// Number of integrator/comb stages.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// Decimation ratio.
-    pub fn ratio(&self) -> usize {
-        self.ratio
     }
 
     /// Filters and decimates `input`, returning `input.len() / ratio`

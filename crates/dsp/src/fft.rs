@@ -21,7 +21,7 @@ pub struct Complex {
 
 impl Complex {
     /// The additive identity.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
     pub fn new(re: f64, im: f64) -> Self {
@@ -34,7 +34,7 @@ impl Complex {
     }
 
     /// `e^{iθ}` — a unit phasor at angle `theta` radians.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
@@ -51,8 +51,9 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    /// Complex conjugate; the tests build Hermitian spectra with it.
+    #[cfg(test)]
+    pub(crate) fn conj(self) -> Self {
         Complex {
             re: self.re,
             im: -self.im,
@@ -60,7 +61,7 @@ impl Complex {
     }
 
     /// Multiplies by a real scalar.
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         Complex {
             re: self.re * k,
             im: self.im * k,
@@ -212,17 +213,6 @@ pub struct FftScratch {
 }
 
 impl FftScratch {
-    /// Creates an empty scratch; tables are built on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The transform length the cached tables are built for (0 before
-    /// first use).
-    pub fn planned_len(&self) -> usize {
-        self.len
-    }
-
     fn prepare(&mut self, n: usize) {
         if self.len == n {
             return;
@@ -255,7 +245,7 @@ impl FftScratch {
     /// # Panics
     ///
     /// Panics if `data.len()` is not a power of two (including zero).
-    pub fn fft_in_place(&mut self, data: &mut [Complex]) {
+    pub(crate) fn fft_in_place(&mut self, data: &mut [Complex]) {
         self.prepare(data.len());
         bit_reverse(data);
         let n = data.len();
@@ -286,7 +276,7 @@ impl FftScratch {
     /// # Panics
     ///
     /// Panics if `samples.len()` is not a power of two (including zero).
-    pub fn fft_real(&mut self, samples: &[f64]) -> &[Complex] {
+    pub(crate) fn fft_real(&mut self, samples: &[f64]) -> &[Complex] {
         self.buf.clear();
         self.buf
             .extend(samples.iter().map(|&x| Complex::from_real(x)));
@@ -440,7 +430,7 @@ mod tests {
         // the bit — the golden spectrum fixtures depend on it. One scratch
         // is reused across sizes (forcing re-plans) and across repeated
         // calls at the same size (exercising table reuse).
-        let mut scratch = FftScratch::new();
+        let mut scratch = FftScratch::default();
         for n in [1usize, 2, 8, 64, 256, 1 << 12] {
             let samples: Vec<f64> = (0..n)
                 .map(|i| (i as f64 * 0.37).sin() + 0.25 * (i as f64 * 2.1).cos())
@@ -448,7 +438,7 @@ mod tests {
             let reference = fft_real(&samples);
             for _ in 0..2 {
                 let got = scratch.fft_real(&samples).to_vec();
-                assert_eq!(scratch.planned_len(), n);
+                assert_eq!(scratch.len, n);
                 assert_eq!(got.len(), reference.len());
                 for (a, b) in got.iter().zip(&reference) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n}");
@@ -470,7 +460,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn scratch_rejects_non_power_of_two() {
-        let mut scratch = FftScratch::new();
+        let mut scratch = FftScratch::default();
         let _ = scratch.fft_real(&[0.0; 12]);
     }
 

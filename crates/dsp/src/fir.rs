@@ -13,8 +13,7 @@ use std::fmt;
 /// A designed FIR filter (finite impulse response, linear phase).
 ///
 /// ```
-/// use tdsigma_dsp::fir::FirFilter;
-/// use tdsigma_dsp::window::Window;
+/// use tdsigma_dsp::{FirFilter, Window};
 ///
 /// let lp = FirFilter::low_pass(0.1, 63, Window::Hann);
 /// assert!(lp.magnitude(0.02) > 0.95);  // passband

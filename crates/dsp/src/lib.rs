@@ -3,15 +3,17 @@
 //! Everything needed to turn a delta-sigma modulator bitstream into the
 //! numbers the paper reports: an in-house radix-2 FFT, window functions,
 //! power-spectral-density estimation, single-tone ADC metrics (SNDR, SNR,
-//! SFDR, THD, ENOB), Walden and Schreier figures of merit, a noise-shaping
-//! slope estimator (the paper's "20 dB/dec" annotation in Fig. 17), idle-tone
+//! SFDR, THD, ENOB), the Walden figure of merit, a noise-shaping slope
+//! estimator (the paper's "20 dB/dec" annotation in Fig. 17), idle-tone
 //! detection (Fig. 18), and decimation filters.
 //!
 //! No external DSP crates are used; the FFT is implemented here and verified
-//! against a direct DFT, Parseval's theorem, and analytic cases.
+//! against a direct DFT, Parseval's theorem, and analytic cases. Every
+//! module is private: the root re-exports exactly the names other crates,
+//! the benches and the integration tests import.
 //!
 //! ```
-//! use tdsigma_dsp::{metrics::ToneAnalysis, spectrum::Spectrum, window::Window};
+//! use tdsigma_dsp::{Spectrum, ToneAnalysis, Window};
 //!
 //! // A pure sine at bin 17 of a 1024-point capture.
 //! let n = 1024;
@@ -26,21 +28,22 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod decimate;
-pub mod fft;
-pub mod fir;
-pub mod linearity;
-pub mod metrics;
-pub mod shaping;
-pub mod spectrum;
-pub mod welch;
-pub mod window;
+mod decimate;
+mod fft;
+mod fir;
+mod linearity;
+mod metrics;
+mod shaping;
+mod spectrum;
+mod welch;
+mod window;
 
-pub use fft::Complex;
-pub use fir::{cic_magnitude, FirFilter};
-pub use linearity::{sine_histogram, transfer_inl, HistogramReport, InlReport, TransferPoint};
-pub use metrics::{enob_from_sndr, schreier_fom_db, walden_fom_fj, ToneAnalysis, TwoToneAnalysis};
+pub use decimate::{boxcar_decimate, CicDecimator};
+pub use fft::{dft_reference, fft_in_place, fft_real, ifft_in_place, Complex};
+pub use fir::FirFilter;
+pub use linearity::{transfer_inl, TransferPoint};
+pub use metrics::{enob_from_sndr, walden_fom_fj, ToneAnalysis, TwoToneAnalysis};
 pub use shaping::{fit_noise_slope, idle_tone_report, IdleToneReport, SlopeFit};
-pub use spectrum::Spectrum;
+pub use spectrum::{Spectrum, SpectrumScratch};
 pub use welch::{welch_psd, PsdEstimate};
 pub use window::Window;

@@ -1,16 +1,9 @@
-//! Static linearity metrology: INL/DNL from DC transfer sweeps and from
-//! sine-wave code-density histograms.
+//! Static linearity metrology: INL from DC transfer sweeps.
 //!
-//! Two standard ADC lab methods:
-//!
-//! * **Transfer-sweep INL** — apply DC levels, record the mean output
-//!   code, fit the best straight line, report the worst deviation in LSB.
-//!   Right for oversampling converters, whose "code" is an average.
-//! * **Code-density (histogram) DNL/INL** — drive a full-scale sine and
-//!   compare the code histogram against the ideal arcsine density. Right
-//!   for Nyquist converters (used on the stochastic-flash baseline).
+//! Apply DC levels, record the mean output code, fit the best straight
+//! line, report the worst deviation in LSB. This is the lab method for
+//! oversampling converters, whose "code" is an average.
 
-use std::f64::consts::PI;
 use std::fmt;
 
 /// One point of a DC transfer sweep.
@@ -82,83 +75,6 @@ pub fn transfer_inl(points: &[TransferPoint], lsb: f64) -> InlReport {
     }
 }
 
-/// Result of a code-density histogram analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramReport {
-    /// Per-code DNL in LSB (length = codes − 2; end bins are excluded as
-    /// is standard, since the sine clips there).
-    pub dnl_lsb: Vec<f64>,
-    /// Per-code INL in LSB (cumulative DNL).
-    pub inl_lsb: Vec<f64>,
-    /// Worst absolute DNL, LSB.
-    pub max_dnl_lsb: f64,
-    /// Worst absolute INL, LSB.
-    pub max_inl_lsb: f64,
-}
-
-impl fmt::Display for HistogramReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "code density: DNL {:.3} / INL {:.3} LSB max over {} codes",
-            self.max_dnl_lsb,
-            self.max_inl_lsb,
-            self.dnl_lsb.len()
-        )
-    }
-}
-
-/// Code-density DNL/INL from a sine-wave histogram.
-///
-/// `codes` are integer output codes in `0..levels` captured while a sine
-/// slightly overdriving the full range was applied.
-///
-/// # Panics
-///
-/// Panics if `levels < 4` or the capture misses interior codes entirely.
-pub fn sine_histogram(codes: &[usize], levels: usize) -> HistogramReport {
-    assert!(levels >= 4, "need at least 4 codes");
-    let mut hist = vec![0u64; levels];
-    for &c in codes {
-        hist[c.min(levels - 1)] += 1;
-    }
-    let interior = &hist[1..levels - 1];
-    let total: u64 = interior.iter().sum();
-    assert!(total > 0, "no interior codes captured");
-    // Ideal sine PDF between code k and k+1 boundaries (arcsine density):
-    // p(k) ∝ asin(x_{k+1}) − asin(x_k) with x mapped to [−1, 1].
-    let m = levels - 2;
-    let ideal: Vec<f64> = (0..m)
-        .map(|k| {
-            let x0 = -1.0 + 2.0 * (k + 1) as f64 / levels as f64;
-            let x1 = -1.0 + 2.0 * (k + 2) as f64 / levels as f64;
-            (x1.clamp(-1.0, 1.0).asin() - x0.clamp(-1.0, 1.0).asin()) / PI
-        })
-        .collect();
-    let ideal_total: f64 = ideal.iter().sum();
-    let dnl_lsb: Vec<f64> = interior
-        .iter()
-        .zip(&ideal)
-        .map(|(&h, &p)| (h as f64 / total as f64) / (p / ideal_total) - 1.0)
-        .collect();
-    let mut inl = 0.0;
-    let inl_lsb: Vec<f64> = dnl_lsb
-        .iter()
-        .map(|&d| {
-            inl += d;
-            inl
-        })
-        .collect();
-    let max_dnl_lsb = dnl_lsb.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
-    let max_inl_lsb = inl_lsb.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
-    HistogramReport {
-        dnl_lsb,
-        inl_lsb,
-        max_dnl_lsb,
-        max_inl_lsb,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,44 +110,6 @@ mod tests {
             (report.max_inl_lsb - 0.33).abs() < 0.1,
             "bow minus best-fit ≈ 1/3 LSB: {report}"
         );
-    }
-
-    #[test]
-    fn ideal_quantizer_histogram_is_flat() {
-        // Quantize a dithered full-scale sine ideally: DNL ≈ 0.
-        let levels = 16usize;
-        let n = 400_000;
-        let codes: Vec<usize> = (0..n)
-            .map(|i| {
-                let t = i as f64 * 0.618_033_988; // irrational stride
-                let x = (2.0 * PI * t).sin(); // [-1, 1]
-                (((x + 1.0) / 2.0 * levels as f64) as usize).min(levels - 1)
-            })
-            .collect();
-        let report = sine_histogram(&codes, levels);
-        assert!(report.max_dnl_lsb < 0.05, "{report}");
-        assert!(report.max_inl_lsb < 0.05, "{report}");
-    }
-
-    #[test]
-    fn missing_code_shows_as_negative_dnl() {
-        let levels = 16usize;
-        let n = 200_000;
-        let codes: Vec<usize> = (0..n)
-            .map(|i| {
-                let t = i as f64 * 0.618_033_988;
-                let x = (2.0 * PI * t).sin();
-                let mut c = (((x + 1.0) / 2.0 * levels as f64) as usize).min(levels - 1);
-                if c == 7 {
-                    c = 8; // code 7 never occurs
-                }
-                c
-            })
-            .collect();
-        let report = sine_histogram(&codes, levels);
-        // Code 7 is interior index 6: DNL −1 (missing).
-        assert!((report.dnl_lsb[6] + 1.0).abs() < 0.05, "{report:?}");
-        assert!(report.max_dnl_lsb > 0.9);
     }
 
     #[test]

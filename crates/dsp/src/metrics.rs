@@ -239,19 +239,6 @@ pub fn walden_fom_fj(power_w: f64, sndr_db: f64, bandwidth_hz: f64) -> f64 {
     power_w / (2f64.powf(enob) * 2.0 * bandwidth_hz) * 1e15
 }
 
-/// Schreier figure of merit in dB: `SNDR + 10·log10(BW / P)`.
-///
-/// # Panics
-///
-/// Panics if `power_w` or `bandwidth_hz` is not positive.
-pub fn schreier_fom_db(power_w: f64, sndr_db: f64, bandwidth_hz: f64) -> f64 {
-    assert!(
-        power_w > 0.0 && bandwidth_hz > 0.0,
-        "power and bandwidth must be positive"
-    );
-    sndr_db + 10.0 * (bandwidth_hz / power_w).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,12 +348,6 @@ mod tests {
         // Paper 180 nm: 5.45 mW, 69.5 dB, 1.4 MHz → 798 fJ/conv.
         let fom = walden_fom_fj(5.45e-3, 69.5, 1.4e6);
         assert!((fom - 798.0).abs() < 15.0, "got {fom}");
-    }
-
-    #[test]
-    fn schreier_fom_sane() {
-        let fom = schreier_fom_db(1.37e-3, 69.5, 5e6);
-        assert!(fom > 150.0 && fom < 175.0, "got {fom}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::fmt;
 ///
 /// Bit-identical to the allocating constructors: cached window
 /// coefficients are the same deterministic values
-/// [`Window::coefficients`] returns, and [`FftScratch`] documents its own
+/// `Window::coefficients` returns, and `FftScratch` documents its own
 /// bit-exactness contract.
 #[derive(Debug, Clone, Default)]
 pub struct SpectrumScratch {
@@ -71,7 +71,7 @@ impl Spectrum {
     ///
     /// Panics if `samples.len()` is not a power of two, if `sample_rate_hz`
     /// is not positive, or if `full_scale` is not positive.
-    pub fn from_samples_with_full_scale(
+    pub(crate) fn from_samples_with_full_scale(
         samples: &[f64],
         sample_rate_hz: f64,
         window: Window,
@@ -86,14 +86,14 @@ impl Spectrum {
         )
     }
 
-    /// [`Self::from_samples_with_full_scale`] with caller-owned scratch
+    /// `Self::from_samples_with_full_scale` with caller-owned scratch
     /// buffers: window coefficients, the windowed copy, and FFT twiddles
     /// are reused across calls instead of reallocated. Bit-identical to
     /// the allocating constructors (see [`SpectrumScratch`]).
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Self::from_samples_with_full_scale`].
+    /// Same conditions as `Self::from_samples_with_full_scale`.
     pub fn from_samples_scratch(
         samples: &[f64],
         sample_rate_hz: f64,
@@ -116,7 +116,7 @@ impl Spectrum {
                 .map(|(&x, &w)| (x - mean) * w),
         );
         let spec: &[Complex] = scratch.fft.fft_real(&scratch.windowed);
-        // Same fold as `Window::coherent_gain`, over the cached coefficients.
+        // Coherent gain: the mean of the cached window coefficients.
         let gain = scratch.coeffs.iter().sum::<f64>() / n as f64;
         // Single-sided amplitude: |X[k]|·2/(N·gain); power relative to FS.
         let scale = 2.0 / (n as f64 * gain * full_scale);
@@ -159,17 +159,17 @@ impl Spectrum {
     }
 
     /// Sample rate of the original capture in Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
+    pub(crate) fn sample_rate_hz(&self) -> f64 {
         self.sample_rate_hz
     }
 
     /// The window used.
-    pub fn window(&self) -> Window {
+    pub(crate) fn window(&self) -> Window {
         self.window
     }
 
     /// Frequency resolution (bin width) in Hz.
-    pub fn bin_width_hz(&self) -> f64 {
+    pub(crate) fn bin_width_hz(&self) -> f64 {
         self.sample_rate_hz / self.n_time as f64
     }
 
@@ -184,7 +184,7 @@ impl Spectrum {
     }
 
     /// Power of bin `k` in FS² units.
-    pub fn power(&self, k: usize) -> f64 {
+    pub(crate) fn power(&self, k: usize) -> f64 {
         self.bins[k]
     }
 
@@ -203,7 +203,7 @@ impl Spectrum {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or reversed.
-    pub fn band_power(&self, lo_bin: usize, hi_bin: usize) -> f64 {
+    pub(crate) fn band_power(&self, lo_bin: usize, hi_bin: usize) -> f64 {
         assert!(
             lo_bin <= hi_bin && hi_bin < self.bins.len(),
             "bad bin range"

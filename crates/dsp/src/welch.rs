@@ -19,42 +19,9 @@ pub struct PsdEstimate {
 }
 
 impl PsdEstimate {
-    /// Power spectral density per bin, in (input units)²/Hz.
-    pub fn values(&self) -> &[f64] {
-        &self.psd
-    }
-
     /// Frequency-bin width, Hz.
     pub fn bin_width_hz(&self) -> f64 {
         self.bin_width_hz
-    }
-
-    /// Centre frequency of bin `k`.
-    pub fn frequency_hz(&self, k: usize) -> f64 {
-        k as f64 * self.bin_width_hz
-    }
-
-    /// Number of averaged segments.
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Number of input samples that actually entered the estimate:
-    /// `(segments − 1)·hop + segment_len` with 50 % overlap. Anything past
-    /// the last full segment is dropped (see [`welch_psd`]'s tail note), so
-    /// this can be up to `hop − 1` short of the input length.
-    pub fn samples_used(&self) -> usize {
-        self.samples_used
-    }
-
-    /// Number of frequency bins.
-    pub fn len(&self) -> usize {
-        self.psd.len()
-    }
-
-    /// True if no bins (never for constructed estimates).
-    pub fn is_empty(&self) -> bool {
-        self.psd.is_empty()
     }
 
     /// Resolves a frequency band to an inclusive bin range, or `None`
@@ -147,7 +114,7 @@ pub struct WelchScratch {
 
 impl WelchScratch {
     /// Creates an empty scratch; buffers are built on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -164,7 +131,7 @@ impl WelchScratch {
 /// `segment_len`-point windowed periodograms, 50 % overlap, averaged.
 ///
 /// Allocates its working buffers per call; hot loops should hold a
-/// [`WelchScratch`] and call [`welch_psd_with`], which is bit-identical.
+/// `WelchScratch` and call `welch_psd_with`, which is bit-identical.
 ///
 /// # DC convention
 ///
@@ -183,9 +150,9 @@ impl WelchScratch {
 /// the form `k·hop + segment_len` the trailing `(len − segment_len) % hop`
 /// samples contribute to **no** segment and are silently dropped — the
 /// estimator never zero-pads or shortens a segment, because a partial
-/// window would bias the normalisation `U`. [`PsdEstimate::samples_used`]
-/// reports how many samples actually entered the estimate; callers that
-/// care should size captures so `len ≡ segment_len (mod hop)`.
+/// window would bias the normalisation `U`. So `(segments − 1)·hop +
+/// segment_len` samples enter the estimate; callers that care should size
+/// captures so `len ≡ segment_len (mod hop)`.
 ///
 /// # Panics
 ///
@@ -319,16 +286,16 @@ mod tests {
             .collect();
         let psd = welch_psd(&samples, 1 << 11, Window::Hann, fs);
         let peak = psd
-            .values()
+            .psd
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
             .expect("non-empty")
             .0;
         assert!(
-            (psd.frequency_hz(peak) - f0).abs() < 2.0 * psd.bin_width_hz(),
+            (peak as f64 * psd.bin_width_hz() - f0).abs() < 2.0 * psd.bin_width_hz(),
             "peak at {} vs {f0}",
-            psd.frequency_hz(peak)
+            peak as f64 * psd.bin_width_hz()
         );
         // Tone power ≈ A²/2 = 0.5.
         let tone_power =
@@ -342,10 +309,10 @@ mod tests {
         let samples = white_noise(1 << 15, 0.1, 7);
         let few = welch_psd(&samples, 1 << 13, Window::Hann, fs);
         let many = welch_psd(&samples, 1 << 8, Window::Hann, fs);
-        assert!(many.segments() > 10 * few.segments());
+        assert!(many.segments > 10 * few.segments);
         // Spread of the log-PSD shrinks with averaging.
         let spread = |p: &PsdEstimate| {
-            let vals: Vec<f64> = p.values()[2..p.len() - 1].iter().map(|v| v.ln()).collect();
+            let vals: Vec<f64> = p.psd[2..p.psd.len() - 1].iter().map(|v| v.ln()).collect();
             let m = vals.iter().sum::<f64>() / vals.len() as f64;
             (vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / vals.len() as f64).sqrt()
         };
@@ -357,7 +324,7 @@ mod tests {
         let fs = 1e3;
         let samples: Vec<f64> = vec![5.0; 4096];
         let psd = welch_psd(&samples, 256, Window::Hann, fs);
-        assert!(psd.values()[0] < 1e-20, "constant input has no AC power");
+        assert!(psd.psd[0] < 1e-20, "constant input has no AC power");
     }
 
     #[test]
@@ -379,11 +346,11 @@ mod tests {
         ] {
             let samples = white_noise(len, 0.1, 5);
             let psd = welch_psd(&samples, seg, Window::Hann, fs);
-            assert_eq!(psd.segments(), want_segments, "len {len}");
+            assert_eq!(psd.segments, want_segments, "len {len}");
             let used = (want_segments - 1) * hop + seg;
-            assert_eq!(psd.samples_used(), used, "len {len}");
-            assert!(psd.samples_used() <= len);
-            assert!(len - psd.samples_used() < hop, "drop is bounded by hop");
+            assert_eq!(psd.samples_used, used, "len {len}");
+            assert!(psd.samples_used <= len);
+            assert!(len - psd.samples_used < hop, "drop is bounded by hop");
         }
     }
 
@@ -404,9 +371,9 @@ mod tests {
             let samples = white_noise(len, 0.2, len as u64);
             let fresh = welch_psd(&samples, seg, window, fs);
             let reused = welch_psd_with(&samples, seg, window, fs, &mut scratch);
-            assert_eq!(fresh.segments(), reused.segments());
-            assert_eq!(fresh.samples_used(), reused.samples_used());
-            for (a, b) in fresh.values().iter().zip(reused.values()) {
+            assert_eq!(fresh.segments, reused.segments);
+            assert_eq!(fresh.samples_used, reused.samples_used);
+            for (a, b) in fresh.psd.iter().zip(&reused.psd) {
                 assert_eq!(a.to_bits(), b.to_bits(), "len {len} seg {seg}");
             }
         }
@@ -479,6 +446,6 @@ mod tests {
     fn display_reports_segments() {
         let psd = welch_psd(&white_noise(4096, 0.1, 3), 512, Window::Hann, 1e6);
         assert!(psd.to_string().contains("segments"));
-        assert!(!psd.is_empty());
+        assert!(!psd.psd.is_empty());
     }
 }

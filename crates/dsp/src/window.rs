@@ -28,7 +28,7 @@ impl Window {
     /// # Panics
     ///
     /// Panics if `i >= n` or `n == 0`.
-    pub fn coefficient(self, i: usize, n: usize) -> f64 {
+    pub(crate) fn coefficient(self, i: usize, n: usize) -> f64 {
         assert!(n > 0, "window length must be positive");
         assert!(i < n, "window index {i} out of bounds for length {n}");
         let x = 2.0 * PI * i as f64 / n as f64;
@@ -48,7 +48,7 @@ impl Window {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn coefficients(self, n: usize) -> Vec<f64> {
+    pub(crate) fn coefficients(self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.coefficient(i, n)).collect()
     }
 
@@ -58,7 +58,7 @@ impl Window {
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn symmetric_coefficients(self, n: usize) -> Vec<f64> {
+    pub(crate) fn symmetric_coefficients(self, n: usize) -> Vec<f64> {
         assert!(n >= 2, "symmetric window needs at least 2 points");
         (0..n)
             .map(|i| {
@@ -77,14 +77,12 @@ impl Window {
             .collect()
     }
 
-    /// Coherent gain: the mean of the window (amplitude scaling of a tone).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        self.coefficients(n).iter().sum::<f64>() / n as f64
-    }
-
     /// Normalised equivalent noise bandwidth in bins.
     ///
     /// Rectangular = 1.0, Hann = 1.5, Hamming ≈ 1.36, Blackman-Harris ≈ 2.0.
+    /// No flow stage calls it yet: it is the window term of the planned
+    /// closed-form SNDR oracle (ROADMAP item 1), which converts in-band
+    /// noise power to a per-bin level.
     pub fn enbw_bins(self, n: usize) -> f64 {
         let w = self.coefficients(n);
         let sum: f64 = w.iter().sum();
@@ -94,7 +92,7 @@ impl Window {
 
     /// Number of bins on each side of a tone that carry significant leakage
     /// and must be attributed to the signal during SNDR integration.
-    pub fn leakage_bins(self) -> usize {
+    pub(crate) fn leakage_bins(self) -> usize {
         match self {
             Window::Rectangular => 0,
             Window::Hann => 3,
@@ -126,7 +124,6 @@ mod tests {
             .coefficients(16)
             .iter()
             .all(|&x| x == 1.0));
-        assert_eq!(Window::Rectangular.coherent_gain(64), 1.0);
     }
 
     #[test]
@@ -138,7 +135,9 @@ mod tests {
 
     #[test]
     fn hann_coherent_gain_is_half() {
-        assert!((Window::Hann.coherent_gain(1024) - 0.5).abs() < 1e-3);
+        // Coherent gain: the mean of the window, which `Spectrum` divides out.
+        let w = Window::Hann.coefficients(1024);
+        assert!((w.iter().sum::<f64>() / 1024.0 - 0.5).abs() < 1e-3);
     }
 
     #[test]

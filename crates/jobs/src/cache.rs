@@ -10,7 +10,7 @@
 //! **An artifact this engine will not replay is rejected, never
 //! trusted.** Every artifact ends in a `crc64:<hex> fp:<fingerprint>`
 //! trailer: an FNV-1a checksum over the report line plus the
-//! [engine fingerprint](tdsigma_core::fingerprint) of the binary that
+//! [engine fingerprint](tdsigma_core::engine_fingerprint) of the binary that
 //! computed it. A key collides across engine versions by design (it
 //! hashes job parameters only), so the stamp is what keeps a warm cache
 //! from silently replaying another engine's numbers. There are two

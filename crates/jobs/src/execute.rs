@@ -13,11 +13,9 @@
 use crate::error::JobError;
 use crate::job::{Job, JobKind};
 use crate::report::JobReport;
-use tdsigma_core::flow::DesignFlow;
 use tdsigma_core::sim::AdcSimulator;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::metrics::enob_from_sndr;
-use tdsigma_dsp::spectrum::SpectrumScratch;
+use tdsigma_core::{AdcSpec, DesignFlow};
+use tdsigma_dsp::{enob_from_sndr, SpectrumScratch};
 use tdsigma_obs as obs;
 
 std::thread_local! {

@@ -15,10 +15,10 @@
 
 use crate::error::JobError;
 use crate::json::Json;
-use tdsigma_core::flow::coherent_input_hz;
+use tdsigma_core::coherent_input_hz;
 use tdsigma_core::sim::ANALYSIS_WINDOW;
-use tdsigma_core::spec::AdcSpec;
-use tdsigma_dsp::metrics::ToneAnalysis;
+use tdsigma_core::AdcSpec;
+use tdsigma_dsp::ToneAnalysis;
 use tdsigma_tech::{fnv1a64, NodeId, Technology, FNV1A64_BASIS};
 
 /// The longest capture one job may ask for: 2²⁰ samples, 64× the

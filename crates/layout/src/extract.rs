@@ -30,7 +30,7 @@ pub struct Parasitics {
 
 impl Parasitics {
     /// Extracts parasitics from the routing result at the given technology.
-    pub fn extract(routing: &Routing, tech: &Technology) -> Self {
+    pub(crate) fn extract(routing: &Routing, tech: &Technology) -> Self {
         let r_per_um = tech.wire_res_ohm_per_um();
         let c_per_um = tech.wire_cap_ff_per_um() * 1e-15;
         let mut nets = BTreeMap::new();
@@ -46,11 +46,6 @@ impl Parasitics {
             );
         }
         Parasitics { nets }
-    }
-
-    /// Parasitics of a net (zero if unrouted / supply).
-    pub fn net(&self, name: &str) -> NetParasitics {
-        self.nets.get(name).copied().unwrap_or_default()
     }
 
     /// Summed capacitance of all nets matching a predicate, farads.
@@ -78,7 +73,7 @@ impl Parasitics {
     }
 
     /// Iterates over `(net name, parasitics)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &NetParasitics)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &NetParasitics)> {
         self.nets.iter().map(|(n, p)| (n.as_str(), p))
     }
 }
@@ -128,11 +123,11 @@ mod tests {
     fn extraction_scales_with_length_and_node() {
         let t40 = Technology::for_node(NodeId::N40).unwrap();
         let p = Parasitics::extract(&fake_routing(), &t40);
-        let a = p.net("a");
+        let a = p.nets["a"];
         // 10 µm × 0.9 Ω/µm = 9 Ω; 10 µm × 0.19 fF/µm = 1.9 fF.
         assert!((a.resistance_ohm - 9.0).abs() < 0.1, "{}", a.resistance_ohm);
         assert!((a.capacitance_f - 1.9e-15).abs() < 1e-17);
-        let v = p.net("slice0/VCTRLP");
+        let v = p.nets["slice0/VCTRLP"];
         assert!((v.capacitance_f / a.capacitance_f - 5.0).abs() < 1e-9);
     }
 
@@ -142,14 +137,7 @@ mod tests {
         let t180 = Technology::for_node(NodeId::N180).unwrap();
         let p40 = Parasitics::extract(&fake_routing(), &t40);
         let p180 = Parasitics::extract(&fake_routing(), &t180);
-        assert!(p180.net("a").resistance_ohm < p40.net("a").resistance_ohm);
-    }
-
-    #[test]
-    fn unknown_net_is_zero() {
-        let t = Technology::for_node(NodeId::N40).unwrap();
-        let p = Parasitics::extract(&fake_routing(), &t);
-        assert_eq!(p.net("ghost"), NetParasitics::default());
+        assert!(p180.nets["a"].resistance_ohm < p40.nets["a"].resistance_ohm);
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub struct RegionPlan {
     pub rows: Vec<Row>,
 }
 
-impl RegionPlan {
-    /// Total placement capacity in sites.
-    pub fn capacity_sites(&self) -> usize {
-        self.rows.iter().map(|r| r.sites).sum()
-    }
-}
-
 /// The generated floorplan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
@@ -176,7 +169,7 @@ impl Floorplan {
     /// # Errors
     ///
     /// Same conditions as [`Floorplan::generate`].
-    pub fn generate_naive(
+    pub(crate) fn generate_naive(
         flat: &FlatNetlist,
         lib: &PhysicalLibrary,
         utilization: f64,
@@ -217,12 +210,12 @@ impl Floorplan {
     }
 
     /// Placement site width, nm.
-    pub fn site_width_nm(&self) -> i64 {
+    pub(crate) fn site_width_nm(&self) -> i64 {
         self.site_width_nm
     }
 
     /// Row height, nm.
-    pub fn row_height_nm(&self) -> i64 {
+    pub(crate) fn row_height_nm(&self) -> i64 {
         self.row_height_nm
     }
 
@@ -232,7 +225,7 @@ impl Floorplan {
     }
 
     /// Die area in mm².
-    pub fn die_area_mm2(&self) -> f64 {
+    pub(crate) fn die_area_mm2(&self) -> f64 {
         self.die.area_mm2()
     }
 
@@ -363,11 +356,11 @@ mod tests {
                 })
                 .map(|c| lib.cell(&c.cell).unwrap().width_sites)
                 .sum();
+            let capacity: usize = region.rows.iter().map(|r| r.sites).sum();
             assert!(
-                region.capacity_sites() >= demand,
-                "{}: capacity {} < demand {demand}",
-                region.name,
-                region.capacity_sites()
+                capacity >= demand,
+                "{}: capacity {capacity} < demand {demand}",
+                region.name
             );
         }
     }

@@ -18,7 +18,7 @@ impl Point {
     }
 
     /// Manhattan distance to another point.
-    pub fn manhattan(self, other: Point) -> i64 {
+    pub(crate) fn manhattan(self, other: Point) -> i64 {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 }
@@ -69,13 +69,8 @@ impl Rect {
     }
 
     /// Area in mm².
-    pub fn area_mm2(&self) -> f64 {
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.area() as f64 * 1e-12
-    }
-
-    /// Centre point (rounded down).
-    pub fn center(&self) -> Point {
-        Point::new((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
     }
 
     /// True if the rectangles overlap with positive area.
@@ -88,11 +83,6 @@ impl Rect {
         self.x0 <= other.x0 && self.y0 <= other.y0 && self.x1 >= other.x1 && self.y1 >= other.y1
     }
 
-    /// True if the point lies inside (half-open).
-    pub fn contains_point(&self, p: Point) -> bool {
-        p.x >= self.x0 && p.x < self.x1 && p.y >= self.y0 && p.y < self.y1
-    }
-
     /// The smallest rectangle covering both.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
@@ -100,16 +90,6 @@ impl Rect {
             y0: self.y0.min(other.y0),
             x1: self.x1.max(other.x1),
             y1: self.y1.max(other.y1),
-        }
-    }
-
-    /// Translates by `(dx, dy)`.
-    pub fn translated(&self, dx: i64, dy: i64) -> Rect {
-        Rect {
-            x0: self.x0 + dx,
-            y0: self.y0 + dy,
-            x1: self.x1 + dx,
-            y1: self.y1 + dy,
         }
     }
 }
@@ -159,10 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_center() {
+    fn area() {
         let r = Rect::new(0, 0, 1000, 2000);
         assert_eq!(r.area(), 2_000_000);
-        assert_eq!(r.center(), Point::new(500, 1000));
         assert!((r.area_mm2() - 2e-6).abs() < 1e-18);
     }
 
@@ -181,8 +160,6 @@ mod tests {
         let inner = Rect::new(10, 10, 90, 90);
         assert!(outer.contains_rect(&inner));
         assert!(!inner.contains_rect(&outer));
-        assert!(outer.contains_point(Point::new(0, 0)));
-        assert!(!outer.contains_point(Point::new(100, 0)));
     }
 
     #[test]
@@ -192,12 +169,6 @@ mod tests {
         let u = a.union(&b);
         assert!(u.contains_rect(&a) && u.contains_rect(&b));
         assert_eq!(u, Rect::new(0, -5, 30, 10));
-    }
-
-    #[test]
-    fn translation() {
-        let r = Rect::new(0, 0, 10, 10).translated(5, -5);
-        assert_eq!(r, Rect::new(5, -5, 15, 5));
     }
 
     #[test]

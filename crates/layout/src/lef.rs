@@ -139,7 +139,7 @@ mod tests {
         assert!(lef.starts_with("VERSION 5.8 ;"));
         assert!(lef.trim_end().ends_with("END LIBRARY"));
         // Every library cell has a MACRO, balanced with END.
-        assert_eq!(lef.matches("MACRO ").count(), lib.len());
+        assert_eq!(lef.matches("MACRO ").count(), lib.iter().count());
         assert!(lef.contains("MACRO NOR3X4"));
         assert!(lef.contains("MACRO RESLO"));
         // P/G pins are marked.

@@ -81,7 +81,7 @@ impl PhysicalLibrary {
     /// # Errors
     ///
     /// Returns [`LayoutError::UnknownCell`] when absent.
-    pub fn cell(&self, name: &str) -> Result<&PhysicalCell, LayoutError> {
+    pub(crate) fn cell(&self, name: &str) -> Result<&PhysicalCell, LayoutError> {
         self.cells
             .get(name)
             .ok_or_else(|| LayoutError::UnknownCell {
@@ -90,27 +90,17 @@ impl PhysicalLibrary {
     }
 
     /// Placement site width, nm.
-    pub fn site_width_nm(&self) -> i64 {
+    pub(crate) fn site_width_nm(&self) -> i64 {
         self.site_width_nm
     }
 
     /// Row height, nm.
-    pub fn row_height_nm(&self) -> i64 {
+    pub(crate) fn row_height_nm(&self) -> i64 {
         self.row_height_nm
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if empty (never for built libraries).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Iterates over cells in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &PhysicalCell> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &PhysicalCell> {
         self.cells.values()
     }
 }
@@ -141,8 +131,7 @@ mod tests {
     fn library_mirrors_catalog() {
         let tech = Technology::for_node(NodeId::N40).unwrap();
         let lib = PhysicalLibrary::for_technology(&tech);
-        assert_eq!(lib.len(), tech.catalog().len());
-        assert!(!lib.is_empty());
+        assert_eq!(lib.cells.len(), tech.catalog().len());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use tdsigma_netlist::FlatNetlist;
-use tdsigma_tech::rng::Rng64;
+use tdsigma_tech::Rng64;
 
 /// A placed leaf cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub struct PlacedCell {
 
 impl PlacedCell {
     /// Centre point of the cell.
-    pub fn center(&self) -> Point {
+    pub(crate) fn center(&self) -> Point {
         Point::new(
             self.x_nm + self.width_nm / 2,
             self.y_nm + self.height_nm / 2,
@@ -54,18 +54,13 @@ pub struct Placement {
 
 impl Placement {
     /// Looks up a placed cell by path.
-    pub fn cell(&self, path: &str) -> Option<&PlacedCell> {
+    pub(crate) fn cell(&self, path: &str) -> Option<&PlacedCell> {
         self.index.get(path).map(|&i| &self.cells[i])
     }
 
     /// Number of placed cells.
     pub fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// True if nothing was placed.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 }
 
@@ -773,7 +768,7 @@ mod tests {
         let p = place(&flat, &assignments, &fp, &lib, 5).unwrap();
         assert!(p.cell("I3").is_some());
         assert!(p.cell("GHOST").is_none());
-        assert!(!p.is_empty());
+        assert!(!p.cells.is_empty());
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! flexibility against routing complexity.
 
 use std::fmt;
-use tdsigma_tech::cells::CellSpec;
-use tdsigma_tech::Technology;
+use tdsigma_tech::{CellSpec, Technology};
 
 /// Generated geometry of one resistor standard cell.
 ///
 /// ```
-/// use tdsigma_layout::resgen::generate_resistor_cell;
+/// use tdsigma_layout::generate_resistor_cell;
 /// use tdsigma_tech::{NodeId, Technology};
 ///
 /// # fn main() -> Result<(), tdsigma_tech::TechError> {

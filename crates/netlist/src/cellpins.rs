@@ -111,11 +111,6 @@ impl LeafPins {
         })
     }
 
-    /// The cell name this pin set belongs to.
-    pub fn cell(&self) -> &str {
-        &self.cell
-    }
-
     /// All pins in declaration order.
     pub fn pins(&self) -> &[(&'static str, PinRole)] {
         &self.pins
@@ -126,16 +121,6 @@ impl LeafPins {
         self.pins.iter().find(|(n, _)| *n == name).map(|(_, r)| *r)
     }
 
-    /// Names of the logic input pins.
-    pub fn inputs(&self) -> Vec<&'static str> {
-        self.pins_with(PinRole::Input)
-    }
-
-    /// Names of the output pins.
-    pub fn outputs(&self) -> Vec<&'static str> {
-        self.pins_with(PinRole::Output)
-    }
-
     /// True if the cell has power/ground pins (resistor fragments do not —
     /// the crux of the paper's floorplanning problem).
     pub fn has_power_pins(&self) -> bool {
@@ -143,25 +128,25 @@ impl LeafPins {
             .iter()
             .any(|(_, r)| matches!(r, PinRole::Power | PinRole::Ground))
     }
-
-    fn pins_with(&self, role: PinRole) -> Vec<&'static str> {
-        self.pins
-            .iter()
-            .filter(|(_, r)| *r == role)
-            .map(|(n, _)| *n)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pins_with(pins: &LeafPins, role: PinRole) -> Vec<&'static str> {
+        pins.pins()
+            .iter()
+            .filter(|(_, r)| *r == role)
+            .map(|(n, _)| *n)
+            .collect()
+    }
+
     #[test]
     fn inverter_pins() {
         let p = LeafPins::for_cell("INVX1").unwrap();
-        assert_eq!(p.inputs(), vec!["A"]);
-        assert_eq!(p.outputs(), vec!["Y"]);
+        assert_eq!(pins_with(&p, PinRole::Input), vec!["A"]);
+        assert_eq!(pins_with(&p, PinRole::Output), vec!["Y"]);
         assert!(p.has_power_pins());
         assert_eq!(p.role("VDD"), Some(PinRole::Power));
         assert_eq!(p.role("NOPE"), None);
@@ -174,7 +159,7 @@ mod tests {
         for pin in ["Y", "VDD", "VSS", "A", "B", "C"] {
             assert!(p.role(pin).is_some(), "missing pin {pin}");
         }
-        assert_eq!(p.inputs().len(), 3);
+        assert_eq!(pins_with(&p, PinRole::Input).len(), 3);
     }
 
     #[test]
@@ -184,7 +169,7 @@ mod tests {
             assert!(!p.has_power_pins(), "{cell} must not have P/G pins");
             assert_eq!(p.role("T1"), Some(PinRole::Passive));
             assert_eq!(p.role("T2"), Some(PinRole::Passive));
-            assert!(p.outputs().is_empty());
+            assert!(pins_with(&p, PinRole::Output).is_empty());
         }
     }
 
@@ -209,16 +194,16 @@ mod tests {
     #[test]
     fn latch_and_dff_pins() {
         let latch = LeafPins::for_cell("LATCHX1").unwrap();
-        assert_eq!(latch.inputs(), vec!["D", "EN"]);
+        assert_eq!(pins_with(&latch, PinRole::Input), vec!["D", "EN"]);
         let dff = LeafPins::for_cell("DFFX2").unwrap();
-        assert_eq!(dff.inputs(), vec!["D", "CK"]);
-        assert_eq!(dff.outputs(), vec!["Q"]);
+        assert_eq!(pins_with(&dff, PinRole::Input), vec!["D", "CK"]);
+        assert_eq!(pins_with(&dff, PinRole::Output), vec!["Q"]);
     }
 
     #[test]
     fn xor_pins() {
         let p = LeafPins::for_cell("XOR2X1").unwrap();
-        assert_eq!(p.inputs(), vec!["A", "B"]);
+        assert_eq!(pins_with(&p, PinRole::Input), vec!["A", "B"]);
     }
 
     #[test]

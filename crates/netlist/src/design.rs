@@ -97,16 +97,6 @@ impl Design {
         &self.top
     }
 
-    /// Looks up a module by name.
-    pub fn module(&self, name: &str) -> Option<&Module> {
-        self.modules.get(name)
-    }
-
-    /// All modules in name order.
-    pub fn modules(&self) -> impl Iterator<Item = &Module> {
-        self.modules.values()
-    }
-
     /// Modules in dependency order (leaves first, top last) — the order a
     /// Verilog writer needs.
     pub fn modules_bottom_up(&self) -> Vec<&Module> {
@@ -241,11 +231,6 @@ pub struct FlatNetlist {
 }
 
 impl FlatNetlist {
-    /// Cells using the given library cell name.
-    pub fn cells_of<'a>(&'a self, cell: &'a str) -> impl Iterator<Item = &'a FlatCell> {
-        self.cells.iter().filter(move |c| c.cell == cell)
-    }
-
     /// Total number of leaf cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -398,7 +383,7 @@ mod tests {
     fn cells_on_net_and_of_cell() {
         let d = two_level_design();
         let flat = d.flatten();
-        assert_eq!(flat.cells_of("INVX1").count(), 4);
+        assert_eq!(flat.cells.iter().filter(|c| c.cell == "INVX1").count(), 4);
         assert_eq!(flat.cells_on_net("x").count(), 2);
         assert_eq!(flat.cells_on_net("VDD").count(), 4);
     }

@@ -6,6 +6,10 @@
 //! (§3.3), a Verilog writer producing exactly the style of the paper's
 //! Tables 1 and 2, a reader for round-tripping, and structural lint.
 //!
+//! [`verilog`] is the one public module, since callers name its path
+//! (`verilog::write_design`, `verilog::read_design`); every other module
+//! is private and the root re-exports the names other crates import.
+//!
 //! ```
 //! use tdsigma_netlist::{Design, Module, PortDirection};
 //!
@@ -29,22 +33,21 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cellpins;
-pub mod design;
-pub mod error;
-pub mod gatesim;
-pub mod lint;
-pub mod module;
-pub mod power;
-pub mod stats;
-pub mod vcd;
+mod cellpins;
+mod design;
+mod error;
+mod gatesim;
+mod lint;
+mod module;
+mod power;
+mod vcd;
 pub mod verilog;
 
 pub use cellpins::{LeafPins, PinRole};
 pub use design::{Design, FlatCell, FlatNetlist};
 pub use error::NetlistError;
 pub use gatesim::{GateSimulator, Logic};
-pub use module::{Instance, InstanceKind, Module, NetId, Port, PortDirection, PortId};
+pub use lint::lint_flat;
+pub use module::{Module, NetId, PortDirection};
 pub use power::{GroupKind, PowerPlan, Region};
-pub use stats::DesignStats;
 pub use vcd::VcdWriter;

@@ -85,7 +85,7 @@ pub struct LintReport {
 
 impl LintReport {
     /// True if the netlist is clean.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 
@@ -113,21 +113,6 @@ impl LintReport {
                 )
             })
             .collect()
-    }
-
-    /// Converts the report into a `Result`, erroring when violations exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::LintFailed`] carrying the violation count.
-    pub fn into_result(self) -> Result<(), NetlistError> {
-        if self.is_clean() {
-            Ok(())
-        } else {
-            Err(NetlistError::LintFailed {
-                violations: self.violations.len(),
-            })
-        }
     }
 }
 
@@ -285,7 +270,6 @@ mod tests {
         let flat = inverter_chain();
         let report = lint_flat(&flat, &externals(&["IN", "OUT", "VDD", "VSS"])).unwrap();
         assert!(report.is_clean(), "{report}");
-        report.into_result().unwrap();
     }
 
     #[test]
@@ -298,7 +282,7 @@ mod tests {
             &report.violations[0],
             LintViolation::FloatingInput { cell, .. } if cell == "I0"
         ));
-        assert!(report.into_result().is_err());
+        assert!(!report.is_clean());
     }
 
     #[test]

@@ -9,10 +9,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) usize);
 
-/// Index of a port inside one [`Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PortId(pub(crate) usize);
-
 /// Direction of a module port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {
@@ -113,7 +109,7 @@ impl Module {
     }
 
     /// Module name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -235,7 +231,7 @@ impl Module {
     }
 
     /// Looks up a port by name.
-    pub fn port(&self, name: &str) -> Option<&Port> {
+    pub(crate) fn port(&self, name: &str) -> Option<&Port> {
         self.ports.iter().find(|p| p.name == name)
     }
 
@@ -253,23 +249,18 @@ impl Module {
         &self.nets[id.0]
     }
 
-    /// Looks up a net by name.
-    pub fn net(&self, name: &str) -> Option<NetId> {
-        self.net_index.get(name).copied()
-    }
-
     /// All net names in id order.
-    pub fn net_names(&self) -> &[String] {
+    pub(crate) fn net_names(&self) -> &[String] {
         &self.nets
     }
 
     /// Number of nets.
-    pub fn net_count(&self) -> usize {
+    pub(crate) fn net_count(&self) -> usize {
         self.nets.len()
     }
 
     /// True if the named net is bonded to a port.
-    pub fn is_port_net(&self, id: NetId) -> bool {
+    pub(crate) fn is_port_net(&self, id: NetId) -> bool {
         self.ports.iter().any(|p| p.net == id)
     }
 }

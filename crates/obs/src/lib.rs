@@ -4,14 +4,15 @@
 //! flow serving heavy sweep traffic needs its own. This crate provides the
 //! three pieces the rest of the workspace instruments itself with:
 //!
-//! * **[`Span`]** — an RAII wall-time timer over a monotonic clock
+//! * **Spans** ([`span`]) — an RAII wall-time timer over a monotonic clock
 //!   ([`std::time::Instant`]). Entering a span is one `Instant::now()` plus
 //!   one registry lookup; dropping it records the duration into a
-//!   [`Histogram`] (atomic adds only) and, *only when tracing is enabled*,
+//!   histogram (atomic adds only) and, *only when tracing is enabled*,
 //!   writes one JSON line to the trace sink.
-//! * **[`Registry`]** — a thread-safe, process-global home for named
-//!   [`Counter`]s, [`Gauge`]s and [`Histogram`]s. Handles are `Arc`s; the
-//!   hot path (increment / record) is lock-free atomics with no allocation.
+//! * **The registry** ([`registry`]) — a thread-safe, process-global home
+//!   for named counters, gauges and histograms ([`counter`], [`gauge`],
+//!   [`histogram`]). Handles are `Arc`s; the hot path (increment / record)
+//!   is lock-free atomics with no allocation.
 //! * **Trace sink** ([`trace_to_file`] / [`set_trace_writer`]) — a
 //!   JSON-lines event stream, conventionally written under
 //!   `results/trace/`. Disabled by default: when off, span attributes are
@@ -40,8 +41,8 @@ mod registry;
 mod span;
 mod trace;
 
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
-pub use span::Span;
+use registry::{Counter, Gauge, Histogram, Registry};
+use span::Span;
 pub use trace::{
     disable_tracing, event, flush_tracing, set_trace_writer, trace_to_file, tracing_enabled,
 };
@@ -58,7 +59,7 @@ pub fn registry() -> &'static Registry {
 /// Interns `name` in the global registry and returns its counter handle.
 ///
 /// Call sites that fire often should fetch the handle once and reuse it;
-/// the handle's [`Counter::inc`] is a single atomic add.
+/// the handle's `inc` is a single atomic add.
 pub fn counter(name: &str) -> Arc<Counter> {
     registry().counter(name)
 }

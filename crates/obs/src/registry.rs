@@ -46,7 +46,7 @@ impl Gauge {
     }
 
     /// The current value (0.0 if never set).
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -86,7 +86,7 @@ fn bucket_of(us: u64) -> usize {
 
 impl Histogram {
     /// Records one sample, in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -98,13 +98,8 @@ impl Histogram {
         self.record_us(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the histogram.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_us: self.sum_us.load(Ordering::Relaxed),
@@ -192,12 +187,12 @@ pub struct Snapshot {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         Arc::clone(
             self.counters
                 .lock()
@@ -208,7 +203,7 @@ impl Registry {
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         Arc::clone(
             self.gauges
                 .lock()
@@ -219,7 +214,7 @@ impl Registry {
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         Arc::clone(
             self.histograms
                 .lock()

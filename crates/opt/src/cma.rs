@@ -44,7 +44,7 @@ pub struct CmaState {
 impl CmaState {
     /// A fresh state centred on `mean` (typically the encoded paper
     /// design point), seeded for determinism.
-    pub fn new(mean: Vec<f64>, seed: u64) -> Self {
+    pub(crate) fn new(mean: Vec<f64>, seed: u64) -> Self {
         let dims = mean.len();
         CmaState {
             mean,
@@ -62,7 +62,7 @@ impl CmaState {
     /// with the paper design point as the initial mean, the first
     /// generation always evaluates it verbatim, so the reported best can
     /// never be worse than the baseline.
-    pub fn ask(&mut self, lambda: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn ask(&mut self, lambda: usize) -> Vec<Vec<f64>> {
         let gen_rng = self.rng.split(self.generation);
         (0..lambda)
             .map(|i| {
@@ -87,7 +87,7 @@ impl CmaState {
     /// # Panics
     ///
     /// Panics if `population` and `fitness` differ in length.
-    pub fn tell(&mut self, population: &[Vec<f64>], fitness: &[f64]) -> bool {
+    pub(crate) fn tell(&mut self, population: &[Vec<f64>], fitness: &[f64]) -> bool {
         assert_eq!(population.len(), fitness.len(), "one fitness per candidate");
         self.generation += 1;
         if population.is_empty() {

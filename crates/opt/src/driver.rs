@@ -28,7 +28,7 @@ pub const FITNESS_FLOOR_PENALTY: f64 = 1e9;
 /// Which search strategy drives the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// CMA-ES-like evolution strategy at full fidelity (see [`CmaState`]).
+    /// CMA-ES-like evolution strategy at full fidelity (see `CmaState`).
     Cma,
     /// Successive-halving racing: a large random population raced
     /// through rising-fidelity rungs (FFT capture length), halving the
@@ -62,7 +62,7 @@ impl Strategy {
 }
 
 /// Everything that determines an optimization run. Two runs with equal
-/// configs produce byte-identical [`OptReport`]s — this struct *is* the
+/// configs produce byte-identical `OptReport`s — this struct *is* the
 /// resume token (`<journal-dir>/<run-id>.opt.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptConfig {
@@ -132,7 +132,7 @@ impl OptConfig {
     }
 
     /// The CMA population size in effect.
-    pub fn lambda(&self) -> usize {
+    pub(crate) fn lambda(&self) -> usize {
         let l = if self.population == 0 {
             8
         } else {
@@ -364,8 +364,8 @@ pub fn fitness(result: &Result<JobReport, JobError>, kind: JobKind, sndr_floor_d
 ///
 /// # Errors
 ///
-/// [`OptError::Config`] if the config fails validation or no candidate
-/// ever produced a usable report; [`OptError::Eval`] if `eval` fails a
+/// `OptError::Config` if the config fails validation or no candidate
+/// ever produced a usable report; `OptError::Eval` if `eval` fails a
 /// whole batch.
 pub fn optimize(config: &OptConfig, eval: &mut EvalFn) -> Result<OptReport, OptError> {
     let config = config.clone().validated().map_err(OptError::Config)?;

@@ -7,8 +7,8 @@
 //! (technology node, slice count, VCO sizing, DAC resistance) with two
 //! offline black-box strategies —
 //!
-//! * **[`Strategy::Cma`]** — a CMA-ES-like evolution strategy
-//!   ([`CmaState`]): λ candidates per generation, log-rank
+//! * **[`Strategy::Cma`]** — a CMA-ES-like evolution strategy: λ
+//!   candidates per generation, log-rank
 //!   recombination, diagonal covariance and success-rule step size.
 //! * **[`Strategy::Halving`]** — successive-halving racing: a large
 //!   random field raced through rising-fidelity rungs (FFT capture
@@ -17,12 +17,13 @@
 //!
 //! The optimizer is a *client* of the jobs engine, never a second
 //! executor: candidates become ordinary [`tdsigma_jobs::Job`]s pushed
-//! through an [`EvalFn`] with the engine's batch signature, so caching,
+//! through an evaluation closure with the engine's batch signature
+//! (the `eval` argument of [`optimize`]), so caching,
 //! dedup, fleet dispatch, journaling and crash-resume all apply
 //! unchanged. Determinism is end-to-end: the candidate sequence is a
 //! pure function of [`OptConfig`] (via [`tdsigma_tech::Rng64::split`]
 //! sub-streams) and each report is a pure function of its job, so the
-//! same config always produces a byte-identical [`OptReport`] — which
+//! same config always produces a byte-identical report — which
 //! is exactly how `tdsigma optimize --resume` recovers from a SIGKILL:
 //! re-run the persisted config and let the result cache absorb the
 //! work that already finished.
@@ -30,13 +31,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cma;
-pub mod driver;
-pub mod space;
+mod cma;
+mod driver;
+mod space;
 
-pub use cma::CmaState;
-pub use driver::{
-    fitness, initial_jobs, optimize, BestResult, EvalFn, EvalRecord, Generation, OptConfig,
-    OptError, OptReport, Strategy, FITNESS_FAILED, FITNESS_FLOOR_PENALTY,
-};
-pub use space::{Candidate, SearchSpace, DIMS};
+pub use driver::{initial_jobs, optimize, OptConfig, Strategy};
+pub use space::SearchSpace;

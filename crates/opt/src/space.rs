@@ -71,7 +71,7 @@ impl SearchSpace {
     /// # Errors
     ///
     /// Returns a human-readable reason.
-    pub fn validated(self) -> Result<Self, String> {
+    pub(crate) fn validated(self) -> Result<Self, String> {
         if self.nodes.is_empty() {
             return Err("search space needs at least one node".into());
         }
@@ -96,7 +96,7 @@ impl SearchSpace {
     }
 
     /// Decodes a unit vector into a candidate (total: always succeeds).
-    pub fn decode(&self, x: &[f64]) -> Candidate {
+    pub(crate) fn decode(&self, x: &[f64]) -> Candidate {
         let u = |i: usize| x.get(i).copied().unwrap_or(0.5).clamp(0.0, 1.0);
         let node_idx = ((u(0) * self.nodes.len() as f64) as usize).min(self.nodes.len() - 1);
         let int_dim =
@@ -115,7 +115,7 @@ impl SearchSpace {
     /// Encodes a candidate back into the unit cube (the warm-start path;
     /// degenerate dimensions encode to 0.5). Values outside the space
     /// clamp to its boundary.
-    pub fn encode(&self, c: &Candidate) -> Vec<f64> {
+    pub(crate) fn encode(&self, c: &Candidate) -> Vec<f64> {
         let node_idx = self.nodes.iter().position(|&n| n == c.node_nm).unwrap_or(0);
         let cat = (node_idx as f64 + 0.5) / self.nodes.len() as f64;
         let int_dim = |(lo, hi): (usize, usize), v: usize| {
@@ -167,7 +167,7 @@ impl SearchSpace {
 
     /// The sampling clock and bandwidth a candidate at `node_nm` runs
     /// at (see [`SearchSpace::fs_bw_hz`]).
-    pub fn node_clock(&self, node_nm: f64) -> (f64, f64) {
+    pub(crate) fn node_clock(&self, node_nm: f64) -> (f64, f64) {
         if let Some(fixed) = self.fs_bw_hz {
             return fixed;
         }
@@ -198,7 +198,7 @@ impl SearchSpace {
     }
 
     /// This space as a canonical JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let pair_f = |(a, b): (f64, f64)| Json::Arr(vec![Json::Num(a), Json::Num(b)]);
         let pair_u =
             |(a, b): (usize, usize)| Json::Arr(vec![Json::Num(a as f64), Json::Num(b as f64)]);
@@ -219,7 +219,7 @@ impl SearchSpace {
         Json::Obj(obj)
     }
 
-    /// Parses the JSON form written by [`SearchSpace::to_json`] (also
+    /// Parses the JSON form written by `SearchSpace::to_json` (also
     /// the `--space FILE` format; absent fields keep their defaults).
     ///
     /// # Errors
@@ -281,7 +281,13 @@ impl SearchSpace {
 impl Candidate {
     /// Materializes this candidate as a [`Job`] of the given kind,
     /// fidelity and die seed, clocked per the space's node rule.
-    pub fn to_job(&self, space: &SearchSpace, kind: JobKind, samples: usize, seed: u64) -> Job {
+    pub(crate) fn to_job(
+        &self,
+        space: &SearchSpace,
+        kind: JobKind,
+        samples: usize,
+        seed: u64,
+    ) -> Job {
         let (fs_hz, bw_hz) = space.node_clock(self.node_nm);
         let mut job = match kind {
             JobKind::SimTone => Job::sim(self.node_nm, fs_hz, bw_hz),

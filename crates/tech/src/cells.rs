@@ -47,7 +47,7 @@ pub enum CellClass {
 
 impl CellClass {
     /// All cell classes, in catalog order.
-    pub const ALL: [CellClass; 12] = [
+    pub(crate) const ALL: [CellClass; 12] = [
         CellClass::Inverter,
         CellClass::Buffer,
         CellClass::Nand2,
@@ -68,7 +68,7 @@ impl CellClass {
     }
 
     /// Short name used as the prefix of catalog cell names.
-    pub fn prefix(self) -> &'static str {
+    pub(crate) fn prefix(self) -> &'static str {
         match self {
             CellClass::Inverter => "INV",
             CellClass::Buffer => "BUF",
@@ -82,17 +82,6 @@ impl CellClass {
             CellClass::ResFragLow => "RESLO",
             CellClass::ResFragHigh => "RESHI",
             CellClass::Tie => "TIE",
-        }
-    }
-
-    /// Number of logic inputs (0 for resistors and ties).
-    pub fn input_count(self) -> usize {
-        match self {
-            CellClass::Inverter | CellClass::Buffer => 1,
-            CellClass::Nand2 | CellClass::Nor2 | CellClass::Xor2 => 2,
-            CellClass::Nand3 | CellClass::Nor3 => 3,
-            CellClass::Latch | CellClass::Dff => 2, // D + clock
-            CellClass::ResFragLow | CellClass::ResFragHigh | CellClass::Tie => 0,
         }
     }
 
@@ -162,10 +151,11 @@ pub enum DriveStrength {
 
 impl DriveStrength {
     /// All drive strengths in ascending order.
-    pub const ALL: [DriveStrength; 3] = [DriveStrength::X1, DriveStrength::X2, DriveStrength::X4];
+    pub(crate) const ALL: [DriveStrength; 3] =
+        [DriveStrength::X1, DriveStrength::X2, DriveStrength::X4];
 
     /// The multiplier relative to X1.
-    pub fn factor(self) -> f64 {
+    pub(crate) fn factor(self) -> f64 {
         match self {
             DriveStrength::X1 => 1.0,
             DriveStrength::X2 => 2.0,
@@ -174,7 +164,7 @@ impl DriveStrength {
     }
 
     /// Suffix used in catalog cell names, e.g. `"X4"`.
-    pub fn suffix(self) -> &'static str {
+    pub(crate) fn suffix(self) -> &'static str {
         match self {
             DriveStrength::X1 => "X1",
             DriveStrength::X2 => "X2",
@@ -216,7 +206,7 @@ impl CellSpec {
     }
 
     /// Drive strength.
-    pub fn drive(&self) -> DriveStrength {
+    pub(crate) fn drive(&self) -> DriveStrength {
         self.drive
     }
 
@@ -233,17 +223,6 @@ impl CellSpec {
     /// Energy of one output transition into a typical load, femtojoules.
     pub fn switch_energy_fj(&self) -> f64 {
         self.switch_energy_fj
-    }
-
-    /// Unloaded propagation delay, picoseconds.
-    pub fn intrinsic_delay_ps(&self) -> f64 {
-        self.intrinsic_delay_ps
-    }
-
-    /// Output drive resistance in kΩ for the linear delay model
-    /// `t = t_intrinsic + R_drive · C_load`.
-    pub fn drive_res_kohm(&self) -> f64 {
-        self.drive_res_kohm
     }
 
     /// Loaded propagation delay for a given load capacitance, picoseconds.
@@ -285,7 +264,7 @@ pub struct CellCatalog {
 
 impl CellCatalog {
     /// Builds the catalog for a raw technology record.
-    pub fn for_record(record: &NodeRecord) -> Self {
+    pub(crate) fn for_record(record: &NodeRecord) -> Self {
         let mut cells = BTreeMap::new();
         let stage_delay_ps = record.fo4_ps / 3.0;
         for class in CellClass::ALL {
@@ -384,11 +363,6 @@ impl CellCatalog {
     pub fn len(&self) -> usize {
         self.cells.len()
     }
-
-    /// True if the catalog has no cells (never the case for built catalogs).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +399,7 @@ mod tests {
         let x4 = c.cell("INVX4").unwrap();
         assert!(x4.input_cap_ff() > 3.0 * x1.input_cap_ff());
         assert!(x4.leakage_nw() > 3.0 * x1.leakage_nw());
-        assert!(x4.drive_res_kohm() < x1.drive_res_kohm() / 3.0);
+        assert!(x4.drive_res_kohm < x1.drive_res_kohm / 3.0);
         assert!(x4.width_sites() > x1.width_sites());
     }
 
@@ -462,9 +436,8 @@ mod tests {
     fn resistors_have_no_drive_or_energy() {
         let c = catalog(180.0);
         let lo = c.cell("RESLO").unwrap();
-        assert_eq!(lo.drive_res_kohm(), 0.0);
+        assert_eq!(lo.drive_res_kohm, 0.0);
         assert!(lo.class().is_resistor());
-        assert_eq!(lo.class().input_count(), 0);
     }
 
     #[test]
@@ -480,7 +453,6 @@ mod tests {
         let c = catalog(40.0);
         // 9 logic classes × 3 drives + 2 resistors + 1 tie = 30.
         assert_eq!(c.len(), 30);
-        assert!(!c.is_empty());
         assert_eq!(c.iter().count(), 30);
     }
 

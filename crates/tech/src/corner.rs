@@ -38,7 +38,7 @@ impl Corner {
     pub const ALL: [Corner; 3] = [Corner::Slow, Corner::Typical, Corner::Fast];
 
     /// Multiplier applied to FO4 delay (and hence every cell delay).
-    pub fn delay_factor(self) -> f64 {
+    pub(crate) fn delay_factor(self) -> f64 {
         match self {
             Corner::Slow => 1.15,
             Corner::Typical => 1.0,
@@ -47,7 +47,7 @@ impl Corner {
     }
 
     /// Multiplier applied to the supply voltage.
-    pub fn supply_factor(self) -> f64 {
+    pub(crate) fn supply_factor(self) -> f64 {
         match self {
             Corner::Slow => 0.9,
             Corner::Typical => 1.0,
@@ -56,7 +56,7 @@ impl Corner {
     }
 
     /// Multiplier applied to leakage.
-    pub fn leakage_factor(self) -> f64 {
+    pub(crate) fn leakage_factor(self) -> f64 {
         match self {
             Corner::Slow => 0.7,
             Corner::Typical => 1.0,
@@ -115,7 +115,7 @@ mod tests {
         assert!(ff.fo4_delay_ps() < tt.fo4_delay_ps());
         assert!(ss.vdd().value() < tt.vdd().value());
         assert!(ff.vdd().value() > tt.vdd().value());
-        assert!(ff.gate_leakage_nw() > ss.gate_leakage_nw());
+        assert!(ff.record().gate_leakage_nw > ss.record().gate_leakage_nw);
     }
 
     #[test]
@@ -128,8 +128,8 @@ mod tests {
     fn corner_catalog_reflects_shift() {
         let tt = Technology::for_node(NodeId::N40).unwrap();
         let ss = tt.at_corner(Corner::Slow);
-        let d_tt = tt.catalog().cell("INVX1").unwrap().intrinsic_delay_ps();
-        let d_ss = ss.catalog().cell("INVX1").unwrap().intrinsic_delay_ps();
+        let d_tt = tt.catalog().cell("INVX1").unwrap().delay_ps(0.0);
+        let d_ss = ss.catalog().cell("INVX1").unwrap().delay_ps(0.0);
         assert!((d_ss / d_tt - 1.15).abs() < 1e-9);
         // Energy drops with the slow corner's reduced supply.
         let e_tt = tt.catalog().cell("INVX1").unwrap().switch_energy_fj();

@@ -33,29 +33,32 @@
 //! # }
 //! ```
 //!
-//! The [`itrs`] module exposes the raw trend table used for the paper's
-//! Fig. 1; [`cells`] describes the per-node standard-cell catalog consumed
-//! by the netlist and layout crates; [`migrate`] implements the paper's
-//! automatic design migration ("transforming the standard cells into their
-//! closest-size counterparts").
+//! Inside, `itrs` holds the raw trend table behind the paper's Fig. 1
+//! ([`ScalingTrend`]); `cells` builds the per-node standard-cell catalog
+//! the netlist and layout crates read through [`Technology::catalog`];
+//! `migrate` implements the paper's automatic design migration
+//! ("transforming the standard cells into their closest-size
+//! counterparts", [`migrate_cell`]). Every module is private: the root
+//! re-exports exactly the names other crates import.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cells;
-pub mod corner;
-pub mod error;
-pub mod itrs;
-pub mod migrate;
-pub mod node;
-pub mod rng;
-pub mod scaling;
-pub mod units;
+mod cells;
+mod corner;
+mod error;
+mod itrs;
+mod migrate;
+mod node;
+mod rng;
+mod scaling;
+mod units;
 
-pub use cells::{CellCatalog, CellClass, CellSpec, DriveStrength};
+pub use cells::{CellClass, CellSpec, DriveStrength};
 pub use corner::Corner;
 pub use error::TechError;
 pub use migrate::{migrate_cell, MigrationReport};
 pub use node::{NodeId, Technology};
 pub use rng::{fnv1a64, Rng64, FNV1A64_BASIS};
-pub use scaling::{ScalingTrend, TrendPoint};
+pub use scaling::ScalingTrend;
+pub use units::{BOLTZMANN, NOMINAL_TEMPERATURE_K};

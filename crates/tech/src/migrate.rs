@@ -98,7 +98,7 @@ impl MigrationReport {
     }
 
     /// Total number of cells considered.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.exact + self.resized
     }
 }

@@ -3,7 +3,7 @@
 use crate::cells::CellCatalog;
 use crate::error::TechError;
 use crate::itrs::{record_for, NodeRecord, NODE_TABLE};
-use crate::units::{Nanometers, Picoseconds, Volts};
+use crate::units::{Nanometers, Volts};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -203,7 +203,7 @@ impl Technology {
     }
 
     /// The raw trend-table record backing this technology.
-    pub fn record(&self) -> &NodeRecord {
+    pub(crate) fn record(&self) -> &NodeRecord {
         &self.record
     }
 
@@ -227,19 +227,9 @@ impl Technology {
         self.record.intrinsic_gain
     }
 
-    /// Transit frequency in GHz.
-    pub fn ft_ghz(&self) -> f64 {
-        self.record.ft_ghz
-    }
-
     /// Fan-out-of-4 inverter delay in picoseconds.
     pub fn fo4_delay_ps(&self) -> f64 {
         self.record.fo4_ps
-    }
-
-    /// Fan-out-of-4 delay as a typed duration.
-    pub fn fo4_delay(&self) -> Picoseconds {
-        Picoseconds(self.record.fo4_ps)
     }
 
     /// Delay of one ring-oscillator stage (inverter driving one identical
@@ -248,7 +238,7 @@ impl Technology {
     /// The FO4 metric loads the inverter with four copies of itself; a ring
     /// stage sees roughly one copy plus parasitics, so the classic rule of
     /// thumb `t_stage ≈ FO4 / 3` applies.
-    pub fn ring_stage_delay_ps(&self) -> f64 {
+    pub(crate) fn ring_stage_delay_ps(&self) -> f64 {
         self.record.fo4_ps / 3.0
     }
 
@@ -273,16 +263,6 @@ impl Technology {
         self.record.m1_pitch_nm * self.record.row_tracks
     }
 
-    /// Energy of one output transition of a minimum (X1) inverter driving a
-    /// typical on-chip load, in femtojoules.
-    ///
-    /// `E = C_eff · VDD²` with `C_eff` ≈ self-load + one gate load + local
-    /// wire; the catalog scales this per cell class and drive.
-    pub fn inv_switch_energy_fj(&self) -> f64 {
-        let c_eff_ff = self.record.inv_cin_ff * 2.5;
-        c_eff_ff * self.record.vdd_v * self.record.vdd_v
-    }
-
     /// Wire capacitance per micrometre in femtofarads.
     pub fn wire_cap_ff_per_um(&self) -> f64 {
         self.record.wire_cap_ff_per_um
@@ -291,11 +271,6 @@ impl Technology {
     /// Wire resistance per micrometre in ohms.
     pub fn wire_res_ohm_per_um(&self) -> f64 {
         self.record.wire_res_ohm_per_um
-    }
-
-    /// Leakage power of one equivalent minimum gate, in nanowatts.
-    pub fn gate_leakage_nw(&self) -> f64 {
-        self.record.gate_leakage_nw
     }
 
     /// Sheet resistance of the low-resistivity resistor material (Ω/sq).
@@ -369,12 +344,11 @@ mod tests {
 
     #[test]
     fn switch_energy_improves_with_scaling() {
-        let e40 = Technology::for_node(NodeId::N40)
-            .unwrap()
-            .inv_switch_energy_fj();
-        let e180 = Technology::for_node(NodeId::N180)
-            .unwrap()
-            .inv_switch_energy_fj();
+        let inv_energy = |id| {
+            let tech = Technology::for_node(id).unwrap();
+            tech.catalog().cell("INVX1").unwrap().switch_energy_fj()
+        };
+        let (e40, e180) = (inv_energy(NodeId::N40), inv_energy(NodeId::N180));
         assert!(
             e180 / e40 > 3.0,
             "energy/transition must improve >3x: {e180} vs {e40}"
@@ -395,8 +369,8 @@ mod tests {
         let hi = Technology::for_node(NodeId::N65).unwrap();
         assert!(t.fo4_delay_ps() > lo.fo4_delay_ps());
         assert!(t.fo4_delay_ps() < hi.fo4_delay_ps());
-        assert!(t.ft_ghz() < lo.ft_ghz());
-        assert!(t.ft_ghz() > hi.ft_ghz());
+        assert!(t.record().ft_ghz < lo.record().ft_ghz);
+        assert!(t.record().ft_ghz > hi.record().ft_ghz);
     }
 
     #[test]

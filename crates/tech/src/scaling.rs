@@ -27,7 +27,7 @@ pub enum ScalingTrend {
 
 impl ScalingTrend {
     /// Human-readable axis label with unit.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ScalingTrend::SupplyVoltage => "Power supply [V]",
             ScalingTrend::IntrinsicGain => "Transistor intrinsic gain",

@@ -1,8 +1,8 @@
-//! Unit newtypes and conversion helpers.
+//! Unit newtypes and physical constants.
 //!
-//! The simulator and layout engine mix quantities whose silent confusion
-//! would be catastrophic (nanometres vs micrometres, ps vs ns). The most
-//! accident-prone ones get newtypes; the rest use unit-suffixed field names.
+//! `Technology` returns the gate length and the supply typed
+//! ([`Nanometers`], [`Volts`]), so a length cannot be passed where a
+//! voltage is meant; the rest of the workspace uses unit-suffixed names.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
@@ -17,11 +17,6 @@ macro_rules! unit_newtype {
             /// Returns the raw `f64` value.
             pub fn value(self) -> f64 {
                 self.0
-            }
-
-            /// Returns the absolute value.
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
             }
         }
 
@@ -73,95 +68,10 @@ unit_newtype!(
     "nm"
 );
 unit_newtype!(
-    /// A length in micrometres.
-    Micrometers,
-    "um"
-);
-unit_newtype!(
     /// A voltage in volts.
     Volts,
     "V"
 );
-unit_newtype!(
-    /// A time interval in picoseconds.
-    Picoseconds,
-    "ps"
-);
-unit_newtype!(
-    /// A frequency in gigahertz.
-    Gigahertz,
-    "GHz"
-);
-unit_newtype!(
-    /// A frequency in megahertz.
-    Megahertz,
-    "MHz"
-);
-unit_newtype!(
-    /// A resistance in ohms.
-    Ohms,
-    "ohm"
-);
-unit_newtype!(
-    /// A capacitance in femtofarads.
-    Femtofarads,
-    "fF"
-);
-unit_newtype!(
-    /// A power in milliwatts.
-    Milliwatts,
-    "mW"
-);
-unit_newtype!(
-    /// An area in square millimetres.
-    SquareMillimeters,
-    "mm^2"
-);
-
-impl Nanometers {
-    /// Converts to micrometres.
-    pub fn to_micrometers(self) -> Micrometers {
-        Micrometers(self.0 / 1e3)
-    }
-}
-
-impl Micrometers {
-    /// Converts to nanometres.
-    pub fn to_nanometers(self) -> Nanometers {
-        Nanometers(self.0 * 1e3)
-    }
-}
-
-impl Gigahertz {
-    /// Converts to megahertz.
-    pub fn to_megahertz(self) -> Megahertz {
-        Megahertz(self.0 * 1e3)
-    }
-
-    /// Converts to hertz.
-    pub fn to_hertz(self) -> f64 {
-        self.0 * 1e9
-    }
-}
-
-impl Megahertz {
-    /// Converts to hertz.
-    pub fn to_hertz(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    /// Converts to gigahertz.
-    pub fn to_gigahertz(self) -> Gigahertz {
-        Gigahertz(self.0 / 1e3)
-    }
-}
-
-impl Picoseconds {
-    /// Converts to seconds.
-    pub fn to_seconds(self) -> f64 {
-        self.0 * 1e-12
-    }
-}
 
 /// Boltzmann constant in J/K.
 pub const BOLTZMANN: f64 = 1.380_649e-23;
@@ -169,27 +79,9 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// Nominal junction temperature in kelvin used for thermal-noise figures.
 pub const NOMINAL_TEMPERATURE_K: f64 = 300.0;
 
-/// Thermal noise voltage spectral density `4kTR` of a resistor, in V²/Hz.
-///
-/// ```
-/// use tdsigma_tech::units::resistor_noise_density;
-/// let psd = resistor_noise_density(1_000.0);
-/// // 4kTR for 1 kOhm at 300 K is about 1.66e-17 V^2/Hz.
-/// assert!((psd - 1.66e-17).abs() < 0.1e-17);
-/// ```
-pub fn resistor_noise_density(resistance_ohm: f64) -> f64 {
-    4.0 * BOLTZMANN * NOMINAL_TEMPERATURE_K * resistance_ohm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nm_um_roundtrip() {
-        let a = Nanometers(1500.0);
-        assert_eq!(a.to_micrometers().to_nanometers(), a);
-    }
 
     #[test]
     fn arithmetic_behaves() {
@@ -199,29 +91,11 @@ mod tests {
         assert!((b.value() - 2.4).abs() < 1e-12);
         let c = b / 2.0;
         assert!((c.value() - 1.2).abs() < 1e-12);
-        assert!((Volts(-3.0)).abs().value() > 0.0);
     }
 
     #[test]
     fn display_includes_suffix() {
-        assert_eq!(Picoseconds(6.0).to_string(), "6 ps");
-        assert_eq!(Ohms(1000.0).to_string(), "1000 ohm");
-    }
-
-    #[test]
-    fn frequency_conversions() {
-        assert_eq!(Gigahertz(1.0).to_megahertz().value(), 1000.0);
-        assert_eq!(Megahertz(750.0).to_hertz(), 750e6);
-        assert!((Megahertz(2500.0).to_gigahertz().value() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn picoseconds_to_seconds() {
-        assert_eq!(Picoseconds(1.0).to_seconds(), 1e-12);
-    }
-
-    #[test]
-    fn noise_density_scales_with_resistance() {
-        assert!(resistor_noise_density(11_000.0) > resistor_noise_density(1_000.0) * 10.0);
+        assert_eq!(Nanometers(40.0).to_string(), "40 nm");
+        assert_eq!(Volts(1.1).to_string(), "1.1 V");
     }
 }

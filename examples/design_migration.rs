@@ -10,7 +10,7 @@
 //! cargo run --release --example design_migration
 //! ```
 
-use tdsigma::core::{flow::DesignFlow, spec::AdcSpec, AdcReport};
+use tdsigma::core::{AdcReport, AdcSpec, DesignFlow};
 use tdsigma::tech::{migrate_cell, NodeId, Technology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -12,7 +12,7 @@
 //! cargo run --release --example iot_sensor_node
 //! ```
 
-use tdsigma::core::{backend::DecimationBackend, power, sim::AdcSimulator, spec::AdcSpec};
+use tdsigma::core::{power, sim::AdcSimulator, AdcSpec, DecimationBackend};
 use tdsigma::tech::{NodeId, Technology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Both tones are recovered at their true levels from the raw word
     // stream (−24.4 dBFS apart: 0.05/0.6 plus the 0.6 drive level).
-    let spec_raw = capture.spectrum(tdsigma::dsp::window::Window::Hann);
+    let spec_raw = capture.spectrum(tdsigma::dsp::Window::Hann);
     let b1 = spec_raw.bin_of_frequency(f1);
     let b2 = spec_raw.bin_of_frequency(f2);
     println!(

@@ -6,10 +6,9 @@
 //! ```
 
 use std::fs;
-use tdsigma::core::{netgen, spec::AdcSpec};
-use tdsigma::layout::physlib::PhysicalLibrary;
-use tdsigma::layout::{gds, lef, render, synthesize, AprOptions, Parasitics};
-use tdsigma::netlist::{lint::lint_flat, verilog, PowerPlan};
+use tdsigma::core::{netgen, AdcSpec};
+use tdsigma::layout::{gds, lef, render, synthesize, AprOptions, Parasitics, PhysicalLibrary};
+use tdsigma::netlist::{lint_flat, verilog, PowerPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = std::path::Path::new("results");

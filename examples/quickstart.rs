@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tdsigma::core::{flow::DesignFlow, spec::AdcSpec};
+use tdsigma::core::{AdcSpec, DesignFlow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's 40 nm reference design: 750 MHz clock, 5 MHz bandwidth,

@@ -95,14 +95,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use tdsigma::core::flow::DesignFlow;
+use tdsigma::core::DesignFlow;
 use tdsigma::jobs::{
     default_workers, execute, gc_finished, validate_run_id, BatchReport, DispatchConfig,
     Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobError, JobKind, Journal, JournalRecord,
     JournalReplay, Json, PlanPreview, PoolConfig, ResultCache, Runner, Server, ServerConfig,
 };
-use tdsigma::layout::physlib::PhysicalLibrary;
-use tdsigma::layout::{gds, lef, render};
+use tdsigma::layout::{gds, lef, render, PhysicalLibrary};
 use tdsigma::opt::{initial_jobs, optimize, OptConfig, SearchSpace, Strategy};
 use tdsigma::tech::{NodeId, Technology};
 
@@ -467,7 +466,7 @@ fn run_design(flags: &Flags) -> Outcome {
             &outcome.layout.routing,
         ),
     )?;
-    let spectrum = outcome.capture.spectrum(tdsigma::dsp::window::Window::Hann);
+    let spectrum = outcome.capture.spectrum(tdsigma::dsp::Window::Hann);
     let mut csv = String::from("freq_hz,dbfs\n");
     for bin in 1..spectrum.len() {
         csv.push_str(&format!(
@@ -1378,7 +1377,7 @@ fn run_serve(flags: &Flags) -> Outcome {
 
 /// Hand-rolled JSON (flat object, numeric fields) — no serialization
 /// dependency needed for a report this small.
-fn report_json(outcome: &tdsigma::core::flow::FlowOutcome) -> String {
+fn report_json(outcome: &tdsigma::core::FlowOutcome) -> String {
     let r = &outcome.report;
     let fields: Vec<(&str, f64)> = vec![
         ("node_nm", r.node.gate_length().value()),

@@ -2,9 +2,8 @@
 //! Verilog / VCD outputs of one flow must agree with each other.
 
 use std::collections::BTreeSet;
-use tdsigma::core::{netgen, spec::AdcSpec};
-use tdsigma::layout::physlib::PhysicalLibrary;
-use tdsigma::layout::{gds, lef, synthesize, AprOptions};
+use tdsigma::core::{netgen, AdcSpec};
+use tdsigma::layout::{gds, lef, synthesize, AprOptions, PhysicalLibrary};
 use tdsigma::netlist::PowerPlan;
 
 fn build() -> (

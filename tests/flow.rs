@@ -1,7 +1,7 @@
 //! End-to-end integration: the complete Fig.-9 flow, spanning every crate
 //! (tech → netlist → layout → circuit/sim → dsp → core).
 
-use tdsigma::core::{flow::DesignFlow, netgen, spec::AdcSpec};
+use tdsigma::core::{netgen, AdcSpec, DesignFlow};
 use tdsigma::layout::{synthesize_naive, AprOptions};
 use tdsigma::netlist::verilog;
 

@@ -7,7 +7,7 @@
 //! meant to be bit-identical (a faster cost update, a cheaper A* scratch)
 //! must pass these unchanged.
 
-use tdsigma::core::{netgen, spec::AdcSpec};
+use tdsigma::core::{netgen, AdcSpec};
 use tdsigma::layout::{synthesize, synthesize_naive, AprOptions, LayoutResult};
 use tdsigma::netlist::PowerPlan;
 use tdsigma::tech::{fnv1a64, FNV1A64_BASIS};

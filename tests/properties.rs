@@ -5,11 +5,11 @@
 //! randomized cases drawn from the in-house [`Rng64`] stream. Failures
 //! print the case seed, so any counterexample is exactly reproducible.
 
-use tdsigma::dsp::decimate::{boxcar_decimate, CicDecimator};
-use tdsigma::dsp::fft::{dft_reference, fft_real, ifft_in_place, Complex};
-use tdsigma::dsp::spectrum::Spectrum;
-use tdsigma::dsp::window::Window;
-use tdsigma::layout::geom::{half_perimeter, Point, Rect};
+use tdsigma::dsp::{
+    boxcar_decimate, dft_reference, fft_real, ifft_in_place, CicDecimator, Complex, Spectrum,
+    Window,
+};
+use tdsigma::layout::{half_perimeter, Point, Rect};
 use tdsigma::netlist::{verilog, Design, Module, PortDirection};
 use tdsigma::tech::Rng64;
 
@@ -68,7 +68,7 @@ fn fft_matches_dft() {
             })
             .collect();
         let mut fast = input.clone();
-        tdsigma::dsp::fft::fft_in_place(&mut fast);
+        tdsigma::dsp::fft_in_place(&mut fast);
         let slow = dft_reference(&input);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((*a - *b).abs() < 1e-7, "case {case}");
@@ -83,7 +83,7 @@ fn fft_roundtrip() {
         let mut rng = case_rng("fft_roundtrip", case);
         let samples = vec_f64(&mut rng, 128, -1e2, 1e2);
         let mut buf: Vec<Complex> = samples.iter().map(|&x| Complex::from_real(x)).collect();
-        tdsigma::dsp::fft::fft_in_place(&mut buf);
+        tdsigma::dsp::fft_in_place(&mut buf);
         ifft_in_place(&mut buf);
         for (orig, got) in samples.iter().zip(&buf) {
             assert!((orig - got.re).abs() < 1e-9, "case {case}");
@@ -243,9 +243,7 @@ fn verilog_roundtrip() {
 #[test]
 fn placement_always_legal() {
     use std::collections::BTreeMap;
-    use tdsigma::layout::floorplan::Floorplan;
-    use tdsigma::layout::physlib::PhysicalLibrary;
-    use tdsigma::layout::place::place;
+    use tdsigma::layout::{place, Floorplan, PhysicalLibrary};
     use tdsigma::netlist::PowerPlan;
     use tdsigma::tech::{NodeId, Technology};
 
@@ -308,7 +306,7 @@ fn placement_always_legal() {
         let p = place(&flat, &assignments, &fp, &lib, seed).expect("placement");
 
         // Legality: pairwise non-overlap + region containment.
-        let report = tdsigma::layout::checks::check_placement(&flat, &p);
+        let report = tdsigma::layout::check_placement(&flat, &p);
         assert!(report.is_clean(), "case {case}: {report}");
         for cell in &p.cells {
             let region = fp.region(&cell.region).expect("region exists");
@@ -329,8 +327,8 @@ fn placement_always_legal() {
 #[test]
 fn netgen_always_clean() {
     use std::collections::BTreeSet;
-    use tdsigma::core::{netgen, spec::AdcSpec};
-    use tdsigma::netlist::{lint::lint_flat, PowerPlan};
+    use tdsigma::core::{netgen, AdcSpec};
+    use tdsigma::netlist::{lint_flat, PowerPlan};
 
     for case in 0..10u64 {
         let mut rng = case_rng("netgen_always_clean", case);
@@ -387,7 +385,7 @@ fn netgen_always_clean() {
 /// slice count and input level (no overload inside ±0.7 FS).
 #[test]
 fn sim_dc_transfer_monotone() {
-    use tdsigma::core::{sim::AdcSimulator, spec::AdcSpec};
+    use tdsigma::core::{sim::AdcSimulator, AdcSpec};
     for case in 0..10u64 {
         let mut rng = case_rng("sim_dc_transfer_monotone", case);
         let slices = uniform_usize(&mut rng, 1, 5);
@@ -417,7 +415,7 @@ fn sim_dc_transfer_monotone() {
 #[test]
 fn job_to_spec_is_total_and_its_specs_build() {
     use tdsigma::core::sim::AdcSimulator;
-    use tdsigma::core::spec::{MAX_SLICES, MAX_STEPS_PER_CYCLE, MAX_VCO_STAGES};
+    use tdsigma::core::{MAX_SLICES, MAX_STEPS_PER_CYCLE, MAX_VCO_STAGES};
     use tdsigma::jobs::job::{MAX_SAMPLES, MAX_WORK};
     use tdsigma::jobs::{Job, JobError};
 

@@ -1,9 +1,9 @@
 //! Cross-node integration: the scaling-compatibility claims of Table 3 /
 //! Fig. 15, verified end-to-end across crates.
 
-use tdsigma::core::{flow::DesignFlow, spec::AdcSpec};
+use tdsigma::core::{AdcSpec, DesignFlow};
 
-fn run(spec: AdcSpec) -> tdsigma::core::flow::FlowOutcome {
+fn run(spec: AdcSpec) -> tdsigma::core::FlowOutcome {
     let mut spec = spec;
     spec.steps_per_cycle = 8;
     DesignFlow::new(spec)
