@@ -27,7 +27,6 @@ fn engine(workers: usize) -> Engine {
             ..PoolConfig::default()
         },
         cache_dir: None,
-        faults: Default::default(),
     })
     .expect("engine")
 }

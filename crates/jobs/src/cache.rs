@@ -32,7 +32,6 @@
 //! [`ResultCache::scrub`]) inventory and prune a cache directory.
 
 use crate::error::JobError;
-use crate::faults::FaultPlan;
 use crate::report::JobReport;
 use std::collections::HashMap;
 use std::fs;
@@ -91,7 +90,6 @@ pub struct ResultCache {
     mem: Mutex<HashMap<String, JobReport>>,
     dir: Option<PathBuf>,
     rejected: AtomicUsize,
-    faults: FaultPlan,
     fingerprint: String,
 }
 
@@ -102,7 +100,6 @@ impl ResultCache {
             mem: Mutex::new(HashMap::new()),
             dir: None,
             rejected: AtomicUsize::new(0),
-            faults: FaultPlan::none(),
             fingerprint: engine_fingerprint().to_string(),
         }
     }
@@ -123,14 +120,6 @@ impl ResultCache {
             dir: Some(dir),
             ..ResultCache::in_memory()
         })
-    }
-
-    /// Installs a fault plan that may corrupt artifacts as they are
-    /// written (exercises the reject path end to end).
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Overrides the engine fingerprint this cache stamps and verifies.
@@ -216,11 +205,7 @@ impl ResultCache {
             .expect("cache lock")
             .insert(report.key.clone(), report.clone());
         if let Some(path) = self.artifact_path(&report.key) {
-            let intact = artifact_text(report, &self.fingerprint);
-            let bytes = self
-                .faults
-                .corrupt_artifact(&report.key, &intact)
-                .unwrap_or(intact);
+            let bytes = artifact_text(report, &self.fingerprint);
             let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
             let tmp = path.with_extension(format!("json.{}.{seq}.tmp", std::process::id()));
             fs::write(&tmp, bytes).map_err(|e| JobError::io_at(&tmp, &e))?;
@@ -474,14 +459,17 @@ fn artifact_text(report: &JobReport, fingerprint: &str) -> String {
     format!("{line}\ncrc64:{crc:016x} fp:{fingerprint}\n")
 }
 
-/// Parses and verifies one artifact against `fingerprint`. The checksum
-/// is verified *before* the stamp: a foreign verdict is a statement
-/// about intact bytes.
+/// Parses and verifies one artifact against `fingerprint`. An artifact
+/// is exactly two newline-terminated lines, so a cut, a lost or an extra
+/// line is corrupt. The checksum is verified *before* the stamp: a
+/// foreign verdict is a statement about intact bytes.
 fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport, Reject> {
-    let mut lines = text.lines();
-    let (Some(line), Some(trailer)) = (lines.next(), lines.next()) else {
-        return Err(Reject::Corrupt); // empty, or no checksum trailer
+    let Some((line, trailer)) = text.strip_suffix('\n').and_then(|t| t.split_once('\n')) else {
+        return Err(Reject::Corrupt); // empty, cut, or no checksum trailer
     };
+    if trailer.contains('\n') {
+        return Err(Reject::Corrupt);
+    }
     let body = trailer.strip_prefix("crc64:").ok_or(Reject::Corrupt)?;
     let (stated, stamp) = match body.split_once(' ') {
         Some((crc, rest)) => (crc, Some(rest.strip_prefix("fp:").ok_or(Reject::Corrupt)?)),
@@ -506,6 +494,7 @@ fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport,
 mod tests {
     use super::*;
     use crate::job::Job;
+    use tdsigma_tech::Rng64;
 
     fn report_for(job: &Job) -> JobReport {
         JobReport {
@@ -728,18 +717,15 @@ mod tests {
     #[test]
     fn injected_write_corruption_round_trips_through_rejection() {
         let dir = temp_dir("faulty_writes");
-        let always_corrupt = FaultPlan {
-            seed: 5,
-            corrupt_artifact_permille: 1000,
-            ..FaultPlan::default()
-        };
         let job = Job::sim(40.0, 750e6, 5e6);
         {
-            let cache = ResultCache::with_disk(&dir)
-                .unwrap()
-                .with_faults(always_corrupt);
+            let cache = ResultCache::with_disk(&dir).unwrap();
             cache.put(&report_for(&job)).unwrap();
-            // The memory tier keeps the good copy; only the disk lies.
+            // Damage the file under the open cache: the memory tier keeps
+            // the good copy; only the disk lies.
+            let path = dir.join(format!("{}.json", job.key()));
+            let text = fs::read_to_string(&path).unwrap();
+            fs::write(&path, text.replace(['{', '}'], "*")).unwrap();
             assert_eq!(cache.get(&job.key()).unwrap().sndr_db, 68.5);
         }
         let fresh = ResultCache::with_disk(&dir).unwrap();
@@ -748,6 +734,71 @@ mod tests {
             "corrupted write must not come back as a hit"
         );
         assert_eq!(fresh.rejected(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded damage to one valid artifact: a cut at a random byte, a
+    /// flipped byte (invalid UTF-8 included), the checksum trailer
+    /// dropped, a line duplicated, or nothing left. Returns the bytes and
+    /// whether the damage lies only in the engine stamp, which is
+    /// compared rather than checksummed and so reads as foreign.
+    fn mutate(intact: &[u8], stamp: std::ops::Range<usize>, rng: &mut Rng64) -> (Vec<u8>, bool) {
+        let mut bytes = intact.to_vec();
+        let newline = intact.iter().position(|&b| b == b'\n').unwrap() + 1;
+        match rng.gen_range(5) {
+            0 => bytes.truncate(rng.gen_range(intact.len())),
+            1 => {
+                let at = rng.gen_range(intact.len());
+                bytes[at] ^= 1 + rng.gen_range(255) as u8;
+                let foreign = stamp.contains(&at) && std::str::from_utf8(&bytes).is_ok();
+                return (bytes, foreign);
+            }
+            2 => bytes.truncate(newline),
+            3 => {
+                let line = if rng.gen_range(2) == 0 {
+                    intact[..newline].to_vec()
+                } else {
+                    intact[newline..].to_vec()
+                };
+                bytes.extend_from_slice(&line);
+            }
+            _ => bytes.clear(),
+        }
+        (bytes, false)
+    }
+
+    #[test]
+    fn fuzzed_artifacts_are_rejected_never_replayed() {
+        let dir = temp_dir("fuzz");
+        fs::create_dir_all(&dir).unwrap();
+        let job = Job::sim(40.0, 750e6, 5e6);
+        let key = job.key();
+        let ours = engine_fingerprint();
+        let intact = artifact_text(&report_for(&job), ours).into_bytes();
+        let stamp_start = intact.len() - 1 - ours.len();
+        let stamp = stamp_start..intact.len() - 1;
+        assert_eq!(&intact[stamp.clone()], ours.as_bytes());
+        let path = dir.join(format!("{key}.json"));
+        let mut rng = Rng64::seed_from_u64(0x00ca_c4e5);
+        let mut tried = 0;
+        while tried < 400 {
+            let (bytes, foreign) = mutate(&intact, stamp.clone(), &mut rng);
+            if bytes == intact {
+                continue;
+            }
+            tried += 1;
+            fs::write(&path, &bytes).unwrap();
+            let cache = ResultCache::with_disk(&dir).unwrap();
+            assert!(
+                cache.get(&key).is_none(),
+                "replayed {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+            let tag = if foreign { "foreign" } else { "corrupt" };
+            let parked = dir.join(REJECTED_DIR).join(format!("{key}.{tag}.json"));
+            assert_eq!(fs::read(&parked).ok(), Some(bytes), "{tag}");
+            fs::remove_file(&parked).unwrap();
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -61,7 +61,6 @@
 //! dispatcher to a reused address reports only what it saw.
 
 use crate::error::JobError;
-use crate::faults::{FaultPlan, VERIFY_BASIS};
 use crate::job::Job;
 use crate::metrics::{BackendDispatchStats, DispatchSummary};
 use crate::pool::{lock_unpoisoned, Runner};
@@ -77,6 +76,12 @@ const STRIKES: u32 = 3;
 
 /// How long a Down or Skewed backend sits out before its probe.
 const COOLDOWN: Duration = Duration::from_secs(5);
+
+/// Basis for the sampled-verification draw: a report key hashes under
+/// this basis to decide whether the result is redundantly re-executed.
+/// Keyed on the report key alone — no RNG state, no clock — so the same
+/// keys are verified on every run and on `--resume`.
+const VERIFY_BASIS: u64 = 0x2f63_b1a8_9e47_d025;
 
 /// Where one backend stands: the one answer to "may it take the next
 /// job?" (module docs, step 3).
@@ -203,8 +208,6 @@ pub struct DispatchConfig {
     pub local_in_rotation: bool,
     /// Connection deadlines shared by every backend client.
     pub remote: RemoteConfig,
-    /// Deterministic network-fault injection for chaos runs.
-    pub faults: FaultPlan,
     /// Sampled redundant verification rate, permille (0 disables — the
     /// zero-cost default; 1000 verifies every remote result). The sample
     /// is drawn by hashing the report key, so it is stable across runs
@@ -377,8 +380,7 @@ impl Dispatcher {
             .iter()
             .map(|addr| {
                 Arc::new(Backend {
-                    client: RemoteClient::with_config(addr.clone(), config.remote.clone())
-                        .with_faults(config.faults),
+                    client: RemoteClient::with_config(addr.clone(), config.remote.clone()),
                     standing: Mutex::new(Standing::Up { strikes: 0 }),
                     counts: Mutex::default(),
                 })
@@ -761,13 +763,13 @@ mod tests {
     }
 
     fn spawn_backend() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        spawn_backend_with_faults(crate::faults::FaultPlan::none())
+        spawn_backend_with(local_runner())
     }
 
-    fn spawn_backend_with_faults(
-        faults: crate::faults::FaultPlan,
+    /// A real `serve` over `runner`.
+    fn spawn_backend_with(
+        runner: Arc<Runner>,
     ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        let runner: Arc<Runner> = Arc::new(|job: &Job| Ok(ok_report(job)));
         let engine = Arc::new(
             Engine::with_runner(
                 EngineConfig {
@@ -777,7 +779,6 @@ mod tests {
                         ..PoolConfig::default()
                     },
                     cache_dir: None,
-                    faults,
                 },
                 runner,
             )
@@ -1258,15 +1259,15 @@ mod tests {
 
     #[test]
     fn lying_backend_is_integrity_quarantined_and_verified_bytes_win() {
-        // A backend that computes correctly, then perturbs a report
-        // value while keeping the key (and a self-consistent
-        // attestation) intact. Only redundant recomputation can catch
-        // it.
-        let (liar, handle) = spawn_backend_with_faults(crate::faults::FaultPlan {
-            seed: 83,
-            lying_backend_permille: 1000,
-            ..crate::faults::FaultPlan::none()
-        });
+        // A backend whose runner computes, then perturbs a report value
+        // while keeping the key intact; serve attests the lie, so the
+        // frame is self-consistent. Only redundant recomputation can
+        // catch it.
+        let (liar, handle) = spawn_backend_with(Arc::new(|job: &Job| {
+            let mut report = ok_report(job);
+            report.sndr_db += 3.5;
+            Ok(report)
+        }));
         let config = DispatchConfig {
             verify_permille: 1000,
             ..fast_config(vec![liar.to_string()])

@@ -15,7 +15,6 @@
 use crate::cache::ResultCache;
 use crate::error::JobError;
 use crate::execute;
-use crate::faults::FaultPlan;
 use crate::job::Job;
 use crate::metrics::BatchMetrics;
 use crate::pool::{JobOutcome, PoolConfig, Runner, WorkerPool};
@@ -32,10 +31,6 @@ pub struct EngineConfig {
     pub pool: PoolConfig,
     /// On-disk artifact store for the result cache; `None` → memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Deterministic fault injection, wired into both the pool (panics,
-    /// transient errors, latency) and the cache (artifact corruption).
-    /// The empty plan — the default — injects nothing.
-    pub faults: FaultPlan,
 }
 
 /// Lifetime counters across every batch and serve request.
@@ -56,7 +51,6 @@ pub struct Engine {
     pool: WorkerPool,
     cache: ResultCache,
     totals: Mutex<EngineTotals>,
-    faults: FaultPlan,
 }
 
 /// What a batch run returns: per-job results in submission order, plus
@@ -90,7 +84,8 @@ impl Engine {
         Engine::with_runner(config, Arc::new(execute::execute))
     }
 
-    /// An engine with an injected runner (for tests and benches).
+    /// An engine with an injected runner: a [`crate::Dispatcher`], a
+    /// runner wrapped by [`crate::FaultPlan::wrap`], or a test double.
     ///
     /// # Errors
     ///
@@ -99,13 +94,11 @@ impl Engine {
         let cache = match &config.cache_dir {
             Some(dir) => ResultCache::with_disk(dir)?,
             None => ResultCache::in_memory(),
-        }
-        .with_faults(config.faults);
+        };
         Ok(Engine {
-            pool: WorkerPool::with_faults(config.pool, runner, config.faults),
+            pool: WorkerPool::new(config.pool, runner),
             cache,
             totals: Mutex::new(EngineTotals::default()),
-            faults: config.faults,
         })
     }
 
@@ -114,18 +107,13 @@ impl Engine {
         &self.cache
     }
 
-    /// The fault plan this engine was built with (the serve layer
-    /// consults it for the lying-backend report perturbation).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
 
-    /// Every worker's liveness (see [`crate::pool::WorkerPool::heartbeats`]).
+    /// Every worker's liveness: whether it holds a job, and how long
+    /// since it last showed a sign of life.
     pub fn heartbeats(&self) -> Vec<crate::pool::WorkerHeartbeat> {
         self.pool.heartbeats()
     }
@@ -208,7 +196,6 @@ impl Engine {
                 metrics.executed += 1;
                 metrics.retried += outcome.attempts.saturating_sub(1) as usize;
             }
-            metrics.faults_injected += outcome.injected_faults as usize;
             let shared: Result<JobReport, JobError> = match outcome.result {
                 Ok(report) => {
                     if !self.store(&report) {
@@ -342,11 +329,7 @@ mod tests {
             retries: 0,
             ..PoolConfig::default()
         };
-        let config = EngineConfig {
-            pool,
-            cache_dir,
-            faults: FaultPlan::none(),
-        };
+        let config = EngineConfig { pool, cache_dir };
         (count, Engine::with_runner(config, runner).unwrap())
     }
 

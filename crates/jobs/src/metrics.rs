@@ -33,8 +33,6 @@ pub struct BatchMetrics {
     /// means the result store took damage or was written by another
     /// binary (the per-reason split is on `jobs.cache_rejected.*`).
     pub cache_rejected: usize,
-    /// Faults injected by the active fault plan (0 without `--chaos-seed`).
-    pub faults_injected: usize,
     /// Completed jobs whose report could not be persisted to the disk
     /// cache (the job still succeeded; the result is just uncached, so a
     /// resume would recompute it).
@@ -56,9 +54,9 @@ impl BatchMetrics {
     /// pool and cache report into live.
     ///
     /// Only the fields that nothing else counts at the source are added
-    /// here: retries, timeouts, panics, injected faults, backoff sleeps
-    /// and cache rejections are recorded by the pool/cache as they
-    /// happen, so re-adding them would double-count.
+    /// here: retries, panics, backoff sleeps and cache rejections are
+    /// recorded by the pool and cache as they happen (injected faults by
+    /// the fault wrapper), so re-adding them would double-count.
     pub fn publish(&self) {
         use tdsigma_obs as obs;
         obs::counter("jobs.cache_hits").add(self.cache_hits as u64);
@@ -84,12 +82,11 @@ impl fmt::Display for BatchMetrics {
             self.retried,
             self.canceled,
         )?;
-        if self.cache_rejected > 0 || self.faults_injected > 0 || self.cache_store_failures > 0 {
+        if self.cache_rejected > 0 || self.cache_store_failures > 0 {
             write!(
                 f,
-                "\nresilience: {} cache artifacts rejected, {} faults injected, \
-                 {} cache store failures",
-                self.cache_rejected, self.faults_injected, self.cache_store_failures,
+                "\nresilience: {} cache artifacts rejected, {} cache store failures",
+                self.cache_rejected, self.cache_store_failures,
             )?;
         }
         Ok(())
@@ -347,11 +344,11 @@ mod tests {
         let m = BatchMetrics {
             jobs: 3,
             cache_rejected: 2,
-            faults_injected: 5,
+            cache_store_failures: 5,
             ..BatchMetrics::default()
         };
         let text = m.to_string();
         assert!(text.contains("2 cache artifacts rejected"), "{text}");
-        assert!(text.contains("5 faults injected"), "{text}");
+        assert!(text.contains("5 cache store failures"), "{text}");
     }
 }

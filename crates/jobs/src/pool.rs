@@ -19,11 +19,12 @@
 //!   attempt and during backoff sleeps. In-flight flows finish; queued
 //!   jobs drain as `Canceled`. [`WorkerPool::drain`] is the graceful
 //!   shutdown: cancel, then join every worker.
-//! * Fault injection ([`FaultPlan`]) is consulted before each attempt;
-//!   the empty plan reduces to integer compares.
+//!
+//! The pool knows nothing of fault injection: a chaos run hands it a
+//! runner wrapped by [`crate::FaultPlan::wrap`], and the pool isolates
+//! and retries that runner's panics and transient errors like any other.
 
 use crate::error::JobError;
-use crate::faults::{AttemptFault, FaultPlan};
 use crate::job::Job;
 use crate::report::JobReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -109,8 +110,6 @@ pub struct JobOutcome {
     pub result: Result<JobReport, JobError>,
     /// Attempts made (0 if the job never started).
     pub attempts: u32,
-    /// Faults injected into this job by the active [`FaultPlan`].
-    pub injected_faults: u32,
 }
 
 impl JobOutcome {
@@ -119,7 +118,6 @@ impl JobOutcome {
         JobOutcome {
             result,
             attempts: 0,
-            injected_faults: 0,
         }
     }
 }
@@ -176,14 +174,8 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns the workers with no fault injection.
+    /// Spawns the workers.
     pub fn new(config: PoolConfig, runner: Arc<Runner>) -> Self {
-        WorkerPool::with_faults(config, runner, FaultPlan::none())
-    }
-
-    /// Spawns the workers with a fault-injection plan consulted before
-    /// every attempt (the empty plan injects nothing).
-    pub fn with_faults(config: PoolConfig, runner: Arc<Runner>, faults: FaultPlan) -> Self {
         let workers = config.workers.max(1);
         let (tx, rx) = mpsc::channel::<Task>();
         let rx = Arc::new(Mutex::new(rx));
@@ -205,9 +197,7 @@ impl WorkerPool {
                 // survivable. Panicking here is deliberate and documented.
                 std::thread::Builder::new()
                     .name(format!("tdsigma-job-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&rx, &cancel, &runner, &config, faults, &status, epoch)
-                    })
+                    .spawn(move || worker_loop(&rx, &cancel, &runner, &config, &status, epoch))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -344,7 +334,6 @@ fn worker_loop(
     cancel: &AtomicBool,
     runner: &Arc<Runner>,
     config: &PoolConfig,
-    faults: FaultPlan,
     status: &WorkerStatus,
     epoch: Instant,
 ) {
@@ -354,7 +343,6 @@ fn worker_loop(
     let backoff_hist = obs::histogram("jobs.backoff");
     let retries_ctr = obs::counter("jobs.retries");
     let panics_ctr = obs::counter("jobs.panics");
-    let faults_ctr = obs::counter("jobs.faults_injected");
     loop {
         // Hold the lock only for the dequeue.
         let task = match lock_unpoisoned(rx).recv() {
@@ -373,32 +361,16 @@ fn worker_loop(
         }
         let key = task.job.key();
         let mut attempts = 0u32;
-        let mut injected_faults = 0u32;
         let result = loop {
             attempts += 1;
             // One beat per attempt: retries of a live job keep the
             // watchdog quiet; an attempt that hangs stops beating.
             status.beat(epoch);
-            let injected = faults.attempt_fault(&key, attempts);
-            let latency_ms = faults.attempt_latency_ms(&key, attempts);
-            if injected.is_some() || latency_ms > 0 {
-                injected_faults += 1;
-                faults_ctr.inc();
-            }
-            if latency_ms > 0 {
-                std::thread::sleep(Duration::from_millis(latency_ms));
-            }
             let attempt = {
                 let _span = obs::span("job.attempt")
                     .attr("job", &key)
                     .attr("attempt", attempts);
-                catch_unwind(AssertUnwindSafe(|| match injected {
-                    Some(AttemptFault::Panic) => panic!("chaos: injected worker panic"),
-                    Some(AttemptFault::Transient) => Err(JobError::Transient(
-                        "chaos: injected transient failure".into(),
-                    )),
-                    None => runner(&task.job),
-                }))
+                catch_unwind(AssertUnwindSafe(|| runner(&task.job)))
             };
             let may_retry = attempts <= config.retries && !cancel.load(Ordering::SeqCst);
             let retry_backoff = || {
@@ -453,11 +425,7 @@ fn worker_loop(
             }
         };
         // A dropped receiver just means the caller stopped waiting.
-        let _ = task.reply.send(JobOutcome {
-            result,
-            attempts,
-            injected_faults,
-        });
+        let _ = task.reply.send(JobOutcome { result, attempts });
         status.beat(epoch);
         status.busy.store(false, Ordering::Relaxed);
     }
@@ -742,20 +710,20 @@ mod tests {
     #[test]
     fn injected_faults_are_deterministic_and_survivable() {
         let run = || -> Vec<(bool, u32)> {
-            let pool = WorkerPool::with_faults(
+            let faults = crate::FaultPlan {
+                seed: 7,
+                panic_permille: 300,
+                transient_permille: 300,
+                ..crate::FaultPlan::default()
+            };
+            let pool = WorkerPool::new(
                 PoolConfig {
                     workers: 2,
                     retries: 4,
                     backoff_base_ms: 1,
                     backoff_max_ms: 4,
                 },
-                Arc::new(|job: &Job| Ok(dummy_report(job))),
-                FaultPlan {
-                    seed: 7,
-                    panic_permille: 300,
-                    transient_permille: 300,
-                    ..FaultPlan::default()
-                },
+                faults.wrap(Arc::new(|job: &Job| Ok(dummy_report(job)))),
             );
             let receivers: Vec<_> = (0..16).map(|s| pool.submit(job_with_seed(s))).collect();
             receivers

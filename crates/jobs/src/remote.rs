@@ -21,13 +21,12 @@
 //! rejected identically everywhere, so failing over would only multiply
 //! the error.
 //!
-//! Network fault injection rides the same deterministic machinery as
-//! the rest of the chaos harness: an armed [`FaultPlan`] can drop the
-//! connection, stall the exchange, or corrupt the response frame, keyed
-//! on `(backend address, job key)` so a chaos run is replayable by seed.
+//! No fault is injected here. Dropped, stalled and garbled exchanges are
+//! tested against real peers on real sockets: the hostile listeners in
+//! this module's tests, `serve` processes killed mid-sweep, and the
+//! chaos suite's seeded hostile backend.
 
 use crate::error::JobError;
-use crate::faults::{FaultPlan, NetFault, ATTEST_BASIS};
 use crate::job::Job;
 use crate::json::Json;
 use crate::report::JobReport;
@@ -35,6 +34,12 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Basis for the wire attestation crc64 computed by serve over the
+/// canonical report text and re-verified by [`RemoteClient::run_job`].
+/// Deliberately distinct from the cache artifact basis and the journal
+/// envelope basis so an attestation can never be confused with either.
+pub(crate) const ATTEST_BASIS: u64 = 0x7a30_9d4f_1bc8_55e1;
 
 /// Deadlines for one backend connection.
 #[derive(Debug, Clone)]
@@ -130,29 +135,15 @@ pub struct BackendHealth {
 pub struct RemoteClient {
     addr: String,
     config: RemoteConfig,
-    faults: FaultPlan,
 }
 
 impl RemoteClient {
-    /// A client for `addr` (`host:port`) with default deadlines.
-    pub fn new(addr: impl Into<String>) -> Self {
-        RemoteClient::with_config(addr, RemoteConfig::default())
-    }
-
     /// A client with explicit deadlines.
     pub fn with_config(addr: impl Into<String>, config: RemoteConfig) -> Self {
         RemoteClient {
             addr: addr.into(),
             config,
-            faults: FaultPlan::none(),
         }
-    }
-
-    /// Arms deterministic network-fault injection on this client.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// The backend address this client talks to.
@@ -175,7 +166,7 @@ impl RemoteClient {
             ("cmd".into(), Json::Str("run".into())),
             ("job".into(), job.to_json()),
         ]);
-        let response = self.exchange(&request.to_text(), &format!("{}|{key}", self.addr))?;
+        let response = self.exchange(&request.to_text())?;
         if response.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(classify_protocol_error(&response));
         }
@@ -219,7 +210,7 @@ impl RemoteClient {
     /// [`RemoteError::Backend`] when the peer is unreachable or answers
     /// garbage — exactly the condition a strike should count.
     pub fn health(&self) -> Result<BackendHealth, RemoteError> {
-        let response = self.exchange(r#"{"cmd":"health"}"#, &format!("{}|health", self.addr))?;
+        let response = self.exchange(r#"{"cmd":"health"}"#)?;
         let health = response
             .get("health")
             .ok_or_else(|| RemoteError::Backend("health response missing \"health\"".into()))?;
@@ -243,24 +234,8 @@ impl RemoteClient {
         })
     }
 
-    /// One request/response exchange on a fresh connection. `fault_key`
-    /// feeds the deterministic fault machinery so a given (backend, job)
-    /// pair always sees the same injected faults for a given seed.
-    fn exchange(&self, line: &str, fault_key: &str) -> Result<Json, RemoteError> {
-        match self.faults.net_fault(fault_key, 1) {
-            Some(NetFault::ConnDrop) => {
-                return Err(RemoteError::Backend(format!(
-                    "injected: connection to {} dropped",
-                    self.addr
-                )));
-            }
-            Some(NetFault::Stall(ms)) => {
-                // A stalled backend manifests as latency, bounded by the
-                // read deadline like the real thing.
-                std::thread::sleep(Duration::from_millis(ms.min(self.config.read_timeout_ms)));
-            }
-            Some(NetFault::CorruptResponse) | None => {}
-        }
+    /// One request/response exchange on a fresh connection.
+    fn exchange(&self, line: &str) -> Result<Json, RemoteError> {
         let stream = self.connect()?;
         let backend = |e: &std::io::Error, what: &str| {
             RemoteError::Backend(format!("{what} {}: {e}", self.addr))
@@ -282,15 +257,6 @@ impl RemoteClient {
                 "{} closed the connection without responding",
                 self.addr
             )));
-        }
-        if matches!(
-            self.faults.net_fault(fault_key, 1),
-            Some(NetFault::CorruptResponse)
-        ) {
-            // Garble the frame the same way the wire would: flip bytes in
-            // the middle of the payload.
-            let mid = response.len() / 2;
-            response.replace_range(mid..(mid + 1).min(response.len()), "\u{1}");
         }
         Json::parse(response.trim()).map_err(|e| {
             RemoteError::Backend(format!("malformed response from {}: {e}", self.addr))
@@ -393,7 +359,6 @@ mod tests {
                         ..PoolConfig::default()
                     },
                     cache_dir: None,
-                    faults: Default::default(),
                 },
                 runner,
             )
@@ -414,14 +379,14 @@ mod tests {
     }
 
     fn shutdown(addr: std::net::SocketAddr) {
-        let client = RemoteClient::new(addr.to_string());
-        let _ = client.exchange(r#"{"cmd":"shutdown"}"#, "test|shutdown");
+        let client = fast_client(addr);
+        let _ = client.exchange(r#"{"cmd":"shutdown"}"#);
     }
 
     #[test]
     fn run_job_round_trips_and_verifies_the_key() {
         let (addr, handle) = test_server();
-        let client = RemoteClient::new(addr.to_string());
+        let client = fast_client(addr);
         let job = Job {
             seed: 3,
             ..Job::sim(40.0, 750e6, 5e6)
@@ -445,7 +410,7 @@ mod tests {
     #[test]
     fn job_rejection_is_not_a_backend_failure() {
         let (addr, handle) = test_server();
-        let client = RemoteClient::new(addr.to_string());
+        let client = fast_client(addr);
         let bad = Job::sim(13.0, 750e6, 5e6);
         match client.run_job(&bad) {
             Err(RemoteError::Job(JobError::Failed { .. } | JobError::Invalid(_))) => {}
@@ -470,45 +435,6 @@ mod tests {
             Err(RemoteError::Backend(m)) => assert!(m.contains("unreachable"), "{m}"),
             other => panic!("expected Backend error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn injected_connection_drop_and_corruption_are_backend_errors() {
-        let (addr, handle) = test_server();
-        let job = Job::sim(40.0, 750e6, 5e6);
-        // Force each fault class in turn with a saturated rate.
-        let drop_all = FaultPlan {
-            conn_drop_permille: 1000,
-            ..FaultPlan::none()
-        };
-        let client = RemoteClient::new(addr.to_string()).with_faults(drop_all);
-        match client.run_job(&job) {
-            Err(RemoteError::Backend(m)) => assert!(m.contains("dropped"), "{m}"),
-            other => panic!("expected injected drop, got {other:?}"),
-        }
-        let garble_all = FaultPlan {
-            response_corrupt_permille: 1000,
-            ..FaultPlan::none()
-        };
-        let client = RemoteClient::new(addr.to_string()).with_faults(garble_all);
-        match client.run_job(&job) {
-            // Depending on where the flipped byte lands, the frame fails
-            // JSON parsing, report parsing, or the key check — all of
-            // them Backend-class, which is what failover needs.
-            Err(RemoteError::Backend(m)) => assert!(
-                m.contains("malformed") || m.contains("unparseable") || m.contains("key"),
-                "{m}"
-            ),
-            other => panic!("expected corrupt frame error, got {other:?}"),
-        }
-        // The faults were client-side: the backend is still healthy.
-        let clean = RemoteClient::new(addr.to_string());
-        assert_eq!(
-            clean.health().expect("health after injected faults").status,
-            "ok"
-        );
-        shutdown(addr);
-        handle.join().unwrap();
     }
 
     /// A hostile "backend" for wire-level edge cases: accepts one
@@ -712,6 +638,57 @@ mod tests {
         let got = fast_client(addr).run_job(&job).expect("attested frame");
         assert_eq!(got.sndr_db, 64.0);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn fuzzed_response_frames_fail_as_backend_errors_in_bounded_time() {
+        // Seeded damage to one valid attested frame: a cut, a flipped
+        // byte (invalid UTF-8 included), a duplicated frame, a stray
+        // newline, or nothing at all. Every exchange ends within the
+        // read deadline; it may succeed only with the original report.
+        let job = Job {
+            seed: 6,
+            ..Job::sim(40.0, 750e6, 5e6)
+        };
+        let original = test_report(&job, 66.0).to_text();
+        let attest = attestation(&test_report(&job, 66.0));
+        let frame = report_response_line(&job, 66.0, Some(&attest)).into_bytes();
+        let mut rng = tdsigma_tech::Rng64::seed_from_u64(0xf4a3e);
+        let (mut tried, mut refused) = (0, 0);
+        while tried < 200 {
+            let mut bytes = frame.clone();
+            match rng.gen_range(5) {
+                0 => bytes.truncate(rng.gen_range(frame.len())),
+                1 => bytes[rng.gen_range(frame.len())] ^= 1 + rng.gen_range(255) as u8,
+                2 => bytes.extend_from_slice(&frame),
+                3 => bytes.insert(rng.gen_range(frame.len()), b'\n'),
+                _ => bytes.clear(),
+            }
+            if bytes == frame {
+                continue;
+            }
+            tried += 1;
+            let (addr, handle) = hostile_backend(move |mut stream| {
+                let _ = stream.write_all(&bytes);
+            });
+            let client = fast_client(addr);
+            let started = std::time::Instant::now();
+            match client.run_job(&job) {
+                Ok(report) => assert_eq!(report.to_text(), original),
+                Err(RemoteError::Backend(_)) => refused += 1,
+                Err(other) => panic!("damage must be backend-class, got {other:?}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_millis(client.config.read_timeout_ms),
+                "took {:?}",
+                started.elapsed()
+            );
+            handle.join().unwrap();
+        }
+        assert!(
+            refused > tried / 2,
+            "most damage must be refused: {refused}"
+        );
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! `N` is a backlog-drain estimate the dispatcher honours as a cooldown.
 
 use crate::engine::Engine;
-use crate::faults::ATTEST_BASIS;
 use crate::job::Job;
 use crate::json::Json;
+use crate::remote::ATTEST_BASIS;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -478,16 +478,7 @@ fn run_response(request: &Json, shared: &Shared) -> Json {
     let result = engine.submit_one(&job);
     drop(ticket);
     match result {
-        Ok(mut report) => {
-            // Lying-backend fault site: perturb a report *value* after
-            // compute, keeping the key intact. The attestation below is
-            // computed over the lying bytes, so it still verifies — by
-            // design, this corruption is only catchable by redundant
-            // recomputation on the dispatching side.
-            if let Some(delta) = engine.fault_plan().lying_report_delta(&job.key()) {
-                report.sndr_db += delta;
-                tdsigma_obs::counter("serve.lying_backend_injected").inc();
-            }
+        Ok(report) => {
             let attest = tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS);
             ok_response(vec![
                 ("report".into(), report.to_json()),
@@ -679,7 +670,6 @@ fn obs_snapshot_json() -> Json {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::faults::FaultPlan;
     use crate::pool::{PoolConfig, Runner};
     use crate::report::JobReport;
 
@@ -707,15 +697,16 @@ mod tests {
     }
 
     /// An engine of `workers` threads and no retries whose runner answers
-    /// each job after `delay` with an SNDR of 60 dB plus its seed.
-    fn engine_with(workers: usize, faults: FaultPlan, delay: Duration) -> Arc<Engine> {
+    /// each job after `delay` with an SNDR of 60 dB plus its seed plus
+    /// `lie_db` (non-zero makes a lying backend).
+    fn engine_with(workers: usize, delay: Duration, lie_db: f64) -> Arc<Engine> {
         let runner: Arc<Runner> = Arc::new(move |job: &Job| {
             thread::sleep(delay);
             Ok(JobReport {
                 key: job.key(),
                 job: job.clone(),
                 fin_hz: job.input_frequency_hz(),
-                sndr_db: 60.0 + job.seed as f64,
+                sndr_db: 60.0 + job.seed as f64 + lie_db,
                 enob: 9.7,
                 power_mw: None,
                 digital_fraction: None,
@@ -732,13 +723,12 @@ mod tests {
         let config = EngineConfig {
             pool,
             cache_dir: None,
-            faults,
         };
         Arc::new(Engine::with_runner(config, runner).unwrap())
     }
 
     fn test_engine() -> Arc<Engine> {
-        engine_with(2, FaultPlan::none(), Duration::ZERO)
+        engine_with(2, Duration::ZERO, 0.0)
     }
 
     /// The state of a server around `engine` that was never bound.
@@ -1017,7 +1007,7 @@ mod tests {
 
     #[test]
     fn health_degrades_and_ready_flips_when_a_worker_stalls() {
-        let engine = engine_with(1, FaultPlan::none(), Duration::from_millis(250));
+        let engine = engine_with(1, Duration::from_millis(250), 0.0);
         let shared = shared_with(
             Arc::clone(&engine),
             ServerConfig {
@@ -1310,13 +1300,8 @@ mod tests {
     }
 
     #[test]
-    fn lying_backend_fault_perturbs_values_but_keeps_key_and_attestation() {
-        let faults = FaultPlan {
-            seed: 83,
-            lying_backend_permille: 1000,
-            ..FaultPlan::none()
-        };
-        let shared = test_shared(engine_with(2, faults, Duration::ZERO));
+    fn lying_backend_perturbs_values_but_keeps_key_and_attestation() {
+        let shared = test_shared(engine_with(2, Duration::ZERO, 3.5));
         let job = Job {
             seed: 5,
             ..Job::sim(40.0, 750e6, 5e6)
@@ -1333,9 +1318,9 @@ mod tests {
             .get("sndr_db")
             .and_then(Json::as_f64)
             .expect("sndr_db");
-        assert!(
-            sndr >= 65.5,
-            "the honest runner says 65.0; the lie adds at least 0.5 dB: {sndr}"
+        assert_eq!(
+            sndr, 68.5,
+            "the honest runner says 65.0; the lie adds 3.5 dB"
         );
         // The attestation is computed over the lying bytes, so it still
         // verifies — by design, wire attestation cannot catch a lying
@@ -1343,12 +1328,11 @@ mod tests {
         let report = JobReport::from_json(report_json).expect("parsable report");
         let expected = format!(
             "{:016x}",
-            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), crate::faults::ATTEST_BASIS)
+            tdsigma_tech::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
         );
         assert_eq!(
             r.get("attest").and_then(Json::as_str),
             Some(expected.as_str())
         );
-        assert!(tdsigma_obs::counter("serve.lying_backend_injected").get() >= 1);
     }
 }

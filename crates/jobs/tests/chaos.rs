@@ -2,28 +2,31 @@
 //! fault injection.
 //!
 //! The headline invariant, asserted for every fault seed: a batch run
-//! under an arbitrary [`FaultPlan`] either
+//! over a runner wrapped by an arbitrary [`FaultPlan`] either
 //!
 //! 1. completes with reports **bit-identical** to the fault-free run, or
 //! 2. fails **loudly** with a structured [`JobError`] —
 //!
 //! and in both cases it does so **within a wall-clock bound**: it never
-//! hangs, never silently drops a job, and never poisons the cache (a
-//! corrupted artifact is rejected and recomputed, not served and not
-//! fatal).
+//! hangs and never silently drops a job. Damage the plan does not inject
+//! is dealt for real: vandalized artifacts on disk (rejected and
+//! recomputed, never served) and a hostile peer on a real socket
+//! (failed over, never trusted).
 //!
 //! Every test body runs under [`with_deadline`] so a regression that
 //! introduces a hang fails the suite instead of stalling it.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdsigma_jobs::{
     Engine, EngineConfig, FaultPlan, Job, JobError, JobReport, Json, PoolConfig, Runner, Server,
     ServerConfig,
 };
+use tdsigma_tech::Rng64;
 
 /// The fault seeds the suite sweeps. CI runs exactly this fixed set so a
 /// failure is reproducible by seed.
@@ -76,21 +79,29 @@ fn grid() -> Vec<Job> {
         .collect()
 }
 
+/// `runner`, counting its calls on `calls`.
+fn counting(runner: Arc<Runner>, calls: &Arc<AtomicUsize>) -> Arc<Runner> {
+    let calls = Arc::clone(calls);
+    Arc::new(move |job: &Job| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        runner(job)
+    })
+}
+
+/// A 4-worker engine over `runner` with a fast backoff.
+fn engine_over(runner: Arc<Runner>, retries: u32, cache_dir: Option<PathBuf>) -> Engine {
+    let pool = PoolConfig {
+        workers: 4,
+        retries,
+        backoff_base_ms: 1,
+        backoff_max_ms: 8,
+    };
+    Engine::with_runner(EngineConfig { pool, cache_dir }, runner).expect("engine")
+}
+
+/// [`engine_over`] the fake runner wrapped by `faults`.
 fn engine(faults: FaultPlan, retries: u32, cache_dir: Option<PathBuf>) -> Engine {
-    Engine::with_runner(
-        EngineConfig {
-            pool: PoolConfig {
-                workers: 4,
-                retries,
-                backoff_base_ms: 1,
-                backoff_max_ms: 8,
-            },
-            cache_dir,
-            faults,
-        },
-        fake_runner(),
-    )
-    .expect("engine")
+    engine_over(faults.wrap(fake_runner()), retries, cache_dir)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -124,10 +135,14 @@ fn every_fault_seed_matches_fault_free_or_fails_structured() {
             .map(|r| r.as_ref().expect("fault-free run succeeds").to_text())
             .collect();
 
-        let mut total_faults = 0usize;
+        // Attempts the pool made, and attempts that reached the honest
+        // runner: the difference is what the plans injected.
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let ran = Arc::new(AtomicUsize::new(0));
         let mut recovered = 0usize;
         for seed in CHAOS_SEEDS {
-            let chaotic = engine(FaultPlan::chaos(seed), 3, None);
+            let faulty = FaultPlan::chaos(seed).wrap(counting(fake_runner(), &ran));
+            let chaotic = engine_over(counting(faulty, &attempts), 3, None);
             let batch = chaotic.run_batch(&jobs);
             assert_eq!(batch.results.len(), jobs.len(), "seed {seed}: dropped jobs");
             for (i, result) in batch.results.iter().enumerate() {
@@ -146,8 +161,8 @@ fn every_fault_seed_matches_fault_free_or_fails_structured() {
                     ),
                 }
             }
-            total_faults += batch.metrics.faults_injected;
         }
+        let total_faults = attempts.load(Ordering::SeqCst) - ran.load(Ordering::SeqCst);
         assert!(
             total_faults > 20,
             "the chaos plans must actually fire (saw {total_faults} faults)"
@@ -190,8 +205,8 @@ fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
             .map(|r| r.as_ref().expect("cold run succeeds").to_text())
             .collect();
 
-        // Vandalize three artifacts three different ways.
-        let damaged: Vec<PathBuf> = jobs[..3]
+        // Vandalize four artifacts four different ways.
+        let damaged: Vec<PathBuf> = jobs[..4]
             .iter()
             .map(|job| dir.join(format!("{}.json", job.key())))
             .collect();
@@ -200,6 +215,7 @@ fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
         std::fs::write(&damaged[1], "not json at all\n").unwrap(); // replaced
         let text = std::fs::read_to_string(&damaged[2]).unwrap();
         std::fs::write(&damaged[2], text.replacen("50", "51", 1)).unwrap(); // bit-flipped
+        std::fs::write(&damaged[3], "").unwrap(); // zero-length
 
         let fresh = engine(FaultPlan::none(), 0, Some(dir.clone()));
         let batch = fresh.run_batch(&jobs);
@@ -209,9 +225,9 @@ fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
             .map(|r| r.as_ref().expect("recomputation succeeds").to_text())
             .collect();
         assert_eq!(texts, baseline, "corruption must never change answers");
-        assert_eq!(batch.metrics.cache_rejected, 3, "{:?}", batch.metrics);
-        assert_eq!(batch.metrics.executed, 3, "exactly the damaged jobs rerun");
-        assert_eq!(batch.metrics.cache_hits, jobs.len() - 3);
+        assert_eq!(batch.metrics.cache_rejected, 4, "{:?}", batch.metrics);
+        assert_eq!(batch.metrics.executed, 4, "exactly the damaged jobs rerun");
+        assert_eq!(batch.metrics.cache_hits, jobs.len() - 4);
         for (job, path) in jobs.iter().zip(&damaged) {
             let parked = dir
                 .join("rejected")
@@ -223,7 +239,7 @@ fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
             assert!(path.exists(), "recomputed artifact must be re-filed");
         }
         let rejected = std::fs::read_dir(dir.join("rejected")).unwrap().count();
-        assert_eq!(rejected, 3, "exactly the damaged artifacts are rejected");
+        assert_eq!(rejected, 4, "exactly the damaged artifacts are rejected");
 
         // A third engine sees a fully healed store: zero rejections,
         // zero executions — the rejected files are never read back.
@@ -231,49 +247,6 @@ fn corrupted_disk_cache_is_rejected_recomputed_and_stays_bit_identical() {
         let replay = healed.run_batch(&jobs);
         assert_eq!(replay.metrics.cache_rejected, 0);
         assert_eq!(replay.metrics.executed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    });
-}
-
-#[test]
-fn injected_write_corruption_cannot_poison_a_later_run() {
-    with_deadline("write corruption", 60, || {
-        let dir = temp_dir("poison");
-        let jobs = grid();
-        let baseline: Vec<String> = engine(FaultPlan::none(), 0, None)
-            .run_batch(&jobs)
-            .results
-            .iter()
-            .map(|r| r.as_ref().unwrap().to_text())
-            .collect();
-
-        // A chaotic engine writes the cache; some artifacts land corrupt.
-        let corruptor = FaultPlan {
-            seed: 99,
-            corrupt_artifact_permille: 400,
-            ..FaultPlan::default()
-        };
-        engine(corruptor, 0, Some(dir.clone())).run_batch(&jobs);
-
-        // A clean engine on the same store must reproduce the baseline:
-        // corrupt artifacts are rejected + recomputed, intact ones hit.
-        let clean = engine(FaultPlan::none(), 0, Some(dir.clone()));
-        let batch = clean.run_batch(&jobs);
-        let texts: Vec<String> = batch
-            .results
-            .iter()
-            .map(|r| r.as_ref().expect("clean run succeeds").to_text())
-            .collect();
-        assert_eq!(texts, baseline, "a poisoned store must never alter results");
-        assert!(
-            batch.metrics.cache_rejected > 0,
-            "a 40% corruption rate over 12 artifacts should hit at least one"
-        );
-        assert_eq!(
-            batch.metrics.cache_rejected + batch.metrics.cache_hits,
-            jobs.len(),
-            "every job is either a hit or a rejection+recompute"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
@@ -459,6 +432,11 @@ fn drain_under_chaos_cancels_queued_and_closes_cleanly() {
                 timing_slack_ps: None,
             })
         });
+        let faults = FaultPlan {
+            seed: 3,
+            transient_permille: 200,
+            ..FaultPlan::default()
+        };
         let engine = Arc::new(
             Engine::with_runner(
                 EngineConfig {
@@ -469,13 +447,8 @@ fn drain_under_chaos_cancels_queued_and_closes_cleanly() {
                         ..PoolConfig::default()
                     },
                     cache_dir: None,
-                    faults: FaultPlan {
-                        seed: 3,
-                        transient_permille: 200,
-                        ..FaultPlan::default()
-                    },
                 },
-                slow,
+                faults.wrap(slow),
             )
             .unwrap(),
         );
@@ -506,14 +479,96 @@ fn drain_under_chaos_cancels_queued_and_closes_cleanly() {
     });
 }
 
-/// Network chaos over the distributed dispatcher: with connection
-/// drops, stalls and corrupt response frames injected at the dispatch
-/// layer, every job must still produce bytes identical to the
-/// fault-free run — failover, circuit breakers and the local fallback
-/// absorb the damage without changing a single report.
+/// What the hostile backend does with one connection.
+#[derive(Debug, Clone, Copy)]
+enum Peer {
+    /// Hangs up without answering.
+    Drop,
+    /// Goes silent past the client's read deadline.
+    Stall,
+    /// Relays the upstream answer with one byte garbled.
+    Garble,
+    /// Relays the upstream answer intact.
+    Honest,
+}
+
+/// A scripted hostile backend in front of `upstream`. A schedule seeded
+/// by `seed` picks what it does with each connection it accepts; it
+/// serves until `stop` is set and a connection wakes it, then returns
+/// how many connections met each behaviour.
+fn spawn_hostile(
+    upstream: SocketAddr,
+    seed: u64,
+    stall: Duration,
+    stop: Arc<AtomicBool>,
+) -> (SocketAddr, std::thread::JoinHandle<[usize; 4]>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind hostile");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || {
+        let mut schedule = Rng64::seed_from_u64(seed);
+        let mut seen = [0usize; 4];
+        let mut peers = Vec::new();
+        for stream in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let peer = [Peer::Drop, Peer::Stall, Peer::Garble, Peer::Honest][schedule.gen_range(4)];
+            seen[peer as usize] += 1;
+            peers.push(std::thread::spawn(move || {
+                serve_hostile(stream, peer, upstream, stall)
+            }));
+        }
+        for peer in peers {
+            peer.join().expect("hostile peer");
+        }
+        seen
+    });
+    (addr, handle)
+}
+
+/// One connection of the hostile backend.
+fn serve_hostile(stream: TcpStream, peer: Peer, upstream: SocketAddr, stall: Duration) {
+    let mut request = String::new();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    if reader.read_line(&mut request).unwrap_or(0) == 0 {
+        return;
+    }
+    let relay = || -> Vec<u8> {
+        let mut up = TcpStream::connect(upstream).expect("upstream");
+        up.write_all(request.as_bytes()).expect("relay request");
+        let mut answer = String::new();
+        BufReader::new(up)
+            .read_line(&mut answer)
+            .expect("relay answer");
+        answer.into_bytes()
+    };
+    let mut stream = stream;
+    match peer {
+        Peer::Drop => {}
+        Peer::Stall => std::thread::sleep(stall),
+        Peer::Garble => {
+            let mut answer = relay();
+            let mid = answer.len() / 2;
+            if let Some(byte) = answer.get_mut(mid) {
+                *byte = 1;
+            }
+            let _ = stream.write_all(&answer);
+        }
+        Peer::Honest => {
+            let _ = stream.write_all(&relay());
+        }
+    }
+}
+
+/// Network chaos over the distributed dispatcher: one real server and
+/// one hostile backend that drops, stalls, garbles or relays each
+/// connection by a seeded schedule. Every job must still produce bytes
+/// identical to the fault-free run — failover, standings and the local
+/// fallback absorb the damage without changing a single report.
 #[test]
 fn network_chaos_dispatch_reproduces_fault_free_bytes() {
-    use tdsigma_jobs::{DispatchConfig, Dispatcher};
+    use tdsigma_jobs::{DispatchConfig, Dispatcher, RemoteConfig};
     with_deadline("network chaos dispatch", 120, || {
         let jobs = grid();
         let baseline: Vec<String> = engine(FaultPlan::none(), 0, None)
@@ -523,42 +578,42 @@ fn network_chaos_dispatch_reproduces_fault_free_bytes() {
             .map(|r| r.as_ref().expect("fault-free run succeeds").to_text())
             .collect();
 
-        // Two real protocol servers over the same deterministic runner.
-        let spawn = || {
-            let server = Server::bind_with(
-                "127.0.0.1:0",
-                Arc::new(engine(FaultPlan::none(), 0, None)),
-                ServerConfig {
-                    allow_remote_shutdown: true,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind");
-            let addr = server.local_addr().expect("addr");
-            (
-                addr,
-                std::thread::spawn(move || server.run().expect("serve")),
-            )
-        };
-        let (addr_a, handle_a) = spawn();
-        let (addr_b, handle_b) = spawn();
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            Arc::new(engine(FaultPlan::none(), 0, None)),
+            ServerConfig {
+                allow_remote_shutdown: true,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let real = server.local_addr().expect("addr");
+        let serving = std::thread::spawn(move || server.run().expect("serve"));
 
+        let read_timeout_ms = 250;
+        let mut seen = [0usize; 4];
         for seed in CHAOS_SEEDS {
+            let stop = Arc::new(AtomicBool::new(false));
+            let stall = Duration::from_millis(2 * read_timeout_ms);
+            let (hostile, handle) = spawn_hostile(real, seed, stall, Arc::clone(&stop));
             let config = DispatchConfig {
-                backends: vec![addr_a.to_string(), addr_b.to_string()],
-                faults: FaultPlan::chaos(seed),
+                backends: vec![hostile.to_string(), real.to_string()],
+                remote: RemoteConfig {
+                    read_timeout_ms,
+                    ..RemoteConfig::default()
+                },
                 ..DispatchConfig::default()
             };
             let dispatcher = Dispatcher::new(&config, fake_runner());
+            let pool = PoolConfig {
+                workers: 4,
+                retries: 0,
+                ..PoolConfig::default()
+            };
             let batch = Engine::with_runner(
                 EngineConfig {
-                    pool: PoolConfig {
-                        workers: 4,
-                        retries: 0,
-                        ..PoolConfig::default()
-                    },
+                    pool,
                     cache_dir: None,
-                    faults: FaultPlan::none(),
                 },
                 dispatcher.into_runner(),
             )
@@ -575,15 +630,22 @@ fn network_chaos_dispatch_reproduces_fault_free_bytes() {
                     "seed {seed} job {i}: bytes diverge from the fault-free run"
                 );
             }
+            stop.store(true, Ordering::SeqCst);
+            drop(TcpStream::connect(hostile));
+            let counts = handle.join().expect("hostile backend");
+            for (total, n) in seen.iter_mut().zip(counts) {
+                *total += n;
+            }
         }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every hostile behaviour must occur: {seen:?} (drop, stall, garble, honest)"
+        );
 
-        for addr in [addr_a, addr_b] {
-            let mut stream = TcpStream::connect(addr).expect("connect for shutdown");
-            writeln!(stream, "{{\"cmd\":\"shutdown\"}}").expect("send shutdown");
-            let mut line = String::new();
-            let _ = BufReader::new(stream).read_line(&mut line);
-        }
-        handle_a.join().expect("server a");
-        handle_b.join().expect("server b");
+        let mut stream = TcpStream::connect(real).expect("connect for shutdown");
+        writeln!(stream, "{{\"cmd\":\"shutdown\"}}").expect("send shutdown");
+        let mut line = String::new();
+        let _ = BufReader::new(stream).read_line(&mut line);
+        serving.join().expect("server");
     });
 }

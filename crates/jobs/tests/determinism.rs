@@ -44,7 +44,6 @@ fn engine(workers: usize, cache_dir: Option<PathBuf>) -> Engine {
             ..PoolConfig::default()
         },
         cache_dir,
-        ..EngineConfig::default()
     })
     .expect("engine")
 }

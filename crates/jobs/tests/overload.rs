@@ -22,8 +22,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tdsigma_jobs::{
-    DispatchConfig, Dispatcher, Engine, EngineConfig, FaultPlan, Job, JobReport, Json, PoolConfig,
-    Runner, Server, ServerConfig,
+    DispatchConfig, Dispatcher, Engine, EngineConfig, Job, JobReport, Json, PoolConfig, Runner,
+    Server, ServerConfig,
 };
 
 /// Runs `f` on a worker thread and panics if it does not finish within
@@ -83,7 +83,6 @@ fn engine(workers: usize, job_ms: u64) -> Engine {
                 backoff_max_ms: 8,
             },
             cache_dir: None,
-            faults: FaultPlan::none(),
         },
         slow_runner(job_ms),
     )
@@ -390,7 +389,6 @@ fn dispatcher_rides_out_a_flooded_backend_without_tripping_breakers() {
                     ..PoolConfig::default()
                 },
                 cache_dir: None,
-                faults: FaultPlan::none(),
             },
             dispatcher.into_runner(),
         )

@@ -587,37 +587,17 @@ fn parse_workers(flags: &Flags) -> Result<WorkerSpec, String> {
     Ok(WorkerSpec::Fleet { backends, local })
 }
 
+/// The hidden `--chaos-seed N`: a fault plan for whichever runner the
+/// engine gets, announced once.
 fn fault_plan(flags: &Flags) -> Result<FaultPlan, String> {
-    let mut plan = match flags.values.get("chaos-seed") {
-        None => FaultPlan::none(),
-        Some(text) => {
-            let seed = text
-                .parse::<u64>()
-                .map_err(|e| format!("--chaos-seed: {e}"))?;
-            eprintln!("warning: chaos mode on (seed {seed}) — faults will be injected");
-            FaultPlan::chaos(seed)
-        }
+    let Some(text) = flags.values.get("chaos-seed") else {
+        return Ok(FaultPlan::none());
     };
-    // Hidden test hook, mirroring TDSIGMA_FINGERPRINT: arm the
-    // lying-backend fault site from the environment. The site only
-    // fires in a serve process (it perturbs report values after
-    // compute), and it stays out of `chaos` because it silently breaks
-    // byte-identity — integration tests arm it on one serve backend to
-    // prove sampled verification catches the liar.
-    if let Ok(text) = std::env::var("TDSIGMA_LYING_PERMILLE") {
-        let permille = text
-            .parse::<u16>()
-            .map_err(|e| format!("TDSIGMA_LYING_PERMILLE: {e}"))?;
-        if permille > 0 {
-            plan.lying_backend_permille = permille.min(1000);
-            eprintln!(
-                "warning: lying-backend fault armed ({} permille) — \
-                 report values will be silently corrupted",
-                plan.lying_backend_permille
-            );
-        }
-    }
-    Ok(plan)
+    let seed = text
+        .parse::<u64>()
+        .map_err(|e| format!("--chaos-seed: {e}"))?;
+    eprintln!("warning: chaos mode on (seed {seed}) — faults will be injected");
+    Ok(FaultPlan::chaos(seed))
 }
 
 /// The `--verify-sample` / `--verify-all` pair as a permille rate for
@@ -636,7 +616,7 @@ fn verify_permille(flags: &Flags) -> Result<u16, String> {
     Ok((fraction * 1000.0).round() as u16)
 }
 
-fn engine_config(flags: &Flags, workers: usize, faults: FaultPlan) -> Result<EngineConfig, String> {
+fn engine_config(flags: &Flags, workers: usize) -> Result<EngineConfig, String> {
     let retries = flags.usize("retries", 1)? as u32;
     let cache_dir = if flags.switch("no-cache") {
         None
@@ -650,7 +630,6 @@ fn engine_config(flags: &Flags, workers: usize, faults: FaultPlan) -> Result<Eng
             ..PoolConfig::default()
         },
         cache_dir,
-        faults,
     })
 }
 
@@ -666,7 +645,10 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
     let faults = fault_plan(flags)?;
     match workers {
         WorkerSpec::Local(workers) => {
-            let engine = Engine::new(engine_config(flags, workers, faults)?)?;
+            let engine = Engine::with_runner(
+                engine_config(flags, workers)?,
+                faults.wrap(Arc::new(execute)),
+            )?;
             Ok((engine, None))
         }
         WorkerSpec::Fleet { backends, local } => {
@@ -674,7 +656,6 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
                 backends,
                 local_in_rotation: local,
                 verify_permille: verify_permille(flags)?,
-                faults,
                 ..DispatchConfig::default()
             };
             let local_runner: Arc<Runner> = Arc::new(execute);
@@ -703,8 +684,8 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
                 remote_workers
             };
             let engine = Engine::with_runner(
-                engine_config(flags, workers.clamp(1, 64), faults)?,
-                dispatcher.into_runner(),
+                engine_config(flags, workers.clamp(1, 64))?,
+                faults.wrap(dispatcher.into_runner()),
             )?;
             Ok((engine, Some(dispatcher)))
         }

@@ -6,27 +6,62 @@
 //! verification, integrity-quarantined for the rest of the run, and the
 //! final `sweep.json` is byte-identical to a purely local run:
 //!
-//!   1. a fleet with one lying serve child (armed via the hidden
-//!      `TDSIGMA_LYING_PERMILLE` hook) completes under `--verify-all`;
-//!      the liar is quarantined (stderr warning, `DEGRADED: integrity`
-//!      on the dispatch summary), the verification outcomes are
-//!      journaled, and the artifact matches the local control bytes;
+//!   1. a fleet of one honest serve child and one lying backend — a
+//!      [`Server`] in this test process over `execute` with every report
+//!      value perturbed, which serve attests like any other — completes
+//!      under `--verify-all`; the liar is quarantined (stderr warning,
+//!      `DEGRADED: integrity` on the dispatch summary), the verification
+//!      outcomes are journaled, and the artifact matches the local
+//!      control bytes;
 //!   2. with verification off (`--verify-sample 0`, the default) the
 //!      sweep makes zero extra remote calls — counter-asserted from
 //!      both sides of the wire (dispatch summary and serve health).
 //!
-//! Every scenario drives the real binary end to end.
+//! Every sweep and the honest backend are the real binary; the liar
+//! links the same crates, so it carries the same engine fingerprint.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::Command;
+use std::sync::Arc;
 use std::time::Duration;
+use tdsigma::jobs::{execute, Engine, EngineConfig, Job, PoolConfig, Runner, Server, ServerConfig};
 
 mod common;
-use common::{
-    bin, journal_path, metric, spawn_serve, spawn_serve_with_env, sweep_args, wait_for_ready,
-    FAST_SAMPLES,
-};
+use common::{bin, journal_path, metric, spawn_serve, sweep_args, wait_for_ready, FAST_SAMPLES};
+
+/// A real `serve` in this process whose runner computes each job, then
+/// adds 3.5 dB to its SNDR: the key stays intact and serve attests the
+/// lie, so nothing at the wire level can tell it from an honest peer.
+fn spawn_liar() -> (String, std::thread::JoinHandle<()>) {
+    let lying: Arc<Runner> = Arc::new(|job: &Job| {
+        let mut report = execute(job)?;
+        report.sndr_db += 3.5;
+        Ok(report)
+    });
+    let pool = PoolConfig {
+        workers: 1,
+        ..PoolConfig::default()
+    };
+    let engine = Engine::with_runner(
+        EngineConfig {
+            pool,
+            cache_dir: None,
+        },
+        lying,
+    )
+    .expect("liar engine");
+    let config = ServerConfig {
+        allow_remote_shutdown: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", Arc::new(engine), config).expect("bind liar");
+    let addr = server.local_addr().expect("liar addr").to_string();
+    (
+        addr,
+        std::thread::spawn(move || server.run().expect("liar serves")),
+    )
+}
 
 /// One `{"cmd":"health"}` round trip against a live backend.
 fn health_line(addr: &str) -> String {
@@ -59,14 +94,10 @@ fn lying_backend_is_caught_quarantined_and_bytes_match_local() {
     let expected = std::fs::read(control.join("sweep.json")).expect("control artifact");
 
     // One honest backend, one that silently perturbs every report value
-    // after compute. Same binary, same fingerprint, valid attestation:
-    // nothing at the wire level can tell them apart.
+    // after compute. Same fingerprint, valid attestation: nothing at the
+    // wire level can tell them apart.
     let (mut good, addr_good) = spawn_serve(&root.join("serve_good"), 1);
-    let (mut bad, addr_bad) = spawn_serve_with_env(
-        &root.join("serve_bad"),
-        1,
-        &[("TDSIGMA_LYING_PERMILLE", "1000")],
-    );
+    let (addr_bad, bad) = spawn_liar();
     wait_for_ready(&addr_good, Duration::from_secs(30));
     wait_for_ready(&addr_bad, Duration::from_secs(30));
 
@@ -120,8 +151,11 @@ fn lying_backend_is_caught_quarantined_and_bytes_match_local() {
 
     good.kill().expect("stop good backend");
     let _ = good.wait();
-    bad.kill().expect("stop bad backend");
-    let _ = bad.wait();
+    let mut stream = TcpStream::connect(&addr_bad).expect("connect to the liar");
+    stream
+        .write_all(b"{\"cmd\":\"shutdown\"}\n")
+        .expect("stop the liar");
+    bad.join().expect("liar thread");
     let _ = std::fs::remove_dir_all(&root);
 }
 
